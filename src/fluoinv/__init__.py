@@ -14,6 +14,7 @@ from .fit import (
     FitConfig,
     FitResult,
     MeasurementSet,
+    SolveReport,
     empirical_norm,
     optimal_lambda_prior,
     point_evaluation,
@@ -33,12 +34,9 @@ from .grid import (
     ConvergenceError,
     Grid,
     GridFunction,
-    SolveReport,
-    SparseOperator,
     assemble_laplacian,
     assemble_mass,
     assemble_stiffness,
-    cg_solve,
 )
 from .inverse import (
     InverseConfig,

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: forward | p1 | p2 | rates | spectral | verify.  Configuration
-comes from a preset name and/or a JSON file; --seed, --out and --threads
-override it.  Exit codes: 0 success, 2 configuration error, 3 solver
-non-convergence, 4 property-check failure.  The environment variable
-SOLVER_TOL overrides the default linear-solver tolerance.
+comes from a preset name and/or a JSON file; --seed and --out override it.
+--threads is accepted and ignored: trials run serially.  Exit codes:
+0 success, 2 configuration error, 3 solver non-convergence (the files
+written so far and the manifest are kept), 4 property-check failure.  The
+environment variable SOLVER_TOL overrides the tolerance of the fit's
+conjugate-gradient solve.
 """
 
 from __future__ import annotations
@@ -79,10 +81,10 @@ def _load_config(args) -> dict:
     if args.seed is not None:
         cfg["seed"] = args.seed
     cfg.setdefault("seed", 0)
-    if args.threads is not None:
-        cfg["threads"] = args.threads
-    cfg.setdefault("threads", 1)
-    cfg["solver_tol"] = default_tolerance()
+    try:
+        cfg["solver_tol"] = default_tolerance()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -169,17 +171,15 @@ def _norm_for(s: int, f_true) -> float:
 def _fit_with_policy(cfg, grid, beta, meas, s, f_true):
     """Run the fit under the configured weight policy.
 
-    Returns (lam, result, trace_rows) where trace_rows lists the weight
-    iterates (a single row for non-iterative policies).
+    Returns (lam, result, trace_rows, converged) where trace_rows lists the
+    weight iterates (a single row for non-iterative policies) and converged
+    is false only for a self-consistent loop that did not stabilize.
     """
     policy = cfg.get("lambda", {"mode": "prior"})
     mode = policy.get("mode", "prior")
     if mode == "self-consistent":
         lam, result, trace = self_consistent_lambda(grid, beta, meas, s)
-        rows = [(j, v) for j, v in enumerate(trace.lams)]
-        if not trace.converged:
-            raise ConvergenceError("self-consistent weight loop did not stabilize")
-        return lam, result, rows
+        return lam, result, list(enumerate(trace.lams)), trace.converged
     if mode == "prior":
         try:
             lam = optimal_lambda_prior(_norm_for(s, f_true), meas.sigma, meas.n, s)
@@ -192,7 +192,12 @@ def _fit_with_policy(cfg, grid, beta, meas, s, f_true):
     else:
         raise ConfigError(f"config error at 'lambda.mode': unknown mode {mode!r}")
     result = solve_data_fit(grid, beta, meas, FitConfig(s=s, lam=lam))
-    return lam, result, [(0, lam)]
+    return lam, result, [(0, lam)], True
+
+
+def _require_converged(converged: bool) -> None:
+    if not converged:
+        raise ConvergenceError("self-consistent weight loop did not stabilize")
 
 
 def _err_row(bundle) -> list:
@@ -239,13 +244,14 @@ def cmd_p1(cfg: dict, out: Path, manifest: Manifest) -> int:
                                 "err1", "err2", "err3", "err4", "err5"], rows))
         return EXIT_OK
 
-    lam, result, lam_rows = _fit_with_policy(cfg, grid, beta, meas, s, f_true)
+    lam, result, lam_rows, converged = _fit_with_policy(cfg, grid, beta, meas, s, f_true)
+    manifest.add(write_csv(out / "lambda_trace.csv", "lambda-trace-v1",
+                           ["iteration", "lambda"], lam_rows))
+    _require_converged(converged)
     bundle = error_bundle(meas=meas, sf=result.sf, sf_true=sf_true,
                           f=result.f, f_true=f_true)
     manifest.add(write_field_csv(out / "fit_fields.csv", grid,
                                  {"f_sigma": result.f, "sf_sigma": result.sf}))
-    manifest.add(write_csv(out / "lambda_trace.csv", "lambda-trace-v1",
-                           ["iteration", "lambda"], lam_rows))
     manifest.add(write_csv(out / "fit_errors.csv", "fit-errors-v1",
                            ["n", "sigma", "s", "lambda", "misfit_n", "penalty_norm",
                             "err1", "err2", "err3", "err4", "err5"],
@@ -273,7 +279,8 @@ def cmd_p2(cfg: dict, out: Path, manifest: Manifest) -> int:
     else:
         s = int(_require(cfg, "s", int))
         meas, sigma = _measure(cfg, grid, sf_true, int(cfg["seed"]))
-        lam, fitres, _ = _fit_with_policy(cfg, grid, beta, meas, s, f_true)
+        lam, fitres, _, converged = _fit_with_policy(cfg, grid, beta, meas, s, f_true)
+        _require_converged(converged)
         q_rec, trace = noisy_fixed_point_solve(data, fitres.f, fitres.sf, icfg)
 
     bundle = error_bundle(q=q_rec, q_true=q_true)
@@ -318,8 +325,7 @@ def cmd_rates(cfg: dict, out: Path, manifest: Manifest) -> int:
               for n in ns]
     trials = int(cfg.get("trials", 10))
     records = expectation_experiment(pipeline, ladder, trials=trials,
-                                     base_seed=int(cfg["seed"]),
-                                     threads=int(cfg["threads"]))
+                                     base_seed=int(cfg["seed"]))
 
     trial_rows, agg_rows = [], []
     for rec in records:
@@ -361,8 +367,7 @@ def cmd_rates(cfg: dict, out: Path, manifest: Manifest) -> int:
         n_tail = int(cfg.get("tail_n", ladder[0].n))
         tail_records = expectation_experiment(
             pipeline, [LadderPoint(n=n_tail, sigma=sigma, label="tail")],
-            trials=int(cfg["tail_trials"]), base_seed=int(cfg["seed"]) + 1,
-            threads=int(cfg["threads"]))
+            trials=int(cfg["tail_trials"]), base_seed=int(cfg["seed"]) + 1)
         z = np.linspace(0.0, float(cfg.get("tail_zmax", 3.0)), 31)
         curve = tail_histogram(tail_records[0], z)
         manifest.add(write_csv(out / "tail_curve.csv", "tail-curve-v1",
@@ -405,7 +410,7 @@ def cmd_spectral(cfg: dict, out: Path, manifest: Manifest) -> int:
 def cmd_verify(cfg: dict, out: Path, manifest: Manifest) -> int:
     results = run_battery(
         grid_cells=int(cfg.get("grid", 32)),
-        seed=int(cfg["seed"]) if cfg.get("seed") else 20250810,
+        seed=int(cfg["seed"]),
         tau=float(cfg.get("tau", 0.25)),
         flip_boundary=bool(cfg.get("flip_boundary", False)),
     )
@@ -442,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", help="built-in configuration name")
         p.add_argument("--seed", type=int, default=None, help="base seed (u64)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="trial-level parallelism")
+        p.add_argument("--threads", type=int, default=None,
+                       help="ignored; trials run serially (kept for old scripts)")
     return parser
 
 
@@ -453,18 +459,19 @@ def main(argv=None) -> int:
         out = Path(args.out) if args.out else Path(f"out-{args.command}")
         out.mkdir(parents=True, exist_ok=True)
         manifest = Manifest(args.command, cfg, int(cfg["seed"]), __version__)
-        code = COMMANDS[args.command](cfg, out, manifest)
+        try:
+            code = COMMANDS[args.command](cfg, out, manifest)
+        except ConvergenceError as exc:
+            print(f"error: solver did not converge: {exc}", file=sys.stderr)
+            code = EXIT_NONCONVERGENCE
+        except PositivityError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_NONCONVERGENCE
         manifest.write(out)
         return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConvergenceError as exc:
-        print(f"error: solver did not converge: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except PositivityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
 
 
 if __name__ == "__main__":

@@ -25,17 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import (
-    ConvergenceError,
-    Grid,
-    GridFunction,
-    SolveReport,
-    _pcg,
-    default_tolerance,
-)
+from .grid import ConvergenceError, Grid, GridFunction, default_tolerance
 
 __all__ = [
     "MeasurementSet",
+    "SolveReport",
     "FitConfig",
     "FitResult",
     "LambdaTrace",
@@ -131,12 +125,20 @@ def empirical_norm(values) -> float:
 
 
 @dataclass
+class SolveReport:
+    """Outcome of the normal-equation CG."""
+
+    iterations: int
+    residual: float
+    converged: bool
+
+
+@dataclass
 class FitConfig:
     """Penalty order, regularization weight, and solver knobs."""
 
     s: int
     lam: float
-    inner_tol: float | None = None     # elliptic-solve tolerance (consistency checks)
     outer_tol: float | None = None     # normal-equation CG tolerance
     max_iter: int = 20000
 
@@ -145,10 +147,10 @@ class FitConfig:
             raise ValueError(f"penalty order s must be 0 or 1, got {self.s}")
         if self.lam <= 0:
             raise ValueError(f"regularization weight must be positive, got {self.lam}")
-        if self.inner_tol is None:
-            self.inner_tol = default_tolerance()
         if self.outer_tol is None:
             self.outer_tol = default_tolerance()
+        elif not self.outer_tol > 0:
+            raise ValueError(f"tolerance must be positive, got {self.outer_tol}")
 
 
 @dataclass
@@ -181,7 +183,7 @@ class _FitWorkspace:
     def gram_apply(self, s: int, v: np.ndarray) -> np.ndarray:
         if s == 0:
             return self.ops.mass_diag * v
-        return self.ops.mass_diag * v + self.ops.stiffness_natural.matrix @ v
+        return self.ops.mass_diag * v + self.ops.stiffness_natural @ v
 
     def gram_solve(self, s: int, v: np.ndarray) -> np.ndarray:
         if s == 0:
@@ -190,6 +192,44 @@ class _FitWorkspace:
 
     def penalty_norm(self, s: int, f_values: np.ndarray) -> float:
         return float(np.sqrt(max(f_values @ self.gram_apply(s, f_values), 0.0)))
+
+
+def _pcg(matvec, b, *, tol, max_iter, precond):
+    """Preconditioned conjugate gradients; returns (x, SolveReport)."""
+    n = b.shape[0]
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return np.zeros(n), SolveReport(0, 0.0, True)
+
+    x = np.zeros(n)
+    r = b.copy()
+    z = precond(r)
+    p = z.copy()
+    rz = float(r @ z)
+    rnorm = bnorm
+
+    it = 0
+    while it < max_iter:
+        if rnorm <= tol * bnorm:
+            break
+        Ap = matvec(p)
+        denom = float(p @ Ap)
+        if denom <= 0.0:
+            break  # loss of positive definiteness; report and bail out
+        alpha = rz / denom
+        x = x + alpha * p
+        r = r - alpha * Ap
+        it += 1
+        rnorm = float(np.linalg.norm(r))
+        z = precond(r)
+        rz_new = float(r @ z)
+        if rz <= 0.0:
+            break
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+
+    rel = rnorm / bnorm
+    return x, SolveReport(it, rel, rel <= tol)
 
 
 def solve_data_fit(grid: Grid, beta: float, meas: MeasurementSet,

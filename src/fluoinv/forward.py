@@ -13,16 +13,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .grid import (
-    ConvergenceError,
-    Grid,
-    GridFunction,
-    cg_solve,
-    default_tolerance,
-)
+from .grid import Grid, GridFunction
 
 __all__ = [
     "ProblemData",
@@ -154,18 +146,9 @@ class ProblemData:
     def emission_lu(self):
         """Cached factorization of the (q-independent) emission step matrix."""
         if self._emission_lu is None:
-            self._emission_lu = _step_factorization(self, self.p.values)
+            ops = self.grid.operators(self.beta)
+            self._emission_lu = ops.step_lu(self.tau, self.p.values)
         return self._emission_lu
-
-
-def _step_factorization(data: ProblemData, absorption: np.ndarray):
-    ops = data.grid.operators(data.beta)
-    A = (
-        sp.diags(ops.weights / data.tau)
-        + ops.laplacian.matrix
-        + sp.diags(ops.weights * absorption)
-    ).tocsc()
-    return spla.splu(A)
 
 
 def _march(data: ProblemData, lu, load=None, source=None) -> SpaceTimeField:
@@ -195,7 +178,7 @@ def solve_excitation(data: ProblemData, q: GridFunction) -> SpaceTimeField:
         raise ValueError("source q must live on the problem grid")
     if q.values.min() < 0:
         raise ValueError(f"source must be nonnegative; min q = {q.values.min():g}")
-    lu = _step_factorization(data, data.p.values + q.values)
+    lu = data.grid.operators(data.beta).step_lu(data.tau, data.p.values + q.values)
     return _march(data, lu, load=lambda k: data.boundary_field(k))
 
 
@@ -227,20 +210,12 @@ def terminal_time_derivative(u: SpaceTimeField) -> GridFunction:
     return GridFunction(u.grid, (u.levels[-1] - u.levels[-2]) / u.tau)
 
 
-def elliptic_solve(grid: Grid, beta: float, f: GridFunction,
-                   tol: float | None = None) -> GridFunction:
+def elliptic_solve(grid: Grid, beta: float, f: GridFunction) -> GridFunction:
     """Smoothing operator: solve the Robin Poisson problem with source f.
 
-    Conjugate gradients on the assembled Laplacian; raises ConvergenceError
-    if the tolerance is not reached.
+    One solve with the grid's cached factorization of the assembled Laplacian.
     """
     if f.grid is not grid:
         raise ValueError("f must live on the given grid")
     ops = grid.operators(beta)
-    rhs = GridFunction(grid, ops.weights * f.values)
-    u, report = cg_solve(ops.laplacian, rhs, tol=tol if tol is not None else default_tolerance())
-    if not report.converged:
-        raise ConvergenceError(
-            f"elliptic solve stalled at residual {report.residual:.3e}", report
-        )
-    return u
+    return GridFunction(grid, ops.lu_laplacian().solve(ops.weights * f.values))

@@ -1,6 +1,6 @@
 """Uniform grids on the unit interval/square and their discrete operators.
 
-Everything downstream is built on three sparse objects assembled here: a
+Everything downstream is built on three sparse matrices assembled here: a
 negative Laplacian with the Robin condition ``beta * du/dn + u = b``
 eliminated through boundary control volumes, a diagonal (lumped) mass
 matrix, and a natural-boundary stiffness matrix used by the H1 inner
@@ -8,12 +8,15 @@ product.  The Laplacian is kept in a symmetrized scaling in which interior
 rows reproduce the classic 3-point / 5-point stencils divided by h^2 while
 the matrix stays a symmetric M-matrix; dividing rows by the control-volume
 fractions recovers the pointwise (ghost-node) form exactly.
+
+This module is also the only place that decides how a grid system is
+solved: every solve in the package goes through a sparse LU factorization
+handed out by ``Grid.operators(beta)``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,14 +25,11 @@ import scipy.sparse.linalg as spla
 __all__ = [
     "Grid",
     "GridFunction",
-    "SparseOperator",
-    "SolveReport",
     "ConvergenceError",
     "assemble_laplacian",
     "assemble_mass",
     "assemble_stiffness",
     "boundary_load_weights",
-    "cg_solve",
     "default_tolerance",
 ]
 
@@ -37,9 +37,22 @@ DEFAULT_CG_TOL = 1e-10
 
 
 def default_tolerance() -> float:
-    """Solver tolerance, overridable through the SOLVER_TOL env variable."""
+    """Solver tolerance, overridable through the SOLVER_TOL env variable.
+
+    Raises ValueError naming the variable if its value is not a positive
+    finite number.
+    """
     val = os.environ.get("SOLVER_TOL")
-    return float(val) if val else DEFAULT_CG_TOL
+    if not val:
+        return DEFAULT_CG_TOL
+    bad = ValueError(f"SOLVER_TOL must be a positive number, got {val!r}")
+    try:
+        tol = float(val)
+    except ValueError:
+        raise bad from None
+    if not 0.0 < tol < np.inf:
+        raise bad
+    return tol
 
 
 class ConvergenceError(RuntimeError):
@@ -216,52 +229,12 @@ class GridFunction:
         return f"GridFunction({self.grid!r}, n={len(self.values)})"
 
 
-@dataclass
-class SparseOperator:
-    """Square sparse matrix over grid nodes in compressed-row layout."""
-
-    matrix: sp.csr_matrix
-    symmetric: bool = False
-
-    def __post_init__(self):
-        self.matrix = sp.csr_matrix(self.matrix)
-        nr, nc = self.matrix.shape
-        if nr != nc:
-            raise ValueError(f"operator must be square, got {self.matrix.shape}")
-        if self.symmetric:
-            d = self.matrix - self.matrix.T
-            scale = max(abs(self.matrix.data).max(), 1.0)
-            if d.nnz and abs(d.data).max() > 1e-14 * scale:
-                raise ValueError("symmetric flag set on a non-symmetric matrix")
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def __matmul__(self, v):
-        if isinstance(v, GridFunction):
-            return GridFunction(v.grid, self.matrix @ v.values)
-        return self.matrix @ v
-
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
-
-
-@dataclass
-class SolveReport:
-    """Outcome of an iterative linear solve."""
-
-    iterations: int
-    residual: float
-    converged: bool
-    residual_history: list = field(default_factory=list, repr=False)
-
-
 class _GridOperators:
-    """Assembled matrices and factorizations shared across a grid's users.
+    """Assembled CSR matrices and the LU factorizations of every grid system.
 
-    LU factorizations are built lazily; they back the repeated terminal-time
-    solves where re-running CG per step would dominate the runtime.
+    The Laplacian and H1 Gram factors are built lazily and cached; a
+    backward-Euler step factor depends on the absorption field, so
+    ``step_lu`` builds a fresh one and callers keep what they reuse.
     """
 
     def __init__(self, grid: Grid, beta: float):
@@ -284,12 +257,10 @@ class _GridOperators:
         robin = np.zeros(grid.node_count)
         robin[grid.boundary_mask] = h ** (grid.dim - 1) / beta
         scale = h ** grid.dim
-        self.laplacian = SparseOperator(
-            ((a_nat + sp.diags(robin)) / scale).tocsr(), symmetric=True
-        )
-        self.stiffness_natural = SparseOperator(a_nat, symmetric=True)
+        self.laplacian = ((a_nat + sp.diags(robin)) / scale).tocsr()
+        self.stiffness_natural = a_nat
         self.mass_diag = grid.cv_fractions * scale
-        self.mass = SparseOperator(sp.diags(self.mass_diag).tocsr(), symmetric=True)
+        self.mass = sp.diags(self.mass_diag).tocsr()
         # control-volume weights: W = mass / h^dim; W^-1 L is the pointwise operator
         self.weights = grid.cv_fractions
         self.load_weights = np.zeros(grid.node_count)
@@ -300,14 +271,26 @@ class _GridOperators:
 
     def lu_laplacian(self):
         if self._lu_laplacian is None:
-            self._lu_laplacian = spla.splu(self.laplacian.matrix.tocsc())
+            self._lu_laplacian = spla.splu(self.laplacian.tocsc())
         return self._lu_laplacian
 
     def lu_h1(self):
         if self._lu_h1 is None:
-            gram = self.mass.matrix + self.stiffness_natural.matrix
+            gram = self.mass + self.stiffness_natural
             self._lu_h1 = spla.splu(gram.tocsc())
         return self._lu_h1
+
+    def step_lu(self, tau: float, absorption: np.ndarray):
+        """Factorization of one backward-Euler step, W/tau + L + W diag(absorption).
+
+        Not cached: the absorption changes with the source being solved for.
+        """
+        A = (
+            sp.diags(self.weights / tau)
+            + self.laplacian
+            + sp.diags(self.weights * absorption)
+        ).tocsc()
+        return spla.splu(A)
 
     def pointwise_laplacian(self, values: np.ndarray) -> np.ndarray:
         """Apply the negative Laplacian nodewise: -Delta_h u = W^-1 (L u).
@@ -315,10 +298,10 @@ class _GridOperators:
         Valid for fields satisfying the homogeneous Robin condition; the
         boundary rows use the same elimination as the assembled operator.
         """
-        return (self.laplacian.matrix @ values) / self.weights
+        return (self.laplacian @ values) / self.weights
 
 
-def assemble_laplacian(grid: Grid, beta: float) -> SparseOperator:
+def assemble_laplacian(grid: Grid, beta: float) -> sp.csr_matrix:
     """Discrete negative Laplacian with the Robin condition eliminated.
 
     The returned matrix is symmetric, has nonpositive off-diagonal entries,
@@ -331,12 +314,12 @@ def assemble_laplacian(grid: Grid, beta: float) -> SparseOperator:
     return grid.operators(beta).laplacian
 
 
-def assemble_mass(grid: Grid) -> SparseOperator:
+def assemble_mass(grid: Grid) -> sp.csr_matrix:
     """Diagonal lumped mass matrix; entries sum to the unit measure of the domain."""
     return grid.operators(1.0).mass
 
 
-def assemble_stiffness(grid: Grid) -> SparseOperator:
+def assemble_stiffness(grid: Grid) -> sp.csr_matrix:
     """Integrated stiffness with natural (no-flux) boundary treatment.
 
     ``u^T A u`` approximates the squared gradient seminorm; constants lie
@@ -352,98 +335,3 @@ def boundary_load_weights(grid: Grid, beta: float) -> np.ndarray:
     ``1/(beta*h)`` on every boundary node and zero inside.
     """
     return grid.operators(beta).load_weights
-
-
-def _pcg(matvec, b, *, tol, max_iter, precond=None, smooth=False):
-    """Preconditioned CG core.
-
-    With ``smooth=True`` a one-parameter minimal-residual smoothing is
-    applied to the iterates so the reported 2-norm residual history is
-    non-increasing; the smoothed iterate is returned.
-    """
-    n = b.shape[0]
-    bnorm = float(np.linalg.norm(b))
-    history: list[float] = []
-    if bnorm == 0.0:
-        return np.zeros(n), SolveReport(0, 0.0, True, history)
-
-    x = np.zeros(n)
-    r = b.copy()
-    z = precond(r) if precond is not None else r
-    p = z.copy()
-    rz = float(r @ z)
-
-    xs = x.copy()
-    rs = r.copy()
-    best = float(np.linalg.norm(rs))
-    history.append(best / bnorm)
-
-    it = 0
-    while it < max_iter:
-        if best <= tol * bnorm:
-            break
-        Ap = matvec(p)
-        denom = float(p @ Ap)
-        if denom <= 0.0:
-            break  # loss of positive definiteness; report and bail out
-        alpha = rz / denom
-        x = x + alpha * p
-        r = r - alpha * Ap
-        it += 1
-        if smooth:
-            # minimal-residual smoothing: pick eta in [0,1] minimizing |r_s|
-            d = r - rs
-            dd = float(d @ d)
-            eta = 0.0 if dd == 0.0 else min(1.0, max(0.0, -float(rs @ d) / dd))
-            xs = xs + eta * (x - xs)
-            rs = rs + eta * d
-            best = float(np.linalg.norm(rs))
-        else:
-            xs, rs = x, r
-            best = float(np.linalg.norm(r))
-        history.append(best / bnorm)
-        z = precond(r) if precond is not None else r
-        rz_new = float(r @ z)
-        if rz <= 0.0:
-            break
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-
-    rel = best / bnorm
-    return xs, SolveReport(it, rel, rel <= tol, history)
-
-
-def cg_solve(
-    A: SparseOperator,
-    rhs: GridFunction,
-    tol: float | None = None,
-    max_iter: int | None = None,
-) -> tuple[GridFunction, SolveReport]:
-    """Jacobi-preconditioned conjugate gradients for SPD grid operators.
-
-    Returns the solution together with a report; non-convergence within
-    ``max_iter`` is flagged in the report rather than raised, so callers
-    decide whether it is fatal.  Deterministic for fixed inputs.
-    """
-    if tol is None:
-        tol = default_tolerance()
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    n = A.shape[0]
-    if rhs.values.shape[0] != n:
-        raise ValueError("dimension mismatch between operator and right-hand side")
-    if max_iter is None:
-        max_iter = 10 * n
-    diag = A.diagonal()
-    if (diag <= 0).any():
-        raise ValueError("operator diagonal must be positive for the Jacobi preconditioner")
-    inv_diag = 1.0 / diag
-    x, report = _pcg(
-        lambda v: A.matrix @ v,
-        rhs.values,
-        tol=tol,
-        max_iter=max_iter,
-        precond=lambda r: inv_diag * r,
-        smooth=True,
-    )
-    return GridFunction(rhs.grid, x), report

@@ -26,7 +26,7 @@ def h1_norm(u: GridFunction) -> float:
     """Full H1 norm sqrt(u' (M + A) u), natural boundary stiffness A."""
     ops = u.grid.operators(1.0)
     v = u.values
-    return float(np.sqrt(v @ (ops.mass_diag * v) + v @ (ops.stiffness_natural.matrix @ v)))
+    return float(np.sqrt(v @ (ops.mass_diag * v) + v @ (ops.stiffness_natural @ v)))
 
 
 def dual_h1_norm(v: GridFunction) -> float:

@@ -17,6 +17,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .grid import Grid
+from .stochastic import fit_rate
 
 __all__ = ["SpectrumReport", "laplacian_spectrum", "empirical_smoothing_spectrum"]
 
@@ -36,16 +37,12 @@ class SpectrumReport:
 
 
 def _fit_exponent(eigenvalues: np.ndarray, k_lo: int, k_hi: int):
-    if k_hi - k_lo < 1:
-        return float("nan"), float("nan")  # a growth fit needs several modes
+    """Log-log slope and r^2 of eigenvalues k_lo..k_hi (1-based) against k."""
+    if k_hi - k_lo < 2:
+        return float("nan"), float("nan")  # a growth fit needs three modes
     k = np.arange(k_lo, k_hi + 1)
-    vals = eigenvalues[k_lo - 1 : k_hi]
-    x, y = np.log(k), np.log(vals)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 if ss == 0.0 else 1.0 - float((resid**2).sum()) / ss
-    return float(slope), float(r2)
+    rf = fit_rate(zip(k, eigenvalues[k_lo - 1 : k_hi]))
+    return rf.slope, rf.r_squared
 
 
 def _dirichlet_matrix(grid: Grid) -> np.ndarray:

@@ -2,13 +2,12 @@
 
 Sensors are Halton points (low-discrepancy, hence quasi-uniform) pushed
 into the open domain by a small margin; noise draws are seeded per trial by
-hashing (base seed, ladder index, trial index) so that neither the trial
-execution order nor the thread count can change any result.
+hashing (base seed, ladder index, trial index) so that the trial execution
+order cannot change any result.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,23 +225,14 @@ def _run_trial(pipeline: InversionPipeline, point: LadderPoint, points, workspac
 
 
 def expectation_experiment(pipeline: InversionPipeline, ladder, trials: int = 10,
-                           base_seed: int = 0, threads: int = 1) -> list[ExperimentRecord]:
+                           base_seed: int = 0) -> list[ExperimentRecord]:
     """Run `trials` independent observe-fit(-invert) pipelines per ladder point.
 
     Sensor locations depend on (base seed, ladder index) only; noise streams
-    are derived per trial.  Trials may execute concurrently: results are
-    collected by trial index, so aggregates do not depend on thread count.
+    are derived per trial.  Trials run one after another, in index order.
     Individual trial failures propagate (they indicate configuration errors,
     not statistical bad luck).
     """
-    # warm shared factorizations before any threading
-    pipeline.grid.operators(pipeline.beta).lu_laplacian()
-    if pipeline.s == 1:
-        pipeline.grid.operators(pipeline.beta).lu_h1()
-    pipeline.grid.operators(1.0).lu_h1()
-    if pipeline.data is not None:
-        pipeline.data.emission_lu()
-
     records = []
     for i, point in enumerate(ladder):
         pt_seed = int(np.random.SeedSequence(entropy=base_seed,
@@ -261,14 +251,8 @@ def expectation_experiment(pipeline: InversionPipeline, ladder, trials: int = 10
         else:
             raise ValueError(f"unknown lam policy {pipeline.lam_policy!r}")
 
-        def run(t, _point=point, _points=points, _ws=workspace, _lam=lam, _i=i):
-            return _run_trial(pipeline, _point, _points, _ws, _lam, base_seed, _i, t)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(run, range(trials)))
-        else:
-            outcomes = [run(t) for t in range(trials)]
+        outcomes = [_run_trial(pipeline, point, points, workspace, lam, base_seed, i, t)
+                    for t in range(trials)]
 
         rho0 = float(pipeline.norm_f_true() + point.sigma / np.sqrt(point.n))
         records.append(ExperimentRecord(

@@ -49,15 +49,6 @@ class CheckResult:
     bound: float | None
     detail: str = ""
 
-    def row(self) -> dict:
-        return {
-            "check": self.name,
-            "passed": int(self.passed),
-            "value": "" if self.value is None else self.value,
-            "bound": "" if self.bound is None else self.bound,
-            "detail": self.detail,
-        }
-
 
 def _random_source(rng, grid: Grid, upper: float) -> GridFunction:
     return GridFunction(grid, rng.uniform(0.0, upper, grid.node_count))

@@ -195,7 +195,6 @@ def test_criterion_7_tail_curve():
                                     f_true=tk["f_true"], sf_true=tk["sf_true"])
     rec = fv.expectation_experiment(
         pipeline, [LadderPoint(n=10**4, sigma=0.002)], trials=200, base_seed=SEED,
-        threads=2,
     )[0]
     scale = np.sqrt(rec.lam) * rec.rho0
     z_hi = 1.05 * max(rec.sf_errors_n) / scale

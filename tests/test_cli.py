@@ -186,3 +186,42 @@ def test_solver_tol_env_override(tmp_path, monkeypatch):
     assert main(["forward", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["solver_tol"] == 1e-6
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_bad_solver_tol_is_config_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("SOLVER_TOL", value)
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"grid": 16, "tau": 0.25, "source": "zero"})
+    assert main(["forward", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "SOLVER_TOL" in err[0]
+
+
+def test_verify_runs_the_requested_seed(tmp_path):
+    reports = []
+    for seed in ("0", "20250810"):
+        out = tmp_path / seed
+        assert main(["verify", "--preset", "verify-default", "--seed", seed,
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == int(seed)
+        reports.append((out / "verify_report.csv").read_bytes())
+    assert reports[0] != reports[1]
+
+
+def test_p1_weight_loop_nonconvergence_keeps_trace(tmp_path, monkeypatch):
+    import fluoinv.cli as cli
+
+    loop = cli.self_consistent_lambda
+    monkeypatch.setattr(cli, "self_consistent_lambda",
+                        lambda *a, **k: loop(*a, **{**k, "max_outer": 1}))
+    cfg = write_cfg(tmp_path, "c.json", {
+        "grid": 16, "truth": "example1", "n": 300, "sigma": 0.002, "s": 0,
+        "lambda": {"mode": "self-consistent"},
+    })
+    out = tmp_path / "o"
+    assert main(["p1", "--config", cfg, "--seed", "7", "--out", str(out)]) == 3
+    _, rows = read_csv(out / "lambda_trace.csv")
+    assert len(rows) == 2  # the starting weight and one update
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [f["name"] for f in manifest["files"]] == ["lambda_trace.csv"]

@@ -113,10 +113,13 @@ def test_large_lambda_kills_penalty_norm(small_fit):
 
 
 def test_fit_result_consistent_with_elliptic_solve(small_fit):
+    # Sf from the fit against an independent dense solve of the Robin problem
     grid, meas = small_fit["grid"], small_fit["meas"]
     res = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=0, lam=1e-6))
-    sf = fv.elliptic_solve(grid, 1.0, res.f)
+    L = fv.assemble_laplacian(grid, 1.0).toarray()
+    sf = grid.function(np.linalg.solve(L, grid.cv_fractions * res.f.values))
     assert fv.l2_norm(sf - res.sf) <= 1e-8
+    assert fv.l2_norm(fv.elliptic_solve(grid, 1.0, res.f) - res.sf) <= 1e-8
 
 
 def test_config_validation(grid16):
@@ -124,6 +127,8 @@ def test_config_validation(grid16):
         FitConfig(s=2, lam=1e-6)
     with pytest.raises(ValueError):
         FitConfig(s=0, lam=0.0)
+    with pytest.raises(ValueError):
+        FitConfig(s=0, lam=1e-6, outer_tol=0.0)
     with pytest.raises(ValueError):
         fv.MeasurementSet(np.array([[0.5, 1.0]]), np.zeros(1), 0.0)
 

@@ -8,7 +8,7 @@ from fluoinv.grid import boundary_load_weights
 
 def interior_row(L, grid):
     k = grid.interior_indices[len(grid.interior_indices) // 2]
-    return k, L.matrix.getrow(k).toarray().ravel()
+    return k, L.getrow(k).toarray().ravel()
 
 
 def test_interior_stencil_1d():
@@ -36,15 +36,15 @@ def test_constant_reproduces_robin_load(grid16):
     c = 3.7
     for beta in (0.5, 1.0, 4.0):
         L = fv.assemble_laplacian(grid16, beta)
-        resid = L.matrix @ np.full(grid16.node_count, c) - boundary_load_weights(grid16, beta) * c
+        resid = L @ np.full(grid16.node_count, c) - boundary_load_weights(grid16, beta) * c
         assert np.abs(resid).max() < 1e-10 * c / (beta * grid16.h)
 
 
 def test_laplacian_is_symmetric_m_matrix(grid16):
-    L = fv.assemble_laplacian(grid16, beta=1.0)
-    assert L.symmetric
-    A = L.matrix
-    assert abs(A - A.T).max() == 0.0
+    A = fv.assemble_laplacian(grid16, beta=1.0)
+    for S in (A, fv.assemble_stiffness(grid16), fv.assemble_mass(grid16)):
+        assert S.shape == (grid16.node_count, grid16.node_count)
+        assert abs(S - S.T).max() == 0.0
     diag = A.diagonal()
     assert (diag > 0).all()
     off = A - sp.diags(diag)
@@ -70,14 +70,13 @@ def test_dirichlet_smallest_eigenvalue(dirichlet64):
 
 
 def test_mass_unit_integral(grid16):
-    M = fv.assemble_mass(grid16)
-    d = M.matrix.diagonal()
+    d = fv.assemble_mass(grid16).diagonal()
     assert (d > 0).all()
     assert d.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mass_quadrature(grid100):
-    M = fv.assemble_mass(grid100).matrix.diagonal()
+    M = fv.assemble_mass(grid100).diagonal()
     x, y = grid100.x, grid100.y
     odd = np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
     assert abs(M @ odd) < 1e-10
@@ -85,45 +84,13 @@ def test_mass_quadrature(grid100):
     assert M @ sq == pytest.approx(0.25, abs=1e-3)
 
 
-def test_cg_diagonal_system(grid16):
-    M = fv.assemble_mass(grid16)
-    rng = np.random.default_rng(0)
-    rhs = grid16.function(rng.standard_normal(grid16.node_count))
-    x, rep = fv.cg_solve(M, rhs)
-    assert rep.converged
-    assert np.abs(x.values - rhs.values / M.matrix.diagonal()).max() < 1e-8
-
-
-def test_cg_against_dense_oracle():
-    # random SPD system solved independently by dense elimination
-    rng = np.random.default_rng(7)
-    B = rng.standard_normal((50, 50))
-    A = B @ B.T + 50 * np.eye(50)
-    rhs = rng.standard_normal(50)
-    oracle = np.linalg.solve(A, rhs)
-    grid = fv.Grid(1, 49)  # 50 nodes, reuses the GridFunction carrier
-    op = fv.SparseOperator(sp.csr_matrix(A), symmetric=True)
-    x, rep = fv.cg_solve(op, fv.GridFunction(grid, rhs), tol=1e-12)
-    assert rep.converged
-    assert np.abs(x.values - oracle).max() <= 1e-8
-
-
-def test_cg_zero_rhs(grid16):
-    L = fv.assemble_laplacian(grid16, 1.0)
-    x, rep = fv.cg_solve(L, grid16.zeros())
-    assert rep.iterations == 0
-    assert rep.converged
-    assert np.abs(x.values).max() == 0.0
-
-
-def test_cg_residual_history_monotone(grid32):
-    L = fv.assemble_laplacian(grid32, 1.0)
-    rng = np.random.default_rng(3)
-    rhs = grid32.function(rng.standard_normal(grid32.node_count))
-    _, rep = fv.cg_solve(L, rhs)
-    hist = rep.residual_history
-    assert all(b <= a * (1 + 1e-14) for a, b in zip(hist, hist[1:]))
-    assert rep.converged
+def test_lu_laplacian_against_dense_oracle(grid16):
+    # the cached sparse factorization against independent dense elimination
+    A = fv.assemble_laplacian(grid16, 1.0)
+    rhs = np.random.default_rng(7).standard_normal(grid16.node_count)
+    oracle = np.linalg.solve(A.toarray(), rhs)
+    x = grid16.operators(1.0).lu_laplacian().solve(rhs)
+    assert np.abs(x - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
 def test_grid_function_arithmetic(grid16, grid32):
@@ -137,15 +104,6 @@ def test_grid_function_arithmetic(grid16, grid32):
         _ = a + other
     with pytest.raises(ValueError):
         fv.GridFunction(grid16, np.zeros(5))
-
-
-def test_sparse_operator_symmetry_flag():
-    import scipy.sparse as sp
-
-    bad = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        fv.SparseOperator(bad, symmetric=True)
-    fv.SparseOperator(bad, symmetric=False)
 
 
 def test_boundary_metadata(grid16):

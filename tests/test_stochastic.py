@@ -119,16 +119,6 @@ def test_zero_noise_single_trial_is_deterministic(small_pipeline, grid16):
     assert rec.mean_errors()["err1"] == pytest.approx(direct_err1, abs=1e-14)
 
 
-def test_experiment_deterministic_across_threads(small_pipeline):
-    ladder = [LadderPoint(n=150, sigma=0.005), LadderPoint(n=400, sigma=0.005)]
-    a = fv.expectation_experiment(small_pipeline, ladder, trials=4, base_seed=9, threads=1)
-    b = fv.expectation_experiment(small_pipeline, ladder, trials=4, base_seed=9, threads=3)
-    for ra, rb in zip(a, b):
-        assert ra.sf_errors_n == rb.sf_errors_n
-        assert ra.mean_errors() == rb.mean_errors()
-        assert ra.rho0 == rb.rho0
-
-
 def test_mean_error_decreases_with_noise(small_pipeline):
     high = fv.expectation_experiment(small_pipeline, [LadderPoint(n=300, sigma=0.01)],
                                      trials=5, base_seed=1)[0]
