@@ -18,6 +18,7 @@ from .fit import (
     empirical_norm,
     optimal_lambda_prior,
     point_evaluation,
+    policy_weight,
     self_consistent_lambda,
     solve_data_fit,
 )
@@ -61,6 +62,7 @@ from .stochastic import (
     expectation_experiment,
     fit_rate,
     observe,
+    rate_fits,
     sample_points,
     tail_histogram,
 )

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fit import FitConfig, self_consistent_lambda, solve_data_fit, optimal_lambda_prior
-from .forward import solve_emission, solve_excitation, terminal_data
+from .fit import FitConfig, fit_at_weight, policy_weight, solve_data_fit
+from .forward import terminal_fields
 from .grid import ConvergenceError, Grid, default_tolerance
 from .inverse import (
     InverseConfig,
@@ -29,16 +29,16 @@ from .inverse import (
     noisy_fixed_point_solve,
 )
 from .io import Manifest, write_csv, write_field_csv
-from .metrics import error_bundle, h1_norm, l2_norm
-from .presets import PRESETS, build_source, example2_problem, trig_forcing
+from .metrics import error_bundle
+from .presets import PRESETS, build_source, build_truth, example2_problem
 from .spectral import empirical_smoothing_spectrum, laplacian_spectrum
 from .stochastic import (
     InversionPipeline,
     LadderPoint,
     NoiseModel,
     expectation_experiment,
-    fit_rate,
     observe,
+    rate_fits,
     sample_points,
     tail_histogram,
 )
@@ -109,43 +109,41 @@ def _grid_from(cfg: dict) -> Grid:
         raise ConfigError(f"config error at 'grid': {exc}") from exc
 
 
+def _problem_params(cfg: dict) -> dict:
+    return dict(
+        beta=float(cfg.get("beta", 1.0)),
+        T=float(cfg.get("T", 1.0)),
+        tau=float(cfg.get("tau", 0.01)),
+        M=float(cfg.get("M", 5.0)),
+        flip_boundary=bool(cfg.get("flip_boundary", False)),
+    )
+
+
 def _problem_from(cfg: dict, grid: Grid):
     try:
-        return example2_problem(
-            grid,
-            beta=float(cfg.get("beta", 1.0)),
-            T=float(cfg.get("T", 1.0)),
-            tau=float(cfg.get("tau", 0.01)),
-            M=float(cfg.get("M", 5.0)),
-            flip_boundary=bool(cfg.get("flip_boundary", False)),
-        )
+        return example2_problem(grid, **_problem_params(cfg))
     except ValueError as exc:
         raise ConfigError(f"config error in problem parameters: {exc}") from exc
 
 
-def _truth_fields(cfg: dict, grid: Grid):
-    """Return (f_true, sf_true, problem, q_true); problem/q_true may be None.
+def _truth(cfg: dict, grid: Grid, needs_source: bool = False):
+    """(f_true, sf_true, data, q_true) of the configured truth."""
+    name = _require(cfg, "truth", str)
+    try:
+        truth = build_truth(name, grid, **_problem_params(cfg))
+    except ValueError as exc:
+        raise ConfigError(f"config error at 'truth': {exc}") from exc
+    if needs_source and truth[2] is None:
+        raise ConfigError("config error at 'truth': source recovery needs a coupled-model truth")
+    return truth
 
-    For the analytic benchmark the observed field is the smoothing of the
-    known forcing; for the coupled-model benchmarks it is the terminal
-    emission field of a forward run, whose discrete negative Laplacian
-    defines the forcing consistently with the solver.
-    """
-    truth = _require(cfg, "truth", str)
-    beta = float(cfg.get("beta", 1.0))
-    ops = grid.operators(beta)
-    if truth == "example1":
-        f_true = trig_forcing(grid)
-        sf_true = grid.function(ops.lu_laplacian().solve(ops.weights * f_true.values))
-        return f_true, sf_true, None, None
-    if truth in ("example2-smooth", "example2-discontinuous"):
-        data = _problem_from(cfg, grid)
-        q_true = build_source(truth, grid)
-        u_e = solve_excitation(data, q_true)
-        g = terminal_data(solve_emission(data, q_true, u_e))
-        f_true = grid.function(ops.pointwise_laplacian(g.values))
-        return f_true, g, data, q_true
-    raise ConfigError(f"config error at 'truth': unknown value {truth!r}")
+
+def _positive_int(key: str, val) -> int:
+    if isinstance(val, float) and val.is_integer():  # JSON 1e4
+        val = int(val)
+    if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+        raise ConfigError(f"config error at {key!r}: expected a positive integer, got {val!r}")
+    return val
 
 
 def _sigma_from(cfg: dict, sf_true) -> float:
@@ -157,46 +155,32 @@ def _sigma_from(cfg: dict, sf_true) -> float:
 
 
 def _measure(cfg: dict, grid: Grid, sf_true, seed: int):
-    n = _require(cfg, "n", int)
+    n = _positive_int("n", _require(cfg, "n"))
     sigma = _sigma_from(cfg, sf_true)
     points = sample_points(grid.dim, n, seed=seed, layout=cfg.get("layout", "halton"))
     noise = NoiseModel(cfg.get("noise", "gaussian"), sigma, np.random.SeedSequence(seed))
     return observe(sf_true, points, noise), sigma
 
 
-def _norm_for(s: int, f_true) -> float:
-    return l2_norm(f_true) if s == 0 else h1_norm(f_true)
-
-
-def _fit_with_policy(cfg, grid, beta, meas, s, f_true):
-    """Run the fit under the configured weight policy.
-
-    Returns (lam, result, trace_rows, converged) where trace_rows lists the
-    weight iterates (a single row for non-iterative policies) and converged
-    is false only for a self-consistent loop that did not stabilize.
-    """
+def _policy(cfg: dict) -> dict:
     policy = cfg.get("lambda", {"mode": "prior"})
-    mode = policy.get("mode", "prior")
-    if mode == "self-consistent":
-        lam, result, trace = self_consistent_lambda(grid, beta, meas, s)
-        return lam, result, list(enumerate(trace.lams)), trace.converged
-    if mode == "prior":
-        try:
-            lam = optimal_lambda_prior(_norm_for(s, f_true), meas.sigma, meas.n, s)
-        except ValueError as exc:
-            raise ConfigError(f"config error: prior weight rule not applicable: {exc}") from exc
-    elif mode == "fixed":
-        if "value" not in policy:
-            raise ConfigError("config error at 'lambda.value': required for fixed mode")
-        lam = float(policy["value"])
-    else:
-        raise ConfigError(f"config error at 'lambda.mode': unknown mode {mode!r}")
-    result = solve_data_fit(grid, beta, meas, FitConfig(s=s, lam=lam))
-    return lam, result, [(0, lam)], True
+    if not isinstance(policy, dict):
+        raise ConfigError(f"config error at 'lambda': expected an object such as "
+                          f'{{"mode": "prior"}}, got {type(policy).__name__}')
+    return policy
 
 
-def _require_converged(converged: bool) -> None:
-    if not converged:
+def _weight(policy: dict, s: int, f_true, sigma: float, n: int):
+    """The configured weight policy resolved for n sensors (None: self-consistent)."""
+    try:
+        return policy_weight(policy.get("mode", "prior"), s, f_true, sigma, n,
+                             policy.get("value"))
+    except ValueError as exc:
+        raise ConfigError(f"config error at 'lambda': {exc}") from exc
+
+
+def _require_converged(trace) -> None:
+    if not trace.converged:
         raise ConvergenceError("self-consistent weight loop did not stabilize")
 
 
@@ -211,11 +195,10 @@ def cmd_forward(cfg: dict, out: Path, manifest: Manifest) -> int:
     grid = _grid_from(cfg)
     data = _problem_from(cfg, grid)
     q = build_source(_require(cfg, "source", str), grid)
-    u_e = solve_excitation(data, q)
-    u_m = solve_emission(data, q, u_e)
+    ue_T, _, um_T = terminal_fields(data, q)
     manifest.add(write_field_csv(out / "terminal_fields.csv", grid, {
-        "excitation_T": terminal_data(u_e),
-        "emission_T": terminal_data(u_m),
+        "excitation_T": ue_T,
+        "emission_T": um_T,
         "source": q,
     }))
     return EXIT_OK
@@ -225,10 +208,10 @@ def cmd_p1(cfg: dict, out: Path, manifest: Manifest) -> int:
     grid = _grid_from(cfg)
     beta = float(cfg.get("beta", 1.0))
     s = int(_require(cfg, "s", int))
-    f_true, sf_true, _, _ = _truth_fields(cfg, grid)
+    f_true, sf_true, _, _ = _truth(cfg, grid)
     meas, sigma = _measure(cfg, grid, sf_true, int(cfg["seed"]))
 
-    policy = cfg.get("lambda", {"mode": "prior"})
+    policy = _policy(cfg)
     if policy.get("mode") == "ladder":
         values = policy.get("values")
         if not values:
@@ -244,10 +227,11 @@ def cmd_p1(cfg: dict, out: Path, manifest: Manifest) -> int:
                                 "err1", "err2", "err3", "err4", "err5"], rows))
         return EXIT_OK
 
-    lam, result, lam_rows, converged = _fit_with_policy(cfg, grid, beta, meas, s, f_true)
+    lam, result, trace = fit_at_weight(grid, beta, meas, s,
+                                       _weight(policy, s, f_true, sigma, meas.n))
     manifest.add(write_csv(out / "lambda_trace.csv", "lambda-trace-v1",
-                           ["iteration", "lambda"], lam_rows))
-    _require_converged(converged)
+                           ["iteration", "lambda"], enumerate(trace.lams)))
+    _require_converged(trace)
     bundle = error_bundle(meas=meas, sf=result.sf, sf_true=sf_true,
                           f=result.f, f_true=f_true)
     manifest.add(write_field_csv(out / "fit_fields.csv", grid,
@@ -263,9 +247,7 @@ def cmd_p1(cfg: dict, out: Path, manifest: Manifest) -> int:
 def cmd_p2(cfg: dict, out: Path, manifest: Manifest) -> int:
     grid = _grid_from(cfg)
     beta = float(cfg.get("beta", 1.0))
-    f_true, sf_true, data, q_true = _truth_fields(cfg, grid)
-    if data is None or q_true is None:
-        raise ConfigError("config error at 'truth': source recovery needs a coupled-model truth")
+    f_true, sf_true, data, q_true = _truth(cfg, grid, needs_source=True)
     icfg = InverseConfig(
         tol=float(cfg.get("inverse", {}).get("tol", 1e-10)),
         max_iter=int(cfg.get("inverse", {}).get("max_iter", 200)),
@@ -279,8 +261,9 @@ def cmd_p2(cfg: dict, out: Path, manifest: Manifest) -> int:
     else:
         s = int(_require(cfg, "s", int))
         meas, sigma = _measure(cfg, grid, sf_true, int(cfg["seed"]))
-        lam, fitres, _, converged = _fit_with_policy(cfg, grid, beta, meas, s, f_true)
-        _require_converged(converged)
+        lam, fitres, lam_trace = fit_at_weight(
+            grid, beta, meas, s, _weight(_policy(cfg), s, f_true, sigma, meas.n))
+        _require_converged(lam_trace)
         q_rec, trace = noisy_fixed_point_solve(data, fitres.f, fitres.sf, icfg)
 
     bundle = error_bundle(q=q_rec, q_true=q_true)
@@ -301,29 +284,21 @@ def cmd_p2(cfg: dict, out: Path, manifest: Manifest) -> int:
 
 def cmd_rates(cfg: dict, out: Path, manifest: Manifest) -> int:
     grid = _grid_from(cfg)
-    beta = float(cfg.get("beta", 1.0))
     s = int(_require(cfg, "s", int))
-    f_true, sf_true, data, q_true = _truth_fields(cfg, grid)
     run_p2 = bool(cfg.get("run_p2", False))
-    policy = cfg.get("lambda", {"mode": "prior"})
-    mode = policy.get("mode", "prior")
-    if mode not in ("prior", "fixed", "self-consistent"):
-        raise ConfigError(f"config error at 'lambda.mode': {mode!r} not usable for rates")
+    f_true, sf_true, data, q_true = _truth(cfg, grid, needs_source=run_p2)
     pipeline = InversionPipeline(
-        grid=grid, beta=beta, s=s, f_true=f_true, sf_true=sf_true,
-        lam_policy=mode,
+        grid=grid, beta=float(cfg.get("beta", 1.0)), s=s, f_true=f_true, sf_true=sf_true,
         noise_kind=cfg.get("noise", "gaussian"),
         data=data if run_p2 else None,
         q_true=q_true if run_p2 else None,
     )
     sigma = _sigma_from(cfg, sf_true)
-    ns = _require(cfg, "ladder", list)
-    lam_fixed = policy.get("value") if mode == "fixed" else None
-    if mode == "fixed" and lam_fixed is None:
-        raise ConfigError("config error at 'lambda.value': required for fixed mode")
-    ladder = [LadderPoint(n=int(n), sigma=sigma, lam=lam_fixed, label=str(n))
+    policy = _policy(cfg)
+    ns = [_positive_int("ladder", n) for n in _require(cfg, "ladder", list)]
+    trials = _positive_int("trials", cfg.get("trials", 10))
+    ladder = [LadderPoint(n=n, sigma=sigma, lam=_weight(policy, s, f_true, sigma, n))
               for n in ns]
-    trials = int(cfg.get("trials", 10))
     records = expectation_experiment(pipeline, ladder, trials=trials,
                                      base_seed=int(cfg["seed"]))
 
@@ -331,9 +306,9 @@ def cmd_rates(cfg: dict, out: Path, manifest: Manifest) -> int:
     for rec in records:
         means = rec.mean_errors()
         for t, b in enumerate(rec.bundles):
-            trial_rows.append([rec.config["n"], rec.lams[t], t] + _err_row(b)
+            trial_rows.append([rec.point.n, rec.lams[t], t] + _err_row(b)
                               + [rec.sf_errors_n[t]])
-        agg_rows.append([rec.config["n"], rec.lam, rec.rho0]
+        agg_rows.append([rec.point.n, rec.lam, rec.rho0]
                         + ["" if k not in means else means[k]
                            for k in ("err1", "err2", "err3", "err4", "err5")])
     manifest.add(write_csv(out / "trials.csv", "rate-trials-v1",
@@ -343,30 +318,21 @@ def cmd_rates(cfg: dict, out: Path, manifest: Manifest) -> int:
                            ["n", "lambda", "rho0", "err1", "err2", "err3",
                             "err4", "err5"], agg_rows))
 
-    fit_rows = []
-    summary_lines = []
-    for key in ("err1", "err2", "err3", "err4", "err5"):
-        pairs = []
-        for rec in records:
-            means = rec.mean_errors()
-            if key in means:
-                pairs.append((rec.lam, means[key]))
-        if len(pairs) >= 3:
-            rf = fit_rate(pairs)
-            fit_rows.append([key, rf.slope, rf.intercept, rf.r_squared, len(pairs)])
-            summary_lines.append(
-                f"{key}: slope={rf.slope:.4f} r2={rf.r_squared:.5f} ({len(pairs)} rungs)"
-            )
+    fits = rate_fits(records)
     manifest.add(write_csv(out / "rate_fits.csv", "rate-fit-v1",
                            ["metric", "slope", "intercept", "r_squared", "rungs"],
-                           fit_rows))
-    (out / "rate_summary.txt").write_text("\n".join(summary_lines) + "\n")
+                           [[key, rf.slope, rf.intercept, rf.r_squared, len(rf.pairs)]
+                            for key, rf in fits.items()]))
+    summary = [f"{key}: slope={rf.slope:.4f} r2={rf.r_squared:.5f} ({len(rf.pairs)} rungs)"
+               for key, rf in fits.items()]
+    (out / "rate_summary.txt").write_text("\n".join(summary) + "\n")
     manifest.add(out / "rate_summary.txt")
 
     if int(cfg.get("tail_trials", 0)) >= 50:
-        n_tail = int(cfg.get("tail_n", ladder[0].n))
+        n_tail = _positive_int("tail_n", cfg.get("tail_n", ladder[0].n))
         tail_records = expectation_experiment(
-            pipeline, [LadderPoint(n=n_tail, sigma=sigma, label="tail")],
+            pipeline, [LadderPoint(n=n_tail, sigma=sigma,
+                                   lam=_weight(policy, s, f_true, sigma, n_tail))],
             trials=int(cfg["tail_trials"]), base_seed=int(cfg["seed"]) + 1)
         z = np.linspace(0.0, float(cfg.get("tail_zmax", 3.0)), 31)
         curve = tail_histogram(tail_records[0], z)

@@ -20,12 +20,13 @@ independent of n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .grid import ConvergenceError, Grid, GridFunction, default_tolerance
+from .metrics import hs_norm
 
 __all__ = [
     "MeasurementSet",
@@ -39,7 +40,11 @@ __all__ = [
     "solve_data_fit",
     "optimal_lambda_prior",
     "self_consistent_lambda",
+    "policy_weight",
+    "fit_at_weight",
 ]
+
+CG_MAX_ITER = 20000     # normal-equation CG iteration cap
 
 
 @dataclass
@@ -49,7 +54,6 @@ class MeasurementSet:
     points: np.ndarray      # (n, dim), strictly inside the open domain
     values: np.ndarray      # (n,)
     sigma: float            # nominal noise standard deviation
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -135,12 +139,11 @@ class SolveReport:
 
 @dataclass
 class FitConfig:
-    """Penalty order, regularization weight, and solver knobs."""
+    """Penalty order, regularization weight, and CG tolerance."""
 
     s: int
     lam: float
     outer_tol: float | None = None     # normal-equation CG tolerance
-    max_iter: int = 20000
 
     def __post_init__(self):
         if self.s not in (0, 1):
@@ -254,14 +257,13 @@ def solve_data_fit(grid: Grid, beta: float, meas: MeasurementSet,
         matvec,
         rhs,
         tol=cfg.outer_tol,
-        max_iter=cfg.max_iter,
+        max_iter=CG_MAX_ITER,
         precond=lambda r: ws.gram_solve(s, r),
     )
     if not report.converged:
         raise ConvergenceError(
             f"normal-equation CG stalled at residual {report.residual:.3e} "
-            f"after {report.iterations} iterations",
-            report,
+            f"after {report.iterations} iterations"
         )
     f = GridFunction(grid, x)
     sf = GridFunction(grid, ws.smooth(x))
@@ -303,7 +305,6 @@ class LambdaTrace:
 
 def self_consistent_lambda(grid: Grid, beta: float, meas: MeasurementSet, s: int,
                            stop_tol: float = 1e-10, max_outer: int = 50,
-                           outer_tol: float | None = None,
                            workspace: _FitWorkspace | None = None,
                            ) -> tuple[float, FitResult, LambdaTrace]:
     """Alternate fitting and re-estimating the regularization weight.
@@ -321,10 +322,8 @@ def self_consistent_lambda(grid: Grid, beta: float, meas: MeasurementSet, s: int
     lam = float(meas.n ** (-0.5 / expo))
     lams = [lam]
     converged = False
-    result = None
     for _ in range(max_outer):
-        result = solve_data_fit(grid, beta, meas, FitConfig(s=s, lam=lam, outer_tol=outer_tol),
-                                workspace=ws)
+        result = solve_data_fit(grid, beta, meas, FitConfig(s=s, lam=lam), workspace=ws)
         if result.penalty_norm == 0.0:
             raise ValueError("degenerate fit: zero penalty norm, weight update undefined")
         lam_next = float(
@@ -337,6 +336,39 @@ def self_consistent_lambda(grid: Grid, beta: float, meas: MeasurementSet, s: int
             converged = True
             break
     # recompute once at the accepted weight so the returned fit matches it
-    result = solve_data_fit(grid, beta, meas, FitConfig(s=s, lam=lam, outer_tol=outer_tol),
-                            workspace=ws)
+    result = solve_data_fit(grid, beta, meas, FitConfig(s=s, lam=lam), workspace=ws)
     return lam, result, LambdaTrace(lams, converged)
+
+
+def policy_weight(mode: str, s: int, f_true: GridFunction, sigma: float, n: int,
+                  value: float | None = None) -> float | None:
+    """Resolve a weight policy to the regularization weight of one fit.
+
+    ``prior`` applies the a-priori balance rule to the H^s norm of the true
+    forcing, ``fixed`` returns ``value``, and ``self-consistent`` returns
+    None: that weight is estimated from each measurement set by
+    :func:`fit_at_weight`.  Raises ValueError if the policy gives no weight.
+    """
+    if mode == "prior":
+        return optimal_lambda_prior(hs_norm(f_true, s), sigma, n, s)
+    if mode == "fixed":
+        if not isinstance(value, (int, float)) or not value > 0:
+            raise ValueError(f"the fixed policy needs a positive 'value', got {value!r}")
+        return float(value)
+    if mode == "self-consistent":
+        return None
+    raise ValueError(f"unknown weight policy {mode!r}; choose from prior, fixed, self-consistent")
+
+
+def fit_at_weight(grid: Grid, beta: float, meas: MeasurementSet, s: int,
+                  lam: float | None, workspace: _FitWorkspace | None = None,
+                  ) -> tuple[float, FitResult, LambdaTrace]:
+    """Fit at the weight ``lam``, or run the self-consistent loop if it is None.
+
+    Returns the weight used, the fit, and the weight trace; a given weight
+    has a one-entry, converged trace.  Callers check ``trace.converged``.
+    """
+    if lam is None:
+        return self_consistent_lambda(grid, beta, meas, s, workspace=workspace)
+    fit = solve_data_fit(grid, beta, meas, FitConfig(s=s, lam=lam), workspace=workspace)
+    return lam, fit, LambdaTrace([lam], True)

@@ -24,6 +24,7 @@ __all__ = [
     "solve_emission",
     "terminal_data",
     "terminal_time_derivative",
+    "terminal_fields",
     "elliptic_solve",
 ]
 
@@ -208,6 +209,13 @@ def terminal_time_derivative(u: SpaceTimeField) -> GridFunction:
     if len(u.times) < 2:
         raise ValueError("need at least two time levels for a time derivative")
     return GridFunction(u.grid, (u.levels[-1] - u.levels[-2]) / u.tau)
+
+
+def terminal_fields(data: ProblemData, q: GridFunction):
+    """One forward pass: terminal excitation, emission time derivative, emission."""
+    u_e = solve_excitation(data, q)
+    u_m = solve_emission(data, q, u_e)
+    return terminal_data(u_e), terminal_time_derivative(u_m), terminal_data(u_m)
 
 
 def elliptic_solve(grid: Grid, beta: float, f: GridFunction) -> GridFunction:

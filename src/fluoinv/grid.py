@@ -58,10 +58,6 @@ def default_tolerance() -> float:
 class ConvergenceError(RuntimeError):
     """An iterative solve failed to reach its tolerance."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 def _tri_flux(m: int) -> sp.spmatrix:
     # dimensionless 1D flux stencil: rows [1,-1], [-1,2,-1], ..., [-1,1]

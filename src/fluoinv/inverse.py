@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import (
-    ProblemData,
-    solve_emission,
-    solve_excitation,
-    terminal_data,
-    terminal_time_derivative,
-)
+from .forward import ProblemData, solve_excitation, terminal_data, terminal_fields
 from .grid import GridFunction
 from .metrics import l2_norm
 
@@ -59,7 +53,6 @@ class InverseConfig:
     tol: float = 1e-10          # L2 increment threshold
     max_iter: int = 200
     clamp: bool | None = None   # None: off for clean data, on for noisy data
-    store_iterates: bool = False
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -73,20 +66,12 @@ class IterationTrace:
     increments: list[float] = field(default_factory=list)   # ||q_{j+1} - q_j||_L2
     step_minima: list[float] = field(default_factory=list)  # min_x (q_{j+1} - q_j)
     misfits: list[float] = field(default_factory=list)      # ||u_m(T; q_j) - g_ref||_L2
-    iterates: list[GridFunction] = field(default_factory=list)
     converged: bool = False
     clamped: bool = False
 
     @property
     def iterations(self) -> int:
         return len(self.increments)
-
-
-def _terminal_fields(data: ProblemData, q: GridFunction):
-    """One forward pass: terminal excitation, emission, and its derivative."""
-    u_e = solve_excitation(data, q)
-    u_m = solve_emission(data, q, u_e)
-    return terminal_data(u_e), terminal_time_derivative(u_m), terminal_data(u_m)
 
 
 def _guarded_divide(numer: np.ndarray, ue_T: np.ndarray, grid) -> GridFunction:
@@ -108,7 +93,7 @@ def fixed_point_map(data: ProblemData, q: GridFunction, g: GridFunction) -> Grid
     """Apply the fixed-point map at q for clean terminal data g."""
     if g.grid is not data.grid:
         raise ValueError("terminal data must live on the problem grid")
-    ue_T, dtum_T, _ = _terminal_fields(data, q)
+    ue_T, dtum_T, _ = terminal_fields(data, q)
     numer = dtum_T.values + _clean_numerator(data, g)
     return _guarded_divide(numer, ue_T.values, data.grid)
 
@@ -116,7 +101,7 @@ def fixed_point_map(data: ProblemData, q: GridFunction, g: GridFunction) -> Grid
 def noisy_fixed_point_map(data: ProblemData, q: GridFunction,
                           f_rec: GridFunction, sf_rec: GridFunction) -> GridFunction:
     """Apply the fixed-point map with the fitted forcing in place of -Delta g."""
-    ue_T, dtum_T, _ = _terminal_fields(data, q)
+    ue_T, dtum_T, _ = terminal_fields(data, q)
     numer = dtum_T.values + f_rec.values + data.p.values * sf_rec.values
     return _guarded_divide(numer, ue_T.values, data.grid)
 
@@ -142,15 +127,13 @@ def _iterate(data: ProblemData, q0: GridFunction, numer_data: np.ndarray,
     q = q0
     if clamp:
         q = GridFunction(data.grid, np.clip(q.values, 0.0, data.M))
-    if cfg.store_iterates:
-        trace.iterates.append(q)
     for _ in range(cfg.max_iter):
         if not clamp and q.values.min() < 0.0:
             raise PositivityError(
                 f"iterate left the admissible set (min q = {q.values.min():g}); "
                 "the data violate the sign hypotheses -- enable clamping to proceed"
             )
-        ue_T, dtum_T, um_T = _terminal_fields(data, q)
+        ue_T, dtum_T, um_T = terminal_fields(data, q)
         trace.misfits.append(l2_norm(um_T - g_ref))
         q_next = _guarded_divide(dtum_T.values + numer_data, ue_T.values, data.grid)
         if clamp:
@@ -158,8 +141,6 @@ def _iterate(data: ProblemData, q0: GridFunction, numer_data: np.ndarray,
         step = q_next - q
         trace.increments.append(l2_norm(step))
         trace.step_minima.append(step.min())
-        if cfg.store_iterates:
-            trace.iterates.append(q_next)
         q = q_next
         if trace.increments[-1] < cfg.tol:
             trace.converged = True

@@ -13,7 +13,7 @@ import numpy as np
 
 from .grid import Grid, GridFunction
 
-__all__ = ["l2_norm", "h1_norm", "dual_h1_norm", "ErrorBundle", "error_bundle"]
+__all__ = ["l2_norm", "h1_norm", "hs_norm", "dual_h1_norm", "ErrorBundle", "error_bundle"]
 
 
 def l2_norm(u: GridFunction) -> float:
@@ -27,6 +27,13 @@ def h1_norm(u: GridFunction) -> float:
     ops = u.grid.operators(1.0)
     v = u.values
     return float(np.sqrt(v @ (ops.mass_diag * v) + v @ (ops.stiffness_natural @ v)))
+
+
+def hs_norm(u: GridFunction, s: int) -> float:
+    """Norm of penalty order s: L2 for s = 0, H1 for s = 1."""
+    if s not in (0, 1):
+        raise ValueError(f"penalty order s must be 0 or 1, got {s}")
+    return l2_norm(u) if s == 0 else h1_norm(u)
 
 
 def dual_h1_norm(v: GridFunction) -> float:

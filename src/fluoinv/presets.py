@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forward import ProblemData
+from .forward import ProblemData, elliptic_solve, terminal_fields
 from .grid import Grid, GridFunction
 
 __all__ = [
@@ -16,6 +16,7 @@ __all__ = [
     "example2_boundary",
     "example2_problem",
     "stability_problem",
+    "build_truth",
     "PRESETS",
 ]
 
@@ -131,3 +132,27 @@ def build_source(name: str, grid: Grid) -> GridFunction:
     if name not in builders:
         raise KeyError(f"unknown source {name!r}; choose from {sorted(builders)}")
     return builders[name](grid)
+
+
+def build_truth(name: str, grid: Grid, beta: float = 1.0, T: float = 1.0,
+                tau: float = 0.01, M: float = 5.0, flip_boundary: bool = False):
+    """Return (f_true, sf_true, data, q_true) for a named benchmark truth.
+
+    ``example1`` observes the smoothing of the sine forcing and has no
+    source, so ``data`` and ``q_true`` are None.  The coupled-model truths
+    observe the terminal emission field of a forward run from the named
+    source, and its discrete negative Laplacian is the forcing, consistent
+    with the solver.  Raises ValueError for an unknown name or invalid
+    problem parameters.
+    """
+    if name == "example1":
+        f_true = trig_forcing(grid)
+        return f_true, elliptic_solve(grid, beta, f_true), None, None
+    if name not in ("example2-smooth", "example2-discontinuous"):
+        raise ValueError(f"unknown truth {name!r}; choose from example1, "
+                         "example2-smooth, example2-discontinuous")
+    data = example2_problem(grid, beta=beta, T=T, tau=tau, M=M, flip_boundary=flip_boundary)
+    q_true = build_source(name, grid)
+    _, _, g = terminal_fields(data, q_true)
+    f_true = grid.function(grid.operators(beta).pointwise_laplacian(g.values))
+    return f_true, g, data, q_true

@@ -8,23 +8,15 @@ order cannot change any result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fit import (
-    FitConfig,
-    MeasurementSet,
-    _FitWorkspace,
-    optimal_lambda_prior,
-    point_evaluation,
-    self_consistent_lambda,
-    solve_data_fit,
-)
+from .fit import MeasurementSet, _FitWorkspace, fit_at_weight, point_evaluation
 from .forward import ProblemData
-from .grid import Grid, GridFunction
-from .inverse import InverseConfig, noisy_fixed_point_solve
-from .metrics import ErrorBundle, error_bundle, h1_norm, l2_norm
+from .grid import ConvergenceError, Grid, GridFunction
+from .inverse import noisy_fixed_point_solve
+from .metrics import ErrorBundle, error_bundle, hs_norm
 
 __all__ = [
     "NoiseModel",
@@ -37,6 +29,7 @@ __all__ = [
     "expectation_experiment",
     "RateFit",
     "fit_rate",
+    "rate_fits",
     "TailCurve",
     "tail_histogram",
 ]
@@ -121,7 +114,6 @@ def observe(g: GridFunction, points: np.ndarray, noise: NoiseModel) -> Measureme
         points=points,
         values=values,
         sigma=noise.sigma,
-        provenance={"noise_kind": noise.kind, "noise_seed": noise.seed},
     )
 
 
@@ -145,14 +137,9 @@ class InversionPipeline:
     s: int
     f_true: GridFunction
     sf_true: GridFunction
-    lam_policy: str = "prior"            # prior | fixed | self-consistent
     noise_kind: str = "gaussian"
     data: ProblemData | None = None
     q_true: GridFunction | None = None
-    inverse_cfg: InverseConfig | None = None
-
-    def norm_f_true(self) -> float:
-        return l2_norm(self.f_true) if self.s == 0 else h1_norm(self.f_true)
 
 
 @dataclass
@@ -161,15 +148,14 @@ class LadderPoint:
 
     n: int
     sigma: float
-    lam: float | None = None    # required for lam_policy == "fixed"
-    label: str = ""
+    lam: float | None = None    # weight of every trial; None: self-consistent per trial
 
 
 @dataclass
 class ExperimentRecord:
     """Aggregated outcome of all trials at one ladder point."""
 
-    config: dict
+    point: LadderPoint
     bundles: list[ErrorBundle]
     sf_errors_n: list[float]     # absolute empirical errors vs truth, per trial
     lams: list[float]            # weight actually used, per trial
@@ -194,34 +180,29 @@ class ExperimentRecord:
 
 
 def _run_trial(pipeline: InversionPipeline, point: LadderPoint, points, workspace,
-               lam: float | None, base_seed: int, ladder_index: int, trial_index: int):
+               base_seed: int, ladder_index: int, trial_index: int):
     seed = trial_seed(base_seed, ladder_index, trial_index)
     noise = NoiseModel(pipeline.noise_kind, point.sigma, seed)
     meas = observe(pipeline.sf_true, points, noise)
-    if lam is None:  # self-consistent policy: the weight is re-estimated per trial
-        lam_used, fit, _ = self_consistent_lambda(
-            pipeline.grid, pipeline.beta, meas, pipeline.s, workspace=workspace
-        )
-    else:
-        lam_used = lam
-        fit = solve_data_fit(pipeline.grid, pipeline.beta, meas,
-                             FitConfig(s=pipeline.s, lam=lam), workspace=workspace)
+    lam, fit, lam_trace = fit_at_weight(pipeline.grid, pipeline.beta, meas, pipeline.s,
+                                        point.lam, workspace=workspace)
+    if not lam_trace.converged:
+        raise ConvergenceError(f"self-consistent weight loop did not stabilize at rung "
+                               f"n={point.n}, trial {trial_index}")
     ev_err = workspace.ev.apply(fit.sf) - workspace.ev.apply(pipeline.sf_true)
     sf_err_n = float(np.sqrt(np.mean(ev_err**2)))
 
     q_rec = None
     fp_iters = 0
     if pipeline.data is not None and pipeline.q_true is not None:
-        q_rec, trace = noisy_fixed_point_solve(
-            pipeline.data, fit.f, fit.sf, pipeline.inverse_cfg or InverseConfig()
-        )
+        q_rec, trace = noisy_fixed_point_solve(pipeline.data, fit.f, fit.sf)
         fp_iters = trace.iterations
     bundle = error_bundle(
         meas=meas, sf=fit.sf, sf_true=pipeline.sf_true,
         f=fit.f, f_true=pipeline.f_true,
         q=q_rec, q_true=pipeline.q_true,
     )
-    return bundle, sf_err_n, float(lam_used), fp_iters
+    return bundle, sf_err_n, float(lam), fp_iters
 
 
 def expectation_experiment(pipeline: InversionPipeline, ladder, trials: int = 10,
@@ -231,37 +212,22 @@ def expectation_experiment(pipeline: InversionPipeline, ladder, trials: int = 10
     Sensor locations depend on (base seed, ladder index) only; noise streams
     are derived per trial.  Trials run one after another, in index order.
     Individual trial failures propagate (they indicate configuration errors,
-    not statistical bad luck).
+    not statistical bad luck); a self-consistent weight loop that does not
+    stabilize raises ConvergenceError.
     """
+    norm_f_true = hs_norm(pipeline.f_true, pipeline.s)
     records = []
     for i, point in enumerate(ladder):
         pt_seed = int(np.random.SeedSequence(entropy=base_seed,
                                              spawn_key=(i,)).generate_state(1)[0])
         points = sample_points(pipeline.grid.dim, point.n, seed=pt_seed)
         workspace = _FitWorkspace(pipeline.grid, pipeline.beta, points)
-        if pipeline.lam_policy == "fixed":
-            if point.lam is None:
-                raise ValueError("fixed lam policy needs a lam on every ladder point")
-            lam = point.lam
-        elif pipeline.lam_policy == "prior":
-            lam = optimal_lambda_prior(pipeline.norm_f_true(), point.sigma,
-                                       point.n, pipeline.s)
-        elif pipeline.lam_policy == "self-consistent":
-            lam = None
-        else:
-            raise ValueError(f"unknown lam policy {pipeline.lam_policy!r}")
-
-        outcomes = [_run_trial(pipeline, point, points, workspace, lam, base_seed, i, t)
+        outcomes = [_run_trial(pipeline, point, points, workspace, base_seed, i, t)
                     for t in range(trials)]
 
-        rho0 = float(pipeline.norm_f_true() + point.sigma / np.sqrt(point.n))
+        rho0 = float(norm_f_true + point.sigma / np.sqrt(point.n))
         records.append(ExperimentRecord(
-            config={
-                "label": point.label, "n": point.n, "sigma": point.sigma,
-                "s": pipeline.s, "lam_policy": pipeline.lam_policy,
-                "trials": trials, "base_seed": base_seed, "ladder_index": i,
-                "grid_cells": pipeline.grid.cells_per_side, "beta": pipeline.beta,
-            },
+            point=point,
             bundles=[o[0] for o in outcomes],
             sf_errors_n=[o[1] for o in outcomes],
             lams=[o[2] for o in outcomes],
@@ -296,6 +262,21 @@ def fit_rate(pairs) -> RateFit:
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float((resid**2).sum()) / ss_tot
     return RateFit(float(slope), float(intercept), float(max(min(r2, 1.0), 0.0)), pairs)
+
+
+def rate_fits(records: list[ExperimentRecord]) -> dict[str, RateFit]:
+    """Fit each mean error against the mean weight across the ladder.
+
+    An error gets a fit when at least three rungs report it; the keys keep
+    the order err1..err5.
+    """
+    means = [(rec.lam, rec.mean_errors()) for rec in records]
+    fits = {}
+    for key in ("err1", "err2", "err3", "err4", "err5"):
+        pairs = [(lam, m[key]) for lam, m in means if key in m]
+        if len(pairs) >= 3:
+            fits[key] = fit_rate(pairs)
+    return fits
 
 
 @dataclass

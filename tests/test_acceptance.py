@@ -14,7 +14,7 @@ import pytest
 import fluoinv as fv
 from fluoinv.cli import main
 from fluoinv.fit import FitConfig
-from fluoinv.presets import example2_problem, smooth_source, trig_forcing
+from fluoinv.presets import build_truth
 from fluoinv.stochastic import LadderPoint, NoiseModel, observe, sample_points
 from fluoinv.verify import BATTERY_CHECKS, run_battery
 
@@ -39,9 +39,7 @@ def within_factor(value: float, target: float, factor: float) -> bool:
 @pytest.fixture(scope="module")
 def example1_data():
     grid = fv.Grid(2, 100)
-    ops = grid.operators(1.0)
-    f_true = trig_forcing(grid)
-    sf_true = grid.function(ops.lu_laplacian().solve(ops.weights * f_true.values))
+    f_true, sf_true, _, _ = build_truth("example1", grid)
     points = sample_points(2, 10**4, seed=SEED)
     noise = NoiseModel("gaussian", 0.002, np.random.SeedSequence(SEED))
     meas = observe(sf_true, points, noise)
@@ -55,8 +53,7 @@ def test_criterion_1_table_reproduction(example1_data):
     details = []
     ok = True
     for s, targets in TABLE1.items():
-        norm = (fv.l2_norm if s == 0 else fv.h1_norm)(example1_data["f_true"])
-        lam = fv.optimal_lambda_prior(norm, 0.002, meas.n, s)
+        lam = fv.policy_weight("prior", s, example1_data["f_true"], 0.002, meas.n)
         res = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=s, lam=lam))
         b = fv.error_bundle(meas=meas, sf=res.sf, sf_true=example1_data["sf_true"],
                             f=res.f, f_true=example1_data["f_true"])
@@ -83,49 +80,35 @@ def test_criterion_2_self_consistent_weight(example1_data):
     report(2, "self-consistent weight stabilizes", ok, "; ".join(details))
 
 
-def _run_rates(grid_cells, truth_builder, s, sigma, ns, seed, run_p2=False):
+def _prior_experiment(grid, truth, s, sigma, ns, trials, seed):
+    """Monte-Carlo trials of the truth at the a-priori weight of each rung.
+
+    Trials continue into the source recovery whenever the truth has a source.
+    """
+    f_true, sf_true, data, q_true = truth
+    pipeline = fv.InversionPipeline(grid=grid, beta=1.0, s=s, f_true=f_true,
+                                    sf_true=sf_true, data=data, q_true=q_true)
+    rungs = [LadderPoint(n=n, sigma=sigma,
+                         lam=fv.policy_weight("prior", s, f_true, sigma, n))
+             for n in ns]
+    return fv.expectation_experiment(pipeline, rungs, trials=trials, base_seed=seed)
+
+
+def _run_rates(grid_cells, truth_name, s, sigma, ns, seed):
+    # the coupled-model truths take sigma relative to the data maximum
     grid = fv.Grid(2, grid_cells)
-    pipe_kwargs = truth_builder(grid, sigma)
-    sigma_abs = pipe_kwargs.pop("_sigma_abs")
-    if not run_p2:
-        pipe_kwargs = {k: v for k, v in pipe_kwargs.items()
-                       if k in ("f_true", "sf_true")}
-    pipeline = fv.InversionPipeline(grid=grid, beta=1.0, s=s, lam_policy="prior",
-                                    **pipe_kwargs)
-    ladder = [LadderPoint(n=n, sigma=sigma_abs) for n in ns]
-    records = fv.expectation_experiment(pipeline, ladder, trials=10, base_seed=seed)
-    fits = {}
-    for key in ("err1", "err2", "err3", "err4", "err5"):
-        pairs = [(r.lam, r.mean_errors()[key]) for r in records
-                 if key in r.mean_errors()]
-        if len(pairs) >= 3:
-            fits[key] = fv.fit_rate(pairs)
-    return fits
-
-
-def _example1_truth(grid, sigma):
-    ops = grid.operators(1.0)
-    f_true = trig_forcing(grid)
-    sf_true = grid.function(ops.lu_laplacian().solve(ops.weights * f_true.values))
-    return {"f_true": f_true, "sf_true": sf_true, "_sigma_abs": sigma}
-
-
-def _example2_truth(grid, rel_sigma):
-    data = example2_problem(grid, tau=0.01)
-    q_true = smooth_source(grid)
-    u_e = fv.solve_excitation(data, q_true)
-    g = fv.terminal_data(fv.solve_emission(data, q_true, u_e))
-    ops = grid.operators(1.0)
-    f_true = grid.function(ops.pointwise_laplacian(g.values))
-    return {"f_true": f_true, "sf_true": g, "data": data, "q_true": q_true,
-            "_sigma_abs": rel_sigma * float(np.abs(g.values).max())}
+    truth = build_truth(truth_name, grid)
+    if truth[2] is not None:
+        sigma *= float(np.abs(truth[1].values).max())
+    records = _prior_experiment(grid, truth, s, sigma, ns, 10, seed)
+    return fv.rate_fits(records)
 
 
 def test_criterion_3_fit_rates():
     t0 = time.time()
     ns = [10**4, 31623, 10**5, 316228, 10**6]
-    fits0 = _run_rates(64, _example1_truth, 0, 0.002, ns, seed=21)
-    fits1 = _run_rates(64, _example1_truth, 1, 0.002, ns, seed=21)
+    fits0 = _run_rates(64, "example1", 0, 0.002, ns, seed=21)
+    fits1 = _run_rates(64, "example1", 1, 0.002, ns, seed=21)
     checks = [
         ("err1 s=0", fits0["err1"].slope, 0.5, 0.1, fits0["err1"].r_squared),
         ("err1 s=1", fits1["err1"].slope, 0.5, 0.1, fits1["err1"].r_squared),
@@ -150,8 +133,8 @@ def test_criterion_4_source_rates():
     # 0.1% relative noise puts the induced weight ladder in the regime where
     # the leading rate term dominates the p-weighted secondary term
     ns = [1000, 3163, 10**4, 31623, 10**5]
-    fits0 = _run_rates(50, _example2_truth, 0, 0.001, ns, seed=11, run_p2=True)
-    fits1 = _run_rates(50, _example2_truth, 1, 0.001, ns, seed=11, run_p2=True)
+    fits0 = _run_rates(50, "example2-smooth", 0, 0.001, ns, seed=11)
+    fits1 = _run_rates(50, "example2-smooth", 1, 0.001, ns, seed=11)
     s4, s5 = fits0["err4"].slope, fits1["err5"].slope
     ok = abs(s4 - 0.25) <= 0.1 and abs(s5 - 1.0 / 6.0) <= 0.08
     elapsed = time.time() - t0
@@ -190,12 +173,8 @@ def test_criterion_6_spectral_diagnostics(dirichlet64):
 def test_criterion_7_tail_curve():
     t0 = time.time()
     grid = fv.Grid(2, 50)
-    tk = _example1_truth(grid, 0.002)
-    pipeline = fv.InversionPipeline(grid=grid, beta=1.0, s=0, lam_policy="prior",
-                                    f_true=tk["f_true"], sf_true=tk["sf_true"])
-    rec = fv.expectation_experiment(
-        pipeline, [LadderPoint(n=10**4, sigma=0.002)], trials=200, base_seed=SEED,
-    )[0]
+    rec = _prior_experiment(grid, build_truth("example1", grid), 0, 0.002, [10**4],
+                            200, SEED)[0]
     scale = np.sqrt(rec.lam) * rec.rho0
     z_hi = 1.05 * max(rec.sf_errors_n) / scale
     curve = fv.tail_histogram(rec, np.linspace(0.0, z_hi, 41))

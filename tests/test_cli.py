@@ -209,12 +209,17 @@ def test_verify_runs_the_requested_seed(tmp_path):
     assert reports[0] != reports[1]
 
 
-def test_p1_weight_loop_nonconvergence_keeps_trace(tmp_path, monkeypatch):
-    import fluoinv.cli as cli
+@pytest.fixture
+def one_pass_weight_loop(monkeypatch):
+    """Cut the self-consistent weight loop to one pass, so it never stabilizes."""
+    import fluoinv.fit as fit
 
-    loop = cli.self_consistent_lambda
-    monkeypatch.setattr(cli, "self_consistent_lambda",
+    loop = fit.self_consistent_lambda
+    monkeypatch.setattr(fit, "self_consistent_lambda",
                         lambda *a, **k: loop(*a, **{**k, "max_outer": 1}))
+
+
+def test_p1_weight_loop_nonconvergence_keeps_trace(tmp_path, one_pass_weight_loop):
     cfg = write_cfg(tmp_path, "c.json", {
         "grid": 16, "truth": "example1", "n": 300, "sigma": 0.002, "s": 0,
         "lambda": {"mode": "self-consistent"},
@@ -225,3 +230,40 @@ def test_p1_weight_loop_nonconvergence_keeps_trace(tmp_path, monkeypatch):
     assert len(rows) == 2  # the starting weight and one update
     manifest = json.loads((out / "manifest.json").read_text())
     assert [f["name"] for f in manifest["files"]] == ["lambda_trace.csv"]
+
+
+def test_rates_weight_loop_nonconvergence_exits_3(tmp_path, capsys, one_pass_weight_loop):
+    cfg = write_cfg(tmp_path, "c.json", {
+        "grid": 16, "truth": "example1", "s": 0, "sigma": 0.002,
+        "ladder": [100, 300, 1000], "trials": 2, "lambda": {"mode": "self-consistent"},
+    })
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg, "--seed", "9", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "n=100" in err and "trial 0" in err
+    assert json.loads((out / "manifest.json").read_text())["files"] == []
+
+
+RATES = {"grid": 16, "truth": "example1", "s": 0, "sigma": 0.002,
+         "ladder": [100, 300, 1000], "trials": 2, "lambda": {"mode": "prior"}}
+P1 = {"grid": 16, "truth": "example1", "n": 300, "sigma": 0.002, "s": 0}
+
+
+@pytest.mark.parametrize("command,payload,key", [
+    ("rates", {**RATES, "sigma": 0}, "'lambda'"),
+    ("rates", {**RATES, "lambda": "prior"}, "'lambda'"),
+    ("p1", {**P1, "lambda": "prior"}, "'lambda'"),
+    ("rates", {**RATES, "trials": 0}, "'trials'"),
+], ids=["rates-sigma-0", "rates-lambda-string", "p1-lambda-string", "rates-trials-0"])
+def test_weight_policy_and_trial_errors_are_config_errors(tmp_path, capsys,
+                                                          command, payload, key):
+    cfg = write_cfg(tmp_path, "c.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and key in err[0]
+
+
+def test_rates_source_recovery_needs_a_source(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json", {**RATES, "run_p2": True})
+    assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "'truth'" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 
 import fluoinv as fv
 from fluoinv.forward import AssumptionWarning
-from fluoinv.presets import example2_problem, smooth_source
+from fluoinv.presets import build_truth, example2_problem, smooth_source
 
 from conftest import restrict
 
@@ -184,3 +184,35 @@ def test_grid_mismatch_rejected(ex2_32, grid16):
     u_e16 = fv.solve_excitation(other, grid16.zeros())
     with pytest.raises(ValueError):
         fv.solve_emission(data, ex2_32["q_true"], u_e16)
+
+
+def test_fixed_point_map_cost(monkeypatch):
+    # the cost model of one map application: the excitation step matrix
+    # depends on q and is factorized anew, the emission factor is cached,
+    # and each of the two backward-Euler marches does one solve per step
+    import scipy.sparse.linalg as spla
+
+    counts = {"factorizations": 0, "solves": 0}
+    splu = spla.splu
+
+    class CountedFactor:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, rhs):
+            counts["solves"] += 1
+            return self._lu.solve(rhs)
+
+    def counted_splu(*args, **kwargs):
+        counts["factorizations"] += 1
+        return CountedFactor(splu(*args, **kwargs))
+
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    grid = fv.Grid(2, 16)
+    _, g, data, _ = build_truth("example2-smooth", grid, tau=0.25)
+    assert data.n_steps == 4
+    q = grid.function(np.full(grid.node_count, 1.0))
+    fv.fixed_point_map(data, q, g)  # the emission factor is cached by now
+    counts.update(factorizations=0, solves=0)
+    fv.fixed_point_map(data, q, g)
+    assert counts == {"factorizations": 1, "solves": 2 * data.n_steps}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fluoinv as fv
-from fluoinv.presets import example2_problem, smooth_source
+from fluoinv.presets import build_truth, example2_problem
 from fluoinv.stochastic import NoiseModel, observe, sample_points
 
 
@@ -108,13 +108,7 @@ def test_check_domain(ex2_32):
 def test_clean_recovery_discontinuous_source_with_clamp():
     # hypothesis-violating data (the jump makes the raw initial guess dip
     # slightly negative) still recover exactly once iterates are projected
-    from fluoinv.presets import discontinuous_source
-
-    grid = fv.Grid(2, 40)
-    data = example2_problem(grid, tau=0.05)
-    q_true = discontinuous_source(grid)
-    u_e = fv.solve_excitation(data, q_true)
-    g = fv.terminal_data(fv.solve_emission(data, q_true, u_e))
+    _, g, data, q_true = build_truth("example2-discontinuous", fv.Grid(2, 40), tau=0.05)
     assert fv.initial_guess(data, g).values.min() < 0  # raw guess leaves [0, M]
     with pytest.raises(fv.PositivityError):
         fv.fixed_point_solve(data, g)  # the unclamped iteration rejects it
@@ -133,10 +127,7 @@ def test_division_guard_on_violated_data(grid16):
 
 def _noisy_recovery(cells, level, s, seed=2024, tau=0.01):
     grid = fv.Grid(2, cells)
-    data = example2_problem(grid, tau=tau)
-    q_true = smooth_source(grid)
-    u_e = fv.solve_excitation(data, q_true)
-    g = fv.terminal_data(fv.solve_emission(data, q_true, u_e))
+    _, g, data, q_true = build_truth("example2-smooth", grid, tau=tau)
     sigma = level * np.abs(g.values).max()
     meas = observe(g, sample_points(2, 500, seed=0),
                    NoiseModel("gaussian", sigma, np.random.SeedSequence(seed)))

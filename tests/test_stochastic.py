@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import fluoinv as fv
-from fluoinv.presets import trig_forcing
+from fluoinv.presets import build_truth, trig_forcing
 from fluoinv.stochastic import (
     LadderPoint,
     NoiseModel,
@@ -97,18 +97,22 @@ def test_fit_rate_validation():
 
 @pytest.fixture(scope="module")
 def small_pipeline(grid16):
-    f_true = trig_forcing(grid16)
-    sf_true = fv.elliptic_solve(grid16, 1.0, f_true)
+    f_true, sf_true, _, _ = build_truth("example1", grid16)
     return fv.InversionPipeline(grid=grid16, beta=1.0, s=0,
                                 f_true=f_true, sf_true=sf_true)
+
+
+def prior_rung(pipeline, n, sigma):
+    """A ladder point at the a-priori weight for n sensors."""
+    lam = fv.policy_weight("prior", pipeline.s, pipeline.f_true, sigma, n)
+    return LadderPoint(n=n, sigma=sigma, lam=lam)
 
 
 def test_zero_noise_single_trial_is_deterministic(small_pipeline, grid16):
     from fluoinv.fit import FitConfig
 
     ladder = [LadderPoint(n=200, sigma=0.0, lam=1e-7)]
-    pipeline = fv.InversionPipeline(**{**small_pipeline.__dict__, "lam_policy": "fixed",
-                                       "noise_kind": "zero"})
+    pipeline = fv.InversionPipeline(**{**small_pipeline.__dict__, "noise_kind": "zero"})
     rec = fv.expectation_experiment(pipeline, ladder, trials=1, base_seed=3)[0]
     pts = sample_points(2, 200, seed=int(np.random.SeedSequence(entropy=3, spawn_key=(0,))
                                          .generate_state(1)[0]))
@@ -120,16 +124,16 @@ def test_zero_noise_single_trial_is_deterministic(small_pipeline, grid16):
 
 
 def test_mean_error_decreases_with_noise(small_pipeline):
-    high = fv.expectation_experiment(small_pipeline, [LadderPoint(n=300, sigma=0.01)],
+    high = fv.expectation_experiment(small_pipeline, [prior_rung(small_pipeline, 300, 0.01)],
                                      trials=5, base_seed=1)[0]
-    low = fv.expectation_experiment(small_pipeline, [LadderPoint(n=300, sigma=0.001)],
+    low = fv.expectation_experiment(small_pipeline, [prior_rung(small_pipeline, 300, 0.001)],
                                     trials=5, base_seed=1)[0]
     assert low.mean_errors()["err1"] < high.mean_errors()["err1"]
     assert low.rho0 < high.rho0
 
 
 def test_tail_histogram(small_pipeline):
-    rec = fv.expectation_experiment(small_pipeline, [LadderPoint(n=200, sigma=0.01)],
+    rec = fv.expectation_experiment(small_pipeline, [prior_rung(small_pipeline, 200, 0.01)],
                                     trials=60, base_seed=5)[0]
     scale = np.sqrt(rec.lam) * rec.rho0
     z_max = max(rec.sf_errors_n) / scale
