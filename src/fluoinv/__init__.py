@@ -47,8 +47,6 @@ from .inverse import (
     fixed_point_map,
     fixed_point_solve,
     initial_guess,
-    noisy_fixed_point_map,
-    noisy_fixed_point_solve,
     stability_constants,
 )
 from .metrics import ErrorBundle, dual_h1_norm, error_bundle, h1_norm, l2_norm

@@ -22,12 +22,7 @@ from . import __version__
 from .fit import FitConfig, fit_at_weight, policy_weight, solve_data_fit
 from .forward import terminal_fields
 from .grid import ConvergenceError, Grid, default_tolerance
-from .inverse import (
-    InverseConfig,
-    PositivityError,
-    fixed_point_solve,
-    noisy_fixed_point_solve,
-)
+from .inverse import InverseConfig, PositivityError, fixed_point_solve
 from .io import Manifest, write_csv, write_field_csv
 from .metrics import error_bundle
 from .presets import PRESETS, build_source, build_truth, example2_problem
@@ -138,20 +133,26 @@ def _truth(cfg: dict, grid: Grid, needs_source: bool = False):
     return truth
 
 
-def _positive_int(key: str, val) -> int:
+def _positive_int(key: str, val, what: str = "a positive integer") -> int:
     if isinstance(val, float) and val.is_integer():  # JSON 1e4
         val = int(val)
     if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-        raise ConfigError(f"config error at {key!r}: expected a positive integer, got {val!r}")
+        raise ConfigError(f"config error at {key!r}: expected {what}, got {val!r}")
     return val
 
 
 def _sigma_from(cfg: dict, sf_true) -> float:
-    if "sigma" in cfg:
-        return float(cfg["sigma"])
-    if "relative_sigma" in cfg:
-        return float(cfg["relative_sigma"]) * float(np.abs(sf_true.values).max())
-    raise ConfigError("config error: one of 'sigma' or 'relative_sigma' is required")
+    key = next((k for k in ("sigma", "relative_sigma") if k in cfg), None)
+    if key is None:
+        raise ConfigError("config error: one of 'sigma' or 'relative_sigma' is required")
+    try:
+        sigma = float(cfg[key])
+    except (TypeError, ValueError):
+        sigma = float("nan")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ConfigError(f"config error at {key!r}: expected a nonnegative number, "
+                          f"got {cfg[key]!r}")
+    return sigma if key == "sigma" else sigma * float(np.abs(sf_true.values).max())
 
 
 def _measure(cfg: dict, grid: Grid, sf_true, seed: int):
@@ -177,6 +178,25 @@ def _weight(policy: dict, s: int, f_true, sigma: float, n: int):
                              policy.get("value"))
     except ValueError as exc:
         raise ConfigError(f"config error at 'lambda': {exc}") from exc
+
+
+def _inverse_config(cfg: dict, clean: bool) -> InverseConfig:
+    """The "inverse" block; clamping defaults to on for fitted (noisy) data."""
+    block = cfg.get("inverse", {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"config error at 'inverse': expected an object such as "
+                          f'{{"tol": 1e-10}}, got {type(block).__name__}')
+    max_iter = _positive_int("inverse", block.get("max_iter", 200),
+                             "max_iter to be a positive integer")
+    clamp = block.get("clamp", not clean)
+    if not isinstance(clamp, bool):
+        raise ConfigError(f"config error at 'inverse': clamp must be true or false, "
+                          f"got {clamp!r}")
+    try:
+        return InverseConfig(tol=float(block.get("tol", 1e-10)), max_iter=max_iter,
+                             clamp=clamp)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config error at 'inverse': {exc}") from exc
 
 
 def _require_converged(trace) -> None:
@@ -248,14 +268,11 @@ def cmd_p2(cfg: dict, out: Path, manifest: Manifest) -> int:
     grid = _grid_from(cfg)
     beta = float(cfg.get("beta", 1.0))
     f_true, sf_true, data, q_true = _truth(cfg, grid, needs_source=True)
-    icfg = InverseConfig(
-        tol=float(cfg.get("inverse", {}).get("tol", 1e-10)),
-        max_iter=int(cfg.get("inverse", {}).get("max_iter", 200)),
-        clamp=cfg.get("inverse", {}).get("clamp"),
-    )
+    clean = bool(cfg.get("clean", False))
+    icfg = _inverse_config(cfg, clean)
 
-    if cfg.get("clean", False):
-        q_rec, trace = fixed_point_solve(data, sf_true, icfg)
+    if clean:
+        f, sf = f_true, sf_true
         lam = ""
         sigma = 0.0
     else:
@@ -264,7 +281,8 @@ def cmd_p2(cfg: dict, out: Path, manifest: Manifest) -> int:
         lam, fitres, lam_trace = fit_at_weight(
             grid, beta, meas, s, _weight(_policy(cfg), s, f_true, sigma, meas.n))
         _require_converged(lam_trace)
-        q_rec, trace = noisy_fixed_point_solve(data, fitres.f, fitres.sf, icfg)
+        f, sf = fitres.f, fitres.sf
+    q_rec, trace = fixed_point_solve(data, f, sf, icfg)
 
     bundle = error_bundle(q=q_rec, q_true=q_true)
     manifest.add(write_field_csv(out / "source_fields.csv", grid,
@@ -296,6 +314,8 @@ def cmd_rates(cfg: dict, out: Path, manifest: Manifest) -> int:
     sigma = _sigma_from(cfg, sf_true)
     policy = _policy(cfg)
     ns = [_positive_int("ladder", n) for n in _require(cfg, "ladder", list)]
+    if not ns:
+        raise ConfigError("config error at 'ladder': expected at least one sample size")
     trials = _positive_int("trials", cfg.get("trials", 10))
     ladder = [LadderPoint(n=n, sigma=sigma, lam=_weight(policy, s, f_true, sigma, n))
               for n in ns]

@@ -3,13 +3,13 @@
 The map iterated here divides the terminal-time equation residual of the
 emission field by the terminal excitation field:
 
-    F(q) = (dt u_m(T; q) + r) / u_e(T; q),
+    F(q) = (dt u_m(T; q) + f + p Sf) / u_e(T; q).
 
-where r is ``-Delta g + p g`` computed from clean terminal data, or
-``f + p Sf`` assembled from a scattered-data fit when only noisy point
-samples are available.  On data produced by the same discrete forward
-solver the true source is an exact fixed point, and the iteration from the
-natural initial guess increases monotonically toward it.
+The forcing pair (f, Sf) is (-Delta_h g, g) for clean terminal data g, or
+the pair a scattered-data fit returns when only noisy point samples are
+available.  On data produced by the same discrete forward solver the true
+source is an exact fixed point, and the iteration from the natural initial
+guess increases monotonically toward it.
 """
 
 from __future__ import annotations
@@ -29,11 +29,8 @@ __all__ = [
     "DomainReport",
     "StabilityConstants",
     "fixed_point_map",
-    "noisy_fixed_point_map",
     "initial_guess",
-    "noisy_initial_guess",
     "fixed_point_solve",
-    "noisy_fixed_point_solve",
     "check_domain",
     "stability_constants",
 ]
@@ -52,10 +49,10 @@ class InverseConfig:
 
     tol: float = 1e-10          # L2 increment threshold
     max_iter: int = 200
-    clamp: bool | None = None   # None: off for clean data, on for noisy data
+    clamp: bool = True          # project iterates onto [0, M]
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:  # also rejects NaN
             raise ValueError(f"tolerance must be positive, got {self.tol}")
 
 
@@ -65,9 +62,8 @@ class IterationTrace:
 
     increments: list[float] = field(default_factory=list)   # ||q_{j+1} - q_j||_L2
     step_minima: list[float] = field(default_factory=list)  # min_x (q_{j+1} - q_j)
-    misfits: list[float] = field(default_factory=list)      # ||u_m(T; q_j) - g_ref||_L2
+    misfits: list[float] = field(default_factory=list)      # ||u_m(T; q_j) - Sf||_L2
     converged: bool = False
-    clamped: bool = False
 
     @property
     def iterations(self) -> int:
@@ -83,60 +79,51 @@ def _guarded_divide(numer: np.ndarray, ue_T: np.ndarray, grid) -> GridFunction:
     return GridFunction(grid, numer / ue_T)
 
 
-def _clean_numerator(data: ProblemData, g: GridFunction) -> np.ndarray:
-    # -Delta_h g + p g, with the same Robin-consistent boundary rows as the solver
-    ops = data.grid.operators(data.beta)
-    return ops.pointwise_laplacian(g.values) + data.p.values * g.values
+def _forcing(data: ProblemData, f: GridFunction, sf: GridFunction) -> np.ndarray:
+    if f.grid is not data.grid or sf.grid is not data.grid:
+        raise ValueError("the forcing pair must live on the problem grid")
+    return f.values + data.p.values * sf.values
 
 
-def fixed_point_map(data: ProblemData, q: GridFunction, g: GridFunction) -> GridFunction:
-    """Apply the fixed-point map at q for clean terminal data g."""
-    if g.grid is not data.grid:
-        raise ValueError("terminal data must live on the problem grid")
+def fixed_point_map(data: ProblemData, q: GridFunction, f: GridFunction,
+                    sf: GridFunction) -> GridFunction:
+    """Apply the fixed-point map at q for the forcing pair (f, Sf)."""
     ue_T, dtum_T, _ = terminal_fields(data, q)
-    numer = dtum_T.values + _clean_numerator(data, g)
-    return _guarded_divide(numer, ue_T.values, data.grid)
+    return _guarded_divide(dtum_T.values + _forcing(data, f, sf), ue_T.values, data.grid)
 
 
-def noisy_fixed_point_map(data: ProblemData, q: GridFunction,
-                          f_rec: GridFunction, sf_rec: GridFunction) -> GridFunction:
-    """Apply the fixed-point map with the fitted forcing in place of -Delta g."""
-    ue_T, dtum_T, _ = terminal_fields(data, q)
-    numer = dtum_T.values + f_rec.values + data.p.values * sf_rec.values
-    return _guarded_divide(numer, ue_T.values, data.grid)
-
-
-def initial_guess(data: ProblemData, g: GridFunction) -> GridFunction:
+def initial_guess(data: ProblemData, f: GridFunction, sf: GridFunction) -> GridFunction:
     """Starting iterate from one excitation solve at zero source."""
     ue0_T = terminal_data(solve_excitation(data, data.grid.zeros()))
-    return _guarded_divide(_clean_numerator(data, g), ue0_T.values, data.grid)
+    return _guarded_divide(_forcing(data, f, sf), ue0_T.values, data.grid)
 
 
-def noisy_initial_guess(data: ProblemData, f_rec: GridFunction,
-                        sf_rec: GridFunction) -> GridFunction:
-    """Starting iterate built from the fitted forcing and its smoothing."""
-    ue0_T = terminal_data(solve_excitation(data, data.grid.zeros()))
-    numer = f_rec.values + data.p.values * sf_rec.values
-    return _guarded_divide(numer, ue0_T.values, data.grid)
+def fixed_point_solve(data: ProblemData, f: GridFunction, sf: GridFunction,
+                      cfg: InverseConfig | None = None):
+    """Iterate the map for the forcing pair (f, Sf) from the natural initial guess.
 
-
-def _iterate(data: ProblemData, q0: GridFunction, numer_data: np.ndarray,
-             g_ref: GridFunction, cfg: InverseConfig, clamp_default: bool):
-    clamp = clamp_default if cfg.clamp is None else cfg.clamp
-    trace = IterationTrace(clamped=clamp)
-    q = q0
-    if clamp:
+    Per-step misfits in the trace compare the terminal emission field of the
+    current iterate against Sf.  With ``cfg.clamp`` (the default) iterates
+    are projected onto [0, M], since noise can push them outside; without
+    it the raw map (and its monotonicity) is observable, and an iterate
+    leaving the admissible set raises PositivityError.
+    """
+    cfg = cfg or InverseConfig()
+    forcing = _forcing(data, f, sf)
+    q = initial_guess(data, f, sf)
+    trace = IterationTrace()
+    if cfg.clamp:
         q = GridFunction(data.grid, np.clip(q.values, 0.0, data.M))
     for _ in range(cfg.max_iter):
-        if not clamp and q.values.min() < 0.0:
+        if not cfg.clamp and q.values.min() < 0.0:
             raise PositivityError(
                 f"iterate left the admissible set (min q = {q.values.min():g}); "
                 "the data violate the sign hypotheses -- enable clamping to proceed"
             )
         ue_T, dtum_T, um_T = terminal_fields(data, q)
-        trace.misfits.append(l2_norm(um_T - g_ref))
-        q_next = _guarded_divide(dtum_T.values + numer_data, ue_T.values, data.grid)
-        if clamp:
+        trace.misfits.append(l2_norm(um_T - sf))
+        q_next = _guarded_divide(dtum_T.values + forcing, ue_T.values, data.grid)
+        if cfg.clamp:
             q_next = GridFunction(data.grid, np.clip(q_next.values, 0.0, data.M))
         step = q_next - q
         trace.increments.append(l2_norm(step))
@@ -146,35 +133,6 @@ def _iterate(data: ProblemData, q0: GridFunction, numer_data: np.ndarray,
             trace.converged = True
             break
     return q, trace
-
-
-def fixed_point_solve(data: ProblemData, g: GridFunction,
-                      cfg: InverseConfig | None = None):
-    """Iterate the clean-data map from the natural initial guess.
-
-    Per-step misfits in the trace compare the terminal emission field of the
-    current iterate against g.  Clamping is off by default so the raw map
-    (and its monotonicity) is observable.
-    """
-    cfg = cfg or InverseConfig()
-    numer_data = _clean_numerator(data, g)
-    q0 = initial_guess(data, g)
-    return _iterate(data, q0, numer_data, g, cfg, clamp_default=False)
-
-
-def noisy_fixed_point_solve(data: ProblemData, f_rec: GridFunction,
-                            sf_rec: GridFunction,
-                            cfg: InverseConfig | None = None):
-    """Iterate the map assembled from fitted data.
-
-    Noise can push iterates outside the admissible interval, so they are
-    clamped to [0, M] by default; traced misfits compare against the fitted
-    smooth field standing in for the unavailable clean data.
-    """
-    cfg = cfg or InverseConfig()
-    numer_data = f_rec.values + data.p.values * sf_rec.values
-    q0 = noisy_initial_guess(data, f_rec, sf_rec)
-    return _iterate(data, q0, numer_data, sf_rec, cfg, clamp_default=True)
 
 
 @dataclass
@@ -188,10 +146,10 @@ class DomainReport:
     max_lower_deficit: float
 
 
-def check_domain(data: ProblemData, q: GridFunction, g: GridFunction,
-                 slack: float = 1e-10) -> tuple[bool, DomainReport]:
-    """Check M >= q >= (initial guess from g) nodewise, with slack."""
-    lower = initial_guess(data, g).values
+def check_domain(data: ProblemData, q: GridFunction, f: GridFunction,
+                 sf: GridFunction, slack: float = 1e-10) -> DomainReport:
+    """Check M >= q >= (initial guess from (f, Sf)) nodewise, with slack."""
+    lower = initial_guess(data, f, sf).values
     qv = q.values
     upper_bad = np.flatnonzero(qv > data.M + slack)
     lower_bad = np.flatnonzero(qv < lower - slack)
@@ -202,7 +160,7 @@ def check_domain(data: ProblemData, q: GridFunction, g: GridFunction,
         max_upper_excess=float(max((qv - data.M).max(), 0.0)),
         max_lower_deficit=float(max((lower - qv).max(), 0.0)),
     )
-    return report.ok, report
+    return report
 
 
 @dataclass

@@ -15,7 +15,7 @@ import numpy as np
 from .fit import MeasurementSet, _FitWorkspace, fit_at_weight, point_evaluation
 from .forward import ProblemData
 from .grid import ConvergenceError, Grid, GridFunction
-from .inverse import noisy_fixed_point_solve
+from .inverse import fixed_point_solve
 from .metrics import ErrorBundle, error_bundle, hs_norm
 
 __all__ = [
@@ -195,7 +195,10 @@ def _run_trial(pipeline: InversionPipeline, point: LadderPoint, points, workspac
     q_rec = None
     fp_iters = 0
     if pipeline.data is not None and pipeline.q_true is not None:
-        q_rec, trace = noisy_fixed_point_solve(pipeline.data, fit.f, fit.sf)
+        q_rec, trace = fixed_point_solve(pipeline.data, fit.f, fit.sf)
+        if not trace.converged:
+            raise ConvergenceError(f"fixed-point iteration did not converge at rung "
+                                   f"n={point.n}, trial {trial_index}")
         fp_iters = trace.iterations
     bundle = error_bundle(
         meas=meas, sf=fit.sf, sf_true=pipeline.sf_true,
@@ -213,7 +216,8 @@ def expectation_experiment(pipeline: InversionPipeline, ladder, trials: int = 10
     are derived per trial.  Trials run one after another, in index order.
     Individual trial failures propagate (they indicate configuration errors,
     not statistical bad luck); a self-consistent weight loop that does not
-    stabilize raises ConvergenceError.
+    stabilize, or a fixed-point iteration that does not converge, raises
+    ConvergenceError.
     """
     norm_f_true = hs_norm(pipeline.f_true, pipeline.s)
     records = []

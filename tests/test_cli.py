@@ -244,9 +244,36 @@ def test_rates_weight_loop_nonconvergence_exits_3(tmp_path, capsys, one_pass_wei
     assert json.loads((out / "manifest.json").read_text())["files"] == []
 
 
+@pytest.fixture
+def one_step_fixed_point(monkeypatch):
+    """Cut each trial's fixed-point iteration to one step, so it never converges."""
+    import fluoinv.stochastic as stochastic
+    from fluoinv.inverse import InverseConfig
+
+    solve = stochastic.fixed_point_solve
+    monkeypatch.setattr(stochastic, "fixed_point_solve",
+                        lambda data, f, sf, cfg=None: solve(data, f, sf,
+                                                            InverseConfig(max_iter=1)))
+
+
+def test_rates_fixed_point_nonconvergence_exits_3(tmp_path, capsys, one_step_fixed_point):
+    cfg = write_cfg(tmp_path, "c.json", {
+        "grid": 16, "tau": 0.25, "truth": "example2-smooth", "s": 1,
+        "relative_sigma": 0.001, "ladder": [100, 300, 1000], "trials": 2,
+        "lambda": {"mode": "prior"}, "run_p2": True,
+    })
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg, "--seed", "9", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "fixed-point" in err and "n=100" in err and "trial 0" in err
+    assert json.loads((out / "manifest.json").read_text())["files"] == []
+
+
 RATES = {"grid": 16, "truth": "example1", "s": 0, "sigma": 0.002,
          "ladder": [100, 300, 1000], "trials": 2, "lambda": {"mode": "prior"}}
+RATES_NO_SIGMA = {k: v for k, v in RATES.items() if k != "sigma"}
 P1 = {"grid": 16, "truth": "example1", "n": 300, "sigma": 0.002, "s": 0}
+P2 = {"grid": 16, "tau": 0.25, "truth": "example2-smooth", "clean": True}
 
 
 @pytest.mark.parametrize("command,payload,key", [
@@ -254,7 +281,19 @@ P1 = {"grid": 16, "truth": "example1", "n": 300, "sigma": 0.002, "s": 0}
     ("rates", {**RATES, "lambda": "prior"}, "'lambda'"),
     ("p1", {**P1, "lambda": "prior"}, "'lambda'"),
     ("rates", {**RATES, "trials": 0}, "'trials'"),
-], ids=["rates-sigma-0", "rates-lambda-string", "p1-lambda-string", "rates-trials-0"])
+    ("p1", {**P1, "sigma": -0.1, "lambda": {"mode": "self-consistent"}}, "'sigma'"),
+    ("p1", {**P1, "sigma": "abc"}, "'sigma'"),
+    ("rates", {**RATES_NO_SIGMA, "relative_sigma": -0.001}, "'relative_sigma'"),
+    ("rates", {**RATES_NO_SIGMA, "relative_sigma": "abc"}, "'relative_sigma'"),
+    ("rates", {**RATES, "ladder": [], "tail_trials": 50}, "'ladder'"),
+    ("p2", {**P2, "inverse": "fast"}, "'inverse'"),
+    ("p2", {**P2, "inverse": {"tol": 0}}, "'inverse'"),
+    ("p2", {**P2, "inverse": {"max_iter": 0}}, "'inverse'"),
+    ("p2", {**P2, "inverse": {"clamp": "no"}}, "'inverse'"),
+], ids=["rates-sigma-0", "rates-lambda-string", "p1-lambda-string", "rates-trials-0",
+        "p1-sigma-negative", "p1-sigma-string", "rates-relative-sigma-negative",
+        "rates-relative-sigma-string", "rates-ladder-empty", "p2-inverse-string",
+        "p2-inverse-tol-0", "p2-inverse-max-iter-0", "p2-inverse-clamp-string"])
 def test_weight_policy_and_trial_errors_are_config_errors(tmp_path, capsys,
                                                           command, payload, key):
     cfg = write_cfg(tmp_path, "c.json", payload)

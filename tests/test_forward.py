@@ -209,10 +209,10 @@ def test_fixed_point_map_cost(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counted_splu)
     grid = fv.Grid(2, 16)
-    _, g, data, _ = build_truth("example2-smooth", grid, tau=0.25)
+    f, g, data, _ = build_truth("example2-smooth", grid, tau=0.25)
     assert data.n_steps == 4
     q = grid.function(np.full(grid.node_count, 1.0))
-    fv.fixed_point_map(data, q, g)  # the emission factor is cached by now
+    fv.fixed_point_map(data, q, f, g)  # the emission factor is cached by now
     counts.update(factorizations=0, solves=0)
-    fv.fixed_point_map(data, q, g)
+    fv.fixed_point_map(data, q, f, g)
     assert counts == {"factorizations": 1, "solves": 2 * data.n_steps}

@@ -6,31 +6,36 @@ from fluoinv.presets import build_truth, example2_problem
 from fluoinv.stochastic import NoiseModel, observe, sample_points
 
 
+# the raw map, unprojected, so its monotonicity is observable
+UNCLAMPED = fv.InverseConfig(clamp=False)
+
+
 def test_zero_data_fixed_point(ex2_32):
     data, grid = ex2_32["data"], ex2_32["grid"]
     g0 = grid.zeros()
-    assert np.abs(fv.initial_guess(data, g0).values).max() == 0.0
-    assert np.abs(fv.fixed_point_map(data, grid.zeros(), g0).values).max() == 0.0
-    q, trace = fv.fixed_point_solve(data, g0)
+    assert np.abs(fv.initial_guess(data, g0, g0).values).max() == 0.0
+    assert np.abs(fv.fixed_point_map(data, grid.zeros(), g0, g0).values).max() == 0.0
+    q, trace = fv.fixed_point_solve(data, g0, g0, UNCLAMPED)
     assert trace.converged and trace.iterations == 1
     assert np.abs(q.values).max() == 0.0
 
 
 def test_map_monotone_at_extremes(ex2_32):
-    data, grid, g = ex2_32["data"], ex2_32["grid"], ex2_32["g"]
-    k_lo = fv.fixed_point_map(data, grid.zeros(), g)
-    k_hi = fv.fixed_point_map(data, grid.function(np.full(grid.node_count, data.M)), g)
+    data, grid, f, g = ex2_32["data"], ex2_32["grid"], ex2_32["f"], ex2_32["g"]
+    k_lo = fv.fixed_point_map(data, grid.zeros(), f, g)
+    k_hi = fv.fixed_point_map(data, grid.function(np.full(grid.node_count, data.M)), f, g)
     assert (k_hi.values - k_lo.values).min() >= -1e-10
 
 
 def test_map_lipschitz_ratio_reported(ex2_32):
-    data, grid, g = ex2_32["data"], ex2_32["grid"], ex2_32["g"]
+    data, grid, f, g = ex2_32["data"], ex2_32["grid"], ex2_32["f"], ex2_32["g"]
     rng = np.random.default_rng(23)
     worst = 0.0
     for _ in range(20):
         qa = fv.GridFunction(grid, rng.uniform(0, data.M, grid.node_count))
         qb = fv.GridFunction(grid, rng.uniform(0, data.M, grid.node_count))
-        num = fv.l2_norm(fv.fixed_point_map(data, qa, g) - fv.fixed_point_map(data, qb, g))
+        num = fv.l2_norm(fv.fixed_point_map(data, qa, f, g)
+                         - fv.fixed_point_map(data, qb, f, g))
         den = fv.l2_norm(qa - qb)
         if den > 0:
             worst = max(worst, num / den)
@@ -39,80 +44,55 @@ def test_map_lipschitz_ratio_reported(ex2_32):
 
 
 def test_initial_guess_bounds(ex2_32):
-    data, g, q_true = ex2_32["data"], ex2_32["g"], ex2_32["q_true"]
-    q0 = fv.initial_guess(data, g)
+    data, f, g, q_true = ex2_32["data"], ex2_32["f"], ex2_32["g"], ex2_32["q_true"]
+    q0 = fv.initial_guess(data, f, g)
     assert (q0.values - q_true.values).max() <= 1e-8
     assert q0.values.min() >= -1e-10
 
 
 def test_clean_recovery_inverse_crime(ex2_32):
-    data, g, q_true = ex2_32["data"], ex2_32["g"], ex2_32["q_true"]
-    q, trace = fv.fixed_point_solve(data, g)
+    data, f, g, q_true = ex2_32["data"], ex2_32["f"], ex2_32["g"], ex2_32["q_true"]
+    q, trace = fv.fixed_point_solve(data, f, g, UNCLAMPED)
     assert trace.converged
     assert min(trace.step_minima) >= -1e-10          # increasing iterates
     assert (q.values - q_true.values).max() <= 1e-8  # never overshooting the truth
     assert fv.l2_norm(q - q_true) / fv.l2_norm(q_true) <= 1e-2
     # residual of the returned point under one more application of the map
-    resid = fv.l2_norm(fv.fixed_point_map(data, q, g) - q)
+    resid = fv.l2_norm(fv.fixed_point_map(data, q, f, g) - q)
     assert resid <= 10 * 1e-10
     # terminal emission at the fixed point reproduces the data
     u_m = fv.solve_emission(data, q, fv.solve_excitation(data, q))
     assert fv.l2_norm(fv.terminal_data(u_m) - g) <= 1e-9
 
 
-def test_noisy_map_matches_clean_on_exact_inputs(ex2_32):
-    data, grid, g = ex2_32["data"], ex2_32["grid"], ex2_32["g"]
-    ops = grid.operators(data.beta)
-    f_exact = fv.GridFunction(grid, ops.pointwise_laplacian(g.values))
-    rng = np.random.default_rng(29)
-    q = fv.GridFunction(grid, rng.uniform(0, data.M, grid.node_count))
-    a = fv.fixed_point_map(data, q, g)
-    b = fv.noisy_fixed_point_map(data, q, f_exact, g)
-    assert np.abs(a.values - b.values).max() < 1e-10
-
-
-def test_noisy_solve_zero_noise_matches_clean(ex2_32):
-    data, grid, g = ex2_32["data"], ex2_32["grid"], ex2_32["g"]
-    ops = grid.operators(data.beta)
-    f_exact = fv.GridFunction(grid, ops.pointwise_laplacian(g.values))
-    q_clean, _ = fv.fixed_point_solve(data, g)
-    q_noisy, trace = fv.noisy_fixed_point_solve(data, f_exact, g,
-                                                fv.InverseConfig(clamp=False))
-    assert trace.converged
-    assert fv.l2_norm(q_noisy - q_clean) <= 1e-8
-
-
 def test_clamped_iterates_stay_admissible(ex2_32):
     data, grid, g = ex2_32["data"], ex2_32["grid"], ex2_32["g"]
     ops = grid.operators(data.beta)
-    # inflate the fitted forcing so the raw map leaves [0, M]
+    # inflate the forcing so the raw map leaves [0, M]
     f_big = fv.GridFunction(grid, 20.0 * ops.pointwise_laplacian(g.values) + 50.0)
-    q, trace = fv.noisy_fixed_point_solve(data, f_big, g,
-                                          fv.InverseConfig(max_iter=20))
-    assert trace.clamped
+    assert fv.initial_guess(data, f_big, g).values.max() > data.M
+    q, trace = fv.fixed_point_solve(data, f_big, g, fv.InverseConfig(max_iter=20))
     assert q.values.min() >= 0.0
     assert q.values.max() <= data.M
 
 
 def test_check_domain(ex2_32):
-    data, grid, g = ex2_32["data"], ex2_32["grid"], ex2_32["g"]
-    ok, _ = fv.check_domain(data, grid.function(np.full(grid.node_count, data.M)), g)
-    assert ok
-    ok, _ = fv.check_domain(data, fv.initial_guess(data, g), g)
-    assert ok
-    ok, rep = fv.check_domain(data, grid.function(np.full(grid.node_count, -1.0)), g)
-    assert not ok
+    data, grid, f, g = ex2_32["data"], ex2_32["grid"], ex2_32["f"], ex2_32["g"]
+    assert fv.check_domain(data, grid.function(np.full(grid.node_count, data.M)), f, g).ok
+    assert fv.check_domain(data, fv.initial_guess(data, f, g), f, g).ok
+    rep = fv.check_domain(data, grid.function(np.full(grid.node_count, -1.0)), f, g)
+    assert not rep.ok
     assert len(rep.lower_violations) == grid.node_count
 
 
 def test_clean_recovery_discontinuous_source_with_clamp():
     # hypothesis-violating data (the jump makes the raw initial guess dip
     # slightly negative) still recover exactly once iterates are projected
-    _, g, data, q_true = build_truth("example2-discontinuous", fv.Grid(2, 40), tau=0.05)
-    assert fv.initial_guess(data, g).values.min() < 0  # raw guess leaves [0, M]
+    f, g, data, q_true = build_truth("example2-discontinuous", fv.Grid(2, 40), tau=0.05)
+    assert fv.initial_guess(data, f, g).values.min() < 0  # raw guess leaves [0, M]
     with pytest.raises(fv.PositivityError):
-        fv.fixed_point_solve(data, g)  # the unclamped iteration rejects it
-    q, trace = fv.fixed_point_solve(data, g, fv.InverseConfig(clamp=True))
+        fv.fixed_point_solve(data, f, g, UNCLAMPED)  # the unclamped iteration rejects it
+    q, trace = fv.fixed_point_solve(data, f, g)
     assert trace.converged
     assert fv.l2_norm(q - q_true) / fv.l2_norm(q_true) <= 1e-2
 
@@ -122,7 +102,7 @@ def test_division_guard_on_violated_data(grid16):
                             check_assumptions=False)
     g = grid16.function(np.ones(grid16.node_count))
     with pytest.raises(fv.PositivityError):
-        fv.initial_guess(data, g)
+        fv.initial_guess(data, grid16.zeros(), g)
 
 
 def _noisy_recovery(cells, level, s, seed=2024, tau=0.01):
@@ -132,7 +112,7 @@ def _noisy_recovery(cells, level, s, seed=2024, tau=0.01):
     meas = observe(g, sample_points(2, 500, seed=0),
                    NoiseModel("gaussian", sigma, np.random.SeedSequence(seed)))
     _, fit, _ = fv.self_consistent_lambda(grid, 1.0, meas, s)
-    q_rec, trace = fv.noisy_fixed_point_solve(data, fit.f, fit.sf)
+    q_rec, trace = fv.fixed_point_solve(data, fit.f, fit.sf)
     assert trace.converged
     return fv.error_bundle(q=q_rec, q_true=q_true)
 
