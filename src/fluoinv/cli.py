@@ -2,7 +2,9 @@
 
 Subcommands: forward | p1 | p2 | rates | spectral | verify.  Configuration
 comes from a preset name and/or a JSON file; --seed and --out override it.
---threads is accepted and ignored: trials run serially.  Exit codes:
+--threads N runs the Monte-Carlo trials of rates on N worker processes
+(at most one per available CPU; outputs do not depend on N); the other
+commands ignore it.  Exit codes:
 0 success, 2 configuration error, 3 solver non-convergence (the files
 written so far and the manifest are kept), 4 property-check failure.  The
 environment variable SOLVER_TOL overrides the tolerance of the fit's
@@ -12,6 +14,7 @@ conjugate-gradient solve.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -104,12 +107,24 @@ def _grid_from(cfg: dict) -> Grid:
         raise ConfigError(f"config error at 'grid': {exc}") from exc
 
 
+def _number(key: str, val, nonnegative: bool = False) -> float:
+    """A finite config number (a numeric string passes, as float() reads it)."""
+    try:
+        num = float(val)
+    except (TypeError, ValueError):
+        num = float("nan")
+    if not (np.isfinite(num) and (num >= 0 or not nonnegative)):
+        what = "a nonnegative number" if nonnegative else "a finite number"
+        raise ConfigError(f"config error at {key!r}: expected {what}, got {val!r}")
+    return num
+
+
 def _problem_params(cfg: dict) -> dict:
     return dict(
-        beta=float(cfg.get("beta", 1.0)),
-        T=float(cfg.get("T", 1.0)),
-        tau=float(cfg.get("tau", 0.01)),
-        M=float(cfg.get("M", 5.0)),
+        beta=_number("beta", cfg.get("beta", 1.0)),
+        T=_number("T", cfg.get("T", 1.0)),
+        tau=_number("tau", cfg.get("tau", 0.01)),
+        M=_number("M", cfg.get("M", 5.0)),
         flip_boundary=bool(cfg.get("flip_boundary", False)),
     )
 
@@ -133,10 +148,11 @@ def _truth(cfg: dict, grid: Grid, needs_source: bool = False):
     return truth
 
 
-def _positive_int(key: str, val, what: str = "a positive integer") -> int:
+def _integer(key: str, val, what: str = "a positive integer", low: int = 1) -> int:
+    """An integer config value of at least `low`."""
     if isinstance(val, float) and val.is_integer():  # JSON 1e4
         val = int(val)
-    if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+    if isinstance(val, bool) or not isinstance(val, int) or val < low:
         raise ConfigError(f"config error at {key!r}: expected {what}, got {val!r}")
     return val
 
@@ -145,18 +161,12 @@ def _sigma_from(cfg: dict, sf_true) -> float:
     key = next((k for k in ("sigma", "relative_sigma") if k in cfg), None)
     if key is None:
         raise ConfigError("config error: one of 'sigma' or 'relative_sigma' is required")
-    try:
-        sigma = float(cfg[key])
-    except (TypeError, ValueError):
-        sigma = float("nan")
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ConfigError(f"config error at {key!r}: expected a nonnegative number, "
-                          f"got {cfg[key]!r}")
+    sigma = _number(key, cfg[key], nonnegative=True)
     return sigma if key == "sigma" else sigma * float(np.abs(sf_true.values).max())
 
 
 def _measure(cfg: dict, grid: Grid, sf_true, seed: int):
-    n = _positive_int("n", _require(cfg, "n"))
+    n = _integer("n", _require(cfg, "n"))
     sigma = _sigma_from(cfg, sf_true)
     points = sample_points(grid.dim, n, seed=seed, layout=cfg.get("layout", "halton"))
     noise = NoiseModel(cfg.get("noise", "gaussian"), sigma, np.random.SeedSequence(seed))
@@ -186,8 +196,8 @@ def _inverse_config(cfg: dict, clean: bool) -> InverseConfig:
     if not isinstance(block, dict):
         raise ConfigError(f"config error at 'inverse': expected an object such as "
                           f'{{"tol": 1e-10}}, got {type(block).__name__}')
-    max_iter = _positive_int("inverse", block.get("max_iter", 200),
-                             "max_iter to be a positive integer")
+    max_iter = _integer("inverse", block.get("max_iter", 200),
+                        "max_iter to be a positive integer")
     clamp = block.get("clamp", not clean)
     if not isinstance(clamp, bool):
         raise ConfigError(f"config error at 'inverse': clamp must be true or false, "
@@ -226,7 +236,7 @@ def cmd_forward(cfg: dict, out: Path, manifest: Manifest) -> int:
 
 def cmd_p1(cfg: dict, out: Path, manifest: Manifest) -> int:
     grid = _grid_from(cfg)
-    beta = float(cfg.get("beta", 1.0))
+    beta = _problem_params(cfg)["beta"]
     s = int(_require(cfg, "s", int))
     f_true, sf_true, _, _ = _truth(cfg, grid)
     meas, sigma = _measure(cfg, grid, sf_true, int(cfg["seed"]))
@@ -266,7 +276,7 @@ def cmd_p1(cfg: dict, out: Path, manifest: Manifest) -> int:
 
 def cmd_p2(cfg: dict, out: Path, manifest: Manifest) -> int:
     grid = _grid_from(cfg)
-    beta = float(cfg.get("beta", 1.0))
+    beta = _problem_params(cfg)["beta"]
     f_true, sf_true, data, q_true = _truth(cfg, grid, needs_source=True)
     clean = bool(cfg.get("clean", False))
     icfg = _inverse_config(cfg, clean)
@@ -300,27 +310,34 @@ def cmd_p2(cfg: dict, out: Path, manifest: Manifest) -> int:
     return EXIT_OK if trace.converged else EXIT_NONCONVERGENCE
 
 
-def cmd_rates(cfg: dict, out: Path, manifest: Manifest) -> int:
+def cmd_rates(cfg: dict, out: Path, manifest: Manifest, workers: int = 1) -> int:
     grid = _grid_from(cfg)
     s = int(_require(cfg, "s", int))
     run_p2 = bool(cfg.get("run_p2", False))
     f_true, sf_true, data, q_true = _truth(cfg, grid, needs_source=run_p2)
     pipeline = InversionPipeline(
-        grid=grid, beta=float(cfg.get("beta", 1.0)), s=s, f_true=f_true, sf_true=sf_true,
+        grid=grid, beta=_problem_params(cfg)["beta"], s=s, f_true=f_true, sf_true=sf_true,
         noise_kind=cfg.get("noise", "gaussian"),
         data=data if run_p2 else None,
         q_true=q_true if run_p2 else None,
     )
     sigma = _sigma_from(cfg, sf_true)
     policy = _policy(cfg)
-    ns = [_positive_int("ladder", n) for n in _require(cfg, "ladder", list)]
+    ns = [_integer("ladder", n) for n in _require(cfg, "ladder", list)]
     if not ns:
         raise ConfigError("config error at 'ladder': expected at least one sample size")
-    trials = _positive_int("trials", cfg.get("trials", 10))
+    trials = _integer("trials", cfg.get("trials", 10))
     ladder = [LadderPoint(n=n, sigma=sigma, lam=_weight(policy, s, f_true, sigma, n))
               for n in ns]
+    tail_trials = _integer("tail_trials", cfg.get("tail_trials", 0),
+                           "a nonnegative integer", low=0)
+    tail = None
+    if tail_trials >= 50:
+        n_tail = _integer("tail_n", cfg.get("tail_n", ladder[0].n))
+        tail = LadderPoint(n=n_tail, sigma=sigma, lam=_weight(policy, s, f_true, sigma, n_tail))
+        zmax = _number("tail_zmax", cfg.get("tail_zmax", 3.0))
     records = expectation_experiment(pipeline, ladder, trials=trials,
-                                     base_seed=int(cfg["seed"]))
+                                     base_seed=int(cfg["seed"]), workers=workers)
 
     trial_rows, agg_rows = [], []
     for rec in records:
@@ -348,13 +365,10 @@ def cmd_rates(cfg: dict, out: Path, manifest: Manifest) -> int:
     (out / "rate_summary.txt").write_text("\n".join(summary) + "\n")
     manifest.add(out / "rate_summary.txt")
 
-    if int(cfg.get("tail_trials", 0)) >= 50:
-        n_tail = _positive_int("tail_n", cfg.get("tail_n", ladder[0].n))
-        tail_records = expectation_experiment(
-            pipeline, [LadderPoint(n=n_tail, sigma=sigma,
-                                   lam=_weight(policy, s, f_true, sigma, n_tail))],
-            trials=int(cfg["tail_trials"]), base_seed=int(cfg["seed"]) + 1)
-        z = np.linspace(0.0, float(cfg.get("tail_zmax", 3.0)), 31)
+    if tail is not None:
+        tail_records = expectation_experiment(pipeline, [tail], trials=tail_trials,
+                                              base_seed=int(cfg["seed"]) + 1, workers=workers)
+        z = np.linspace(0.0, zmax, 31)
         curve = tail_histogram(tail_records[0], z)
         manifest.add(write_csv(out / "tail_curve.csv", "tail-curve-v1",
                                ["z", "exceedance"],
@@ -433,8 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", help="built-in configuration name")
         p.add_argument("--seed", type=int, default=None, help="base seed (u64)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="ignored; trials run serially (kept for old scripts)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="rates: worker processes for the Monte-Carlo trials (at "
+                            "least 1, at most the available CPUs; default 1; outputs "
+                            "do not depend on it); other commands ignore it")
     return parser
 
 
@@ -442,11 +458,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
+        command = COMMANDS[args.command]
+        if args.command == "rates":  # the experiment clamps it to the CPUs
+            if args.threads < 1:
+                raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+            command = functools.partial(command, workers=args.threads)
         out = Path(args.out) if args.out else Path(f"out-{args.command}")
         out.mkdir(parents=True, exist_ok=True)
         manifest = Manifest(args.command, cfg, int(cfg["seed"]), __version__)
         try:
-            code = COMMANDS[args.command](cfg, out, manifest)
+            code = command(cfg, out, manifest)
         except ConvergenceError as exc:
             print(f"error: solver did not converge: {exc}", file=sys.stderr)
             code = EXIT_NONCONVERGENCE

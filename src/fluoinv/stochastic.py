@@ -3,11 +3,14 @@
 Sensors are Halton points (low-discrepancy, hence quasi-uniform) pushed
 into the open domain by a small margin; noise draws are seeded per trial by
 hashing (base seed, ladder index, trial index) so that the trial execution
-order cannot change any result.
+order cannot change any result.  That is what lets the trials of an
+experiment run on a pool of forked worker processes with outputs identical
+to the serial loop.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,8 @@ __all__ = [
     "sample_points",
     "observe",
     "trial_seed",
+    "available_cpus",
+    "worker_count",
     "InversionPipeline",
     "LadderPoint",
     "ExperimentRecord",
@@ -141,6 +146,10 @@ class InversionPipeline:
     data: ProblemData | None = None
     q_true: GridFunction | None = None
 
+    @property
+    def recovers_source(self) -> bool:
+        return self.data is not None and self.q_true is not None
+
 
 @dataclass
 class LadderPoint:
@@ -194,7 +203,7 @@ def _run_trial(pipeline: InversionPipeline, point: LadderPoint, points, workspac
 
     q_rec = None
     fp_iters = 0
-    if pipeline.data is not None and pipeline.q_true is not None:
+    if pipeline.recovers_source:
         q_rec, trace = fixed_point_solve(pipeline.data, fit.f, fit.sf)
         if not trace.converged:
             raise ConvergenceError(f"fixed-point iteration did not converge at rung "
@@ -208,35 +217,122 @@ def _run_trial(pipeline: InversionPipeline, point: LadderPoint, points, workspac
     return bundle, sf_err_n, float(lam), fp_iters
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, else the host count)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def worker_count(requested: int, tasks: int) -> int:
+    """Worker processes for `tasks` trials: the request, clamped to the
+    available CPUs and to the number of trials."""
+    if requested < 1:
+        raise ValueError(f"need at least one worker, got {requested}")
+    return max(1, min(requested, available_cpus(), tasks))
+
+
+class _TrialRunner:
+    """Runs trial (ladder index, trial index) of one experiment.
+
+    Built in the calling process: it draws the sensor points of every rung
+    and factorizes every matrix the trials share, so forked workers inherit
+    them instead of refactorizing.  The fit workspace of the current rung
+    is built on first use and kept until the rung changes; trials arrive in
+    rung order, so each process builds a rung's workspace at most once.
+    """
+
+    def __init__(self, pipeline: InversionPipeline, ladder: list[LadderPoint], base_seed: int):
+        self.pipeline = pipeline
+        self.ladder = ladder
+        self.base_seed = base_seed
+        self.points = []
+        for i, point in enumerate(self.ladder):
+            pt_seed = int(np.random.SeedSequence(entropy=base_seed,
+                                                 spawn_key=(i,)).generate_state(1)[0])
+            self.points.append(sample_points(pipeline.grid.dim, point.n, seed=pt_seed))
+        ops = pipeline.grid.operators(pipeline.beta)
+        ops.lu_laplacian()                      # every fit's Poisson solve
+        if pipeline.s == 1:
+            ops.lu_h1()                         # the H1 fit's preconditioner
+        pipeline.grid.operators(1.0).lu_h1()    # the dual-H1 errors of every trial
+        if pipeline.recovers_source:
+            pipeline.data.emission_lu()         # both marches of every map
+        self._rung = None
+        self._workspace = None
+
+    def __call__(self, task: tuple[int, int]):
+        i, t = task
+        if i != self._rung:
+            self._workspace = _FitWorkspace(self.pipeline.grid, self.pipeline.beta,
+                                            self.points[i])
+            self._rung = i
+        return _run_trial(self.pipeline, self.ladder[i], self.points[i], self._workspace,
+                          self.base_seed, i, t)
+
+
+_worker_runner: _TrialRunner | None = None   # set in pool workers only
+
+
+def _install_runner(runner: _TrialRunner) -> None:
+    global _worker_runner
+    _worker_runner = runner
+
+
+def _run_task(task: tuple[int, int]):
+    return _worker_runner(task)
+
+
+def _run_tasks(runner: _TrialRunner, tasks: list, workers: int) -> list:
+    """Outcomes of `tasks` in task order, on `workers` forked processes.
+
+    The runner reaches the workers by fork inheritance, not by pickling
+    (factorizations do not pickle).  Results are read in task order, so the
+    first exception in task order is re-raised here, as the serial loop
+    would raise it; the trials not yet started are cancelled.  A worker
+    killed from outside raises BrokenProcessPool instead of hanging.
+    """
+    if workers == 1:
+        return [runner(task) for task in tasks]
+    import multiprocessing  # deferred: only the pool path pays these imports
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_install_runner, initargs=(runner,)) as pool:
+        return list(pool.map(_run_task, tasks))
+
+
 def expectation_experiment(pipeline: InversionPipeline, ladder, trials: int = 10,
-                           base_seed: int = 0) -> list[ExperimentRecord]:
+                           base_seed: int = 0, workers: int = 1) -> list[ExperimentRecord]:
     """Run `trials` independent observe-fit(-invert) pipelines per ladder point.
 
     Sensor locations depend on (base seed, ladder index) only; noise streams
-    are derived per trial.  Trials run one after another, in index order.
-    Individual trial failures propagate (they indicate configuration errors,
-    not statistical bad luck); a self-consistent weight loop that does not
-    stabilize, or a fixed-point iteration that does not converge, raises
-    ConvergenceError.
+    are derived per trial.  With ``workers`` above 1 the trials of all rungs
+    run on that many forked processes (clamped by :func:`worker_count`);
+    the records are identical to the serial run's.  Individual trial
+    failures propagate (they indicate configuration errors, not statistical
+    bad luck); a self-consistent weight loop that does not stabilize, or a
+    fixed-point iteration that does not converge, raises ConvergenceError
+    for the first such trial in (rung, trial) order.
     """
+    ladder = list(ladder)
+    tasks = [(i, t) for i in range(len(ladder)) for t in range(trials)]
+    workers = worker_count(workers, len(tasks))
+    runner = _TrialRunner(pipeline, ladder, base_seed)
+    outcomes = _run_tasks(runner, tasks, workers)
+
     norm_f_true = hs_norm(pipeline.f_true, pipeline.s)
     records = []
     for i, point in enumerate(ladder):
-        pt_seed = int(np.random.SeedSequence(entropy=base_seed,
-                                             spawn_key=(i,)).generate_state(1)[0])
-        points = sample_points(pipeline.grid.dim, point.n, seed=pt_seed)
-        workspace = _FitWorkspace(pipeline.grid, pipeline.beta, points)
-        outcomes = [_run_trial(pipeline, point, points, workspace, base_seed, i, t)
-                    for t in range(trials)]
-
-        rho0 = float(norm_f_true + point.sigma / np.sqrt(point.n))
+        rung = outcomes[i * trials:(i + 1) * trials]
         records.append(ExperimentRecord(
             point=point,
-            bundles=[o[0] for o in outcomes],
-            sf_errors_n=[o[1] for o in outcomes],
-            lams=[o[2] for o in outcomes],
-            fp_iterations=[o[3] for o in outcomes],
-            rho0=rho0,
+            bundles=[o[0] for o in rung],
+            sf_errors_n=[o[1] for o in rung],
+            lams=[o[2] for o in rung],
+            fp_iterations=[o[3] for o in rung],
+            rho0=float(norm_f_true + point.sigma / np.sqrt(point.n)),
         ))
     return records
 

@@ -15,7 +15,7 @@ import fluoinv as fv
 from fluoinv.cli import main
 from fluoinv.fit import FitConfig
 from fluoinv.presets import build_truth
-from fluoinv.stochastic import LadderPoint, NoiseModel, observe, sample_points
+from fluoinv.stochastic import LadderPoint, NoiseModel, available_cpus, observe, sample_points
 from fluoinv.verify import BATTERY_CHECKS, run_battery
 
 SEED = 42
@@ -83,7 +83,8 @@ def test_criterion_2_self_consistent_weight(example1_data):
 def _prior_experiment(grid, truth, s, sigma, ns, trials, seed):
     """Monte-Carlo trials of the truth at the a-priori weight of each rung.
 
-    Trials continue into the source recovery whenever the truth has a source.
+    Trials continue into the source recovery whenever the truth has a source,
+    and run on one worker process per available CPU.
     """
     f_true, sf_true, data, q_true = truth
     pipeline = fv.InversionPipeline(grid=grid, beta=1.0, s=s, f_true=f_true,
@@ -91,7 +92,8 @@ def _prior_experiment(grid, truth, s, sigma, ns, trials, seed):
     rungs = [LadderPoint(n=n, sigma=sigma,
                          lam=fv.policy_weight("prior", s, f_true, sigma, n))
              for n in ns]
-    return fv.expectation_experiment(pipeline, rungs, trials=trials, base_seed=seed)
+    return fv.expectation_experiment(pipeline, rungs, trials=trials, base_seed=seed,
+                                     workers=available_cpus())
 
 
 def _run_rates(grid_cells, truth_name, s, sigma, ns, seed):

@@ -232,13 +232,17 @@ def test_p1_weight_loop_nonconvergence_keeps_trace(tmp_path, one_pass_weight_loo
     assert [f["name"] for f in manifest["files"]] == ["lambda_trace.csv"]
 
 
-def test_rates_weight_loop_nonconvergence_exits_3(tmp_path, capsys, one_pass_weight_loop):
+# The monkeypatched fixtures reach the worker processes through fork.
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rates_weight_loop_nonconvergence_exits_3(tmp_path, capsys, one_pass_weight_loop,
+                                                  threads):
     cfg = write_cfg(tmp_path, "c.json", {
         "grid": 16, "truth": "example1", "s": 0, "sigma": 0.002,
         "ladder": [100, 300, 1000], "trials": 2, "lambda": {"mode": "self-consistent"},
     })
     out = tmp_path / "o"
-    assert main(["rates", "--config", cfg, "--seed", "9", "--out", str(out)]) == 3
+    assert main(["rates", "--config", cfg, "--seed", "9", "--threads", threads,
+                 "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "n=100" in err and "trial 0" in err
     assert json.loads((out / "manifest.json").read_text())["files"] == []
@@ -256,14 +260,17 @@ def one_step_fixed_point(monkeypatch):
                                                             InverseConfig(max_iter=1)))
 
 
-def test_rates_fixed_point_nonconvergence_exits_3(tmp_path, capsys, one_step_fixed_point):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rates_fixed_point_nonconvergence_exits_3(tmp_path, capsys, one_step_fixed_point,
+                                                  threads):
     cfg = write_cfg(tmp_path, "c.json", {
         "grid": 16, "tau": 0.25, "truth": "example2-smooth", "s": 1,
         "relative_sigma": 0.001, "ladder": [100, 300, 1000], "trials": 2,
         "lambda": {"mode": "prior"}, "run_p2": True,
     })
     out = tmp_path / "o"
-    assert main(["rates", "--config", cfg, "--seed", "9", "--out", str(out)]) == 3
+    assert main(["rates", "--config", cfg, "--seed", "9", "--threads", threads,
+                 "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "fixed-point" in err and "n=100" in err and "trial 0" in err
     assert json.loads((out / "manifest.json").read_text())["files"] == []
@@ -290,16 +297,42 @@ P2 = {"grid": 16, "tau": 0.25, "truth": "example2-smooth", "clean": True}
     ("p2", {**P2, "inverse": {"tol": 0}}, "'inverse'"),
     ("p2", {**P2, "inverse": {"max_iter": 0}}, "'inverse'"),
     ("p2", {**P2, "inverse": {"clamp": "no"}}, "'inverse'"),
+    ("rates", {**RATES, "tail_trials": "abc"}, "'tail_trials'"),
+    ("rates", {**RATES, "tail_trials": -1}, "'tail_trials'"),
+    ("rates", {**RATES, "tail_trials": 50, "tail_zmax": "x"}, "'tail_zmax'"),
+    ("p2", {**P2, "beta": "x"}, "'beta'"),
+    ("p2", {**P2, "tau": "x"}, "'tau'"),
+    ("p2", {**P2, "T": float("inf")}, "'T'"),
+    ("p1", {**P1, "beta": "x"}, "'beta'"),
 ], ids=["rates-sigma-0", "rates-lambda-string", "p1-lambda-string", "rates-trials-0",
         "p1-sigma-negative", "p1-sigma-string", "rates-relative-sigma-negative",
         "rates-relative-sigma-string", "rates-ladder-empty", "p2-inverse-string",
-        "p2-inverse-tol-0", "p2-inverse-max-iter-0", "p2-inverse-clamp-string"])
+        "p2-inverse-tol-0", "p2-inverse-max-iter-0", "p2-inverse-clamp-string",
+        "rates-tail-trials-string", "rates-tail-trials-negative", "rates-tail-zmax-string",
+        "p2-beta-string", "p2-tau-string", "p2-T-infinite", "p1-beta-string"])
 def test_weight_policy_and_trial_errors_are_config_errors(tmp_path, capsys,
                                                           command, payload, key):
     cfg = write_cfg(tmp_path, "c.json", payload)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and key in err[0]
+    assert not out.exists() or not any(out.iterdir())  # rejected before any work
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_rates_threads_below_one_is_config_error(tmp_path, capsys, threads):
+    cfg = write_cfg(tmp_path, "c.json", RATES)
+    assert main(["rates", "--config", cfg, "--threads", threads,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "--threads" in err[0]
+
+
+def test_other_commands_ignore_threads(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {"grid": 16, "tau": 0.25, "source": "zero"})
+    assert main(["forward", "--config", cfg, "--threads", "0",
+                 "--out", str(tmp_path / "o")]) == 0
 
 
 def test_rates_source_recovery_needs_a_source(tmp_path, capsys):

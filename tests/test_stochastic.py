@@ -4,12 +4,15 @@ from scipy.spatial import cKDTree
 
 import fluoinv as fv
 from fluoinv.presets import build_truth, trig_forcing
+import fluoinv.stochastic as stochastic
 from fluoinv.stochastic import (
     LadderPoint,
     NoiseModel,
+    available_cpus,
     observe,
     sample_points,
     trial_seed,
+    worker_count,
 )
 
 
@@ -144,3 +147,34 @@ def test_tail_histogram(small_pipeline):
     assert all(b <= a for a, b in zip(curve.exceedance, curve.exceedance[1:]))
     with pytest.raises(ValueError):
         fv.tail_histogram(rec, z, min_trials=100)
+
+
+def test_worker_count_clamps_to_cpus_and_tasks(monkeypatch):
+    monkeypatch.setattr(stochastic, "available_cpus", lambda: 2)
+    assert worker_count(1, 100) == 1
+    assert worker_count(8, 100) == 2
+    assert worker_count(8, 1) == 1
+    monkeypatch.setattr(stochastic, "available_cpus", lambda: 16)
+    assert worker_count(4, 3) == 3
+    assert worker_count(4, 0) == 1
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            worker_count(bad, 10)
+
+
+def test_available_cpus_falls_back_to_cpu_count(monkeypatch):
+    assert available_cpus() >= 1
+    monkeypatch.delattr(stochastic.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(stochastic.os, "cpu_count", lambda: 3)
+    assert available_cpus() == 3
+    monkeypatch.setattr(stochastic.os, "cpu_count", lambda: None)
+    assert available_cpus() == 1
+
+
+def test_worker_processes_give_the_serial_records(small_pipeline):
+    # at most two processes, and no more than the CPUs available
+    ladder = [prior_rung(small_pipeline, n, 0.01) for n in (100, 200)]
+    serial = fv.expectation_experiment(small_pipeline, ladder, trials=3, base_seed=4)
+    pooled = fv.expectation_experiment(small_pipeline, ladder, trials=3, base_seed=4,
+                                       workers=2)
+    assert pooled == serial
