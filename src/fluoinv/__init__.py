@@ -31,14 +31,7 @@ from .forward import (
     terminal_data,
     terminal_time_derivative,
 )
-from .grid import (
-    ConvergenceError,
-    Grid,
-    GridFunction,
-    assemble_laplacian,
-    assemble_mass,
-    assemble_stiffness,
-)
+from .grid import ConvergenceError, Grid, GridFunction
 from .inverse import (
     InverseConfig,
     IterationTrace,

@@ -2,6 +2,11 @@
 
 Subcommands: forward | p1 | p2 | rates | spectral | verify.  Configuration
 comes from a preset name and/or a JSON file; --seed and --out override it.
+The table ``_KEYS`` declares, for every configuration key, the value it
+accepts, its default and the commands that read it.  The merged preset and
+file are checked against it before any work: a value of the wrong type or
+range, or a file key that the command does not read, is a configuration
+error naming the key; preset keys the command does not read are dropped.
 --threads N runs the Monte-Carlo trials of rates on N worker processes
 (at most one per available CPU; outputs do not depend on N); the other
 commands ignore it.  Exit codes:
@@ -28,9 +33,10 @@ from .grid import ConvergenceError, Grid, default_tolerance
 from .inverse import InverseConfig, PositivityError, fixed_point_solve
 from .io import Manifest, write_csv, write_field_csv
 from .metrics import error_bundle
-from .presets import PRESETS, build_source, build_truth, example2_problem
+from .presets import PRESETS, SOURCES, TRUTHS, build_source, build_truth, example2_problem
 from .spectral import empirical_smoothing_spectrum, laplacian_spectrum
 from .stochastic import (
+    NOISE_KINDS,
     InversionPipeline,
     LadderPoint,
     NoiseModel,
@@ -52,15 +58,138 @@ class ConfigError(ValueError):
     pass
 
 
+# ------------------------------------------------------------ config table
+# Each parser returns the typed value or raises ValueError saying what it
+# expected.  Numbers must be finite JSON numbers (not strings or booleans).
+
+def _num(low, high=sys.float_info.max, integer=False, above=False):
+    kind = "an integer" if integer else "a number"
+    what = (f"{kind} from {low} to {high}" if high < sys.float_info.max
+            else f"{kind} {'>' if above else '>='} {low}")
+
+    def parse(val):
+        if integer and isinstance(val, float) and val.is_integer():
+            val = int(val)  # JSON 1e4
+        if (isinstance(val, bool) or not isinstance(val, int if integer else (int, float))
+                or not (val > low if above else val >= low) or not val <= high):
+            raise ValueError(f"expected {what}, got {val!r}")
+        return val if integer else float(val)
+    return parse
+
+
+def _one_of(*choices):
+    def parse(val):
+        if type(val) is not type(choices[0]) or val not in choices:  # 1 == True
+            raise ValueError(f"expected one of {', '.join(map(json.dumps, choices))}, "
+                             f"got {val!r}")
+        return val
+    return parse
+
+
+def _list_of(item):
+    def parse(val):
+        if not isinstance(val, list) or not val:
+            raise ValueError(f"expected a nonempty list, got {val!r}")
+        return [item(v) for v in val]
+    return parse
+
+
+def _object(defaults: dict, **fields):
+    """A JSON object of the given sub-keys (name=parser), over `defaults`."""
+    def parse(val):
+        if not isinstance(val, dict):
+            raise ValueError(f"expected an object, got {val!r}")
+        out = dict(defaults)
+        for name, sub in val.items():
+            if name not in fields:
+                raise ValueError(f"{name!r} is not one of {', '.join(fields)}")
+            try:
+                out[name] = fields[name](sub)
+            except ValueError as exc:
+                raise ValueError(f"{name!r} {exc}") from None
+        return out
+    return parse
+
+
+_POSITIVE = _num(0, above=True)
+_COUNT = _num(1, integer=True)
+_FLAG = _one_of(True, False)
+_ALL = ("forward", "p1", "p2", "rates", "spectral", "verify")
+_PROBLEM = ("forward", "p1", "p2", "rates")
+_FIT = ("p1", "p2", "rates")
+
+# key -> (accepted value, default, per-command defaults, commands that read it).
+# A None default leaves the key unset: required keys are checked where they
+# are read, because p2 with "clean": true needs no fit keys.
+_KEYS = {
+    "grid": (_num(4, integer=True), None, {"verify": 32}, _ALL),
+    "dim": (_num(1, 2, integer=True), 2, {}, _PROBLEM + ("spectral",)),
+    "beta": (_POSITIVE, 1.0, {}, _PROBLEM + ("spectral",)),
+    "T": (_POSITIVE, 1.0, {}, _PROBLEM),
+    # verify's tau keeps the first step's boundary layer below the bound it checks
+    "tau": (_POSITIVE, 0.01, {"verify": 0.25}, _PROBLEM + ("verify",)),
+    "M": (_POSITIVE, 5.0, {}, _PROBLEM),
+    "flip_boundary": (_FLAG, False, {}, _PROBLEM + ("verify",)),
+    "source": (_one_of(*SOURCES), None, {}, ("forward",)),
+    "truth": (_one_of(*TRUTHS), None, {}, _FIT),
+    "n": (_COUNT, None, {"spectral": 200}, ("p1", "p2", "spectral")),
+    "sigma": (_num(0), None, {}, _FIT),
+    "relative_sigma": (_num(0), None, {}, _FIT),
+    "noise": (_one_of(*NOISE_KINDS), "gaussian", {}, _FIT),
+    "s": (_num(0, 1, integer=True), None, {}, _FIT),
+    "lambda": (_object({"mode": "prior"},
+                       mode=_one_of("prior", "fixed", "self-consistent", "ladder"),
+                       value=_POSITIVE, values=_list_of(_POSITIVE)), {}, {}, _FIT),
+    "clean": (_FLAG, False, {}, ("p2",)),
+    "inverse": (_object({}, tol=_POSITIVE, max_iter=_COUNT, clamp=_FLAG), {}, {}, ("p2",)),
+    "run_p2": (_FLAG, False, {}, ("rates",)),
+    "ladder": (_list_of(_COUNT), None, {}, ("rates",)),
+    "trials": (_COUNT, 10, {}, ("rates",)),
+    "tail_trials": (_num(0, integer=True), 0, {}, ("rates",)),
+    "tail_n": (_COUNT, None, {}, ("rates",)),
+    "tail_zmax": (_POSITIVE, 3.0, {}, ("rates",)),
+    "which": (_one_of("dirichlet", "pencil", "both"), "both", {}, ("spectral",)),
+    "k_max": (_COUNT, 200, {}, ("spectral",)),
+    "penalties": (_list_of(_num(0, 1, integer=True)), [0, 1], {}, ("spectral",)),
+    "seed": (_num(0, integer=True), 0, {}, _ALL),
+}
+
+
+def _validate(command: str, preset: dict, user: dict) -> dict:
+    """The typed, defaulted value of every key `command` reads; a user key it
+    does not read is an error, a preset key it does not read is dropped."""
+    for key in user:
+        if key not in _KEYS:
+            raise ConfigError(f"config error at {key!r}: unknown key")
+        if command not in _KEYS[key][3]:
+            raise ConfigError(f"config error at {key!r}: {command} does not read this key")
+    given = {**preset, **user}
+    cfg = {}
+    for key, (parse, default, by_command, readers) in _KEYS.items():
+        if command not in readers:
+            continue
+        if key in given:
+            val = given[key]
+        else:
+            val = by_command.get(command, default)
+            if val is None:
+                continue
+        try:
+            cfg[key] = parse(val)
+        except ValueError as exc:
+            raise ConfigError(f"config error at {key!r}: {exc}") from None
+    return cfg
+
+
 def _load_config(args) -> dict:
-    cfg: dict = {}
+    preset: dict = {}
     if args.preset:
         if args.preset not in PRESETS:
             raise ConfigError(
                 f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}"
             )
-        cfg.update(json.loads(json.dumps(PRESETS[args.preset])))
-        cfg["preset"] = args.preset
+        preset = PRESETS[args.preset]
+    user: dict = {}
     if args.config:
         try:
             text = Path(args.config).read_text()
@@ -75,10 +204,11 @@ def _load_config(args) -> dict:
             ) from exc
         if not isinstance(user, dict):
             raise ConfigError("config file must contain a JSON object")
-        cfg.update(user)
     if args.seed is not None:
-        cfg["seed"] = args.seed
-    cfg.setdefault("seed", 0)
+        user["seed"] = args.seed
+    cfg = _validate(args.command, preset, user)
+    if args.preset:
+        cfg["preset"] = args.preset
     try:
         cfg["solver_tol"] = default_tolerance()
     except ValueError as exc:
@@ -86,127 +216,57 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str, kind=None):
+def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"config error at {key!r}: required key is missing")
-    val = cfg[key]
-    if kind is not None and not isinstance(val, kind):
-        raise ConfigError(
-            f"config error at {key!r}: expected {getattr(kind, '__name__', kind)}, "
-            f"got {type(val).__name__}"
-        )
-    return val
+    return cfg[key]
 
 
 def _grid_from(cfg: dict) -> Grid:
-    cells = _require(cfg, "grid", int)
-    dim = int(cfg.get("dim", 2))
+    return Grid(cfg["dim"], _require(cfg, "grid"))
+
+
+def _problem(cfg: dict, build, *args):
+    """build(*args, beta=, T=, tau=, M=, flip_boundary=); what the table cannot
+    check spans keys: example2 needs a 2-D grid, and T/tau a whole number."""
     try:
-        return Grid(dim, cells)
+        return build(*args, **{k: cfg[k] for k in ("beta", "T", "tau", "M", "flip_boundary")})
     except ValueError as exc:
-        raise ConfigError(f"config error at 'grid': {exc}") from exc
-
-
-def _number(key: str, val, nonnegative: bool = False) -> float:
-    """A finite config number (a numeric string passes, as float() reads it)."""
-    try:
-        num = float(val)
-    except (TypeError, ValueError):
-        num = float("nan")
-    if not (np.isfinite(num) and (num >= 0 or not nonnegative)):
-        what = "a nonnegative number" if nonnegative else "a finite number"
-        raise ConfigError(f"config error at {key!r}: expected {what}, got {val!r}")
-    return num
-
-
-def _problem_params(cfg: dict) -> dict:
-    return dict(
-        beta=_number("beta", cfg.get("beta", 1.0)),
-        T=_number("T", cfg.get("T", 1.0)),
-        tau=_number("tau", cfg.get("tau", 0.01)),
-        M=_number("M", cfg.get("M", 5.0)),
-        flip_boundary=bool(cfg.get("flip_boundary", False)),
-    )
-
-
-def _problem_from(cfg: dict, grid: Grid):
-    try:
-        return example2_problem(grid, **_problem_params(cfg))
-    except ValueError as exc:
-        raise ConfigError(f"config error in problem parameters: {exc}") from exc
+        key = "dim" if cfg["dim"] != 2 else "tau"
+        raise ConfigError(f"config error at {key!r}: {exc}") from exc
 
 
 def _truth(cfg: dict, grid: Grid, needs_source: bool = False):
     """(f_true, sf_true, data, q_true) of the configured truth."""
-    name = _require(cfg, "truth", str)
-    try:
-        truth = build_truth(name, grid, **_problem_params(cfg))
-    except ValueError as exc:
-        raise ConfigError(f"config error at 'truth': {exc}") from exc
+    truth = _problem(cfg, build_truth, _require(cfg, "truth"), grid)
     if needs_source and truth[2] is None:
         raise ConfigError("config error at 'truth': source recovery needs a coupled-model truth")
     return truth
 
 
-def _integer(key: str, val, what: str = "a positive integer", low: int = 1) -> int:
-    """An integer config value of at least `low`."""
-    if isinstance(val, float) and val.is_integer():  # JSON 1e4
-        val = int(val)
-    if isinstance(val, bool) or not isinstance(val, int) or val < low:
-        raise ConfigError(f"config error at {key!r}: expected {what}, got {val!r}")
-    return val
-
-
 def _sigma_from(cfg: dict, sf_true) -> float:
-    key = next((k for k in ("sigma", "relative_sigma") if k in cfg), None)
-    if key is None:
+    if "sigma" in cfg:
+        return cfg["sigma"]
+    if "relative_sigma" not in cfg:
         raise ConfigError("config error: one of 'sigma' or 'relative_sigma' is required")
-    sigma = _number(key, cfg[key], nonnegative=True)
-    return sigma if key == "sigma" else sigma * float(np.abs(sf_true.values).max())
+    return cfg["relative_sigma"] * float(np.abs(sf_true.values).max())
 
 
-def _measure(cfg: dict, grid: Grid, sf_true, seed: int):
-    n = _integer("n", _require(cfg, "n"))
+def _measure(cfg: dict, grid: Grid, sf_true):
+    n = _require(cfg, "n")
     sigma = _sigma_from(cfg, sf_true)
-    points = sample_points(grid.dim, n, seed=seed, layout=cfg.get("layout", "halton"))
-    noise = NoiseModel(cfg.get("noise", "gaussian"), sigma, np.random.SeedSequence(seed))
+    points = sample_points(grid.dim, n, seed=cfg["seed"])
+    noise = NoiseModel(cfg["noise"], sigma, np.random.SeedSequence(cfg["seed"]))
     return observe(sf_true, points, noise), sigma
 
 
-def _policy(cfg: dict) -> dict:
-    policy = cfg.get("lambda", {"mode": "prior"})
-    if not isinstance(policy, dict):
-        raise ConfigError(f"config error at 'lambda': expected an object such as "
-                          f'{{"mode": "prior"}}, got {type(policy).__name__}')
-    return policy
-
-
-def _weight(policy: dict, s: int, f_true, sigma: float, n: int):
+def _weight(cfg: dict, s: int, f_true, sigma: float, n: int):
     """The configured weight policy resolved for n sensors (None: self-consistent)."""
+    policy = cfg["lambda"]
     try:
-        return policy_weight(policy.get("mode", "prior"), s, f_true, sigma, n,
-                             policy.get("value"))
+        return policy_weight(policy["mode"], s, f_true, sigma, n, policy.get("value"))
     except ValueError as exc:
         raise ConfigError(f"config error at 'lambda': {exc}") from exc
-
-
-def _inverse_config(cfg: dict, clean: bool) -> InverseConfig:
-    """The "inverse" block; clamping defaults to on for fitted (noisy) data."""
-    block = cfg.get("inverse", {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"config error at 'inverse': expected an object such as "
-                          f'{{"tol": 1e-10}}, got {type(block).__name__}')
-    max_iter = _integer("inverse", block.get("max_iter", 200),
-                        "max_iter to be a positive integer")
-    clamp = block.get("clamp", not clean)
-    if not isinstance(clamp, bool):
-        raise ConfigError(f"config error at 'inverse': clamp must be true or false, "
-                          f"got {clamp!r}")
-    try:
-        return InverseConfig(tol=float(block.get("tol", 1e-10)), max_iter=max_iter,
-                             clamp=clamp)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config error at 'inverse': {exc}") from exc
 
 
 def _require_converged(trace) -> None:
@@ -223,8 +283,8 @@ def _err_row(bundle) -> list:
 
 def cmd_forward(cfg: dict, out: Path, manifest: Manifest) -> int:
     grid = _grid_from(cfg)
-    data = _problem_from(cfg, grid)
-    q = build_source(_require(cfg, "source", str), grid)
+    data = _problem(cfg, example2_problem, grid)
+    q = build_source(_require(cfg, "source"), grid)
     ue_T, _, um_T = terminal_fields(data, q)
     manifest.add(write_field_csv(out / "terminal_fields.csv", grid, {
         "excitation_T": ue_T,
@@ -236,19 +296,16 @@ def cmd_forward(cfg: dict, out: Path, manifest: Manifest) -> int:
 
 def cmd_p1(cfg: dict, out: Path, manifest: Manifest) -> int:
     grid = _grid_from(cfg)
-    beta = _problem_params(cfg)["beta"]
-    s = int(_require(cfg, "s", int))
+    s = _require(cfg, "s")
     f_true, sf_true, _, _ = _truth(cfg, grid)
-    meas, sigma = _measure(cfg, grid, sf_true, int(cfg["seed"]))
+    meas, sigma = _measure(cfg, grid, sf_true)
 
-    policy = _policy(cfg)
-    if policy.get("mode") == "ladder":
-        values = policy.get("values")
-        if not values:
-            raise ConfigError("config error at 'lambda.values': ladder mode needs values")
+    if cfg["lambda"]["mode"] == "ladder":
+        if "values" not in cfg["lambda"]:
+            raise ConfigError("config error at 'lambda': 'values' is required in ladder mode")
         rows = []
-        for lam in values:
-            result = solve_data_fit(grid, beta, meas, FitConfig(s=s, lam=float(lam)))
+        for lam in cfg["lambda"]["values"]:
+            result = solve_data_fit(grid, cfg["beta"], meas, FitConfig(s=s, lam=lam))
             b = error_bundle(meas=meas, sf=result.sf, sf_true=sf_true,
                              f=result.f, f_true=f_true)
             rows.append([lam, result.misfit_n, result.penalty_norm] + _err_row(b))
@@ -257,8 +314,8 @@ def cmd_p1(cfg: dict, out: Path, manifest: Manifest) -> int:
                                 "err1", "err2", "err3", "err4", "err5"], rows))
         return EXIT_OK
 
-    lam, result, trace = fit_at_weight(grid, beta, meas, s,
-                                       _weight(policy, s, f_true, sigma, meas.n))
+    lam, result, trace = fit_at_weight(grid, cfg["beta"], meas, s,
+                                       _weight(cfg, s, f_true, sigma, meas.n))
     manifest.add(write_csv(out / "lambda_trace.csv", "lambda-trace-v1",
                            ["iteration", "lambda"], enumerate(trace.lams)))
     _require_converged(trace)
@@ -276,20 +333,20 @@ def cmd_p1(cfg: dict, out: Path, manifest: Manifest) -> int:
 
 def cmd_p2(cfg: dict, out: Path, manifest: Manifest) -> int:
     grid = _grid_from(cfg)
-    beta = _problem_params(cfg)["beta"]
     f_true, sf_true, data, q_true = _truth(cfg, grid, needs_source=True)
-    clean = bool(cfg.get("clean", False))
-    icfg = _inverse_config(cfg, clean)
+    clean = cfg["clean"]
+    # clamping defaults to on for fitted (noisy) data
+    icfg = InverseConfig(**{"clamp": not clean, **cfg["inverse"]})
 
     if clean:
         f, sf = f_true, sf_true
         lam = ""
         sigma = 0.0
     else:
-        s = int(_require(cfg, "s", int))
-        meas, sigma = _measure(cfg, grid, sf_true, int(cfg["seed"]))
+        s = _require(cfg, "s")
+        meas, sigma = _measure(cfg, grid, sf_true)
         lam, fitres, lam_trace = fit_at_weight(
-            grid, beta, meas, s, _weight(_policy(cfg), s, f_true, sigma, meas.n))
+            grid, cfg["beta"], meas, s, _weight(cfg, s, f_true, sigma, meas.n))
         _require_converged(lam_trace)
         f, sf = fitres.f, fitres.sf
     q_rec, trace = fixed_point_solve(data, f, sf, icfg)
@@ -312,32 +369,25 @@ def cmd_p2(cfg: dict, out: Path, manifest: Manifest) -> int:
 
 def cmd_rates(cfg: dict, out: Path, manifest: Manifest, workers: int = 1) -> int:
     grid = _grid_from(cfg)
-    s = int(_require(cfg, "s", int))
-    run_p2 = bool(cfg.get("run_p2", False))
+    s = _require(cfg, "s")
+    ns = _require(cfg, "ladder")
+    run_p2 = cfg["run_p2"]
     f_true, sf_true, data, q_true = _truth(cfg, grid, needs_source=run_p2)
     pipeline = InversionPipeline(
-        grid=grid, beta=_problem_params(cfg)["beta"], s=s, f_true=f_true, sf_true=sf_true,
-        noise_kind=cfg.get("noise", "gaussian"),
+        grid=grid, beta=cfg["beta"], s=s, f_true=f_true, sf_true=sf_true,
+        noise_kind=cfg["noise"],
         data=data if run_p2 else None,
         q_true=q_true if run_p2 else None,
     )
     sigma = _sigma_from(cfg, sf_true)
-    policy = _policy(cfg)
-    ns = [_integer("ladder", n) for n in _require(cfg, "ladder", list)]
-    if not ns:
-        raise ConfigError("config error at 'ladder': expected at least one sample size")
-    trials = _integer("trials", cfg.get("trials", 10))
-    ladder = [LadderPoint(n=n, sigma=sigma, lam=_weight(policy, s, f_true, sigma, n))
+    ladder = [LadderPoint(n=n, sigma=sigma, lam=_weight(cfg, s, f_true, sigma, n))
               for n in ns]
-    tail_trials = _integer("tail_trials", cfg.get("tail_trials", 0),
-                           "a nonnegative integer", low=0)
     tail = None
-    if tail_trials >= 50:
-        n_tail = _integer("tail_n", cfg.get("tail_n", ladder[0].n))
-        tail = LadderPoint(n=n_tail, sigma=sigma, lam=_weight(policy, s, f_true, sigma, n_tail))
-        zmax = _number("tail_zmax", cfg.get("tail_zmax", 3.0))
-    records = expectation_experiment(pipeline, ladder, trials=trials,
-                                     base_seed=int(cfg["seed"]), workers=workers)
+    if cfg["tail_trials"] >= 50:
+        n_tail = cfg.get("tail_n", ns[0])  # the first rung
+        tail = LadderPoint(n=n_tail, sigma=sigma, lam=_weight(cfg, s, f_true, sigma, n_tail))
+    records = expectation_experiment(pipeline, ladder, trials=cfg["trials"],
+                                     base_seed=cfg["seed"], workers=workers)
 
     trial_rows, agg_rows = [], []
     for rec in records:
@@ -366,9 +416,9 @@ def cmd_rates(cfg: dict, out: Path, manifest: Manifest, workers: int = 1) -> int
     manifest.add(out / "rate_summary.txt")
 
     if tail is not None:
-        tail_records = expectation_experiment(pipeline, [tail], trials=tail_trials,
-                                              base_seed=int(cfg["seed"]) + 1, workers=workers)
-        z = np.linspace(0.0, zmax, 31)
+        tail_records = expectation_experiment(pipeline, [tail], trials=cfg["tail_trials"],
+                                              base_seed=cfg["seed"] + 1, workers=workers)
+        z = np.linspace(0.0, cfg["tail_zmax"], 31)
         curve = tail_histogram(tail_records[0], z)
         manifest.add(write_csv(out / "tail_curve.csv", "tail-curve-v1",
                                ["z", "exceedance"],
@@ -378,22 +428,20 @@ def cmd_rates(cfg: dict, out: Path, manifest: Manifest, workers: int = 1) -> int
 
 def cmd_spectral(cfg: dict, out: Path, manifest: Manifest) -> int:
     grid = _grid_from(cfg)
-    which = cfg.get("which", "both")
+    which = cfg["which"]
     summary_rows = []
     try:
         if which in ("dirichlet", "both"):
-            rep = laplacian_spectrum(grid, int(cfg.get("k_max", 200)))
+            rep = laplacian_spectrum(grid, cfg["k_max"])
             manifest.add(write_csv(out / "dirichlet_spectrum.csv", "spectrum-v1",
                                    ["k", "eigenvalue"],
                                    enumerate(rep.eigenvalues, start=1)))
             summary_rows.append(["dirichlet", rep.growth_exponent,
                                  rep.fit_range[0], rep.fit_range[1], rep.r_squared])
         if which in ("pencil", "both"):
-            n = int(cfg.get("n", 200))
-            points = sample_points(grid.dim, n, seed=int(cfg["seed"]))
-            for s in cfg.get("penalties", [0, 1]):
-                rep = empirical_smoothing_spectrum(grid, float(cfg.get("beta", 1.0)),
-                                                   points, int(s))
+            points = sample_points(grid.dim, cfg["n"], seed=cfg["seed"])
+            for s in cfg["penalties"]:
+                rep = empirical_smoothing_spectrum(grid, cfg["beta"], points, s)
                 manifest.add(write_csv(out / f"pencil_spectrum_s{s}.csv", "spectrum-v1",
                                        ["k", "eigenvalue"],
                                        enumerate(rep.eigenvalues, start=1)))
@@ -408,12 +456,11 @@ def cmd_spectral(cfg: dict, out: Path, manifest: Manifest) -> int:
 
 
 def cmd_verify(cfg: dict, out: Path, manifest: Manifest) -> int:
-    results = run_battery(
-        grid_cells=int(cfg.get("grid", 32)),
-        seed=int(cfg["seed"]),
-        tau=float(cfg.get("tau", 0.25)),
-        flip_boundary=bool(cfg.get("flip_boundary", False)),
-    )
+    try:
+        results = run_battery(grid_cells=cfg["grid"], seed=cfg["seed"], tau=cfg["tau"],
+                              flip_boundary=cfg["flip_boundary"])
+    except ValueError as exc:  # each check is guarded; only the problem set-up raises
+        raise ConfigError(f"config error at 'tau': {exc}") from exc
     rows = [[r.name, int(r.passed),
              "" if r.value is None else r.value,
              "" if r.bound is None else r.bound, r.detail] for r in results]
@@ -465,7 +512,7 @@ def main(argv=None) -> int:
             command = functools.partial(command, workers=args.threads)
         out = Path(args.out) if args.out else Path(f"out-{args.command}")
         out.mkdir(parents=True, exist_ok=True)
-        manifest = Manifest(args.command, cfg, int(cfg["seed"]), __version__)
+        manifest = Manifest(args.command, cfg, cfg["seed"], __version__)
         try:
             code = command(cfg, out, manifest)
         except ConvergenceError as exc:

@@ -26,10 +26,6 @@ __all__ = [
     "Grid",
     "GridFunction",
     "ConvergenceError",
-    "assemble_laplacian",
-    "assemble_mass",
-    "assemble_stiffness",
-    "boundary_load_weights",
     "default_tolerance",
 ]
 
@@ -228,6 +224,17 @@ class GridFunction:
 class _GridOperators:
     """Assembled CSR matrices and the LU factorizations of every grid system.
 
+    - ``laplacian``: negative Laplacian with the Robin condition eliminated,
+      a symmetric M-matrix, weakly diagonally dominant and strictly so on
+      boundary rows (Robin term ``1/(beta*h)``); interior rows are the 3-point
+      (1D) or 5-point (2D) stencil over h^2.  Applied to a constant c it gives
+      exactly the load ``load_weights * c`` of boundary data b = c, with
+      ``load_weights`` ``1/(beta*h)`` on boundary nodes and zero inside.
+    - ``mass`` (diagonal ``mass_diag``): lumped mass, entries summing to 1.
+    - ``stiffness_natural``: natural-boundary stiffness of the H1 product;
+      ``u^T A u`` approximates the squared gradient seminorm, constants
+      span its kernel.
+
     The Laplacian and H1 Gram factors are built lazily and cached; a
     backward-Euler step factor depends on the absorption field, so
     ``step_lu`` builds a fresh one and callers keep what they reuse.
@@ -296,38 +303,3 @@ class _GridOperators:
         """
         return (self.laplacian @ values) / self.weights
 
-
-def assemble_laplacian(grid: Grid, beta: float) -> sp.csr_matrix:
-    """Discrete negative Laplacian with the Robin condition eliminated.
-
-    The returned matrix is symmetric, has nonpositive off-diagonal entries,
-    and is weakly diagonally dominant with strict dominance on boundary
-    rows (the Robin contribution ``1/(beta*h)`` on the diagonal).  Interior
-    rows equal the standard 3-point (1D) or 5-point (2D) stencil divided by
-    h^2.  Applying it to a constant c reproduces exactly the load vector
-    built from boundary data b = c.
-    """
-    return grid.operators(beta).laplacian
-
-
-def assemble_mass(grid: Grid) -> sp.csr_matrix:
-    """Diagonal lumped mass matrix; entries sum to the unit measure of the domain."""
-    return grid.operators(1.0).mass
-
-
-def assemble_stiffness(grid: Grid) -> sp.csr_matrix:
-    """Integrated stiffness with natural (no-flux) boundary treatment.
-
-    ``u^T A u`` approximates the squared gradient seminorm; constants lie
-    in its kernel.  Used by the H1 inner product and its Riesz map.
-    """
-    return grid.operators(1.0).stiffness_natural
-
-
-def boundary_load_weights(grid: Grid, beta: float) -> np.ndarray:
-    """Per-node weights turning boundary data b into the Robin load vector.
-
-    The load enters the assembled system as ``weights * b`` with weight
-    ``1/(beta*h)`` on every boundary node and zero inside.
-    """
-    return grid.operators(beta).load_weights

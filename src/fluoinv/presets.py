@@ -16,6 +16,8 @@ __all__ = [
     "example2_boundary",
     "example2_problem",
     "stability_problem",
+    "SOURCES",
+    "TRUTHS",
     "build_truth",
     "PRESETS",
 ]
@@ -64,7 +66,10 @@ def example2_problem(grid: Grid, beta: float = 1.0, T: float = 1.0,
 
     ``flip_boundary`` negates the boundary data, a deliberate hypothesis
     violation used as a negative control by the verification battery.
+    Raises ValueError for a grid that is not 2-D.
     """
+    if grid.dim != 2:
+        raise ValueError(f"the example2 problem needs a 2-D grid, got dim {grid.dim}")
     b = example2_boundary
     if flip_boundary:
         b = lambda coords, t: -example2_boundary(coords, t)  # noqa: E731
@@ -87,51 +92,37 @@ def stability_problem(grid: Grid) -> ProblemData:
     return ProblemData(grid, p, b, beta=1e-3, T=0.04, tau=0.002, M=0.01)
 
 
-# Flat default configurations merged under the CLI's config file and flags.
+# Flat configurations merged under the CLI's config file and flags; the CLI's
+# key table supplies every key they leave out.
 PRESETS: dict[str, dict] = {
-    "example1": {
-        "grid": 100, "beta": 1.0, "truth": "example1",
-        "n": 10000, "sigma": 0.002, "s": 0, "noise": "gaussian",
-        "lambda": {"mode": "prior"},
-    },
+    "example1": {"grid": 100, "truth": "example1", "n": 10000, "sigma": 0.002, "s": 0},
     "example2-smooth": {
-        "grid": 100, "beta": 1.0, "T": 1.0, "tau": 0.01, "M": 5.0,
-        "source": "example2-smooth", "truth": "example2-smooth",
-        "n": 500, "relative_sigma": 0.01, "s": 1, "noise": "gaussian",
-        "lambda": {"mode": "self-consistent"},
+        "grid": 100, "source": "example2-smooth", "truth": "example2-smooth",
+        "n": 500, "relative_sigma": 0.01, "s": 1, "lambda": {"mode": "self-consistent"},
     },
     "example2-discontinuous": {
-        "grid": 100, "beta": 1.0, "T": 1.0, "tau": 0.01, "M": 5.0,
-        "source": "example2-discontinuous", "truth": "example2-discontinuous",
-        "n": 500, "relative_sigma": 0.01, "s": 0, "noise": "gaussian",
-        "lambda": {"mode": "self-consistent"},
+        "grid": 100, "source": "example2-discontinuous", "truth": "example2-discontinuous",
+        "n": 500, "relative_sigma": 0.01, "s": 0, "lambda": {"mode": "self-consistent"},
     },
-    "zero-source": {
-        "grid": 50, "beta": 1.0, "T": 1.0, "tau": 0.01, "M": 5.0,
-        "source": "zero",
-    },
-    # verification battery scale; tau keeps the first implicit step's
-    # boundary layer below the derivative bound being checked
-    "verify-default": {
-        "grid": 32, "beta": 1.0, "T": 1.0, "tau": 0.25, "M": 5.0,
-        "source": "example2-smooth", "seed": 20250810,
-    },
-    "verify-violated": {
-        "grid": 32, "beta": 1.0, "T": 1.0, "tau": 0.25, "M": 5.0,
-        "source": "example2-smooth", "flip_boundary": True, "seed": 20250810,
-    },
+    "zero-source": {"grid": 50, "source": "zero"},
+    "verify-default": {"seed": 20250810},
+    "verify-violated": {"flip_boundary": True, "seed": 20250810},
 }
 
 
+SOURCES = {
+    "example2-smooth": smooth_source,
+    "example2-discontinuous": discontinuous_source,
+    "zero": zero_source,
+}
+TRUTHS = ("example1", "example2-smooth", "example2-discontinuous")
+
+
 def build_source(name: str, grid: Grid) -> GridFunction:
-    builders = {
-        "example2-smooth": smooth_source,
-        "example2-discontinuous": discontinuous_source,
-        "zero": zero_source,
-    }
-    if name not in builders:
-        raise KeyError(f"unknown source {name!r}; choose from {sorted(builders)}")
-    return builders[name](grid)
+    """The named benchmark source; raises ValueError for an unknown name."""
+    if name not in SOURCES:
+        raise ValueError(f"unknown source {name!r}; choose from {', '.join(SOURCES)}")
+    return SOURCES[name](grid)
 
 
 def build_truth(name: str, grid: Grid, beta: float = 1.0, T: float = 1.0,
@@ -148,9 +139,8 @@ def build_truth(name: str, grid: Grid, beta: float = 1.0, T: float = 1.0,
     if name == "example1":
         f_true = trig_forcing(grid)
         return f_true, elliptic_solve(grid, beta, f_true), None, None
-    if name not in ("example2-smooth", "example2-discontinuous"):
-        raise ValueError(f"unknown truth {name!r}; choose from example1, "
-                         "example2-smooth, example2-discontinuous")
+    if name not in TRUTHS:
+        raise ValueError(f"unknown truth {name!r}; choose from {', '.join(TRUTHS)}")
     data = example2_problem(grid, beta=beta, T=T, tau=tau, M=M, flip_boundary=flip_boundary)
     q_true = build_source(name, grid)
     _, _, g = terminal_fields(data, q_true)

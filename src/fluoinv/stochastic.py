@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 POINT_MARGIN = 1e-3
+NOISE_KINDS = ("gaussian", "uniform", "zero")
 _HALTON_BASES = (2, 3)
 
 
@@ -55,27 +56,17 @@ def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
-def sample_points(dim: int, n: int, seed: int = 0, layout: str = "halton") -> np.ndarray:
+def sample_points(dim: int, n: int, seed: int = 0) -> np.ndarray:
     """Quasi-uniform sensor locations strictly inside the unit domain.
 
-    The default layout is the Halton sequence with a seed-derived start
-    offset, mapped into (margin, 1 - margin)^dim; ``layout="grid"`` gives a
-    regular lattice instead, for sensitivity studies.  Deterministic for a
-    fixed (seed, n, layout).
+    The Halton sequence with a seed-derived start offset, mapped into
+    (margin, 1 - margin)^dim.  Deterministic for a fixed (seed, n).
     """
     if n < 1:
         raise ValueError("need at least one point")
     if dim not in (1, 2):
         raise ValueError("dim must be 1 or 2")
     lo, span = POINT_MARGIN, 1.0 - 2.0 * POINT_MARGIN
-    if layout == "grid":
-        per_side = int(np.ceil(n ** (1.0 / dim)))
-        axes = [np.linspace(lo, 1.0 - lo, per_side) for _ in range(dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.column_stack([a.ravel() for a in mesh])[:n]
-        return pts
-    if layout != "halton":
-        raise ValueError(f"unknown layout {layout!r}")
     offset = int(np.random.SeedSequence(seed).generate_state(1)[0] % 65536)
     idx = np.arange(offset + 1, offset + n + 1)
     cols = [_radical_inverse(idx, b) for b in _HALTON_BASES[:dim]]
@@ -96,7 +87,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "uniform", "zero"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")

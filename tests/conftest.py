@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import fluoinv as fv
 from fluoinv.presets import example2_problem, smooth_source
+
+# Property tests draw the same examples on every run (reproducible, and no
+# example database is written); no deadline, so a slow shared host cannot
+# fail them.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

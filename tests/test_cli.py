@@ -1,10 +1,16 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fluoinv import cli
 from fluoinv.cli import main
+from fluoinv.presets import PRESETS
 from fluoinv.verify import BATTERY_CHECKS
 
 
@@ -281,6 +287,8 @@ RATES = {"grid": 16, "truth": "example1", "s": 0, "sigma": 0.002,
 RATES_NO_SIGMA = {k: v for k, v in RATES.items() if k != "sigma"}
 P1 = {"grid": 16, "truth": "example1", "n": 300, "sigma": 0.002, "s": 0}
 P2 = {"grid": 16, "tau": 0.25, "truth": "example2-smooth", "clean": True}
+FORWARD = {"grid": 16, "tau": 0.25, "source": "zero"}
+LADDER = {"mode": "ladder", "values": [1e-6, 1e-5]}
 
 
 @pytest.mark.parametrize("command,payload,key", [
@@ -304,12 +312,53 @@ P2 = {"grid": 16, "tau": 0.25, "truth": "example2-smooth", "clean": True}
     ("p2", {**P2, "tau": "x"}, "'tau'"),
     ("p2", {**P2, "T": float("inf")}, "'T'"),
     ("p1", {**P1, "beta": "x"}, "'beta'"),
+    ("p1", {**P1, "dim": "x"}, "'dim'"),
+    ("p1", {**P1, "layout": "bogus"}, "'layout'"),
+    ("p1", {**P1, "noise": "bogus"}, "'noise'"),
+    ("rates", {**RATES, "noise": "bogus"}, "'noise'"),
+    ("p1", {**P1, "lambda": {**LADDER, "values": ["x"]}}, "'lambda'"),
+    ("p1", {**P1, "lambda": {**LADDER, "values": [-1, 1e-6, 1e-5]}}, "'lambda'"),
+    ("p1", {**P1, "lambda": {"mode": "ladder"}}, "'lambda'"),
+    ("forward", {**FORWARD, "source": "bogus"}, "'source'"),
+    ("verify", {"tau": "x"}, "'tau'"),
+    ("verify", {"tau": 0.3}, "'tau'"),
+    ("verify", {"grid": "x"}, "'grid'"),
+    ("verify", {"grid": 2}, "'grid'"),
+    ("p1", {**P1, "seed": "x"}, "'seed'"),
+    ("p1", {**P1, "seed": -3}, "'seed'"),
+    ("p1", {**P1, "lamda": {"mode": "self-consistent"}}, "'lamda'"),
+    ("rates", {**RATES, "n": 300}, "'n'"),
+    ("p2", {**P2, "clean": "no"}, "'clean'"),
+    ("forward", {**FORWARD, "flip_boundary": "no"}, "'flip_boundary'"),
+    ("spectral", {"grid": 16, "which": "bogus"}, "'which'"),
+    ("spectral", {"grid": 16, "penalties": "01"}, "'penalties'"),
+    ("p1", {**P1, "s": 2}, "'s'"),
+    ("p1", {**P1, "beta": -1}, "'beta'"),
+    ("p1", {**P1, "n": "300"}, "'n'"),
+    ("p2", {**P2, "dim": 1}, "'dim'"),
+    ("forward", {**FORWARD, "dim": 1}, "'dim'"),
+    ("p1", {**P1, "truth": "example2-smooth", "dim": 1}, "'dim'"),
+    ("p2", {**P2, "tau": 0.3}, "'tau'"),
+    ("p1", {**P1, "lambda": {"mode": "bogus"}}, "'lambda'"),
+    ("rates", {**RATES, "run_p2": "no"}, "'run_p2'"),
+    ("spectral", {"grid": 16, "penalties": []}, "'penalties'"),
+    ("verify", {"beta": 1.0}, "'beta'"),
+    ("rates", {**RATES, "tail_trials": 50, "tail_zmax": 0}, "'tail_zmax'"),
 ], ids=["rates-sigma-0", "rates-lambda-string", "p1-lambda-string", "rates-trials-0",
         "p1-sigma-negative", "p1-sigma-string", "rates-relative-sigma-negative",
         "rates-relative-sigma-string", "rates-ladder-empty", "p2-inverse-string",
         "p2-inverse-tol-0", "p2-inverse-max-iter-0", "p2-inverse-clamp-string",
         "rates-tail-trials-string", "rates-tail-trials-negative", "rates-tail-zmax-string",
-        "p2-beta-string", "p2-tau-string", "p2-T-infinite", "p1-beta-string"])
+        "p2-beta-string", "p2-tau-string", "p2-T-infinite", "p1-beta-string",
+        "p1-dim-string", "p1-layout", "p1-noise-unknown", "rates-noise-unknown",
+        "p1-ladder-values-string", "p1-ladder-values-negative", "p1-ladder-values-missing",
+        "forward-source-unknown", "verify-tau-string", "verify-tau-steps",
+        "verify-grid-string", "verify-grid-2", "p1-seed-string", "p1-seed-negative",
+        "p1-key-misspelled", "rates-key-unread", "p2-clean-string",
+        "forward-flip-boundary-string", "spectral-which-unknown", "spectral-penalties-string",
+        "p1-s-2", "p1-beta-negative", "p1-n-numeric-string", "p2-dim-1", "forward-dim-1",
+        "p1-example2-dim-1", "p2-tau-steps", "p1-lambda-mode-unknown", "rates-run-p2-string",
+        "spectral-penalties-empty", "verify-key-unread", "rates-tail-zmax-0"])
 def test_weight_policy_and_trial_errors_are_config_errors(tmp_path, capsys,
                                                           command, payload, key):
     cfg = write_cfg(tmp_path, "c.json", payload)
@@ -339,3 +388,69 @@ def test_rates_source_recovery_needs_a_source(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {**RATES, "run_p2": True})
     assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "'truth'" in capsys.readouterr().err
+
+
+# The type each key validates to, stated apart from the table it checks.
+KINDS = {
+    "grid": int, "dim": int, "beta": float, "T": float, "tau": float, "M": float,
+    "flip_boundary": bool, "source": str, "truth": str, "n": int, "sigma": float,
+    "relative_sigma": float, "noise": str, "s": int, "lambda": dict, "clean": bool,
+    "inverse": dict, "run_p2": bool, "ladder": list, "trials": int, "tail_trials": int,
+    "tail_n": int, "tail_zmax": float, "which": str, "k_max": int, "penalties": list,
+    "seed": int,
+}
+WORDS = ["prior", "fixed", "self-consistent", "ladder", "gaussian", "uniform", "zero",
+         "example1", "example2-smooth", "dirichlet", "pencil", "both"]
+SUB_KEYS = ["mode", "value", "values", "tol", "max_iter", "clamp"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=5) | st.sampled_from(WORDS)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(SUB_KEYS) | st.text(max_size=3), inner,
+                                     max_size=3)),
+    max_leaves=6)
+READS = [(key, command) for key, row in cli._KEYS.items() for command in row[3]]
+
+
+def test_kinds_cover_the_table():
+    assert set(KINDS) == set(cli._KEYS)
+
+
+@settings(max_examples=300)
+@given(value=JSON_VALUES)
+def test_each_key_validates_or_names_itself(value):
+    # every key against every command that reads it, for each drawn value
+    for key, command in READS:
+        try:
+            cfg = cli._validate(command, {}, {key: value})
+        except cli.ConfigError as exc:
+            message = str(exc)
+            assert message.startswith(f"config error at {key!r}: ") and "\n" not in message
+        else:
+            assert type(cfg[key]) is KINDS[key]
+            assert cli._validate(command, {}, {key: cfg[key]})[key] == cfg[key]
+
+
+# Where README.md lists each preset, plus the benchmark's rates run.
+PRESET_COMMANDS = {
+    "example1": ["p1"],
+    "example2-smooth": ["forward", "p2", "rates"],
+    "example2-discontinuous": ["forward"],
+    "zero-source": ["forward"],
+    "verify-default": ["verify"],
+    "verify-violated": ["verify"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_presets_validate(name):
+    assert set(PRESETS[name]) <= set(cli._KEYS)
+    for command in PRESET_COMMANDS[name]:
+        cfg = cli._validate(command, PRESETS[name], {})
+        assert set(cfg) <= {key for key, row in cli._KEYS.items() if command in row[3]}
+
+
+def test_readme_lists_the_config_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1]
+    assert set(re.findall(r"^\| `(\w+)` \|", section, re.M)) == set(cli._KEYS)

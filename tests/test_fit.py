@@ -116,7 +116,7 @@ def test_fit_result_consistent_with_elliptic_solve(small_fit):
     # Sf from the fit against an independent dense solve of the Robin problem
     grid, meas = small_fit["grid"], small_fit["meas"]
     res = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=0, lam=1e-6))
-    L = fv.assemble_laplacian(grid, 1.0).toarray()
+    L = grid.operators(1.0).laplacian.toarray()
     sf = grid.function(np.linalg.solve(L, grid.cv_fractions * res.f.values))
     assert fv.l2_norm(sf - res.sf) <= 1e-8
     assert fv.l2_norm(fv.elliptic_solve(grid, 1.0, res.f) - res.sf) <= 1e-8

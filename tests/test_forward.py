@@ -5,7 +5,7 @@ import pytest
 
 import fluoinv as fv
 from fluoinv.forward import AssumptionWarning
-from fluoinv.presets import build_truth, example2_problem, smooth_source
+from fluoinv.presets import build_source, build_truth, example2_problem, smooth_source
 
 from conftest import restrict
 
@@ -174,6 +174,17 @@ def test_validation_and_warnings(grid16):
         example2_problem(grid16, T=1.0, tau=0.3)  # not an integer number of steps
     with pytest.warns(AssumptionWarning):
         example2_problem(grid16, tau=0.25, flip_boundary=True)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_source("bogus", fv.Grid(2, 16)),
+    lambda: build_truth("bogus", fv.Grid(2, 16)),
+    lambda: example2_problem(fv.Grid(1, 16), tau=0.25),
+    lambda: build_truth("example2-smooth", fv.Grid(1, 16), tau=0.25),
+], ids=["unknown-source", "unknown-truth", "example2-1d", "example2-truth-1d"])
+def test_preset_builders_raise_value_error(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_grid_mismatch_rejected(ex2_32, grid16):

@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse as sp
 
 import fluoinv as fv
-from fluoinv.grid import boundary_load_weights
 
 
 def interior_row(L, grid):
@@ -13,7 +12,7 @@ def interior_row(L, grid):
 
 def test_interior_stencil_1d():
     grid = fv.Grid(1, 4)
-    L = fv.assemble_laplacian(grid, beta=1.0)
+    L = grid.operators(1.0).laplacian
     k, row = interior_row(L, grid)
     h2 = grid.h**2
     assert row[k] * h2 == pytest.approx(2.0)
@@ -22,7 +21,7 @@ def test_interior_stencil_1d():
 
 
 def test_interior_stencil_2d(grid16):
-    L = fv.assemble_laplacian(grid16, beta=1.0)
+    L = grid16.operators(1.0).laplacian
     k, row = interior_row(L, grid16)
     h2 = grid16.h**2
     n = grid16.cells_per_side + 1
@@ -35,14 +34,15 @@ def test_constant_reproduces_robin_load(grid16):
     # beta * du/dn + u = c is satisfied by u = c, so L c must equal the load from b = c
     c = 3.7
     for beta in (0.5, 1.0, 4.0):
-        L = fv.assemble_laplacian(grid16, beta)
-        resid = L @ np.full(grid16.node_count, c) - boundary_load_weights(grid16, beta) * c
+        ops = grid16.operators(beta)
+        resid = ops.laplacian @ np.full(grid16.node_count, c) - ops.load_weights * c
         assert np.abs(resid).max() < 1e-10 * c / (beta * grid16.h)
 
 
 def test_laplacian_is_symmetric_m_matrix(grid16):
-    A = fv.assemble_laplacian(grid16, beta=1.0)
-    for S in (A, fv.assemble_stiffness(grid16), fv.assemble_mass(grid16)):
+    ops = grid16.operators(1.0)
+    A = ops.laplacian
+    for S in (A, ops.stiffness_natural, ops.mass):
         assert S.shape == (grid16.node_count, grid16.node_count)
         assert abs(S - S.T).max() == 0.0
     diag = A.diagonal()
@@ -70,13 +70,13 @@ def test_dirichlet_smallest_eigenvalue(dirichlet64):
 
 
 def test_mass_unit_integral(grid16):
-    d = fv.assemble_mass(grid16).diagonal()
+    d = grid16.operators(1.0).mass.diagonal()
     assert (d > 0).all()
     assert d.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mass_quadrature(grid100):
-    M = fv.assemble_mass(grid100).diagonal()
+    M = grid100.operators(1.0).mass.diagonal()
     x, y = grid100.x, grid100.y
     odd = np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
     assert abs(M @ odd) < 1e-10
@@ -86,7 +86,7 @@ def test_mass_quadrature(grid100):
 
 def test_lu_laplacian_against_dense_oracle(grid16):
     # the cached sparse factorization against independent dense elimination
-    A = fv.assemble_laplacian(grid16, 1.0)
+    A = grid16.operators(1.0).laplacian
     rhs = np.random.default_rng(7).standard_normal(grid16.node_count)
     oracle = np.linalg.solve(A.toarray(), rhs)
     x = grid16.operators(1.0).lu_laplacian().solve(rhs)

@@ -37,8 +37,6 @@ def test_sample_points_strictly_inside():
     pts = sample_points(2, 1000, seed=5)
     assert pts.min() >= 1e-3 - 1e-15
     assert pts.max() <= 1 - 1e-3 + 1e-15
-    grid_pts = sample_points(2, 100, seed=0, layout="grid")
-    assert (grid_pts > 0).all() and (grid_pts < 1).all()
 
 
 def test_observe_noise_free_exact(grid16):

@@ -1,0 +1,67 @@
+"""Discrete-structure properties over small grids, time steps and sources.
+
+The finite-volume steps are M-matrix solves, so these hold exactly up to
+roundoff on every grid: nonnegative fields, the comparison principle for
+the excitation field, and a monotone fixed-point map on clean data.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import fluoinv as fv
+from fluoinv.forward import terminal_fields
+from fluoinv.presets import example2_problem
+
+M = 5.0
+TOL = 1e-10
+
+
+@st.composite
+def problems(draw):
+    """The example2 problem on 4 to 12 cells per side with T/tau = 1 to 8 steps."""
+    grid = fv.Grid(2, draw(st.integers(4, 12)))
+    return example2_problem(grid, tau=1.0 / draw(st.integers(1, 8)), M=M)
+
+
+def sources(draw, grid):
+    return fv.GridFunction(grid, draw(arrays(np.float64, grid.node_count,
+                                             elements=st.floats(0.0, M))))
+
+
+def ordered_pair(draw, grid):
+    """Sources q1 <= q2 in [0, M] nodewise."""
+    low = sources(draw, grid)
+    t = draw(arrays(np.float64, grid.node_count, elements=st.floats(0.0, 1.0)))
+    high = np.minimum(low.values + t * (M - low.values), M)
+    return low, fv.GridFunction(grid, high)
+
+
+@given(st.data())
+def test_fields_are_nonnegative(data):
+    problem = data.draw(problems())
+    q = sources(data.draw, problem.grid)
+    u_e = fv.solve_excitation(problem, q)
+    u_m = fv.solve_emission(problem, q, u_e)
+    assert min(u_e.levels.min(), u_m.levels.min()) >= -1e-12
+
+
+@given(st.data())
+def test_more_absorption_gives_less_excitation(data):
+    problem = data.draw(problems())
+    q1, q2 = ordered_pair(data.draw, problem.grid)
+    u1 = fv.solve_excitation(problem, q1)
+    u2 = fv.solve_excitation(problem, q2)
+    assert (u1.levels - u2.levels).min() >= -TOL
+
+
+@given(st.data())
+def test_fixed_point_map_is_monotone(data):
+    problem = data.draw(problems())
+    grid = problem.grid
+    _, _, g = terminal_fields(problem, sources(data.draw, grid))
+    f = grid.function(grid.operators(problem.beta).pointwise_laplacian(g.values))
+    q1, q2 = ordered_pair(data.draw, grid)
+    step = fv.fixed_point_map(problem, q2, f, g) - fv.fixed_point_map(problem, q1, f, g)
+    assert step.min() >= -TOL
