@@ -37,6 +37,7 @@ from .presets import PRESETS, SOURCES, TRUTHS, build_source, build_truth, exampl
 from .spectral import empirical_smoothing_spectrum, laplacian_spectrum
 from .stochastic import (
     NOISE_KINDS,
+    TAIL_MIN_TRIALS,
     InversionPipeline,
     LadderPoint,
     NoiseModel,
@@ -74,6 +75,21 @@ def _num(low, high=sys.float_info.max, integer=False, above=False):
                 or not (val > low if above else val >= low) or not val <= high):
             raise ValueError(f"expected {what}, got {val!r}")
         return val if integer else float(val)
+    return parse
+
+
+def _off_or_at_least(low):
+    """0 (off), or an integer >= low."""
+    count = _num(0, integer=True)
+
+    def parse(val):
+        try:
+            n = count(val)
+        except ValueError:
+            n = None
+        if n is None or 0 < n < low:
+            raise ValueError(f"expected 0 or an integer >= {low}, got {val!r}")
+        return n
     return parse
 
 
@@ -145,7 +161,7 @@ _KEYS = {
     "run_p2": (_FLAG, False, {}, ("rates",)),
     "ladder": (_list_of(_COUNT), None, {}, ("rates",)),
     "trials": (_COUNT, 10, {}, ("rates",)),
-    "tail_trials": (_num(0, integer=True), 0, {}, ("rates",)),
+    "tail_trials": (_off_or_at_least(TAIL_MIN_TRIALS), 0, {}, ("rates",)),
     "tail_n": (_COUNT, None, {}, ("rates",)),
     "tail_zmax": (_POSITIVE, 3.0, {}, ("rates",)),
     "which": (_one_of("dirichlet", "pencil", "both"), "both", {}, ("spectral",)),
@@ -383,7 +399,7 @@ def cmd_rates(cfg: dict, out: Path, manifest: Manifest, workers: int = 1) -> int
     ladder = [LadderPoint(n=n, sigma=sigma, lam=_weight(cfg, s, f_true, sigma, n))
               for n in ns]
     tail = None
-    if cfg["tail_trials"] >= 50:
+    if cfg["tail_trials"]:
         n_tail = cfg.get("tail_n", ns[0])  # the first rung
         tail = LadderPoint(n=n_tail, sigma=sigma, lam=_weight(cfg, s, f_true, sigma, n_tail))
     records = expectation_experiment(pipeline, ladder, trials=cfg["trials"],
@@ -429,29 +445,25 @@ def cmd_rates(cfg: dict, out: Path, manifest: Manifest, workers: int = 1) -> int
 def cmd_spectral(cfg: dict, out: Path, manifest: Manifest) -> int:
     grid = _grid_from(cfg)
     which = cfg["which"]
-    summary_rows = []
+    spectra = []  # (name, file, report); all computed before any file is written
     try:
         if which in ("dirichlet", "both"):
-            rep = laplacian_spectrum(grid, cfg["k_max"])
-            manifest.add(write_csv(out / "dirichlet_spectrum.csv", "spectrum-v1",
-                                   ["k", "eigenvalue"],
-                                   enumerate(rep.eigenvalues, start=1)))
-            summary_rows.append(["dirichlet", rep.growth_exponent,
-                                 rep.fit_range[0], rep.fit_range[1], rep.r_squared])
+            spectra.append(("dirichlet", "dirichlet_spectrum.csv",
+                            laplacian_spectrum(grid, cfg["k_max"])))
         if which in ("pencil", "both"):
             points = sample_points(grid.dim, cfg["n"], seed=cfg["seed"])
             for s in cfg["penalties"]:
-                rep = empirical_smoothing_spectrum(grid, cfg["beta"], points, s)
-                manifest.add(write_csv(out / f"pencil_spectrum_s{s}.csv", "spectrum-v1",
-                                       ["k", "eigenvalue"],
-                                       enumerate(rep.eigenvalues, start=1)))
-                summary_rows.append([f"pencil-s{s}", rep.growth_exponent,
-                                     rep.fit_range[0], rep.fit_range[1], rep.r_squared])
+                spectra.append((f"pencil-s{s}", f"pencil_spectrum_s{s}.csv",
+                                empirical_smoothing_spectrum(grid, cfg["beta"], points, s)))
     except ValueError as exc:
         raise ConfigError(f"config error in spectral sizes: {exc}") from exc
+    for _, filename, rep in spectra:
+        manifest.add(write_csv(out / filename, "spectrum-v1", ["k", "eigenvalue"],
+                               enumerate(rep.eigenvalues, start=1)))
     manifest.add(write_csv(out / "exponents.csv", "spectrum-exponents-v1",
                            ["spectrum", "exponent", "fit_lo", "fit_hi", "r_squared"],
-                           summary_rows))
+                           [[name, rep.growth_exponent, rep.fit_range[0], rep.fit_range[1],
+                             rep.r_squared] for name, _, rep in spectra]))
     return EXIT_OK
 
 

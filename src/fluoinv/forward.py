@@ -5,6 +5,16 @@ absorbed by ``p + q``; the emission field has homogeneous Robin data and is
 sourced by ``q * u_e``.  Both are advanced with backward Euler, which keeps
 every step an M-matrix solve and therefore preserves nonnegativity of the
 discrete fields exactly -- the property tests rely on that, not on accuracy.
+
+Memory model.  One step loop, ``_march``, yields the levels u^1..u^N one at
+a time and keeps none of them.  ``solve_excitation`` and ``solve_emission``
+stack every level into a ``SpaceTimeField`` for callers that need the whole
+history, such as the property battery and the stability constants.  A
+forward pass of the fixed-point map, ``terminal_fields``, needs only
+u_e(T), u_m(T) and u_m(T - tau): it keeps the excitation history, because
+the emission source q * u_e^k reads every level of it, but streams the
+emission march and holds only its last two levels.  What it returns is
+owned, not a view into a history, so no history outlives the call.
 """
 
 from __future__ import annotations
@@ -91,8 +101,8 @@ class ProblemData:
         if M <= 0:
             raise ValueError(f"admissible bound M must be positive, got {M}")
         steps = T / tau
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            raise ValueError(f"T/tau = {steps} is not an integer number of steps")
+        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            raise ValueError(f"T/tau = {steps} is not a positive integer number of steps")
         if p.grid is not grid:
             raise ValueError("p must live on the problem grid")
         self.grid = grid
@@ -118,6 +128,7 @@ class ProblemData:
         self.M_b = float(max(bv.max(), dtb.max() if dtb.size else 0.0,
                              d2tb.max() if d2tb.size else 0.0, 0.0))
         self._emission_lu = None
+        self._zero_source_excitation = None
         if check_assumptions:
             self._warn_on_violations(bv, dtb, d2tb)
 
@@ -151,14 +162,30 @@ class ProblemData:
             self._emission_lu = ops.step_lu(self.tau, self.p.values)
         return self._emission_lu
 
+    def zero_source_excitation(self) -> GridFunction:
+        """Cached terminal excitation field at q = 0.
 
-def _march(data: ProblemData, lu, load=None, source=None) -> SpaceTimeField:
-    """Backward-Euler loop: fully implicit loads/sources at the new level."""
+        At q = 0 the excitation step matrix is the emission step matrix
+        (the absorption p + 0 is p bit for bit), so the march reuses the
+        cached emission factor and keeps no history.
+        """
+        if self._zero_source_excitation is None:
+            u = np.zeros(self.grid.node_count)
+            for u in _march(self, self.emission_lu(), load=self.boundary_field):
+                pass
+            self._zero_source_excitation = GridFunction(self.grid, u)
+        return self._zero_source_excitation
+
+
+def _march(data: ProblemData, lu, load=None, source=None):
+    """Backward-Euler loop from u^0 = 0, yielding u^1, ..., u^N in turn.
+
+    Loads and sources are taken fully implicitly, at the new level.  Only
+    the current level is held; the caller keeps what it needs.
+    """
     ops = data.grid.operators(data.beta)
     w = ops.weights
-    n = data.grid.node_count
-    levels = np.zeros((data.n_steps + 1, n))
-    u = levels[0]
+    u = np.zeros(data.grid.node_count)
     for k in range(1, data.n_steps + 1):
         rhs = w * u / data.tau
         if load is not None:
@@ -166,8 +193,19 @@ def _march(data: ProblemData, lu, load=None, source=None) -> SpaceTimeField:
         if source is not None:
             rhs = rhs + w * source(k)
         u = lu.solve(rhs)
-        levels[k] = u
-    return SpaceTimeField(data.grid, data.times.copy(), levels)
+        yield u
+
+
+def _history(data: ProblemData, levels) -> SpaceTimeField:
+    """Every level of a march, u^0 = 0 included."""
+    stack = np.zeros((data.n_steps + 1, data.grid.node_count))
+    for k, u in enumerate(levels, start=1):
+        stack[k] = u
+    return SpaceTimeField(data.grid, data.times.copy(), stack)
+
+
+def _emission_march(data: ProblemData, q: GridFunction, u_e: SpaceTimeField):
+    return _march(data, data.emission_lu(), source=lambda k: q.values * u_e.levels[k])
 
 
 def solve_excitation(data: ProblemData, q: GridFunction) -> SpaceTimeField:
@@ -180,7 +218,7 @@ def solve_excitation(data: ProblemData, q: GridFunction) -> SpaceTimeField:
     if q.values.min() < 0:
         raise ValueError(f"source must be nonnegative; min q = {q.values.min():g}")
     lu = data.grid.operators(data.beta).step_lu(data.tau, data.p.values + q.values)
-    return _march(data, lu, load=lambda k: data.boundary_field(k))
+    return _history(data, _march(data, lu, load=data.boundary_field))
 
 
 def solve_emission(data: ProblemData, q: GridFunction, u_e: SpaceTimeField) -> SpaceTimeField:
@@ -189,8 +227,7 @@ def solve_emission(data: ProblemData, q: GridFunction, u_e: SpaceTimeField) -> S
         raise ValueError("emission inputs must live on the problem grid")
     if len(u_e.times) != data.n_steps + 1:
         raise ValueError("excitation field has a different time grid")
-    lu = data.emission_lu()
-    return _march(data, lu, source=lambda k: q.values * u_e.levels[k])
+    return _history(data, _emission_march(data, q, u_e))
 
 
 def terminal_data(u: SpaceTimeField) -> GridFunction:
@@ -212,10 +249,22 @@ def terminal_time_derivative(u: SpaceTimeField) -> GridFunction:
 
 
 def terminal_fields(data: ProblemData, q: GridFunction):
-    """One forward pass: terminal excitation, emission time derivative, emission."""
+    """One forward pass: terminal excitation, emission time derivative, emission.
+
+    The excitation history is kept for the length of the call, because the
+    emission source q * u_e^k reads every level of it.  The emission march is
+    streamed: only its last two levels are held.  The returned fields own
+    their arrays, so holding them keeps no history alive.  The values are
+    those of ``terminal_data`` and ``terminal_time_derivative`` applied to
+    ``solve_excitation`` and ``solve_emission``, bit for bit.
+    """
     u_e = solve_excitation(data, q)
-    u_m = solve_emission(data, q, u_e)
-    return terminal_data(u_e), terminal_time_derivative(u_m), terminal_data(u_m)
+    before = last = np.zeros(data.grid.node_count)
+    for u in _emission_march(data, q, u_e):
+        before, last = last, u
+    return (GridFunction(data.grid, u_e.levels[-1].copy()),
+            GridFunction(data.grid, (last - before) / data.tau),
+            GridFunction(data.grid, last))
 
 
 def elliptic_solve(grid: Grid, beta: float, f: GridFunction) -> GridFunction:

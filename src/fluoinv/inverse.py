@@ -93,8 +93,9 @@ def fixed_point_map(data: ProblemData, q: GridFunction, f: GridFunction,
 
 
 def initial_guess(data: ProblemData, f: GridFunction, sf: GridFunction) -> GridFunction:
-    """Starting iterate from one excitation solve at zero source."""
-    ue0_T = terminal_data(solve_excitation(data, data.grid.zeros()))
+    """Starting iterate from the terminal excitation field at zero source
+    (computed once per problem and cached on it)."""
+    ue0_T = data.zero_source_excitation()
     return _guarded_divide(_forcing(data, f, sf), ue0_T.values, data.grid)
 
 

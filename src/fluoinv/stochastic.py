@@ -41,6 +41,7 @@ __all__ = [
 
 POINT_MARGIN = 1e-3
 NOISE_KINDS = ("gaussian", "uniform", "zero")
+TAIL_MIN_TRIALS = 50        # fewest trials that give a stable empirical tail
 _HALTON_BASES = (2, 3)
 
 
@@ -227,9 +228,10 @@ def worker_count(requested: int, tasks: int) -> int:
 class _TrialRunner:
     """Runs trial (ladder index, trial index) of one experiment.
 
-    Built in the calling process: it draws the sensor points of every rung
-    and factorizes every matrix the trials share, so forked workers inherit
-    them instead of refactorizing.  The fit workspace of the current rung
+    Built in the calling process: it draws the sensor points of every rung,
+    factorizes every matrix the trials share and computes the zero-source
+    excitation of the initial guess, so forked workers inherit them instead
+    of redoing them.  The fit workspace of the current rung
     is built on first use and kept until the rung changes; trials arrive in
     rung order, so each process builds a rung's workspace at most once.
     """
@@ -249,7 +251,8 @@ class _TrialRunner:
             ops.lu_h1()                         # the H1 fit's preconditioner
         pipeline.grid.operators(1.0).lu_h1()    # the dual-H1 errors of every trial
         if pipeline.recovers_source:
-            pipeline.data.emission_lu()         # both marches of every map
+            pipeline.data.emission_lu()         # the emission march of every map
+            pipeline.data.zero_source_excitation()  # every fixed point's initial guess
         self._rung = None
         self._workspace = None
 
@@ -382,7 +385,7 @@ class TailCurve:
 
 
 def tail_histogram(record: ExperimentRecord, z: np.ndarray,
-                   min_trials: int = 50) -> TailCurve:
+                   min_trials: int = TAIL_MIN_TRIALS) -> TailCurve:
     """P(||Sf - Sf*||_n >= sqrt(lam) * rho0 * z) estimated over the trials.
 
     Only the shape is meaningful (monotone decay in z); no constants are

@@ -344,6 +344,9 @@ LADDER = {"mode": "ladder", "values": [1e-6, 1e-5]}
     ("spectral", {"grid": 16, "penalties": []}, "'penalties'"),
     ("verify", {"beta": 1.0}, "'beta'"),
     ("rates", {**RATES, "tail_trials": 50, "tail_zmax": 0}, "'tail_zmax'"),
+    ("rates", {**RATES, "tail_trials": 20}, "'tail_trials'"),
+    ("spectral", {"grid": 16, "dim": 1, "k_max": 5, "n": 20}, "spectral sizes"),
+    ("forward", {**FORWARD, "T": 1e-12, "tau": 1}, "'tau'"),
 ], ids=["rates-sigma-0", "rates-lambda-string", "p1-lambda-string", "rates-trials-0",
         "p1-sigma-negative", "p1-sigma-string", "rates-relative-sigma-negative",
         "rates-relative-sigma-string", "rates-ladder-empty", "p2-inverse-string",
@@ -358,7 +361,8 @@ LADDER = {"mode": "ladder", "values": [1e-6, 1e-5]}
         "forward-flip-boundary-string", "spectral-which-unknown", "spectral-penalties-string",
         "p1-s-2", "p1-beta-negative", "p1-n-numeric-string", "p2-dim-1", "forward-dim-1",
         "p1-example2-dim-1", "p2-tau-steps", "p1-lambda-mode-unknown", "rates-run-p2-string",
-        "spectral-penalties-empty", "verify-key-unread", "rates-tail-zmax-0"])
+        "spectral-penalties-empty", "verify-key-unread", "rates-tail-zmax-0",
+        "rates-tail-trials-20", "spectral-pencil-rank-deficient", "forward-no-whole-step"])
 def test_weight_policy_and_trial_errors_are_config_errors(tmp_path, capsys,
                                                           command, payload, key):
     cfg = write_cfg(tmp_path, "c.json", payload)

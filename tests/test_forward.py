@@ -1,10 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import fluoinv as fv
-from fluoinv.forward import AssumptionWarning
+from fluoinv.forward import AssumptionWarning, terminal_fields
 from fluoinv.presets import build_source, build_truth, example2_problem, smooth_source
 
 from conftest import restrict
@@ -197,10 +198,9 @@ def test_grid_mismatch_rejected(ex2_32, grid16):
         fv.solve_emission(data, ex2_32["q_true"], u_e16)
 
 
-def test_fixed_point_map_cost(monkeypatch):
-    # the cost model of one map application: the excitation step matrix
-    # depends on q and is factorized anew, the emission factor is cached,
-    # and each of the two backward-Euler marches does one solve per step
+@pytest.fixture
+def lu_counts(monkeypatch):
+    """Counts of sparse factorizations and solves made from here on."""
     import scipy.sparse.linalg as spla
 
     counts = {"factorizations": 0, "solves": 0}
@@ -219,11 +219,73 @@ def test_fixed_point_map_cost(monkeypatch):
         return CountedFactor(splu(*args, **kwargs))
 
     monkeypatch.setattr(spla, "splu", counted_splu)
+    return counts
+
+
+def test_fixed_point_map_cost(lu_counts):
+    # the cost model of one map application: the excitation step matrix
+    # depends on q and is factorized anew, the emission factor is cached,
+    # and each of the two backward-Euler marches does one solve per step
     grid = fv.Grid(2, 16)
     f, g, data, _ = build_truth("example2-smooth", grid, tau=0.25)
     assert data.n_steps == 4
     q = grid.function(np.full(grid.node_count, 1.0))
     fv.fixed_point_map(data, q, f, g)  # the emission factor is cached by now
-    counts.update(factorizations=0, solves=0)
+    lu_counts.update(factorizations=0, solves=0)
     fv.fixed_point_map(data, q, f, g)
-    assert counts == {"factorizations": 1, "solves": 2 * data.n_steps}
+    assert lu_counts == {"factorizations": 1, "solves": 2 * data.n_steps}
+
+
+def test_initial_guess_reuses_the_emission_factor(lu_counts):
+    # at q = 0 the excitation step matrix is the emission one, so the initial
+    # guess marches on the cached emission factor, once per problem
+    grid = fv.Grid(2, 16)
+    f, g, data, _ = build_truth("example2-smooth", grid, tau=0.25)
+    data.emission_lu()
+    lu_counts.update(factorizations=0, solves=0)
+    fv.initial_guess(data, f, g)
+    assert lu_counts == {"factorizations": 0, "solves": data.n_steps}
+    lu_counts.update(solves=0)
+    fv.initial_guess(data, f, g)
+    assert lu_counts == {"factorizations": 0, "solves": 0}
+
+
+def test_terminal_fields_match_the_histories():
+    # the streamed pass and the stacked histories come from the same step
+    # loop; the streamed one returns arrays that are no views into a history
+    grid = fv.Grid(2, 16)
+    data = example2_problem(grid, tau=0.05)
+    q = smooth_source(grid)
+    u_e = fv.solve_excitation(data, q)
+    u_m = fv.solve_emission(data, q, u_e)
+    ue_T, dtum_T, um_T = terminal_fields(data, q)
+    assert np.array_equal(ue_T.values, fv.terminal_data(u_e).values)
+    assert np.array_equal(dtum_T.values, fv.terminal_time_derivative(u_m).values)
+    assert np.array_equal(um_T.values, fv.terminal_data(u_m).values)
+    assert all(v.values.base is None for v in (ue_T, dtum_T, um_T))
+    zero = fv.solve_excitation(data, grid.zeros())
+    assert np.array_equal(data.zero_source_excitation().values,
+                          fv.terminal_data(zero).values)
+
+
+def test_forward_pass_keeps_one_history():
+    # peak traced memory of a forward pass, and of a fixed-point run over
+    # several, stays near one excitation history: the emission march is
+    # streamed and no returned field pins a history across iterations
+    grid = fv.Grid(2, 16)
+    f, g, data, q = build_truth("example2-smooth", grid, tau=0.01)
+    data.emission_lu()
+    history = (data.n_steps + 1) * grid.node_count * 8
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: terminal_fields(data, q)) < 1.5 * history
+    cfg = fv.InverseConfig(tol=1e-300, max_iter=4)
+    assert peak(lambda: fv.fixed_point_solve(data, f, g, cfg)) < 1.5 * history
