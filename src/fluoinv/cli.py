@@ -355,7 +355,7 @@ def cmd_p2(cfg: dict, out: Path, manifest: Manifest) -> int:
     icfg = InverseConfig(**{"clamp": not clean, **cfg["inverse"]})
 
     if clean:
-        f, sf = f_true, sf_true
+        g = sf_true
         lam = ""
         sigma = 0.0
     else:
@@ -364,8 +364,8 @@ def cmd_p2(cfg: dict, out: Path, manifest: Manifest) -> int:
         lam, fitres, lam_trace = fit_at_weight(
             grid, cfg["beta"], meas, s, _weight(cfg, s, f_true, sigma, meas.n))
         _require_converged(lam_trace)
-        f, sf = fitres.f, fitres.sf
-    q_rec, trace = fixed_point_solve(data, f, sf, icfg)
+        g = fitres.sf
+    q_rec, trace = fixed_point_solve(data, g, icfg)
 
     bundle = error_bundle(q=q_rec, q_true=q_true)
     manifest.add(write_field_csv(out / "source_fields.csv", grid,

@@ -105,13 +105,6 @@ class Grid:
         self.boundary_indices = np.flatnonzero(self.boundary_mask)
         self.interior_indices = np.flatnonzero(~self.boundary_mask)
 
-        # outward normals; corners get the normalized sum of face normals
-        normals = np.zeros((self.node_count, dim))
-        normals[on_face_lo] -= 1.0
-        normals[on_face_hi] += 1.0
-        nb = normals[self.boundary_indices]
-        self.boundary_normals = nb / np.linalg.norm(nb, axis=1, keepdims=True)
-
         # control-volume fraction per node: 1 interior, 1/2 face, 1/4 corner
         w1 = np.ones(n)
         w1[0] = w1[-1] = 0.5

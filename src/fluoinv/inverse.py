@@ -3,17 +3,20 @@
 The map iterated here divides the terminal-time equation residual of the
 emission field by the terminal excitation field:
 
-    F(q) = (dt u_m(T; q) + f + p Sf) / u_e(T; q).
+    F(q) = (dt u_m(T; q) - Delta_h g + p g) / u_e(T; q).
 
-The forcing pair (f, Sf) is (-Delta_h g, g) for clean terminal data g, or
-the pair a scattered-data fit returns when only noisy point samples are
-available.  On data produced by the same discrete forward solver the true
-source is an exact fixed point, and the iteration from the natural initial
-guess increases monotonically toward it.
+The only data it reads is the terminal emission field g: the clean
+observation u_m(., T), or the smoothed field Sf a scattered-data fit
+returns when only noisy point samples are available.  The forcing
+-Delta_h g + p g is formed here, once per solve.  On data produced by the
+same discrete forward solver the true source is an exact fixed point, and
+the iteration from the natural initial guess increases monotonically
+toward it.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +57,9 @@ class InverseConfig:
     def __post_init__(self):
         if not self.tol > 0:  # also rejects NaN
             raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -62,7 +68,7 @@ class IterationTrace:
 
     increments: list[float] = field(default_factory=list)   # ||q_{j+1} - q_j||_L2
     step_minima: list[float] = field(default_factory=list)  # min_x (q_{j+1} - q_j)
-    misfits: list[float] = field(default_factory=list)      # ||u_m(T; q_j) - Sf||_L2
+    misfits: list[float] = field(default_factory=list)      # ||u_m(T; q_j) - g||_L2
     converged: bool = False
 
     @property
@@ -79,39 +85,41 @@ def _guarded_divide(numer: np.ndarray, ue_T: np.ndarray, grid) -> GridFunction:
     return GridFunction(grid, numer / ue_T)
 
 
-def _forcing(data: ProblemData, f: GridFunction, sf: GridFunction) -> np.ndarray:
-    if f.grid is not data.grid or sf.grid is not data.grid:
-        raise ValueError("the forcing pair must live on the problem grid")
-    return f.values + data.p.values * sf.values
+def _forcing(data: ProblemData, g: GridFunction) -> np.ndarray:
+    if g.grid is not data.grid:
+        raise ValueError("the terminal field g must live on the problem grid")
+    ops = data.grid.operators(data.beta)
+    return ops.pointwise_laplacian(g.values) + data.p.values * g.values
 
 
-def fixed_point_map(data: ProblemData, q: GridFunction, f: GridFunction,
-                    sf: GridFunction) -> GridFunction:
-    """Apply the fixed-point map at q for the forcing pair (f, Sf)."""
+def fixed_point_map(data: ProblemData, q: GridFunction, g: GridFunction) -> GridFunction:
+    """Apply the fixed-point map at q for the terminal field g."""
     ue_T, dtum_T, _ = terminal_fields(data, q)
-    return _guarded_divide(dtum_T.values + _forcing(data, f, sf), ue_T.values, data.grid)
+    return _guarded_divide(dtum_T.values + _forcing(data, g), ue_T.values, data.grid)
 
 
-def initial_guess(data: ProblemData, f: GridFunction, sf: GridFunction) -> GridFunction:
+def initial_guess(data: ProblemData, g: GridFunction) -> GridFunction:
     """Starting iterate from the terminal excitation field at zero source
     (computed once per problem and cached on it)."""
-    ue0_T = data.zero_source_excitation()
-    return _guarded_divide(_forcing(data, f, sf), ue0_T.values, data.grid)
+    return _guarded_divide(_forcing(data, g), data.zero_source_excitation().values,
+                           data.grid)
 
 
-def fixed_point_solve(data: ProblemData, f: GridFunction, sf: GridFunction,
-                      cfg: InverseConfig | None = None):
-    """Iterate the map for the forcing pair (f, Sf) from the natural initial guess.
+def fixed_point_solve(data: ProblemData, g: GridFunction, cfg: InverseConfig | None = None):
+    """Iterate the map for the terminal field g from the natural initial guess.
 
-    Per-step misfits in the trace compare the terminal emission field of the
-    current iterate against Sf.  With ``cfg.clamp`` (the default) iterates
-    are projected onto [0, M], since noise can push them outside; without
-    it the raw map (and its monotonicity) is observable, and an iterate
-    leaving the admissible set raises PositivityError.
+    g is the clean terminal observation or the fitted field Sf; its forcing
+    is formed once.  Per-step misfits in the trace compare
+    the terminal emission field of the current iterate against g.  With
+    ``cfg.clamp`` (the default) iterates are projected onto [0, M], since
+    noise can push them outside; without it the raw map (and its
+    monotonicity) is observable, and an iterate leaving the admissible set
+    raises PositivityError.  Returns ``(q, trace)``.
     """
     cfg = cfg or InverseConfig()
-    forcing = _forcing(data, f, sf)
-    q = initial_guess(data, f, sf)
+    forcing = _forcing(data, g)
+    # the initial guess, on the forcing formed above
+    q = _guarded_divide(forcing, data.zero_source_excitation().values, data.grid)
     trace = IterationTrace()
     if cfg.clamp:
         q = GridFunction(data.grid, np.clip(q.values, 0.0, data.M))
@@ -122,7 +130,7 @@ def fixed_point_solve(data: ProblemData, f: GridFunction, sf: GridFunction,
                 "the data violate the sign hypotheses -- enable clamping to proceed"
             )
         ue_T, dtum_T, um_T = terminal_fields(data, q)
-        trace.misfits.append(l2_norm(um_T - sf))
+        trace.misfits.append(l2_norm(um_T - g))
         q_next = _guarded_divide(dtum_T.values + forcing, ue_T.values, data.grid)
         if cfg.clamp:
             q_next = GridFunction(data.grid, np.clip(q_next.values, 0.0, data.M))
@@ -147,10 +155,10 @@ class DomainReport:
     max_lower_deficit: float
 
 
-def check_domain(data: ProblemData, q: GridFunction, f: GridFunction,
-                 sf: GridFunction, slack: float = 1e-10) -> DomainReport:
-    """Check M >= q >= (initial guess from (f, Sf)) nodewise, with slack."""
-    lower = initial_guess(data, f, sf).values
+def check_domain(data: ProblemData, q: GridFunction, g: GridFunction,
+                 slack: float = 1e-10) -> DomainReport:
+    """Check M >= q >= (initial guess from g) nodewise, with slack."""
+    lower = initial_guess(data, g).values
     qv = q.values
     upper_bad = np.flatnonzero(qv > data.M + slack)
     lower_bad = np.flatnonzero(qv < lower - slack)

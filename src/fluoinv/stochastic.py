@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fit import MeasurementSet, _FitWorkspace, fit_at_weight, point_evaluation
+from .fit import MeasurementSet, _FitWorkspace, empirical_norm, fit_at_weight, point_evaluation
 from .forward import ProblemData
 from .grid import ConvergenceError, Grid, GridFunction
 from .inverse import fixed_point_solve
@@ -190,13 +190,12 @@ def _run_trial(pipeline: InversionPipeline, point: LadderPoint, points, workspac
     if not lam_trace.converged:
         raise ConvergenceError(f"self-consistent weight loop did not stabilize at rung "
                                f"n={point.n}, trial {trial_index}")
-    ev_err = workspace.ev.apply(fit.sf) - workspace.ev.apply(pipeline.sf_true)
-    sf_err_n = float(np.sqrt(np.mean(ev_err**2)))
+    sf_err_n = empirical_norm(workspace.ev.apply(fit.sf) - workspace.ev.apply(pipeline.sf_true))
 
     q_rec = None
     fp_iters = 0
     if pipeline.recovers_source:
-        q_rec, trace = fixed_point_solve(pipeline.data, fit.f, fit.sf)
+        q_rec, trace = fixed_point_solve(pipeline.data, fit.sf)
         if not trace.converged:
             raise ConvergenceError(f"fixed-point iteration did not converge at rung "
                                    f"n={point.n}, trial {trial_index}")

@@ -29,16 +29,15 @@ def grid100():
 
 @pytest.fixture(scope="session")
 def ex2_32():
-    """Coupled-model benchmark at battery scale: problem, source, fields, data
-    g and its forcing f = -Delta_h g."""
+    """Coupled-model benchmark at battery scale: problem, source, fields and
+    the terminal data g the fixed point reads."""
     grid = fv.Grid(2, 32)
     data = example2_problem(grid, tau=0.25)
     q_true = smooth_source(grid)
     u_e = fv.solve_excitation(data, q_true)
     u_m = fv.solve_emission(data, q_true, u_e)
     g = fv.terminal_data(u_m)
-    f = grid.function(grid.operators(data.beta).pointwise_laplacian(g.values))
-    return dict(grid=grid, data=data, q_true=q_true, u_e=u_e, u_m=u_m, g=g, f=f)
+    return dict(grid=grid, data=data, q_true=q_true, u_e=u_e, u_m=u_m, g=g)
 
 
 @pytest.fixture(scope="session")

@@ -262,8 +262,7 @@ def one_step_fixed_point(monkeypatch):
 
     solve = stochastic.fixed_point_solve
     monkeypatch.setattr(stochastic, "fixed_point_solve",
-                        lambda data, f, sf, cfg=None: solve(data, f, sf,
-                                                            InverseConfig(max_iter=1)))
+                        lambda data, g, cfg=None: solve(data, g, InverseConfig(max_iter=1)))
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -112,14 +112,19 @@ def test_large_lambda_kills_penalty_norm(small_fit):
     assert res.penalty_norm < 1e-6
 
 
-def test_fit_result_consistent_with_elliptic_solve(small_fit):
+@pytest.mark.parametrize("s", [0, 1])
+def test_fit_result_consistent_with_elliptic_solve(small_fit, s):
     # Sf from the fit against an independent dense solve of the Robin problem
     grid, meas = small_fit["grid"], small_fit["meas"]
-    res = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=0, lam=1e-6))
-    L = grid.operators(1.0).laplacian.toarray()
+    res = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=s, lam=1e-6))
+    ops = grid.operators(1.0)
+    L = ops.laplacian.toarray()
     sf = grid.function(np.linalg.solve(L, grid.cv_fractions * res.f.values))
     assert fv.l2_norm(sf - res.sf) <= 1e-8
     assert fv.l2_norm(fv.elliptic_solve(grid, 1.0, res.f) - res.sf) <= 1e-8
+    # the fixed point forms its forcing as -Delta_h Sf, which must give back f
+    derived = ops.pointwise_laplacian(res.sf.values)
+    assert np.linalg.norm(derived - res.f.values) <= 1e-9 * np.linalg.norm(res.f.values)
 
 
 def test_config_validation(grid16):

@@ -227,12 +227,12 @@ def test_fixed_point_map_cost(lu_counts):
     # depends on q and is factorized anew, the emission factor is cached,
     # and each of the two backward-Euler marches does one solve per step
     grid = fv.Grid(2, 16)
-    f, g, data, _ = build_truth("example2-smooth", grid, tau=0.25)
+    _, g, data, _ = build_truth("example2-smooth", grid, tau=0.25)
     assert data.n_steps == 4
     q = grid.function(np.full(grid.node_count, 1.0))
-    fv.fixed_point_map(data, q, f, g)  # the emission factor is cached by now
+    fv.fixed_point_map(data, q, g)  # the emission factor is cached by now
     lu_counts.update(factorizations=0, solves=0)
-    fv.fixed_point_map(data, q, f, g)
+    fv.fixed_point_map(data, q, g)
     assert lu_counts == {"factorizations": 1, "solves": 2 * data.n_steps}
 
 
@@ -240,13 +240,13 @@ def test_initial_guess_reuses_the_emission_factor(lu_counts):
     # at q = 0 the excitation step matrix is the emission one, so the initial
     # guess marches on the cached emission factor, once per problem
     grid = fv.Grid(2, 16)
-    f, g, data, _ = build_truth("example2-smooth", grid, tau=0.25)
+    _, g, data, _ = build_truth("example2-smooth", grid, tau=0.25)
     data.emission_lu()
     lu_counts.update(factorizations=0, solves=0)
-    fv.initial_guess(data, f, g)
+    fv.initial_guess(data, g)
     assert lu_counts == {"factorizations": 0, "solves": data.n_steps}
     lu_counts.update(solves=0)
-    fv.initial_guess(data, f, g)
+    fv.initial_guess(data, g)
     assert lu_counts == {"factorizations": 0, "solves": 0}
 
 
@@ -273,7 +273,7 @@ def test_forward_pass_keeps_one_history():
     # several, stays near one excitation history: the emission march is
     # streamed and no returned field pins a history across iterations
     grid = fv.Grid(2, 16)
-    f, g, data, q = build_truth("example2-smooth", grid, tau=0.01)
+    _, g, data, q = build_truth("example2-smooth", grid, tau=0.01)
     data.emission_lu()
     history = (data.n_steps + 1) * grid.node_count * 8
 
@@ -288,4 +288,4 @@ def test_forward_pass_keeps_one_history():
 
     assert peak(lambda: terminal_fields(data, q)) < 1.5 * history
     cfg = fv.InverseConfig(tol=1e-300, max_iter=4)
-    assert peak(lambda: fv.fixed_point_solve(data, f, g, cfg)) < 1.5 * history
+    assert peak(lambda: fv.fixed_point_solve(data, g, cfg)) < 1.5 * history

@@ -107,10 +107,6 @@ def test_grid_function_arithmetic(grid16, grid32):
 
 
 def test_boundary_metadata(grid16):
-    # classification is exhaustive and disjoint; normals are unit outward
+    # classification is exhaustive and disjoint
     both = np.concatenate([grid16.boundary_indices, grid16.interior_indices])
     assert np.array_equal(np.sort(both), np.arange(grid16.node_count))
-    assert np.allclose(np.linalg.norm(grid16.boundary_normals, axis=1), 1.0)
-    corner = np.flatnonzero((grid16.coords == 0.0).all(axis=1))[0]
-    pos = np.flatnonzero(grid16.boundary_indices == corner)[0]
-    assert np.allclose(grid16.boundary_normals[pos], -np.ones(2) / np.sqrt(2))
