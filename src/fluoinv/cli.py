@@ -410,13 +410,15 @@ def cmd_rates(cfg: dict, out: Path, manifest: Manifest, workers: int = 1) -> int
         means = rec.mean_errors()
         for t, b in enumerate(rec.bundles):
             trial_rows.append([rec.point.n, rec.lams[t], t] + _err_row(b)
-                              + [rec.sf_errors_n[t]])
+                              + [rec.sf_errors_n[t], rec.lambda_passes[t],
+                                 rec.fp_iterations[t]])
         agg_rows.append([rec.point.n, rec.lam, rec.rho0]
                         + ["" if k not in means else means[k]
                            for k in ("err1", "err2", "err3", "err4", "err5")])
-    manifest.add(write_csv(out / "trials.csv", "rate-trials-v1",
+    manifest.add(write_csv(out / "trials.csv", "rate-trials-v2",
                            ["n", "lambda", "trial", "err1", "err2", "err3",
-                            "err4", "err5", "sf_err_n"], trial_rows))
+                            "err4", "err5", "sf_err_n", "lambda_passes", "fp_iterations"],
+                           trial_rows))
     manifest.add(write_csv(out / "aggregate.csv", "rate-aggregate-v1",
                            ["n", "lambda", "rho0", "err1", "err2", "err3",
                             "err4", "err5"], agg_rows))

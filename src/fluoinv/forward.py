@@ -9,11 +9,14 @@ discrete fields exactly -- the property tests rely on that, not on accuracy.
 Memory model.  One step loop, ``_march``, yields the levels u^1..u^N one at
 a time and keeps none of them.  ``solve_excitation`` and ``solve_emission``
 stack every level into a ``SpaceTimeField`` for callers that need the whole
-history, such as the property battery and the stability constants.  A
-forward pass of the fixed-point map, ``terminal_fields``, needs only
-u_e(T), u_m(T) and u_m(T - tau): it keeps the excitation history, because
-the emission source q * u_e^k reads every level of it, but streams the
-emission march and holds only its last two levels.  What it returns is
+history, such as the property battery and the stability constants.  The
+pass of the fixed-point map, ``terminal_excitation``, streams the
+excitation march and holds only its last two levels, so it keeps no
+history: the map forms the emission levels as u_m = v - u_e from the q = 0
+excitation v, whose last two levels ``ProblemData`` caches.  The forward
+observation, ``terminal_fields``, marches both fields: it keeps the
+excitation history, because the emission source q * u_e^k reads every level
+of it, and streams the emission march.  What the streamed passes return is
 owned, not a view into a history, so no history outlives the call.
 """
 
@@ -34,6 +37,7 @@ __all__ = [
     "solve_emission",
     "terminal_data",
     "terminal_time_derivative",
+    "terminal_excitation",
     "terminal_fields",
     "elliptic_solve",
 ]
@@ -128,7 +132,7 @@ class ProblemData:
         self.M_b = float(max(bv.max(), dtb.max() if dtb.size else 0.0,
                              d2tb.max() if d2tb.size else 0.0, 0.0))
         self._emission_lu = None
-        self._zero_source_excitation = None
+        self._zero_source_levels = None
         if check_assumptions:
             self._warn_on_violations(bv, dtb, d2tb)
 
@@ -162,19 +166,21 @@ class ProblemData:
             self._emission_lu = ops.step_lu(self.tau, self.p.values)
         return self._emission_lu
 
-    def zero_source_excitation(self) -> GridFunction:
-        """Cached terminal excitation field at q = 0.
+    def zero_source_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached last two levels (v^N, v^(N-1)) of the excitation at q = 0.
 
         At q = 0 the excitation step matrix is the emission step matrix
         (the absorption p + 0 is p bit for bit), so the march reuses the
         cached emission factor and keeps no history.
         """
-        if self._zero_source_excitation is None:
-            u = np.zeros(self.grid.node_count)
-            for u in _march(self, self.emission_lu(), load=self.boundary_field):
-                pass
-            self._zero_source_excitation = GridFunction(self.grid, u)
-        return self._zero_source_excitation
+        if self._zero_source_levels is None:
+            self._zero_source_levels = _last_two(
+                self, _march(self, self.emission_lu(), load=self.boundary_field))
+        return self._zero_source_levels
+
+    def zero_source_excitation(self) -> GridFunction:
+        """Cached terminal excitation field at q = 0."""
+        return GridFunction(self.grid, self.zero_source_levels()[0])
 
 
 def _march(data: ProblemData, lu, load=None, source=None):
@@ -204,6 +210,27 @@ def _history(data: ProblemData, levels) -> SpaceTimeField:
     return SpaceTimeField(data.grid, data.times.copy(), stack)
 
 
+def _last_two(data: ProblemData, levels) -> tuple[np.ndarray, np.ndarray]:
+    """The last two levels (u^N, u^(N-1)) of a march, holding no others."""
+    before = last = np.zeros(data.grid.node_count)
+    for u in levels:
+        before, last = last, u
+    return last, before
+
+
+def _excitation_march(data: ProblemData, q: GridFunction):
+    """The excitation march at source q, after checking q; one factorization.
+
+    Rejects sources with negative entries: the admissible set is [0, M].
+    """
+    if q.grid is not data.grid:
+        raise ValueError("source q must live on the problem grid")
+    if q.values.min() < 0:
+        raise ValueError(f"source must be nonnegative; min q = {q.values.min():g}")
+    lu = data.grid.operators(data.beta).step_lu(data.tau, data.p.values + q.values)
+    return _march(data, lu, load=data.boundary_field)
+
+
 def _emission_march(data: ProblemData, q: GridFunction, u_e: SpaceTimeField):
     return _march(data, data.emission_lu(), source=lambda k: q.values * u_e.levels[k])
 
@@ -213,12 +240,7 @@ def solve_excitation(data: ProblemData, q: GridFunction) -> SpaceTimeField:
 
     Rejects sources with negative entries: the admissible set is [0, M].
     """
-    if q.grid is not data.grid:
-        raise ValueError("source q must live on the problem grid")
-    if q.values.min() < 0:
-        raise ValueError(f"source must be nonnegative; min q = {q.values.min():g}")
-    lu = data.grid.operators(data.beta).step_lu(data.tau, data.p.values + q.values)
-    return _history(data, _march(data, lu, load=data.boundary_field))
+    return _history(data, _excitation_march(data, q))
 
 
 def solve_emission(data: ProblemData, q: GridFunction, u_e: SpaceTimeField) -> SpaceTimeField:
@@ -228,6 +250,15 @@ def solve_emission(data: ProblemData, q: GridFunction, u_e: SpaceTimeField) -> S
     if len(u_e.times) != data.n_steps + 1:
         raise ValueError("excitation field has a different time grid")
     return _history(data, _emission_march(data, q, u_e))
+
+
+def terminal_excitation(data: ProblemData, q: GridFunction) -> tuple[np.ndarray, np.ndarray]:
+    """The last two excitation levels (u_e^N, u_e^(N-1)) at source q.
+
+    The march is streamed and keeps no history; the levels are those of
+    ``solve_excitation``, bit for bit.
+    """
+    return _last_two(data, _excitation_march(data, q))
 
 
 def terminal_data(u: SpaceTimeField) -> GridFunction:
@@ -249,19 +280,26 @@ def terminal_time_derivative(u: SpaceTimeField) -> GridFunction:
 
 
 def terminal_fields(data: ProblemData, q: GridFunction):
-    """One forward pass: terminal excitation, emission time derivative, emission.
+    """One forward observation: terminal excitation, emission time derivative, emission.
 
-    The excitation history is kept for the length of the call, because the
-    emission source q * u_e^k reads every level of it.  The emission march is
-    streamed: only its last two levels are held.  The returned fields own
-    their arrays, so holding them keeps no history alive.  The values are
-    those of ``terminal_data`` and ``terminal_time_derivative`` applied to
-    ``solve_excitation`` and ``solve_emission``, bit for bit.
+    Both fields are marched.  The excitation history is kept for the length
+    of the call, because the emission source q * u_e^k reads every level of
+    it.  The emission march is streamed: only its last two levels are held.
+    The returned fields own their arrays, so holding them keeps no history
+    alive.  The values are those of ``terminal_data`` and
+    ``terminal_time_derivative`` applied to ``solve_excitation`` and
+    ``solve_emission``, bit for bit.
+
+    The fixed-point map gets the same triple from one march, as
+    u_m = v - u_e with v the q = 0 excitation.  That agrees with this pass
+    only to roundoff, and the truth (``presets.build_truth``) and the
+    ``forward`` command keep this one: the benchmark reference values of
+    ``rates-source`` were recorded on it, and the fit's outer CG, which
+    stops at a relative residual of 1e-10, amplifies a roundoff change of
+    the observed field to 1e-7-1e-5 in the rate slopes.
     """
     u_e = solve_excitation(data, q)
-    before = last = np.zeros(data.grid.node_count)
-    for u in _emission_march(data, q, u_e):
-        before, last = last, u
+    last, before = _last_two(data, _emission_march(data, q, u_e))
     return (GridFunction(data.grid, u_e.levels[-1].copy()),
             GridFunction(data.grid, (last - before) / data.tau),
             GridFunction(data.grid, last))

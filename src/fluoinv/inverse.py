@@ -12,6 +12,23 @@ returns when only noisy point samples are available.  The forcing
 same discrete forward solver the true source is an exact fixed point, and
 the iteration from the natural initial guess increases monotonically
 toward it.
+
+One application of the map marches the excitation only.  With the step
+matrix A_r = W/tau + L + W diag(r), the backward-Euler steps are
+
+    A_{p+q} u_e^k = W u_e^(k-1) / tau + load_k,
+    A_p     u_m^k = W u_m^(k-1) / tau + W q u_e^k,
+
+and since A_{p+q} = A_p + W diag(q), their sum is
+
+    A_p (u_e^k + u_m^k) = W (u_e^(k-1) + u_m^(k-1)) / tau + load_k,
+
+the excitation step at q = 0.  From u^0 = 0 the sum is therefore the q = 0
+excitation v at every level, and u_m^k = v^k - u_e^k.  The map reads
+u_m(T) = v^N - u_e^N and dt u_m(T) = (u_m^N - u_m^(N-1)) / tau, with the
+last two levels of v cached on the problem: one factorization and T/tau
+solves per application, and no history held.  The result agrees with the
+two-march ``terminal_fields`` to roundoff; u_e(T) is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import ProblemData, solve_excitation, terminal_data, terminal_fields
+from .forward import ProblemData, solve_excitation, terminal_data, terminal_excitation
 from .grid import GridFunction
 from .metrics import l2_norm
 
@@ -55,8 +72,11 @@ class InverseConfig:
     clamp: bool = True          # project iterates onto [0, M]
 
     def __post_init__(self):
-        if not self.tol > 0:  # also rejects NaN
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
+                or not 0 < self.tol < np.inf):  # also rejects NaN
+            raise ValueError(f"tol must be a positive finite number, got {self.tol!r}")
+        if not isinstance(self.clamp, bool):
+            raise ValueError(f"clamp must be true or false, got {self.clamp!r}")
         if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
                 or self.max_iter < 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
@@ -92,9 +112,20 @@ def _forcing(data: ProblemData, g: GridFunction) -> np.ndarray:
     return ops.pointwise_laplacian(g.values) + data.p.values * g.values
 
 
+def _terminal_triple(data: ProblemData, q: GridFunction):
+    """u_e(T), dt u_m(T) and u_m(T) at q from one excitation march, u_m = v - u_e."""
+    ue_N, ue_prev = terminal_excitation(data, q)
+    v_N, v_prev = data.zero_source_levels()
+    um_N = v_N - ue_N
+    um_prev = v_prev - ue_prev
+    return (GridFunction(data.grid, ue_N),
+            GridFunction(data.grid, (um_N - um_prev) / data.tau),
+            GridFunction(data.grid, um_N))
+
+
 def fixed_point_map(data: ProblemData, q: GridFunction, g: GridFunction) -> GridFunction:
     """Apply the fixed-point map at q for the terminal field g."""
-    ue_T, dtum_T, _ = terminal_fields(data, q)
+    ue_T, dtum_T, _ = _terminal_triple(data, q)
     return _guarded_divide(dtum_T.values + _forcing(data, g), ue_T.values, data.grid)
 
 
@@ -129,7 +160,7 @@ def fixed_point_solve(data: ProblemData, g: GridFunction, cfg: InverseConfig | N
                 f"iterate left the admissible set (min q = {q.values.min():g}); "
                 "the data violate the sign hypotheses -- enable clamping to proceed"
             )
-        ue_T, dtum_T, um_T = terminal_fields(data, q)
+        ue_T, dtum_T, um_T = _terminal_triple(data, q)
         trace.misfits.append(l2_norm(um_T - g))
         q_next = _guarded_divide(dtum_T.values + forcing, ue_T.values, data.grid)
         if cfg.clamp:

@@ -160,7 +160,8 @@ class ExperimentRecord:
     bundles: list[ErrorBundle]
     sf_errors_n: list[float]     # absolute empirical errors vs truth, per trial
     lams: list[float]            # weight actually used, per trial
-    fp_iterations: list[int]
+    lambda_passes: list[int]     # weight-loop passes, per trial (0 at a given weight)
+    fp_iterations: list[int]     # fixed-point iterations, per trial (0 without run_p2)
     rho0: float
 
     @property
@@ -205,7 +206,7 @@ def _run_trial(pipeline: InversionPipeline, point: LadderPoint, points, workspac
         f=fit.f, f_true=pipeline.f_true,
         q=q_rec, q_true=pipeline.q_true,
     )
-    return bundle, sf_err_n, float(lam), fp_iters
+    return bundle, sf_err_n, float(lam), lam_trace.outer_iterations, fp_iters
 
 
 def available_cpus() -> int:
@@ -228,9 +229,9 @@ class _TrialRunner:
     """Runs trial (ladder index, trial index) of one experiment.
 
     Built in the calling process: it draws the sensor points of every rung,
-    factorizes every matrix the trials share and computes the zero-source
-    excitation of the initial guess, so forked workers inherit them instead
-    of redoing them.  The fit workspace of the current rung
+    factorizes every matrix the trials share and marches the zero-source
+    excitation that every map and initial guess read, so forked workers
+    inherit them instead of redoing them.  The fit workspace of the current rung
     is built on first use and kept until the rung changes; trials arrive in
     rung order, so each process builds a rung's workspace at most once.
     """
@@ -250,8 +251,7 @@ class _TrialRunner:
             ops.lu_h1()                         # the H1 fit's preconditioner
         pipeline.grid.operators(1.0).lu_h1()    # the dual-H1 errors of every trial
         if pipeline.recovers_source:
-            pipeline.data.emission_lu()         # the emission march of every map
-            pipeline.data.zero_source_excitation()  # every fixed point's initial guess
+            pipeline.data.zero_source_excitation()  # every map and initial guess
         self._rung = None
         self._workspace = None
 
@@ -324,7 +324,8 @@ def expectation_experiment(pipeline: InversionPipeline, ladder, trials: int = 10
             bundles=[o[0] for o in rung],
             sf_errors_n=[o[1] for o in rung],
             lams=[o[2] for o in rung],
-            fp_iterations=[o[3] for o in rung],
+            lambda_passes=[o[3] for o in rung],
+            fp_iterations=[o[4] for o in rung],
             rho0=float(norm_f_true + point.sigma / np.sqrt(point.n)),
         ))
     return records

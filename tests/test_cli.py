@@ -141,6 +141,26 @@ def test_rates_threads_do_not_change_bytes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_rates_trials_record_each_trials_work(tmp_path):
+    # every trial row counts its weight-loop passes and fixed-point iterations
+    cfg = write_cfg(tmp_path, "c.json", {
+        "grid": 16, "tau": 0.25, "truth": "example2-smooth", "s": 1,
+        "relative_sigma": 0.001, "ladder": [100, 300], "trials": 2,
+        "lambda": {"mode": "self-consistent"}, "run_p2": True,
+    })
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+    assert (out / "trials.csv").read_text().startswith("# schema=fluoinv/rate-trials-v2\n")
+    header, rows = read_csv(out / "trials.csv")
+    assert header[-2:] == ["lambda_passes", "fp_iterations"]
+    assert len(rows) == 4
+    assert all(int(r[-2]) >= 1 and int(r[-1]) >= 1 for r in rows)
+    prior = write_cfg(tmp_path, "prior.json", RATES)
+    assert main(["rates", "--config", prior, "--out", str(tmp_path / "p")]) == 0
+    _, rows = read_csv(tmp_path / "p" / "trials.csv")
+    assert all(r[-2:] == ["0", "0"] for r in rows)  # a given weight, no source recovery
+
+
 def test_rates_tail_curve_emitted(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {
         "grid": 16, "truth": "example1", "s": 0, "sigma": 0.005,

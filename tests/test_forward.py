@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import fluoinv as fv
-from fluoinv.forward import AssumptionWarning, terminal_fields
+from fluoinv.forward import AssumptionWarning, terminal_excitation, terminal_fields
+from fluoinv.inverse import _terminal_triple
 from fluoinv.presets import build_source, build_truth, example2_problem, smooth_source
 
 from conftest import restrict
@@ -224,16 +225,16 @@ def lu_counts(monkeypatch):
 
 def test_fixed_point_map_cost(lu_counts):
     # the cost model of one map application: the excitation step matrix
-    # depends on q and is factorized anew, the emission factor is cached,
-    # and each of the two backward-Euler marches does one solve per step
+    # depends on q and is factorized anew, and its backward-Euler march does
+    # one solve per step; the emission levels come from the cached q = 0 march
     grid = fv.Grid(2, 16)
     _, g, data, _ = build_truth("example2-smooth", grid, tau=0.25)
     assert data.n_steps == 4
     q = grid.function(np.full(grid.node_count, 1.0))
-    fv.fixed_point_map(data, q, g)  # the emission factor is cached by now
+    fv.fixed_point_map(data, q, g)  # the q = 0 levels are cached by now
     lu_counts.update(factorizations=0, solves=0)
     fv.fixed_point_map(data, q, g)
-    assert lu_counts == {"factorizations": 1, "solves": 2 * data.n_steps}
+    assert lu_counts == {"factorizations": 1, "solves": data.n_steps}
 
 
 def test_initial_guess_reuses_the_emission_factor(lu_counts):
@@ -263,15 +264,35 @@ def test_terminal_fields_match_the_histories():
     assert np.array_equal(dtum_T.values, fv.terminal_time_derivative(u_m).values)
     assert np.array_equal(um_T.values, fv.terminal_data(u_m).values)
     assert all(v.values.base is None for v in (ue_T, dtum_T, um_T))
+    for level, stacked in zip(terminal_excitation(data, q), u_e.levels[::-1]):
+        assert np.array_equal(level, stacked)
     zero = fv.solve_excitation(data, grid.zeros())
+    for level, stacked in zip(data.zero_source_levels(), zero.levels[::-1]):
+        assert np.array_equal(level, stacked)
     assert np.array_equal(data.zero_source_excitation().values,
                           fv.terminal_data(zero).values)
 
 
+@pytest.mark.parametrize("source", ["example2-smooth", "example2-discontinuous"])
+def test_map_fields_match_the_forward_observation(source):
+    # u_m = v - u_e, v the cached q = 0 excitation, gives the two-march
+    # triple of terminal_fields: u_e(T) bit for bit, the emission fields to
+    # roundoff, and all three bit for bit at q = 0
+    grid = fv.Grid(2, 24)
+    _, _, data, q = build_truth(source, grid, tau=0.05)
+    triple, forward = _terminal_triple(data, q), terminal_fields(data, q)
+    assert np.array_equal(triple[0].values, forward[0].values)
+    for a, b in zip(triple[1:], forward[1:]):
+        assert np.abs(a.values - b.values).max() <= 1e-9 * np.abs(b.values).max()
+    for a, b in zip(_terminal_triple(data, grid.zeros()), terminal_fields(data, grid.zeros())):
+        assert np.array_equal(a.values, b.values)
+
+
 def test_forward_pass_keeps_one_history():
-    # peak traced memory of a forward pass, and of a fixed-point run over
-    # several, stays near one excitation history: the emission march is
-    # streamed and no returned field pins a history across iterations
+    # peak traced memory of a forward observation stays near one excitation
+    # history (the emission march is streamed); the map's pass marches the
+    # excitation alone and keeps none, over one application and over a
+    # fixed-point run of several, since no returned field pins a history
     grid = fv.Grid(2, 16)
     _, g, data, q = build_truth("example2-smooth", grid, tau=0.01)
     data.emission_lu()
@@ -288,4 +309,5 @@ def test_forward_pass_keeps_one_history():
 
     assert peak(lambda: terminal_fields(data, q)) < 1.5 * history
     cfg = fv.InverseConfig(tol=1e-300, max_iter=4)
-    assert peak(lambda: fv.fixed_point_solve(data, g, cfg)) < 1.5 * history
+    assert peak(lambda: fv.fixed_point_solve(data, g, cfg)) < 0.5 * history
+    assert peak(lambda: fv.fixed_point_map(data, q, g)) < 0.5 * history

@@ -99,6 +99,9 @@ def test_clean_recovery_discontinuous_source_with_clamp():
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda data, g: fv.InverseConfig(tol=0.0), "tol", id="tol-zero"),
     pytest.param(lambda data, g: fv.InverseConfig(tol=np.nan), "tol", id="tol-nan"),
+    pytest.param(lambda data, g: fv.InverseConfig(tol=np.inf), "tol", id="tol-inf"),
+    pytest.param(lambda data, g: fv.InverseConfig(tol="x"), "tol", id="tol-string"),
+    pytest.param(lambda data, g: fv.InverseConfig(clamp="no"), "clamp", id="clamp-string"),
     pytest.param(lambda data, g: fv.InverseConfig(max_iter=0), "max_iter", id="max_iter-zero"),
     pytest.param(lambda data, g: fv.InverseConfig(max_iter=2.5), "max_iter",
                  id="max_iter-fraction"),

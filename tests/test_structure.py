@@ -2,7 +2,8 @@
 
 The finite-volume steps are M-matrix solves, so these hold exactly up to
 roundoff on every grid: nonnegative fields, the comparison principle for
-the excitation field, and a monotone fixed-point map on clean data.
+the excitation field, excitation plus emission equal to the excitation at
+q = 0, and a monotone fixed-point map on clean data.
 """
 
 import numpy as np
@@ -54,6 +55,19 @@ def test_more_absorption_gives_less_excitation(data):
     u1 = fv.solve_excitation(problem, q1)
     u2 = fv.solve_excitation(problem, q2)
     assert (u1.levels - u2.levels).min() >= -TOL
+
+
+@given(st.data())
+def test_fields_sum_to_the_zero_source_excitation(data):
+    # adding the two backward-Euler steps cancels the coupling term q * u_e,
+    # so u_e + u_m is the q = 0 excitation at every level
+    problem = data.draw(problems())
+    q = sources(data.draw, problem.grid)
+    u_e = fv.solve_excitation(problem, q)
+    u_m = fv.solve_emission(problem, q, u_e)
+    v = fv.solve_excitation(problem, problem.grid.zeros()).levels
+    gap = np.abs(u_e.levels + u_m.levels - v).max(axis=1)
+    assert (gap <= 1e-12 * np.abs(v).max(axis=1)).all()
 
 
 @given(st.data())
