@@ -24,12 +24,10 @@ from .fit import (
 )
 from .forward import (
     ProblemData,
-    SpaceTimeField,
+    coupled_levels,
     elliptic_solve,
-    solve_emission,
-    solve_excitation,
-    terminal_data,
-    terminal_time_derivative,
+    terminal_excitation,
+    terminal_fields,
 )
 from .grid import ConvergenceError, Grid, GridFunction
 from .inverse import (

@@ -295,6 +295,14 @@ def _err_row(bundle) -> list:
             for v in (bundle.err1, bundle.err2, bundle.err3, bundle.err4, bundle.err5)]
 
 
+def _write_trace(out: Path, manifest: Manifest, trace) -> None:
+    manifest.add(write_csv(out / "iteration_trace.csv", "fp-trace-v1",
+                           ["iteration", "increment", "min_step", "misfit"],
+                           [(j + 1, inc, mn, mis) for j, (inc, mn, mis) in
+                            enumerate(zip(trace.increments, trace.step_minima,
+                                          trace.misfits))]))
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_forward(cfg: dict, out: Path, manifest: Manifest) -> int:
@@ -365,16 +373,16 @@ def cmd_p2(cfg: dict, out: Path, manifest: Manifest) -> int:
             grid, cfg["beta"], meas, s, _weight(cfg, s, f_true, sigma, meas.n))
         _require_converged(lam_trace)
         g = fitres.sf
-    q_rec, trace = fixed_point_solve(data, g, icfg)
+    try:
+        q_rec, trace = fixed_point_solve(data, g, icfg)
+    except PositivityError as exc:  # exit 3 keeps the iterations made so far
+        _write_trace(out, manifest, exc.trace)
+        raise
 
     bundle = error_bundle(q=q_rec, q_true=q_true)
     manifest.add(write_field_csv(out / "source_fields.csv", grid,
                                  {"q_rec": q_rec, "q_true": q_true}))
-    manifest.add(write_csv(out / "iteration_trace.csv", "fp-trace-v1",
-                           ["iteration", "increment", "min_step", "misfit"],
-                           [(j + 1, inc, mn, mis) for j, (inc, mn, mis) in
-                            enumerate(zip(trace.increments, trace.step_minima,
-                                          trace.misfits))]))
+    _write_trace(out, manifest, trace)
     manifest.add(write_csv(out / "source_errors.csv", "source-errors-v1",
                            ["sigma", "lambda", "iterations", "converged",
                             "err4", "err5"],

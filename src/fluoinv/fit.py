@@ -49,11 +49,10 @@ CG_MAX_ITER = 20000     # normal-equation CG iteration cap
 
 @dataclass
 class MeasurementSet:
-    """Sensor locations, noisy readings, and their nominal noise level."""
+    """Sensor locations and noisy readings."""
 
     points: np.ndarray      # (n, dim), strictly inside the open domain
     values: np.ndarray      # (n,)
-    sigma: float            # nominal noise standard deviation
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))

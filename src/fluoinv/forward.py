@@ -6,24 +6,20 @@ sourced by ``q * u_e``.  Both are advanced with backward Euler, which keeps
 every step an M-matrix solve and therefore preserves nonnegativity of the
 discrete fields exactly -- the property tests rely on that, not on accuracy.
 
-Memory model.  One step loop, ``_march``, yields the levels u^1..u^N one at
-a time and keeps none of them.  ``solve_excitation`` and ``solve_emission``
-stack every level into a ``SpaceTimeField`` for callers that need the whole
-history, such as the property battery and the stability constants.  The
-pass of the fixed-point map, ``terminal_excitation``, streams the
-excitation march and holds only its last two levels, so it keeps no
-history: the map forms the emission levels as u_m = v - u_e from the q = 0
-excitation v, whose last two levels ``ProblemData`` caches.  The forward
-observation, ``terminal_fields``, marches both fields: it keeps the
-excitation history, because the emission source q * u_e^k reads every level
-of it, and streams the emission march.  What the streamed passes return is
-owned, not a view into a history, so no history outlives the call.
+Memory model: no pass holds a history.  One step loop, ``_march``, yields
+the excitation levels u^1..u^N one at a time and keeps none of them.
+``coupled_levels`` advances the emission march in lockstep with it and
+yields the pair of levels, holding two levels per field; the reductions of
+the property battery stream over it.  The forward observation,
+``terminal_fields``, keeps the last two pairs.  The pass of the fixed-point
+map, ``terminal_excitation``, marches the excitation alone and keeps its
+last two levels: the map forms the emission levels as u_m = v - u_e from
+the q = 0 excitation v, whose last two levels ``ProblemData`` caches.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,12 +27,8 @@ from .grid import Grid, GridFunction
 
 __all__ = [
     "ProblemData",
-    "SpaceTimeField",
     "AssumptionWarning",
-    "solve_excitation",
-    "solve_emission",
-    "terminal_data",
-    "terminal_time_derivative",
+    "coupled_levels",
     "terminal_excitation",
     "terminal_fields",
     "elliptic_solve",
@@ -49,30 +41,6 @@ class AssumptionWarning(UserWarning):
     These are warnings, not errors: exploring violated hypotheses is a
     supported use of the solvers.
     """
-
-
-@dataclass
-class SpaceTimeField:
-    """All time levels of a scalar field: levels[k] holds the values at t_k."""
-
-    grid: Grid
-    times: np.ndarray
-    levels: np.ndarray  # shape (n_levels, node_count)
-
-    def __post_init__(self):
-        if self.levels.shape != (len(self.times), self.grid.node_count):
-            raise ValueError("levels shape inconsistent with times/grid")
-
-    @property
-    def tau(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    def slice(self, k: int) -> GridFunction:
-        return GridFunction(self.grid, self.levels[k])
-
-    def time_differences(self) -> np.ndarray:
-        """Backward differences (levels[k] - levels[k-1]) / tau, k = 1..N."""
-        return np.diff(self.levels, axis=0) / self.tau
 
 
 class ProblemData:
@@ -175,44 +143,30 @@ class ProblemData:
         """
         if self._zero_source_levels is None:
             self._zero_source_levels = _last_two(
-                self, _march(self, self.emission_lu(), load=self.boundary_field))
+                _march(self, self.emission_lu()), np.zeros(self.grid.node_count))
         return self._zero_source_levels
 
-    def zero_source_excitation(self) -> GridFunction:
-        """Cached terminal excitation field at q = 0."""
-        return GridFunction(self.grid, self.zero_source_levels()[0])
 
+def _march(data: ProblemData, lu):
+    """Backward-Euler loop from u^0 = 0 under the Robin load, yielding u^1, ..., u^N.
 
-def _march(data: ProblemData, lu, load=None, source=None):
-    """Backward-Euler loop from u^0 = 0, yielding u^1, ..., u^N in turn.
-
-    Loads and sources are taken fully implicitly, at the new level.  Only
-    the current level is held; the caller keeps what it needs.
+    The load is taken fully implicitly, at the new level.  Only the current
+    level is held; the caller keeps what it needs.
     """
     ops = data.grid.operators(data.beta)
     w = ops.weights
     u = np.zeros(data.grid.node_count)
     for k in range(1, data.n_steps + 1):
         rhs = w * u / data.tau
-        if load is not None:
-            rhs = rhs + ops.load_weights * load(k)
-        if source is not None:
-            rhs = rhs + w * source(k)
+        rhs = rhs + ops.load_weights * data.boundary_field(k)
         u = lu.solve(rhs)
         yield u
 
 
-def _history(data: ProblemData, levels) -> SpaceTimeField:
-    """Every level of a march, u^0 = 0 included."""
-    stack = np.zeros((data.n_steps + 1, data.grid.node_count))
-    for k, u in enumerate(levels, start=1):
-        stack[k] = u
-    return SpaceTimeField(data.grid, data.times.copy(), stack)
-
-
-def _last_two(data: ProblemData, levels) -> tuple[np.ndarray, np.ndarray]:
-    """The last two levels (u^N, u^(N-1)) of a march, holding no others."""
-    before = last = np.zeros(data.grid.node_count)
+def _last_two(levels, zero):
+    """The last two levels (u^N, u^(N-1)) of a march, with ``zero`` standing
+    for level 0; holds no others."""
+    before = last = zero
     for u in levels:
         before, last = last, u
     return last, before
@@ -228,67 +182,50 @@ def _excitation_march(data: ProblemData, q: GridFunction):
     if q.values.min() < 0:
         raise ValueError(f"source must be nonnegative; min q = {q.values.min():g}")
     lu = data.grid.operators(data.beta).step_lu(data.tau, data.p.values + q.values)
-    return _march(data, lu, load=data.boundary_field)
+    return _march(data, lu)
 
 
-def _emission_march(data: ProblemData, q: GridFunction, u_e: SpaceTimeField):
-    return _march(data, data.emission_lu(), source=lambda k: q.values * u_e.levels[k])
+def coupled_levels(data: ProblemData, q: GridFunction):
+    """Both fields at source q, level by level: yields (u_e^k, u_m^k), k = 1..N.
 
-
-def solve_excitation(data: ProblemData, q: GridFunction) -> SpaceTimeField:
-    """Excitation field driven by the Robin data, absorbed by p + q.
-
-    Rejects sources with negative entries: the admissible set is [0, M].
+    The two backward-Euler marches advance in lockstep, and each emission
+    step, sourced by q * u_e^k, is taken on the cached emission factor right
+    after the excitation step it reads.  q is checked on the call, before
+    the first level.  Every yielded array is fresh, so a caller may keep
+    any of them; level 0 is zero for both fields and is not yielded.
     """
-    return _history(data, _excitation_march(data, q))
+    excitation = _excitation_march(data, q)
+    lu = data.emission_lu()
+    w = data.grid.operators(data.beta).weights
 
+    def lockstep():
+        u_m = np.zeros(data.grid.node_count)
+        for u_e in excitation:
+            rhs = w * u_m / data.tau
+            rhs = rhs + w * (q.values * u_e)
+            u_m = lu.solve(rhs)
+            yield u_e, u_m
 
-def solve_emission(data: ProblemData, q: GridFunction, u_e: SpaceTimeField) -> SpaceTimeField:
-    """Emission field with homogeneous Robin data and source q * u_e."""
-    if q.grid is not data.grid or u_e.grid is not data.grid:
-        raise ValueError("emission inputs must live on the problem grid")
-    if len(u_e.times) != data.n_steps + 1:
-        raise ValueError("excitation field has a different time grid")
-    return _history(data, _emission_march(data, q, u_e))
+    return lockstep()
 
 
 def terminal_excitation(data: ProblemData, q: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     """The last two excitation levels (u_e^N, u_e^(N-1)) at source q.
 
-    The march is streamed and keeps no history; the levels are those of
-    ``solve_excitation``, bit for bit.
+    The excitation is marched alone, one factorization and T/tau solves;
+    its levels are those of ``coupled_levels``, bit for bit.
     """
-    return _last_two(data, _excitation_march(data, q))
-
-
-def terminal_data(u: SpaceTimeField) -> GridFunction:
-    """The final time slice."""
-    return u.slice(len(u.times) - 1)
-
-
-def terminal_time_derivative(u: SpaceTimeField) -> GridFunction:
-    """Backward difference at the final time.
-
-    With backward Euler this equals the discrete equation residual at the
-    final level exactly, so it is the canonical terminal derivative: the
-    fixed-point map built from it has the manufactured source as an exact
-    fixed point on data generated by the same discrete solver.
-    """
-    if len(u.times) < 2:
-        raise ValueError("need at least two time levels for a time derivative")
-    return GridFunction(u.grid, (u.levels[-1] - u.levels[-2]) / u.tau)
+    return _last_two(_excitation_march(data, q), np.zeros(data.grid.node_count))
 
 
 def terminal_fields(data: ProblemData, q: GridFunction):
     """One forward observation: terminal excitation, emission time derivative, emission.
 
-    Both fields are marched.  The excitation history is kept for the length
-    of the call, because the emission source q * u_e^k reads every level of
-    it.  The emission march is streamed: only its last two levels are held.
-    The returned fields own their arrays, so holding them keeps no history
-    alive.  The values are those of ``terminal_data`` and
-    ``terminal_time_derivative`` applied to ``solve_excitation`` and
-    ``solve_emission``, bit for bit.
+    The last two levels of ``coupled_levels``.  The derivative is the
+    backward difference at the final level; with backward Euler it equals
+    the discrete equation residual there exactly, so the fixed-point map
+    built from it has the manufactured source as an exact fixed point on
+    data generated by this solver.
 
     The fixed-point map gets the same triple from one march, as
     u_m = v - u_e with v the q = 0 excitation.  That agrees with this pass
@@ -298,11 +235,11 @@ def terminal_fields(data: ProblemData, q: GridFunction):
     stops at a relative residual of 1e-10, amplifies a roundoff change of
     the observed field to 1e-7-1e-5 in the rate slopes.
     """
-    u_e = solve_excitation(data, q)
-    last, before = _last_two(data, _emission_march(data, q, u_e))
-    return (GridFunction(data.grid, u_e.levels[-1].copy()),
-            GridFunction(data.grid, (last - before) / data.tau),
-            GridFunction(data.grid, last))
+    zero = np.zeros(data.grid.node_count)
+    (ue_N, um_N), (_, um_prev) = _last_two(coupled_levels(data, q), (zero, zero))
+    return (GridFunction(data.grid, ue_N),
+            GridFunction(data.grid, (um_N - um_prev) / data.tau),
+            GridFunction(data.grid, um_N))
 
 
 def elliptic_solve(grid: Grid, beta: float, f: GridFunction) -> GridFunction:

@@ -28,7 +28,8 @@ excitation v at every level, and u_m^k = v^k - u_e^k.  The map reads
 u_m(T) = v^N - u_e^N and dt u_m(T) = (u_m^N - u_m^(N-1)) / tau, with the
 last two levels of v cached on the problem: one factorization and T/tau
 solves per application, and no history held.  The result agrees with the
-two-march ``terminal_fields`` to roundoff; u_e(T) is the same bit for bit.
+coupled march of ``terminal_fields`` to roundoff; u_e(T) is the same bit
+for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import ProblemData, solve_excitation, terminal_data, terminal_excitation
+from .forward import ProblemData, terminal_excitation
 from .grid import GridFunction
 from .metrics import l2_norm
 
@@ -60,7 +61,13 @@ class PositivityError(RuntimeError):
     """A sign hypothesis failed: nonpositive terminal excitation values
     (dividing by them would be meaningless) or an unclamped iterate leaving
     the admissible set.  Signals bad data, not a numerical failure.
+
+    Raised by ``fixed_point_solve``, it carries in ``trace`` the iterations
+    made before it (none if the initial guess failed); elsewhere ``trace``
+    is None.
     """
+
+    trace: IterationTrace | None = None
 
 
 @dataclass
@@ -132,8 +139,7 @@ def fixed_point_map(data: ProblemData, q: GridFunction, g: GridFunction) -> Grid
 def initial_guess(data: ProblemData, g: GridFunction) -> GridFunction:
     """Starting iterate from the terminal excitation field at zero source
     (computed once per problem and cached on it)."""
-    return _guarded_divide(_forcing(data, g), data.zero_source_excitation().values,
-                           data.grid)
+    return _guarded_divide(_forcing(data, g), data.zero_source_levels()[0], data.grid)
 
 
 def fixed_point_solve(data: ProblemData, g: GridFunction, cfg: InverseConfig | None = None):
@@ -145,33 +151,38 @@ def fixed_point_solve(data: ProblemData, g: GridFunction, cfg: InverseConfig | N
     ``cfg.clamp`` (the default) iterates are projected onto [0, M], since
     noise can push them outside; without it the raw map (and its
     monotonicity) is observable, and an iterate leaving the admissible set
-    raises PositivityError.  Returns ``(q, trace)``.
+    raises PositivityError, which carries the trace so far.  Returns
+    ``(q, trace)``.
     """
     cfg = cfg or InverseConfig()
     forcing = _forcing(data, g)
-    # the initial guess, on the forcing formed above
-    q = _guarded_divide(forcing, data.zero_source_excitation().values, data.grid)
     trace = IterationTrace()
-    if cfg.clamp:
-        q = GridFunction(data.grid, np.clip(q.values, 0.0, data.M))
-    for _ in range(cfg.max_iter):
-        if not cfg.clamp and q.values.min() < 0.0:
-            raise PositivityError(
-                f"iterate left the admissible set (min q = {q.values.min():g}); "
-                "the data violate the sign hypotheses -- enable clamping to proceed"
-            )
-        ue_T, dtum_T, um_T = _terminal_triple(data, q)
-        trace.misfits.append(l2_norm(um_T - g))
-        q_next = _guarded_divide(dtum_T.values + forcing, ue_T.values, data.grid)
+    try:
+        # the initial guess, on the forcing formed above
+        q = _guarded_divide(forcing, data.zero_source_levels()[0], data.grid)
         if cfg.clamp:
-            q_next = GridFunction(data.grid, np.clip(q_next.values, 0.0, data.M))
-        step = q_next - q
-        trace.increments.append(l2_norm(step))
-        trace.step_minima.append(step.min())
-        q = q_next
-        if trace.increments[-1] < cfg.tol:
-            trace.converged = True
-            break
+            q = GridFunction(data.grid, np.clip(q.values, 0.0, data.M))
+        for _ in range(cfg.max_iter):
+            if not cfg.clamp and q.values.min() < 0.0:
+                raise PositivityError(
+                    f"iterate left the admissible set (min q = {q.values.min():g}); "
+                    "the data violate the sign hypotheses -- enable clamping to proceed"
+                )
+            ue_T, dtum_T, um_T = _terminal_triple(data, q)
+            trace.misfits.append(l2_norm(um_T - g))
+            q_next = _guarded_divide(dtum_T.values + forcing, ue_T.values, data.grid)
+            if cfg.clamp:
+                q_next = GridFunction(data.grid, np.clip(q_next.values, 0.0, data.M))
+            step = q_next - q
+            trace.increments.append(l2_norm(step))
+            trace.step_minima.append(step.min())
+            q = q_next
+            if trace.increments[-1] < cfg.tol:
+                trace.converged = True
+                break
+    except PositivityError as exc:
+        exc.trace = trace
+        raise
     return q, trace
 
 
@@ -224,8 +235,8 @@ class StabilityConstants:
 
 def stability_constants(data: ProblemData) -> StabilityConstants:
     """Compute m_Q (one excitation solve at q = M), M_b, C_p, and the ratio."""
-    v_M = solve_excitation(data, data.grid.function(np.full(data.grid.node_count, data.M)))
-    m_Q = float(terminal_data(v_M).min())
+    v_M, _ = terminal_excitation(data, data.grid.function(np.full(data.grid.node_count, data.M)))
+    m_Q = float(v_M.min())
     C_p = float(data.p.values.min())
     if m_Q <= 0 or C_p <= 0:
         return StabilityConstants(m_Q, data.M_b, C_p, np.inf, None)

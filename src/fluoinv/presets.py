@@ -18,6 +18,7 @@ __all__ = [
     "stability_problem",
     "SOURCES",
     "TRUTHS",
+    "build_source",
     "build_truth",
     "PRESETS",
 ]

@@ -107,11 +107,7 @@ def observe(g: GridFunction, points: np.ndarray, noise: NoiseModel) -> Measureme
     """Interpolate the field at the sensors and add one noise realization."""
     ev = point_evaluation(g.grid, points)
     values = ev.apply(g) + noise.draw(len(points))
-    return MeasurementSet(
-        points=points,
-        values=values,
-        sigma=noise.sigma,
-    )
+    return MeasurementSet(points=points, values=values)
 
 
 def trial_seed(base_seed: int, ladder_index: int, trial_index: int) -> np.random.SeedSequence:
@@ -251,7 +247,7 @@ class _TrialRunner:
             ops.lu_h1()                         # the H1 fit's preconditioner
         pipeline.grid.operators(1.0).lu_h1()    # the dual-H1 errors of every trial
         if pipeline.recovers_source:
-            pipeline.data.zero_source_excitation()  # every map and initial guess
+            pipeline.data.zero_source_levels()  # every map and initial guess
         self._rung = None
         self._workspace = None
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import solve_emission, solve_excitation, terminal_data
+from .forward import coupled_levels, terminal_excitation, terminal_fields
 from .grid import Grid, GridFunction
 from .inverse import (
     InverseConfig,
@@ -60,6 +60,22 @@ def _ordered_pair(rng, grid: Grid, upper: float):
     return GridFunction(grid, lo), GridFunction(grid, hi)
 
 
+def _streamed_extrema(data, q: GridFunction):
+    """One coupled march at q, reduced as it goes, the zero level 0 included:
+    the minimum of both fields, the maximum of u_e and of its first and
+    second time differences, and the terminal levels u_e(T), u_m(T)."""
+    low = worst = 0.0
+    ue_before, dt_before = np.zeros(data.grid.node_count), None
+    for u_e, u_m in coupled_levels(data, q):
+        dt = (u_e - ue_before) / data.tau
+        low = min(low, u_e.min(), u_m.min())
+        worst = max(worst, u_e.max(), dt.max())
+        if dt_before is not None:
+            worst = max(worst, ((dt - dt_before) / data.tau).max())
+        ue_before, dt_before = u_e, dt
+    return low, worst, GridFunction(data.grid, u_e), GridFunction(data.grid, u_m)
+
+
 def run_battery(grid_cells: int = 32, seed: int = 20250810, tau: float = 0.25,
                 flip_boundary: bool = False) -> list[CheckResult]:
     """Run all checks at desk scale and return one result per check."""
@@ -76,13 +92,11 @@ def run_battery(grid_cells: int = 32, seed: int = 20250810, tau: float = 0.25,
         except Exception as exc:  # a raised guard is a failed check, not a crash
             results.append(CheckResult(name, False, None, None, f"raised: {exc}"))
 
-    # (a) nonnegative fields and the strictly positive terminal excitation floor
-    u_e = solve_excitation(data, q_true)
-    u_m = solve_emission(data, q_true, u_e)
-    g = terminal_data(u_m)
+    # (a) nonnegative fields and the strictly positive terminal excitation floor;
+    # (b) upper bounds by the boundary-data maximum: one streamed pass
+    low, worst, ue_T, g = _streamed_extrema(data, q_true)
 
     def check_positivity():
-        low = min(u_e.levels.min(), u_m.levels.min())
         return CheckResult("field-positivity", low >= -1e-12, low, -1e-12,
                            "min over all nodes/levels of both fields")
 
@@ -90,18 +104,14 @@ def run_battery(grid_cells: int = 32, seed: int = 20250810, tau: float = 0.25,
 
     def check_floor():
         sc = stability_constants(data)
-        margin = float(terminal_data(u_e).values.min() - sc.m_Q)
+        margin = float(ue_T.values.min() - sc.m_Q)
         return CheckResult("excitation-floor", sc.m_Q > 0 and margin >= -1e-10,
                            margin, -1e-10,
                            f"min u_e(T) - m_Q with m_Q={sc.m_Q:.6g}")
 
     guarded("excitation-floor", check_floor)
 
-    # (b) upper bounds by the boundary-data maximum
     def check_derivative_bounds():
-        dt = u_e.time_differences()
-        d2t = np.diff(dt, axis=0) / data.tau
-        worst = max(u_e.levels.max(), dt.max(), d2t.max())
         return CheckResult("derivative-bounds", worst <= data.M_b + 1e-10,
                            float(worst), data.M_b,
                            "max of u_e and its first/second time differences")
@@ -153,8 +163,8 @@ def run_battery(grid_cells: int = 32, seed: int = 20250810, tau: float = 0.25,
         for _ in range(20):
             qa = _random_source(rng, grid, data.M)
             qb = _random_source(rng, grid, data.M)
-            num = l2_norm(terminal_data(solve_excitation(data, qa))
-                          - terminal_data(solve_excitation(data, qb)))
+            num = l2_norm(GridFunction(grid, terminal_excitation(data, qa)[0]
+                                       - terminal_excitation(data, qb)[0]))
             den = l2_norm(qa - qb)
             if den > 0:
                 worst = max(worst, num / den)
@@ -187,9 +197,7 @@ def run_battery(grid_cells: int = 32, seed: int = 20250810, tau: float = 0.25,
         for _ in range(20):
             qa = _random_source(rng, sgrid, sdata.M)
             qb = _random_source(rng, sgrid, sdata.M)
-            ga = terminal_data(solve_emission(sdata, qa, solve_excitation(sdata, qa)))
-            gb = terminal_data(solve_emission(sdata, qb, solve_excitation(sdata, qb)))
-            dg = ga - gb
+            dg = terminal_fields(sdata, qa)[2] - terminal_fields(sdata, qb)[2]
             lap = GridFunction(sgrid, ops.pointwise_laplacian(dg.values))
             lhs = l2_norm(qa - qb)
             rhs = sc.C * (l2_norm(lap) + p_inf * l2_norm(dg))

@@ -29,14 +29,13 @@ def grid100():
 
 @pytest.fixture(scope="session")
 def ex2_32():
-    """Coupled-model benchmark at battery scale: problem, source, fields and
-    the terminal data g the fixed point reads."""
+    """Coupled-model benchmark at battery scale: problem, source, the stacked
+    levels of both fields and the terminal data g the fixed point reads."""
     grid = fv.Grid(2, 32)
     data = example2_problem(grid, tau=0.25)
     q_true = smooth_source(grid)
-    u_e = fv.solve_excitation(data, q_true)
-    u_m = fv.solve_emission(data, q_true, u_e)
-    g = fv.terminal_data(u_m)
+    u_e, u_m = stacked_levels(data, q_true)
+    _, _, g = fv.terminal_fields(data, q_true)
     return dict(grid=grid, data=data, q_true=q_true, u_e=u_e, u_m=u_m, g=g)
 
 
@@ -44,6 +43,14 @@ def ex2_32():
 def dirichlet64():
     """Dense Dirichlet spectrum at diagnostic scale (shared: it costs seconds)."""
     return fv.laplacian_spectrum(fv.Grid(2, 64), 200)
+
+
+def stacked_levels(data, q):
+    """Both fields of ``coupled_levels`` stacked into (N + 1, nodes) arrays,
+    the zero level 0 first."""
+    zero = np.zeros(data.grid.node_count)
+    pairs = [(zero, zero)] + list(fv.coupled_levels(data, q))
+    return np.array([u_e for u_e, _ in pairs]), np.array([u_m for _, u_m in pairs])
 
 
 def restrict(fine_values: np.ndarray, coarse_cells: int, fine_cells: int) -> np.ndarray:

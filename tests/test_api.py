@@ -1,0 +1,24 @@
+"""Each layer module's ``__all__`` names what it defines, and only that."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import fluoinv
+
+# the command-line front end is run, not imported as a library
+LAYERS = sorted(m.name for m in pkgutil.iter_modules(fluoinv.__path__) if m.name != "cli")
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_all_lists_exactly_the_public_definitions(name):
+    module = importlib.import_module(f"fluoinv.{name}")
+    listed = module.__all__
+    assert len(set(listed)) == len(listed)
+    assert [n for n in listed if not hasattr(module, n)] == []
+    defined = [n for n, obj in vars(module).items()
+               if not n.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == module.__name__]
+    assert [n for n in defined if n not in listed] == []

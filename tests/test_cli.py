@@ -127,6 +127,20 @@ def test_p2_nonconvergence_exit_code_with_trace(tmp_path):
     assert len(rows) == 2  # the trace is still written
 
 
+def test_p2_positivity_failure_keeps_the_trace(tmp_path, capsys):
+    # clean data are not clamped, and the raw initial guess of the
+    # discontinuous source dips below 0: exit 3, with the trace so far listed
+    cfg = write_cfg(tmp_path, "c.json", {"clean": True, "grid": 32})
+    out = tmp_path / "o"
+    assert main(["p2", "--preset", "example2-discontinuous", "--config", cfg,
+                 "--out", str(out)]) == 3
+    assert "admissible set" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [f["name"] for f in manifest["files"]] == ["iteration_trace.csv"]
+    header, rows = read_csv(out / "iteration_trace.csv")
+    assert header == ["iteration", "increment", "min_step", "misfit"] and rows == []
+
+
 def test_rates_threads_do_not_change_bytes(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {
         "grid": 16, "truth": "example1", "s": 0, "sigma": 0.002,

@@ -45,7 +45,7 @@ def test_empirical_norm():
 
 
 def test_zero_data_zero_minimizer(grid16):
-    meas = fv.MeasurementSet(sample_points(2, 100, seed=4), np.zeros(100), 0.0)
+    meas = fv.MeasurementSet(sample_points(2, 100, seed=4), np.zeros(100))
     res = fv.solve_data_fit(grid16, 1.0, meas, FitConfig(s=0, lam=1e-6))
     assert np.abs(res.f.values).max() < 1e-12
 
@@ -135,7 +135,7 @@ def test_config_validation(grid16):
     with pytest.raises(ValueError):
         FitConfig(s=0, lam=1e-6, outer_tol=0.0)
     with pytest.raises(ValueError):
-        fv.MeasurementSet(np.array([[0.5, 1.0]]), np.zeros(1), 0.0)
+        fv.MeasurementSet(np.array([[0.5, 1.0]]), np.zeros(1))
 
 
 def test_lambda_prior_rule_values():

@@ -9,7 +9,7 @@ from fluoinv.forward import AssumptionWarning, terminal_excitation, terminal_fie
 from fluoinv.inverse import _terminal_triple
 from fluoinv.presets import build_source, build_truth, example2_problem, smooth_source
 
-from conftest import restrict
+from conftest import restrict, stacked_levels
 
 
 def zero_boundary_problem(grid):
@@ -22,28 +22,27 @@ def zero_boundary_problem(grid):
 
 def test_zero_boundary_data_gives_zero_field(grid16):
     data = zero_boundary_problem(grid16)
-    u = fv.solve_excitation(data, grid16.zeros())
-    assert np.abs(u.levels).max() == 0.0
+    u_e, _ = stacked_levels(data, grid16.zeros())
+    assert np.abs(u_e).max() == 0.0
 
 
 def test_excitation_positivity_and_floor(ex2_32):
     u_e, data = ex2_32["u_e"], ex2_32["data"]
-    assert u_e.levels.min() >= -1e-12
+    assert u_e.min() >= -1e-12
     sc = fv.stability_constants(data)
     assert sc.m_Q > 0
-    assert fv.terminal_data(u_e).values.min() >= sc.m_Q - 1e-10
+    assert u_e[-1].min() >= sc.m_Q - 1e-10
 
 
 def test_excitation_bounded_by_boundary_maximum(ex2_32):
     u_e, data = ex2_32["u_e"], ex2_32["data"]
-    assert u_e.levels.max() <= data.M_b + 1e-10
+    assert u_e.max() <= data.M_b + 1e-10
 
 
 def test_emission_zero_source(ex2_32):
     data = ex2_32["data"]
-    u_e = fv.solve_excitation(data, data.grid.zeros())
-    u_m = fv.solve_emission(data, data.grid.zeros(), u_e)
-    assert np.abs(u_m.levels).max() == 0.0
+    _, u_m = stacked_levels(data, data.grid.zeros())
+    assert np.abs(u_m).max() == 0.0
 
 
 def test_emission_terminal_positivity(ex2_32):
@@ -51,41 +50,37 @@ def test_emission_terminal_positivity(ex2_32):
 
 
 def test_emission_time_monotone(ex2_32):
-    assert ex2_32["u_m"].time_differences().min() >= -1e-12
+    assert (np.diff(ex2_32["u_m"], axis=0) / ex2_32["data"].tau).min() >= -1e-12
 
 
-def test_terminal_data_is_last_level(ex2_32):
-    u_m = ex2_32["u_m"]
-    assert np.array_equal(fv.terminal_data(u_m).values, u_m.levels[-1])
-    zero = fv.SpaceTimeField(ex2_32["grid"], np.array([0.0, 1.0]),
-                             np.zeros((2, ex2_32["grid"].node_count)))
-    assert np.abs(fv.terminal_data(zero).values).max() == 0.0
+def test_terminal_fields_are_the_last_levels(ex2_32):
+    # the observation is the last level of the coupled march, on one step too
+    u_e, u_m = ex2_32["u_e"], ex2_32["u_m"]
+    ue_T, _, um_T = terminal_fields(ex2_32["data"], ex2_32["q_true"])
+    assert np.array_equal(ue_T.values, u_e[-1])
+    assert np.array_equal(um_T.values, u_m[-1])
+    one_step = example2_problem(ex2_32["grid"], tau=1.0)
+    ue_1, um_1 = stacked_levels(one_step, ex2_32["q_true"])
+    ue_T, dtum_T, um_T = terminal_fields(one_step, ex2_32["q_true"])
+    assert np.array_equal(ue_T.values, ue_1[1]) and np.array_equal(um_T.values, um_1[1])
+    assert np.array_equal(dtum_T.values, um_1[1] / one_step.tau)
 
 
 def test_terminal_derivative_trivial_cases(ex2_32):
-    grid = ex2_32["grid"]
-    const = fv.SpaceTimeField(grid, np.array([0.0, 0.5, 1.0]),
-                              np.ones((3, grid.node_count)))
-    assert np.abs(fv.terminal_time_derivative(const).values).max() == 0.0
-    data = ex2_32["data"]
-    u_e = fv.solve_excitation(data, grid.zeros())
-    u_m = fv.solve_emission(data, grid.zeros(), u_e)
-    assert np.abs(fv.terminal_time_derivative(u_m).values).max() == 0.0
-    assert fv.terminal_time_derivative(ex2_32["u_m"]).values.min() >= -1e-12
-    single = fv.SpaceTimeField(grid, np.array([0.0]), np.zeros((1, grid.node_count)))
-    with pytest.raises(ValueError):
-        fv.terminal_time_derivative(single)
+    data, grid = ex2_32["data"], ex2_32["grid"]
+    _, dtum_T, _ = terminal_fields(data, grid.zeros())
+    assert np.abs(dtum_T.values).max() == 0.0
+    _, dtum_T, _ = terminal_fields(data, ex2_32["q_true"])
+    assert dtum_T.values.min() >= -1e-12
 
 
 def run_terminal_emission(cells, tau):
     grid = fv.Grid(2, cells)
     data = example2_problem(grid, tau=tau)
-    q = smooth_source(grid)
-    u_e = fv.solve_excitation(data, q)
-    return grid, fv.terminal_data(fv.solve_emission(data, q, u_e))
+    return grid, terminal_fields(data, smooth_source(grid))[2]
 
 
-def test_terminal_data_refinement_oracle():
+def test_terminal_emission_refinement_oracle():
     # halving h and tau must reproduce the coarse terminal field to 1%
     coarse_grid, g_coarse = run_terminal_emission(32, 0.02)
     _, g_fine = run_terminal_emission(64, 0.01)
@@ -136,9 +131,9 @@ def test_monotone_ordering_in_source(ex2_32):
     rng = np.random.default_rng(11)
     lo = rng.uniform(0, data.M, grid.node_count)
     hi = lo + rng.uniform(0, 1, grid.node_count) * (data.M - lo)
-    u_lo = fv.solve_excitation(data, fv.GridFunction(grid, lo))
-    u_hi = fv.solve_excitation(data, fv.GridFunction(grid, hi))
-    assert (u_lo.levels - u_hi.levels).min() >= -1e-12
+    u_lo, _ = stacked_levels(data, fv.GridFunction(grid, lo))
+    u_hi, _ = stacked_levels(data, fv.GridFunction(grid, hi))
+    assert (u_lo - u_hi).min() >= -1e-12
 
 
 def test_emission_excitation_conservation(ex2_32):
@@ -147,11 +142,9 @@ def test_emission_excitation_conservation(ex2_32):
     rng = np.random.default_rng(13)
     q1 = fv.GridFunction(grid, rng.uniform(0, data.M, grid.node_count))
     q2 = fv.GridFunction(grid, rng.uniform(0, data.M, grid.node_count))
-    ue1 = fv.solve_excitation(data, q1)
-    ue2 = fv.solve_excitation(data, q2)
-    um1 = fv.solve_emission(data, q1, ue1)
-    um2 = fv.solve_emission(data, q2, ue2)
-    gap = (um1.levels - um2.levels) - (ue2.levels - ue1.levels)
+    ue1, um1 = stacked_levels(data, q1)
+    ue2, um2 = stacked_levels(data, q2)
+    gap = (um1 - um2) - (ue2 - ue1)
     assert np.abs(gap).max() < 1e-10
 
 
@@ -162,16 +155,18 @@ def test_energy_estimate(ex2_32):
     for _ in range(20):
         qa = fv.GridFunction(grid, rng.uniform(0, data.M, grid.node_count))
         qb = fv.GridFunction(grid, rng.uniform(0, data.M, grid.node_count))
-        num = fv.l2_norm(fv.terminal_data(fv.solve_excitation(data, qa))
-                         - fv.terminal_data(fv.solve_excitation(data, qb)))
+        num = fv.l2_norm(fv.GridFunction(grid, terminal_excitation(data, qa)[0]
+                                         - terminal_excitation(data, qb)[0]))
         den = fv.l2_norm(qa - qb)
         assert num <= bound * den
 
 
 def test_validation_and_warnings(grid16):
     data = example2_problem(grid16, tau=0.25)
-    with pytest.raises(ValueError):
-        fv.solve_excitation(data, grid16.function(np.full(grid16.node_count, -0.1)))
+    negative = grid16.function(np.full(grid16.node_count, -0.1))
+    for march in (fv.coupled_levels, terminal_excitation, terminal_fields):
+        with pytest.raises(ValueError):
+            march(data, negative)  # on the call, before any level is drawn
     with pytest.raises(ValueError):
         example2_problem(grid16, T=1.0, tau=0.3)  # not an integer number of steps
     with pytest.warns(AssumptionWarning):
@@ -191,12 +186,9 @@ def test_preset_builders_raise_value_error(build):
 
 def test_grid_mismatch_rejected(ex2_32, grid16):
     data = ex2_32["data"]
-    with pytest.raises(ValueError):
-        fv.solve_excitation(data, grid16.zeros())
-    other = example2_problem(grid16, tau=0.25)
-    u_e16 = fv.solve_excitation(other, grid16.zeros())
-    with pytest.raises(ValueError):
-        fv.solve_emission(data, ex2_32["q_true"], u_e16)
+    for march in (fv.coupled_levels, terminal_excitation, terminal_fields):
+        with pytest.raises(ValueError):
+            march(data, grid16.zeros())
 
 
 @pytest.fixture
@@ -252,25 +244,22 @@ def test_initial_guess_reuses_the_emission_factor(lu_counts):
 
 
 def test_terminal_fields_match_the_histories():
-    # the streamed pass and the stacked histories come from the same step
-    # loop; the streamed one returns arrays that are no views into a history
+    # the terminal passes keep the last two levels of the same step loops
+    # whose stacked output is the history, and return owned arrays
     grid = fv.Grid(2, 16)
     data = example2_problem(grid, tau=0.05)
     q = smooth_source(grid)
-    u_e = fv.solve_excitation(data, q)
-    u_m = fv.solve_emission(data, q, u_e)
+    u_e, u_m = stacked_levels(data, q)
     ue_T, dtum_T, um_T = terminal_fields(data, q)
-    assert np.array_equal(ue_T.values, fv.terminal_data(u_e).values)
-    assert np.array_equal(dtum_T.values, fv.terminal_time_derivative(u_m).values)
-    assert np.array_equal(um_T.values, fv.terminal_data(u_m).values)
+    assert np.array_equal(ue_T.values, u_e[-1])
+    assert np.array_equal(dtum_T.values, (u_m[-1] - u_m[-2]) / data.tau)
+    assert np.array_equal(um_T.values, u_m[-1])
     assert all(v.values.base is None for v in (ue_T, dtum_T, um_T))
-    for level, stacked in zip(terminal_excitation(data, q), u_e.levels[::-1]):
+    for level, stacked in zip(terminal_excitation(data, q), u_e[::-1]):
         assert np.array_equal(level, stacked)
-    zero = fv.solve_excitation(data, grid.zeros())
-    for level, stacked in zip(data.zero_source_levels(), zero.levels[::-1]):
+    zero, _ = stacked_levels(data, grid.zeros())
+    for level, stacked in zip(data.zero_source_levels(), zero[::-1]):
         assert np.array_equal(level, stacked)
-    assert np.array_equal(data.zero_source_excitation().values,
-                          fv.terminal_data(zero).values)
 
 
 @pytest.mark.parametrize("source", ["example2-smooth", "example2-discontinuous"])
@@ -289,10 +278,10 @@ def test_map_fields_match_the_forward_observation(source):
 
 
 def test_forward_pass_keeps_one_history():
-    # peak traced memory of a forward observation stays near one excitation
-    # history (the emission march is streamed); the map's pass marches the
-    # excitation alone and keeps none, over one application and over a
-    # fixed-point run of several, since no returned field pins a history
+    # no pass keeps a history: peak traced memory stays below half of one,
+    # for a forward observation (both fields marched in lockstep), for one
+    # map application (the excitation alone) and over a fixed-point run of
+    # several, since no returned field pins a history
     grid = fv.Grid(2, 16)
     _, g, data, q = build_truth("example2-smooth", grid, tau=0.01)
     data.emission_lu()
@@ -307,7 +296,7 @@ def test_forward_pass_keeps_one_history():
         finally:
             tracemalloc.stop()
 
-    assert peak(lambda: terminal_fields(data, q)) < 1.5 * history
+    assert peak(lambda: terminal_fields(data, q)) < 0.5 * history
     cfg = fv.InverseConfig(tol=1e-300, max_iter=4)
     assert peak(lambda: fv.fixed_point_solve(data, g, cfg)) < 0.5 * history
     assert peak(lambda: fv.fixed_point_map(data, q, g)) < 0.5 * history

@@ -61,8 +61,8 @@ def test_clean_recovery_inverse_crime(ex2_32):
     resid = fv.l2_norm(fv.fixed_point_map(data, q, g) - q)
     assert resid <= 10 * 1e-10
     # terminal emission at the fixed point reproduces the data
-    u_m = fv.solve_emission(data, q, fv.solve_excitation(data, q))
-    assert fv.l2_norm(fv.terminal_data(u_m) - g) <= 1e-9
+    _, _, um_T = fv.terminal_fields(data, q)
+    assert fv.l2_norm(um_T - g) <= 1e-9
 
 
 def test_clamped_iterates_stay_admissible(ex2_32):
@@ -73,6 +73,17 @@ def test_clamped_iterates_stay_admissible(ex2_32):
     q, trace = fv.fixed_point_solve(data, g_big, fv.InverseConfig(max_iter=20))
     assert q.values.min() >= 0.0
     assert q.values.max() <= data.M
+
+
+def test_positivity_error_carries_the_trace(ex2_32):
+    # unclamped, the inflated field's iterates run away until the terminal
+    # excitation vanishes; the error keeps the iterations made before it
+    data, g = ex2_32["data"], ex2_32["g"]
+    with pytest.raises(fv.PositivityError, match="nonpositive") as failed:
+        fv.fixed_point_solve(data, 20.0 * g, UNCLAMPED)
+    trace = failed.value.trace
+    assert trace.iterations > 0 and not trace.converged
+    assert len(trace.step_minima) == trace.iterations
 
 
 def test_check_domain(ex2_32):
@@ -89,8 +100,9 @@ def test_clean_recovery_discontinuous_source_with_clamp():
     # slightly negative) still recover exactly once iterates are projected
     _, g, data, q_true = build_truth("example2-discontinuous", fv.Grid(2, 40), tau=0.05)
     assert fv.initial_guess(data, g).values.min() < 0  # raw guess leaves [0, M]
-    with pytest.raises(fv.PositivityError):
+    with pytest.raises(fv.PositivityError) as failed:
         fv.fixed_point_solve(data, g, UNCLAMPED)  # the unclamped iteration rejects it
+    assert failed.value.trace.iterations == 0 and not failed.value.trace.converged
     q, trace = fv.fixed_point_solve(data, g)
     assert trace.converged
     assert fv.l2_norm(q - q_true) / fv.l2_norm(q_true) <= 1e-2
