@@ -13,7 +13,9 @@ commands ignore it.  Exit codes:
 0 success, 2 configuration error, 3 solver non-convergence (the files
 written so far and the manifest are kept), 4 property-check failure.  The
 environment variable SOLVER_TOL overrides the tolerance of the fit's
-conjugate-gradient solve.
+conjugate-gradient solve; the representer form of the self-consistent
+weight loop (small sensor sets, see :mod:`fluoinv.fit`) solves its systems
+directly and does not read it.
 """
 
 from __future__ import annotations
@@ -260,12 +262,26 @@ def _truth(cfg: dict, grid: Grid, needs_source: bool = False):
     return truth
 
 
-def _sigma_from(cfg: dict, sf_true) -> float:
+def _sigma_key(cfg: dict) -> str:
+    """The key the noise level comes from: 'sigma' wins over 'relative_sigma'."""
     if "sigma" in cfg:
-        return cfg["sigma"]
+        return "sigma"
     if "relative_sigma" not in cfg:
         raise ConfigError("config error: one of 'sigma' or 'relative_sigma' is required")
-    return cfg["relative_sigma"] * float(np.abs(sf_true.values).max())
+    return "relative_sigma"
+
+
+def _sigma_from(cfg: dict, sf_true) -> float:
+    """The absolute noise level; one whose square overflows is a configuration
+    error, since the fit sums squared readings."""
+    key = _sigma_key(cfg)
+    sigma = cfg[key]
+    if key == "relative_sigma":
+        sigma *= float(np.abs(sf_true.values).max())
+    if not sigma * sigma < np.inf:
+        raise ConfigError(f"config error at {key!r}: the noise level {sigma:g} is too "
+                          f"large, its square overflows")
+    return sigma
 
 
 def _measure(cfg: dict, grid: Grid, sf_true):
@@ -277,12 +293,21 @@ def _measure(cfg: dict, grid: Grid, sf_true):
 
 
 def _weight(cfg: dict, s: int, f_true, sigma: float, n: int):
-    """The configured weight policy resolved for n sensors (None: self-consistent)."""
+    """The configured weight policy resolved for n sensors (None: self-consistent).
+
+    A prior weight that underflows to 0 or overflows is a configuration
+    error naming the key the noise level came from.
+    """
     policy = cfg["lambda"]
     try:
-        return policy_weight(policy["mode"], s, f_true, sigma, n, policy.get("value"))
+        with np.errstate(over="ignore"):
+            lam = policy_weight(policy["mode"], s, f_true, sigma, n, policy.get("value"))
     except ValueError as exc:
         raise ConfigError(f"config error at 'lambda': {exc}") from exc
+    if lam is not None and not 0.0 < lam < np.inf:
+        raise ConfigError(f"config error at {_sigma_key(cfg)!r}: the prior weight at "
+                          f"n={n} is {lam:g}, not a positive finite number")
+    return lam
 
 
 def _require_converged(trace) -> None:

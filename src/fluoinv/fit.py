@@ -11,11 +11,24 @@ minimizer solves SPD normal equations
     (lam * R_s + (1/n) (ES)' (ES)) f = (1/n) (ES)' y
 
 with R_s the lumped-mass (s=0) or mass+stiffness (s=1) Gram matrix and E
-the multilinear point-evaluation map.  They are solved by an outer CG whose
-matrix-vector product costs two elliptic solves; the elliptic solves reuse
-a cached factorization of the assembled Laplacian, and the n measurement
-couplings are folded into a precomputed sparse E'E so each product is
-independent of n.
+the multilinear point-evaluation map.  The fit has two forms:
+
+- CG form (:func:`solve_data_fit`, every given weight, and the weight loop
+  on large sensor sets): an outer CG whose matrix-vector product costs two
+  elliptic solves; the elliptic solves reuse a cached factorization of the
+  assembled Laplacian, and the n measurement couplings are folded into a
+  precomputed sparse E'E so each product is independent of n.
+- Representer form (the self-consistent weight loop on small sensor sets):
+  the minimizer is f = R_s^-1 (ES)' c with (G + n lam I) c = y, where
+  G = E S R_s^-1 S' E' is n x n (the smoothing-spline representer form of
+  Kimeldorf and Wahba).  G is formed once per sensor set and penalty
+  order; each weight pass is a dense Cholesky solve, with misfit
+  n lam |c| / sqrt(n) and penalty norm sqrt(c'Gc), and fields are built at
+  the accepted weight only.
+
+The loop takes the representer form when ``REPRESENTER_RATIO * n`` is at
+most the node count and n is at most ``REPRESENTER_MAX_N``, which also
+bounds the memory of G.
 """
 
 from __future__ import annotations
@@ -27,6 +40,11 @@ import scipy.sparse as sp
 
 from .grid import ConvergenceError, Grid, GridFunction, default_tolerance
 from .metrics import hs_norm
+
+# imported after .grid, whose scipy.sparse.linalg already loads scipy.linalg:
+# importing it first changes the order in which scipy loads, which measured
+# slower at `import fluoinv.cli`
+import scipy.linalg as sla  # noqa: E402
 
 __all__ = [
     "MeasurementSet",
@@ -45,6 +63,15 @@ __all__ = [
 ]
 
 CG_MAX_ITER = 20000     # normal-equation CG iteration cap
+
+# The weight loop takes the representer form for n sensors on N nodes when
+# REPRESENTER_RATIO * n <= N and n <= REPRESENTER_MAX_N.  Forming G costs
+# about n (2 + s) column solves and CG about 3 solves per iteration, so the
+# crossover is near a fixed n: about 650 sensors at 50 cells per side and
+# 900 at 100.  The cap also bounds G, 8 n^2 bytes: 5.1 MB at 800.
+REPRESENTER_RATIO = 8
+REPRESENTER_MAX_N = 800
+GRAM_BLOCK = 16         # columns of G per block solve
 
 
 @dataclass
@@ -163,7 +190,7 @@ class FitResult:
     sf: GridFunction
     misfit_n: float        # ||Sf - y||_n at the sensors
     penalty_norm: float    # |f|_{H^s}
-    report: SolveReport
+    report: SolveReport | None     # None in the representer form, which runs no CG
 
 
 class _FitWorkspace:
@@ -177,6 +204,7 @@ class _FitWorkspace:
         self.n = self.ev.points.shape[0]
         self.ete = (self.ev.matrix.T @ self.ev.matrix).tocsr()
         self.lu = self.ops.lu_laplacian()
+        self._grams: dict[int, np.ndarray] = {}
 
     def smooth(self, f_values: np.ndarray) -> np.ndarray:
         """Apply the Poisson solve S through the cached factorization."""
@@ -188,9 +216,31 @@ class _FitWorkspace:
         return self.ops.mass_diag * v + self.ops.stiffness_natural @ v
 
     def gram_solve(self, s: int, v: np.ndarray) -> np.ndarray:
+        """R_s^-1 v, for a vector or an (N, k) block of columns."""
         if s == 0:
-            return v / self.ops.mass_diag
+            mass = self.ops.mass_diag
+            return v / (mass if v.ndim == 1 else mass[:, None])
         return self.ops.lu_h1().solve(v)
+
+    def representer_gram(self, s: int) -> np.ndarray:
+        """G = E S R_s^-1 S' E' (n x n), formed once per penalty order.
+
+        Formed GRAM_BLOCK columns at a time, so no N x n array is held:
+        C = L^-1 E'[:, blk], D = W R_s^-1 (W C), G[:, blk] = E L^-1 D, which
+        is 2 + s block solves per block.
+        """
+        gram = self._grams.get(s)
+        if gram is None:
+            w = self.ops.weights[:, None]
+            et = self.ev.matrix.T.tocsc()
+            gram = np.empty((self.n, self.n))
+            for lo in range(0, self.n, GRAM_BLOCK):
+                blk = slice(lo, lo + GRAM_BLOCK)
+                c = self.lu.solve(et[:, blk].toarray())
+                d = w * self.gram_solve(s, w * c)
+                gram[:, blk] = self.ev.matrix @ self.lu.solve(d)
+            self._grams[s] = gram
+        return gram
 
     def penalty_norm(self, s: int, f_values: np.ndarray) -> float:
         return float(np.sqrt(max(f_values @ self.gram_apply(s, f_values), 0.0)))
@@ -302,6 +352,35 @@ class LambdaTrace:
         return len(self.lams) - 1
 
 
+def _representer_form(n: int, node_count: int) -> bool:
+    """Whether the weight loop for n sensors on node_count nodes takes the
+    representer form (see the module docstring)."""
+    return REPRESENTER_RATIO * n <= node_count and n <= REPRESENTER_MAX_N
+
+
+def _representer_coefficients(gram: np.ndarray, lam: float, y: np.ndarray) -> np.ndarray:
+    """c solving (G + n lam I) c = y by a dense Cholesky factorization.
+
+    Raises numpy.linalg.LinAlgError if the matrix is not positive definite
+    in floating point.
+    """
+    n = y.shape[0]
+    a = gram.copy()
+    a.flat[::n + 1] += n * lam
+    return sla.cho_solve(sla.cho_factor(a, overwrite_a=True), y)
+
+
+def _representer_fit(ws: _FitWorkspace, s: int, lam: float, meas: MeasurementSet) -> FitResult:
+    """The fit at weight ``lam`` in the representer form: f = R_s^-1 W L^-1 E'c,
+    Sf, and misfit and penalty norm read off the fields as in solve_data_fit."""
+    c = _representer_coefficients(ws.representer_gram(s), lam, meas.values)
+    f = ws.gram_solve(s, ws.ops.weights * ws.lu.solve(ws.ev.matrix.T @ c))
+    sf = ws.smooth(f)
+    misfit = empirical_norm(ws.ev.apply(sf) - meas.values)
+    return FitResult(GridFunction(ws.grid, f), GridFunction(ws.grid, sf), misfit,
+                     ws.penalty_norm(s, f), None)
+
+
 def self_consistent_lambda(grid: Grid, beta: float, meas: MeasurementSet, s: int,
                            stop_tol: float = 1e-10, max_outer: int = 50,
                            workspace: _FitWorkspace | None = None,
@@ -314,20 +393,55 @@ def self_consistent_lambda(grid: Grid, beta: float, meas: MeasurementSet, s: int
     estimate).  Stops when the weight moves less than ``stop_tol`` in
     absolute value; the final fit is recomputed at the accepted weight.
     Non-convergence within ``max_outer`` passes is flagged on the trace and
-    the last iterate is returned.
+    the last iterate is returned.  Small sensor sets run in the representer
+    form, the others in the CG form (see the module docstring).
+
+    Raises ConvergenceError naming the pass if a fit fails, if its penalty
+    norm is zero (the update is undefined), or if the update is not a
+    positive finite weight.
     """
     expo = _lambda_exponent(s)
     ws = workspace if workspace is not None else _FitWorkspace(grid, beta, meas.points)
-    lam = float(meas.n ** (-0.5 / expo))
+    n = meas.n
+    if _representer_form(n, grid.node_count):
+        gram = ws.representer_gram(s)
+
+        def fit(lam):
+            return _representer_fit(ws, s, lam, meas)
+
+        def norms(lam):
+            c = _representer_coefficients(gram, lam, meas.values)
+            return n * lam * float(np.linalg.norm(c)) / np.sqrt(n), \
+                float(np.sqrt(max(c @ (gram @ c), 0.0)))
+    else:
+        def fit(lam):
+            return solve_data_fit(grid, beta, meas, FitConfig(s=s, lam=lam), workspace=ws)
+
+        def norms(lam):
+            result = fit(lam)
+            return result.misfit_n, result.penalty_norm
+
+    def failed(where, lam, why):
+        return ConvergenceError(f"self-consistent weight loop, {where} "
+                                f"(lambda={lam:.6g}): {why}")
+
+    lam = float(n ** (-0.5 / expo))
     lams = [lam]
     converged = False
-    for _ in range(max_outer):
-        result = solve_data_fit(grid, beta, meas, FitConfig(s=s, lam=lam), workspace=ws)
-        if result.penalty_norm == 0.0:
-            raise ValueError("degenerate fit: zero penalty norm, weight update undefined")
-        lam_next = float(
-            (result.misfit_n / np.sqrt(meas.n) / result.penalty_norm) ** (1.0 / expo)
-        )
+    for k in range(1, max_outer + 1):
+        # overflow shows as a non-finite norm or weight, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                misfit, penalty = norms(lam)
+            except (ConvergenceError, np.linalg.LinAlgError) as exc:
+                raise failed(f"pass {k}", lam, exc) from exc
+            if not penalty > 0.0:
+                raise failed(f"pass {k}", lam, f"penalty norm {penalty:g}, "
+                                                "the weight update is undefined")
+            lam_next = float((misfit / np.sqrt(n) / penalty) ** (1.0 / expo))
+        if not 0.0 < lam_next < np.inf:
+            raise failed(f"pass {k}", lam, f"the update {lam_next} is not a positive "
+                                            "finite weight")
         lams.append(lam_next)
         done = abs(lam_next - lam) < stop_tol
         lam = lam_next
@@ -335,7 +449,10 @@ def self_consistent_lambda(grid: Grid, beta: float, meas: MeasurementSet, s: int
             converged = True
             break
     # recompute once at the accepted weight so the returned fit matches it
-    result = solve_data_fit(grid, beta, meas, FitConfig(s=s, lam=lam), workspace=ws)
+    try:
+        result = fit(lam)
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
+        raise failed("final fit", lam, exc) from exc
     return lam, result, LambdaTrace(lams, converged)
 
 

@@ -88,15 +88,20 @@ class ProblemData:
         self.times = np.arange(self.n_steps + 1) * self.tau
 
         bcoords = grid.coords[grid.boundary_indices]
-        self.boundary_values = np.array(
-            [np.broadcast_to(np.asarray(b(bcoords, t), dtype=float),
-                             (len(grid.boundary_indices),)).copy()
-             for t in self.times]
-        )
-        bv = self.boundary_values
-        dtb = np.diff(bv, axis=0) / self.tau
-        d2tb = (bv[2:] - 2.0 * bv[1:-1] + bv[:-2]) / self.tau**2 if len(bv) > 2 \
-            else np.zeros((0, bv.shape[1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.boundary_values = np.array(
+                [np.broadcast_to(np.asarray(b(bcoords, t), dtype=float),
+                                 (len(grid.boundary_indices),)).copy()
+                 for t in self.times]
+            )
+            bv = self.boundary_values
+            dtb = np.diff(bv, axis=0) / self.tau
+            tau2 = np.float64(self.tau)**2
+            d2tb = (bv[2:] - 2.0 * bv[1:-1] + bv[:-2]) / tau2 if len(bv) > 2 \
+                else np.zeros((0, bv.shape[1]))
+        if not all(np.isfinite(a).all() for a in (tau2, bv, dtb, d2tb)):
+            raise ValueError(f"tau^2, the boundary data or its time differences overflow "
+                             f"at T = {T:g}, tau = {tau:g}")
         self.M_b = float(max(bv.max(), dtb.max() if dtb.size else 0.0,
                              d2tb.max() if d2tb.size else 0.0, 0.0))
         self._emission_lu = None

@@ -182,8 +182,11 @@ def _run_trial(pipeline: InversionPipeline, point: LadderPoint, points, workspac
     seed = trial_seed(base_seed, ladder_index, trial_index)
     noise = NoiseModel(pipeline.noise_kind, point.sigma, seed)
     meas = observe(pipeline.sf_true, points, noise)
-    lam, fit, lam_trace = fit_at_weight(pipeline.grid, pipeline.beta, meas, pipeline.s,
-                                        point.lam, workspace=workspace)
+    try:
+        lam, fit, lam_trace = fit_at_weight(pipeline.grid, pipeline.beta, meas, pipeline.s,
+                                            point.lam, workspace=workspace)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{exc} at rung n={point.n}, trial {trial_index}") from exc
     if not lam_trace.converged:
         raise ConvergenceError(f"self-consistent weight loop did not stabilize at rung "
                                f"n={point.n}, trial {trial_index}")

@@ -39,6 +39,30 @@ def ex2_32():
     return dict(grid=grid, data=data, q_true=q_true, u_e=u_e, u_m=u_m, g=g)
 
 
+@pytest.fixture
+def lu_counts(monkeypatch):
+    """Counts of sparse factorizations and solves made from here on."""
+    import scipy.sparse.linalg as spla
+
+    counts = {"factorizations": 0, "solves": 0}
+    splu = spla.splu
+
+    class CountedFactor:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, rhs):
+            counts["solves"] += 1
+            return self._lu.solve(rhs)
+
+    def counted_splu(*args, **kwargs):
+        counts["factorizations"] += 1
+        return CountedFactor(splu(*args, **kwargs))
+
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    return counts
+
+
 @pytest.fixture(scope="session")
 def dirichlet64():
     """Dense Dirichlet spectrum at diagnostic scale (shared: it costs seconds)."""

@@ -1,15 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
 import re
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fluoinv import cli
 from fluoinv.cli import main
+from fluoinv.forward import AssumptionWarning
 from fluoinv.presets import PRESETS
 from fluoinv.verify import BATTERY_CHECKS
 
@@ -320,6 +325,7 @@ RATES = {"grid": 16, "truth": "example1", "s": 0, "sigma": 0.002,
 RATES_NO_SIGMA = {k: v for k, v in RATES.items() if k != "sigma"}
 P1 = {"grid": 16, "truth": "example1", "n": 300, "sigma": 0.002, "s": 0}
 P2 = {"grid": 16, "tau": 0.25, "truth": "example2-smooth", "clean": True}
+P2_NOISY = {"grid": 16, "tau": 0.25, "truth": "example2-smooth", "n": 50, "s": 0}
 FORWARD = {"grid": 16, "tau": 0.25, "source": "zero"}
 LADDER = {"mode": "ladder", "values": [1e-6, 1e-5]}
 
@@ -380,6 +386,10 @@ LADDER = {"mode": "ladder", "values": [1e-6, 1e-5]}
     ("rates", {**RATES, "tail_trials": 20}, "'tail_trials'"),
     ("spectral", {"grid": 16, "dim": 1, "k_max": 5, "n": 20}, "spectral sizes"),
     ("forward", {**FORWARD, "T": 1e-12, "tau": 1}, "'tau'"),
+    ("p1", {**P1, "sigma": 1e-300}, "'sigma'"),
+    ("p2", {**P2_NOISY, "relative_sigma": 1e300}, "'relative_sigma'"),
+    ("rates", {**RATES, "sigma": 1e-300}, "'sigma'"),
+    ("p2", {**P2, "T": 1e300, "tau": 1e299}, "'tau'"),
 ], ids=["rates-sigma-0", "rates-lambda-string", "p1-lambda-string", "rates-trials-0",
         "p1-sigma-negative", "p1-sigma-string", "rates-relative-sigma-negative",
         "rates-relative-sigma-string", "rates-ladder-empty", "p2-inverse-string",
@@ -395,7 +405,9 @@ LADDER = {"mode": "ladder", "values": [1e-6, 1e-5]}
         "p1-s-2", "p1-beta-negative", "p1-n-numeric-string", "p2-dim-1", "forward-dim-1",
         "p1-example2-dim-1", "p2-tau-steps", "p1-lambda-mode-unknown", "rates-run-p2-string",
         "spectral-penalties-empty", "verify-key-unread", "rates-tail-zmax-0",
-        "rates-tail-trials-20", "spectral-pencil-rank-deficient", "forward-no-whole-step"])
+        "rates-tail-trials-20", "spectral-pencil-rank-deficient", "forward-no-whole-step",
+        "p1-prior-weight-underflows", "p2-noise-square-overflows",
+        "rates-prior-weight-underflows", "p2-tau-squared-overflows"])
 def test_weight_policy_and_trial_errors_are_config_errors(tmp_path, capsys,
                                                           command, payload, key):
     cfg = write_cfg(tmp_path, "c.json", payload)
@@ -491,3 +503,82 @@ def test_readme_lists_the_config_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Configuration", 1)[1]
     assert set(re.findall(r"^\| `(\w+)` \|", section, re.M)) == set(cli._KEYS)
+
+
+# About as much noise as signal, a single sensor, or no noise at all: the
+# self-consistent weight grows until the penalty norm underflows.  Grid 8
+# (81 nodes) takes the representer form for n <= 10, grid 4 (25 nodes) the
+# CG form for n = 5.
+SC = {"mode": "self-consistent"}
+DIVERGING = {"grid": 8, "truth": "example1", "n": 5, "sigma": 0.01, "s": 0, "lambda": SC}
+
+
+@pytest.mark.parametrize("command,payload,where", [
+    ("p1", DIVERGING, "pass "),
+    ("p1", {**DIVERGING, "n": 1}, "pass "),
+    ("p1", {**DIVERGING, "noise": "zero"}, "pass "),
+    ("p1", {**DIVERGING, "grid": 4}, "pass "),
+    ("p2", {"grid": 8, "tau": 0.25, "truth": "example2-smooth", "n": 1,
+            "relative_sigma": 0.01, "s": 0, "lambda": SC}, "pass "),
+    ("rates", {**{k: v for k, v in DIVERGING.items() if k != "n"},
+               "ladder": [5, 6, 7], "trials": 2}, "n=5, trial 0"),
+], ids=["p1-representer", "p1-one-sensor", "p1-zero-noise", "p1-cg", "p2-one-sensor",
+        "rates-representer"])
+def test_failing_weight_loop_exits_3_naming_the_pass(tmp_path, capsys, command, payload,
+                                                     where):
+    cfg = write_cfg(tmp_path, "c.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "weight loop, pass" in err[0] and where in err[0]
+
+
+_STEPS_AND_TAU = st.tuples(st.integers(1, 4), st.sampled_from([0.01, 0.1, 0.25, 1.0, 3.0]))
+_NOISE_LEVEL = st.sampled_from([0.0, 1e-300, 1e-8, 0.001, 0.05, 1.0, 1e300])
+_P_CONFIGS = st.fixed_dictionaries({
+    "grid": st.integers(4, 8),
+    "truth": st.sampled_from(["example1", "example2-smooth", "example2-discontinuous"]),
+    "n": st.integers(1, 50),
+    "s": st.sampled_from([0, 1]),
+    "noise": st.sampled_from(["gaussian", "uniform", "zero"]),
+    "lambda": st.sampled_from([{"mode": "prior"}, {"mode": "self-consistent"},
+                               {"mode": "fixed", "value": 1e-6},
+                               {"mode": "fixed", "value": 1e6}]),
+    "M": st.sampled_from([0.5, 5.0, 50.0]),
+    "flip_boundary": st.booleans(),
+})
+_NOISE_KEY = st.sampled_from(["sigma", "relative_sigma"])
+
+
+@settings(max_examples=150)
+@given(command=st.sampled_from(["p1", "p2"]), cfg=_P_CONFIGS, steps_tau=_STEPS_AND_TAU,
+       noise=st.tuples(_NOISE_KEY, _NOISE_LEVEL),
+       p2_extra=st.fixed_dictionaries({}, optional={
+           "clean": st.booleans(),
+           "inverse": st.fixed_dictionaries({}, optional={
+               "max_iter": st.integers(1, 20), "clamp": st.booleans()})}),
+       seed=st.integers(0, 3))
+def test_valid_fit_configurations_end_in_an_exit_code(command, cfg, steps_tau, noise,
+                                                      p2_extra, seed):
+    # any configuration the table accepts ends in a documented exit code with
+    # at most one line on stderr, never in a traceback; the only warnings are
+    # the documented ones on violated problem hypotheses (flip_boundary)
+    steps, tau = steps_tau
+    cfg = {**cfg, "tau": tau, "T": steps * tau, noise[0]: noise[1]}
+    if command == "p2":
+        cfg.update(p2_extra)
+        if cfg["truth"] == "example1":  # p2 needs a source
+            cfg["truth"] = "example2-smooth"
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        path = write_cfg(Path(tmp), "c.json", cfg)
+        code = main([command, "--config", path, "--seed", str(seed),
+                     "--out", str(Path(tmp) / "o")])
+    lines = stderr.getvalue().strip().splitlines()
+    event(f"{command} exit {code}")  # shown by pytest --hypothesis-show-statistics
+    assert code in (0, 2, 3, 4), (code, lines)
+    assert len(lines) <= 1 and "Traceback" not in stderr.getvalue(), lines
+    assert all(w.category is AssumptionWarning for w in caught), \
+        [str(w.message) for w in caught]

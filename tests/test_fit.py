@@ -1,9 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 import fluoinv as fv
-from fluoinv.fit import FitConfig, _FitWorkspace
-from fluoinv.presets import trig_forcing
+from fluoinv.fit import (
+    GRAM_BLOCK,
+    REPRESENTER_MAX_N,
+    FitConfig,
+    _FitWorkspace,
+    _representer_fit,
+    _representer_form,
+)
+from fluoinv.presets import build_truth, trig_forcing
 from fluoinv.stochastic import NoiseModel, observe, sample_points
 
 
@@ -151,16 +160,39 @@ def test_lambda_prior_rule_values():
         fv.optimal_lambda_prior(0.5, 0.0, 100, 0)
 
 
-def test_self_consistent_lambda_small_scale(small_fit):
-    grid, meas = small_fit["grid"], small_fit["meas"]
-    lam, res, trace = fv.self_consistent_lambda(grid, 1.0, meas, s=0)
-    assert trace.converged
-    assert trace.outer_iterations <= 15
-    assert abs(trace.lams[-1] - trace.lams[-2]) < 1e-10
-    assert lam == trace.lams[-1]
-    # returned fit was recomputed at the accepted weight
-    again = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=0, lam=lam))
-    assert fv.l2_norm(again.f - res.f) < 1e-12
+def example2_measurements(grid, n, relative_sigma, seed):
+    """Noisy samples of the example2 field.  On so few sensors the example1
+    field (about 0.02 at its peak) sends the weight loop to infinity."""
+    _, sf_true, _, _ = build_truth("example2-smooth", grid, tau=0.25)
+    sigma = relative_sigma * np.abs(sf_true.values).max()
+    return observe(sf_true, sample_points(2, n, seed=seed),
+                   NoiseModel("gaussian", sigma, seed))
+
+
+@pytest.fixture(scope="module")
+def representer_fit(grid32):
+    # few enough sensors on the 32-cell grid for the representer form
+    meas = example2_measurements(grid32, 120, 0.001, 5)
+    assert _representer_form(meas.n, grid32.node_count)
+    return dict(grid=grid32, meas=meas)
+
+
+def test_self_consistent_lambda_small_scale(small_fit, representer_fit):
+    # the CG form (400 sensors on grid 16) and the representer form (120 on grid 32)
+    for form, data in (("cg", small_fit), ("representer", representer_fit)):
+        grid, meas = data["grid"], data["meas"]
+        lam, res, trace = fv.self_consistent_lambda(grid, 1.0, meas, s=0)
+        assert trace.converged
+        assert trace.outer_iterations <= 15
+        assert abs(trace.lams[-1] - trace.lams[-2]) < 1e-10
+        assert lam == trace.lams[-1]
+        # returned fit was recomputed at the accepted weight, in the loop's form
+        if form == "cg":
+            again = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=0, lam=lam))
+        else:
+            again = _representer_fit(_FitWorkspace(grid, 1.0, meas.points), 0, lam, meas)
+        assert (res.report is None) == (form == "representer")
+        assert fv.l2_norm(again.f - res.f) < 1e-12
 
 
 def test_self_consistent_lambda_noiseless(small_fit):
@@ -172,3 +204,65 @@ def test_self_consistent_lambda_noiseless(small_fit):
     assert trace.lams[1] < trace.lams[0]  # the weight heads down without noise
     # misfit settles at the interpolation-error level, far below the field scale
     assert res.misfit_n < 0.05 * fv.empirical_norm(meas.values)
+
+
+@pytest.mark.parametrize("cells,n", [(16, 30), (32, 120)])
+@pytest.mark.parametrize("s", [0, 1])
+def test_representer_form_matches_tight_cg(cells, n, s):
+    # the same minimizer at a fixed weight: CG run far below its default tolerance
+    grid = fv.Grid(2, cells)
+    sf_true = fv.elliptic_solve(grid, 1.0, trig_forcing(grid))
+    meas = observe(sf_true, sample_points(2, n, seed=3), NoiseModel("gaussian", 0.002, 5))
+    lam = fv.optimal_lambda_prior(1.0, 0.002, n, s)
+    ws = _FitWorkspace(grid, 1.0, meas.points)
+    cg = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=s, lam=lam, outer_tol=1e-13),
+                           workspace=ws)
+    rep = _representer_fit(ws, s, lam, meas)
+
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    assert rel(rep.f.values, cg.f.values) < 1e-10
+    assert rel(rep.sf.values, cg.sf.values) < 1e-11
+    assert rep.misfit_n == pytest.approx(cg.misfit_n, rel=1e-11)
+    assert rep.penalty_norm == pytest.approx(cg.penalty_norm, rel=1e-11)
+
+
+def test_representer_form_rule():
+    # a ratio of sensors to nodes, capped at a fixed sensor count (the memory of G)
+    assert _representer_form(325, 2601) and not _representer_form(326, 2601)
+    assert _representer_form(500, 10201)
+    assert _representer_form(REPRESENTER_MAX_N, 10201)
+    assert not _representer_form(REPRESENTER_MAX_N + 1, 10201)
+    assert not _representer_form(REPRESENTER_MAX_N + 1, 10**6)
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_representer_loop_cost(lu_counts, s):
+    # G costs 2 + s block solves per GRAM_BLOCK columns, the passes none, and
+    # the fields at the accepted weight 2 + s solves; a second loop on the same
+    # workspace reuses G
+    grid = fv.Grid(2, 16)
+    meas = example2_measurements(grid, 30, 0.01, 2)
+    ws = _FitWorkspace(grid, 1.0, meas.points)
+    ws.ops.lu_h1()
+    lu_counts.update(factorizations=0, solves=0)
+    _, _, trace = fv.self_consistent_lambda(grid, 1.0, meas, s, workspace=ws)
+    assert trace.outer_iterations > 1
+    blocks = math.ceil(meas.n / GRAM_BLOCK)
+    assert lu_counts == {"factorizations": 0, "solves": (blocks + 1) * (2 + s)}
+    lu_counts.update(solves=0)
+    fv.self_consistent_lambda(grid, 1.0, meas, s, workspace=ws)
+    assert lu_counts == {"factorizations": 0, "solves": 2 + s}
+
+
+@pytest.mark.parametrize("cells", [4, 8], ids=["cg", "representer"])
+def test_diverging_weight_loop_names_the_pass(cells):
+    # about as much noise as signal: the weight grows until the penalty norm
+    # underflows to zero, and the loop says at which pass
+    grid = fv.Grid(2, cells)
+    sf_true = fv.elliptic_solve(grid, 1.0, trig_forcing(grid))
+    meas = observe(sf_true, sample_points(2, 5, seed=0), NoiseModel("gaussian", 1.0, 0))
+    assert _representer_form(meas.n, grid.node_count) == (cells == 8)
+    with pytest.raises(fv.ConvergenceError, match=r"weight loop, pass \d+ .*penalty norm"):
+        fv.self_consistent_lambda(grid, 1.0, meas, 0)

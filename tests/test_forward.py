@@ -191,30 +191,6 @@ def test_grid_mismatch_rejected(ex2_32, grid16):
             march(data, grid16.zeros())
 
 
-@pytest.fixture
-def lu_counts(monkeypatch):
-    """Counts of sparse factorizations and solves made from here on."""
-    import scipy.sparse.linalg as spla
-
-    counts = {"factorizations": 0, "solves": 0}
-    splu = spla.splu
-
-    class CountedFactor:
-        def __init__(self, lu):
-            self._lu = lu
-
-        def solve(self, rhs):
-            counts["solves"] += 1
-            return self._lu.solve(rhs)
-
-    def counted_splu(*args, **kwargs):
-        counts["factorizations"] += 1
-        return CountedFactor(splu(*args, **kwargs))
-
-    monkeypatch.setattr(spla, "splu", counted_splu)
-    return counts
-
-
 def test_fixed_point_map_cost(lu_counts):
     # the cost model of one map application: the excitation step matrix
     # depends on q and is factorized anew, and its backward-Euler march does
