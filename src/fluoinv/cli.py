@@ -12,10 +12,9 @@ error naming the key; preset keys the command does not read are dropped.
 commands ignore it.  Exit codes:
 0 success, 2 configuration error, 3 solver non-convergence (the files
 written so far and the manifest are kept), 4 property-check failure.  The
-environment variable SOLVER_TOL overrides the tolerance of the fit's
-conjugate-gradient solve; the representer form of the self-consistent
-weight loop (small sensor sets, see :mod:`fluoinv.fit`) solves its systems
-directly and does not read it.
+environment variable SOLVER_TOL overrides the tolerance of every fit: the
+residual of the conjugate-gradient solve at a given weight, and of the
+Krylov iterate each pass of the self-consistent weight loop reads.
 """
 
 from __future__ import annotations
@@ -310,9 +309,25 @@ def _weight(cfg: dict, s: int, f_true, sigma: float, n: int):
     return lam
 
 
-def _require_converged(trace) -> None:
-    if not trace.converged:
+def _fit(cfg: dict, grid, meas, s: int, lam, out: Path, manifest: Manifest):
+    """``fit_at_weight``, requiring the weight loop to stabilize.  A loop that
+    fails writes its passes to lambda_trace.csv before the ConvergenceError
+    propagates (exit 3)."""
+    try:
+        fitted = fit_at_weight(grid, cfg["beta"], meas, s, lam)
+    except ConvergenceError as exc:
+        if exc.trace is not None:
+            _write_lambda_trace(out, manifest, exc.trace)
+        raise
+    if not fitted[2].converged:
+        _write_lambda_trace(out, manifest, fitted[2])
         raise ConvergenceError("self-consistent weight loop did not stabilize")
+    return fitted
+
+
+def _write_lambda_trace(out: Path, manifest: Manifest, trace) -> None:
+    manifest.add(write_csv(out / "lambda_trace.csv", "lambda-trace-v1",
+                           ["iteration", "lambda"], enumerate(trace.lams)))
 
 
 def _err_row(bundle) -> list:
@@ -363,11 +378,9 @@ def cmd_p1(cfg: dict, out: Path, manifest: Manifest) -> int:
                                 "err1", "err2", "err3", "err4", "err5"], rows))
         return EXIT_OK
 
-    lam, result, trace = fit_at_weight(grid, cfg["beta"], meas, s,
-                                       _weight(cfg, s, f_true, sigma, meas.n))
-    manifest.add(write_csv(out / "lambda_trace.csv", "lambda-trace-v1",
-                           ["iteration", "lambda"], enumerate(trace.lams)))
-    _require_converged(trace)
+    lam, result, trace = _fit(cfg, grid, meas, s, _weight(cfg, s, f_true, sigma, meas.n),
+                              out, manifest)
+    _write_lambda_trace(out, manifest, trace)
     bundle = error_bundle(meas=meas, sf=result.sf, sf_true=sf_true,
                           f=result.f, f_true=f_true)
     manifest.add(write_field_csv(out / "fit_fields.csv", grid,
@@ -394,9 +407,8 @@ def cmd_p2(cfg: dict, out: Path, manifest: Manifest) -> int:
     else:
         s = _require(cfg, "s")
         meas, sigma = _measure(cfg, grid, sf_true)
-        lam, fitres, lam_trace = fit_at_weight(
-            grid, cfg["beta"], meas, s, _weight(cfg, s, f_true, sigma, meas.n))
-        _require_converged(lam_trace)
+        lam, fitres, _ = _fit(cfg, grid, meas, s, _weight(cfg, s, f_true, sigma, meas.n),
+                              out, manifest)
         g = fitres.sf
     try:
         q_rec, trace = fixed_point_solve(data, g, icfg)

@@ -11,24 +11,15 @@ minimizer solves SPD normal equations
     (lam * R_s + (1/n) (ES)' (ES)) f = (1/n) (ES)' y
 
 with R_s the lumped-mass (s=0) or mass+stiffness (s=1) Gram matrix and E
-the multilinear point-evaluation map.  The fit has two forms:
+the multilinear point-evaluation map.  CG preconditioned by R_s solves
+them; a product costs two elliptic solves on the cached factorization of
+the Laplacian, with the n measurement couplings folded into a precomputed
+sparse E'E.
 
-- CG form (:func:`solve_data_fit`, every given weight, and the weight loop
-  on large sensor sets): an outer CG whose matrix-vector product costs two
-  elliptic solves; the elliptic solves reuse a cached factorization of the
-  assembled Laplacian, and the n measurement couplings are folded into a
-  precomputed sparse E'E so each product is independent of n.
-- Representer form (the self-consistent weight loop on small sensor sets):
-  the minimizer is f = R_s^-1 (ES)' c with (G + n lam I) c = y, where
-  G = E S R_s^-1 S' E' is n x n (the smoothing-spline representer form of
-  Kimeldorf and Wahba).  G is formed once per sensor set and penalty
-  order; each weight pass is a dense Cholesky solve, with misfit
-  n lam |c| / sqrt(n) and penalty norm sqrt(c'Gc), and fields are built at
-  the accepted weight only.
-
-The loop takes the representer form when ``REPRESENTER_RATIO * n`` is at
-most the node count and n is at most ``REPRESENTER_MAX_N``, which also
-bounds the memory of G.
+The self-consistent weight loop refits the same data at moving weights,
+whose systems differ only by a shift of R_s^-1 (ES)'(ES)/n: all its passes
+read one Lanczos process (multi-shift Krylov), and the fit at the accepted
+weight is the CG fit.
 """
 
 from __future__ import annotations
@@ -40,11 +31,6 @@ import scipy.sparse as sp
 
 from .grid import ConvergenceError, Grid, GridFunction, default_tolerance
 from .metrics import hs_norm
-
-# imported after .grid, whose scipy.sparse.linalg already loads scipy.linalg:
-# importing it first changes the order in which scipy loads, which measured
-# slower at `import fluoinv.cli`
-import scipy.linalg as sla  # noqa: E402
 
 __all__ = [
     "MeasurementSet",
@@ -62,16 +48,7 @@ __all__ = [
     "fit_at_weight",
 ]
 
-CG_MAX_ITER = 20000     # normal-equation CG iteration cap
-
-# The weight loop takes the representer form for n sensors on N nodes when
-# REPRESENTER_RATIO * n <= N and n <= REPRESENTER_MAX_N.  Forming G costs
-# about n (2 + s) column solves and CG about 3 solves per iteration, so the
-# crossover is near a fixed n: about 650 sensors at 50 cells per side and
-# 900 at 100.  The cap also bounds G, 8 n^2 bytes: 5.1 MB at 800.
-REPRESENTER_RATIO = 8
-REPRESENTER_MAX_N = 800
-GRAM_BLOCK = 16         # columns of G per block solve
+CG_MAX_ITER = 20000     # normal-equation CG iteration cap, and Lanczos step cap
 
 
 @dataclass
@@ -190,7 +167,7 @@ class FitResult:
     sf: GridFunction
     misfit_n: float        # ||Sf - y||_n at the sensors
     penalty_norm: float    # |f|_{H^s}
-    report: SolveReport | None     # None in the representer form, which runs no CG
+    report: SolveReport
 
 
 class _FitWorkspace:
@@ -204,11 +181,19 @@ class _FitWorkspace:
         self.n = self.ev.points.shape[0]
         self.ete = (self.ev.matrix.T @ self.ev.matrix).tocsr()
         self.lu = self.ops.lu_laplacian()
-        self._grams: dict[int, np.ndarray] = {}
 
     def smooth(self, f_values: np.ndarray) -> np.ndarray:
         """Apply the Poisson solve S through the cached factorization."""
         return self.lu.solve(self.ops.weights * f_values)
+
+    def data_apply(self, f_values: np.ndarray) -> np.ndarray:
+        """(ES)'(ES) f / n, the data term of the normal equations."""
+        t = self.ete @ self.smooth(f_values)
+        return (self.ops.weights * self.lu.solve(t)) / self.n
+
+    def rhs(self, y: np.ndarray) -> np.ndarray:
+        """(ES)' y / n, the right-hand side of the normal equations."""
+        return (self.ops.weights * self.lu.solve(self.ev.matrix.T @ y)) / self.n
 
     def gram_apply(self, s: int, v: np.ndarray) -> np.ndarray:
         if s == 0:
@@ -216,31 +201,9 @@ class _FitWorkspace:
         return self.ops.mass_diag * v + self.ops.stiffness_natural @ v
 
     def gram_solve(self, s: int, v: np.ndarray) -> np.ndarray:
-        """R_s^-1 v, for a vector or an (N, k) block of columns."""
         if s == 0:
-            mass = self.ops.mass_diag
-            return v / (mass if v.ndim == 1 else mass[:, None])
+            return v / self.ops.mass_diag
         return self.ops.lu_h1().solve(v)
-
-    def representer_gram(self, s: int) -> np.ndarray:
-        """G = E S R_s^-1 S' E' (n x n), formed once per penalty order.
-
-        Formed GRAM_BLOCK columns at a time, so no N x n array is held:
-        C = L^-1 E'[:, blk], D = W R_s^-1 (W C), G[:, blk] = E L^-1 D, which
-        is 2 + s block solves per block.
-        """
-        gram = self._grams.get(s)
-        if gram is None:
-            w = self.ops.weights[:, None]
-            et = self.ev.matrix.T.tocsc()
-            gram = np.empty((self.n, self.n))
-            for lo in range(0, self.n, GRAM_BLOCK):
-                blk = slice(lo, lo + GRAM_BLOCK)
-                c = self.lu.solve(et[:, blk].toarray())
-                d = w * self.gram_solve(s, w * c)
-                gram[:, blk] = self.ev.matrix @ self.lu.solve(d)
-            self._grams[s] = gram
-        return gram
 
     def penalty_norm(self, s: int, f_values: np.ndarray) -> float:
         return float(np.sqrt(max(f_values @ self.gram_apply(s, f_values), 0.0)))
@@ -266,8 +229,8 @@ def _pcg(matvec, b, *, tol, max_iter, precond):
             break
         Ap = matvec(p)
         denom = float(p @ Ap)
-        if denom <= 0.0:
-            break  # loss of positive definiteness; report and bail out
+        if not 0.0 < denom < np.inf:
+            break  # loss of positive definiteness, or overflow; report and bail out
         alpha = rz / denom
         x = x + alpha * p
         r = r - alpha * Ap
@@ -291,24 +254,21 @@ def solve_data_fit(grid: Grid, beta: float, meas: MeasurementSet,
     Raises ConvergenceError if the outer CG does not reach its tolerance.
     """
     ws = workspace if workspace is not None else _FitWorkspace(grid, beta, meas.points)
-    n = meas.n
-    w = ws.ops.weights
     lam = cfg.lam
     s = cfg.s
 
     def matvec(f):
-        u = ws.smooth(f)                      # S f
-        t = ws.ete @ u                        # E'(E S f)
-        return lam * ws.gram_apply(s, f) + (w * ws.lu.solve(t)) / n
+        return lam * ws.gram_apply(s, f) + ws.data_apply(f)
 
-    rhs = (w * ws.lu.solve(ws.ev.matrix.T @ meas.values)) / n
-    x, report = _pcg(
-        matvec,
-        rhs,
-        tol=cfg.outer_tol,
-        max_iter=CG_MAX_ITER,
-        precond=lambda r: ws.gram_solve(s, r),
-    )
+    # overflow shows as a non-finite curvature, which stops the CG
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, report = _pcg(
+            matvec,
+            ws.rhs(meas.values),
+            tol=cfg.outer_tol,
+            max_iter=CG_MAX_ITER,
+            precond=lambda r: ws.gram_solve(s, r),
+        )
     if not report.converged:
         raise ConvergenceError(
             f"normal-equation CG stalled at residual {report.residual:.3e} "
@@ -352,33 +312,84 @@ class LambdaTrace:
         return len(self.lams) - 1
 
 
-def _representer_form(n: int, node_count: int) -> bool:
-    """Whether the weight loop for n sensors on node_count nodes takes the
-    representer form (see the module docstring)."""
-    return REPRESENTER_RATIO * n <= node_count and n <= REPRESENTER_MAX_N
+class _ShiftedLanczos:
+    """One Krylov space for the fits of one data set at every weight.
 
-
-def _representer_coefficients(gram: np.ndarray, lam: float, y: np.ndarray) -> np.ndarray:
-    """c solving (G + n lam I) c = y by a dense Cholesky factorization.
-
-    Raises numpy.linalg.LinAlgError if the matrix is not positive definite
-    in floating point.
+    With K = (ES)'(ES)/n and b = (ES)'y/n, the normal equations at weight lam
+    preconditioned by R_s differ only by the shift lam of R_s^-1 K, so one
+    Lanczos process on R_s^-1 K, in the R_s inner product and started from
+    R_s^-1 b, serves them all (multi-shift Krylov, Frommer and Glaessner).
+    It keeps the tridiagonal T_k, not the basis Q_k.  At weight lam the CG
+    iterate is f_k = Q_k c with (T_k + lam I) c = beta_0 e_1 and residual
+    |c_k| |w_k|, w_k the next dual vector unnormalized.  As Q_k' R_s Q_k = I,
+    Q_k' K Q_k = T_k and b'Q_k = beta_0 e_1', its penalty norm is |c| and its
+    squared misfit c'T_k c - 2 beta_0 c_1 + y'y/n = y'y/n - beta_0 c_1 - lam |c|^2.
+    A step costs 2 + s solves, as a CG iteration does.
     """
-    n = y.shape[0]
-    a = gram.copy()
-    a.flat[::n + 1] += n * lam
-    return sla.cho_solve(sla.cho_factor(a, overwrite_a=True), y)
 
+    def __init__(self, ws: _FitWorkspace, s: int, y: np.ndarray):
+        self.ws = ws
+        self.s = s
+        self.yy = float(y @ y)
+        b = ws.rhs(y)
+        z = ws.gram_solve(s, b)
+        self.bnorm = float(np.linalg.norm(b))
+        self.alphas: list[float] = []
+        self.betas = [float(np.sqrt(b @ z))]     # beta_0, then beta_j after step j
+        self._wnorm = self.bnorm                  # |w_k|
+        self._v_prev = np.zeros_like(b)           # dual vectors R_s q_j of the last two steps
+        self._v = b / self.betas[0]
+        self._q = z / self.betas[0]               # the next step's basis vector
 
-def _representer_fit(ws: _FitWorkspace, s: int, lam: float, meas: MeasurementSet) -> FitResult:
-    """The fit at weight ``lam`` in the representer form: f = R_s^-1 W L^-1 E'c,
-    Sf, and misfit and penalty norm read off the fields as in solve_data_fit."""
-    c = _representer_coefficients(ws.representer_gram(s), lam, meas.values)
-    f = ws.gram_solve(s, ws.ops.weights * ws.lu.solve(ws.ev.matrix.T @ c))
-    sf = ws.smooth(f)
-    misfit = empirical_norm(ws.ev.apply(sf) - meas.values)
-    return FitResult(GridFunction(ws.grid, f), GridFunction(ws.grid, sf), misfit,
-                     ws.penalty_norm(s, f), None)
+    def _step(self) -> None:
+        kq = self.ws.data_apply(self._q)
+        alpha = float(self._q @ kq)
+        w = kq - alpha * self._v - self.betas[-1] * self._v_prev
+        z = self.ws.gram_solve(self.s, w)
+        beta = float(np.sqrt(w @ z))
+        if not (np.isfinite(alpha) and np.isfinite(beta)):
+            raise ConvergenceError(f"Lanczos step {len(self.alphas) + 1} has a non-finite "
+                                   f"coefficient (alpha={alpha:g}, beta={beta:g})")
+        self.alphas.append(alpha)
+        self.betas.append(beta)
+        self._wnorm = float(np.linalg.norm(w))
+        self._v_prev, self._v, self._q = self._v, w / beta, z / beta
+
+    def _coefficients(self, lam: float) -> np.ndarray:
+        """c solving (T_k + lam I) c = beta_0 e_1, by LDL' in O(k)."""
+        betas, k = self.betas, len(self.alphas)
+        pivots, mults, u = [], [0.0], [betas[0]]   # mults[j] = betas[j] / pivots[j - 1]
+        for j, alpha in enumerate(self.alphas):
+            pivots.append(alpha + lam - betas[j] * mults[j])
+            if not 0.0 < pivots[j] < np.inf:
+                raise ConvergenceError(f"shifted tridiagonal pivot {pivots[j]:g} at step {j + 1}")
+            mults.append(betas[j + 1] / pivots[j])
+            u.append(-mults[j + 1] * u[j])
+        c = np.array(u[:k]) / np.array(pivots)
+        for j in range(k - 2, -1, -1):
+            c[j] -= mults[j + 1] * c[j + 1]
+        return c
+
+    def norms(self, lam: float, tol: float) -> tuple[float, float]:
+        """Misfit and penalty norm of the CG iterate at weight ``lam`` on all
+        the steps taken, extended until its residual is at most ``tol`` |b|
+        (the rule of the CG solve).  Raises ConvergenceError if a
+        coefficient is not finite or the step cap is reached."""
+        if not (self.bnorm < np.inf and self.betas[0] < np.inf):
+            raise ConvergenceError(f"Lanczos start has a non-finite coefficient "
+                                   f"(beta={self.betas[0]:g})")
+        while True:
+            c = self._coefficients(lam)
+            residual = abs(c[-1]) * self._wnorm if c.size else self.bnorm
+            if residual <= tol * self.bnorm:
+                break
+            if len(self.alphas) == CG_MAX_ITER:
+                raise ConvergenceError(f"Lanczos stalled at residual "
+                                       f"{residual / self.bnorm:.3e} after {CG_MAX_ITER} steps")
+            self._step()
+        cc = float(c @ c)
+        misfit2 = self.yy / self.ws.n - self.betas[0] * float(c[:1].sum()) - lam * cc
+        return float(np.sqrt(max(misfit2, 0.0))), float(np.sqrt(cc))
 
 
 def self_consistent_lambda(grid: Grid, beta: float, meas: MeasurementSet, s: int,
@@ -391,67 +402,55 @@ def self_consistent_lambda(grid: Grid, beta: float, meas: MeasurementSet, s: int
     at the current weight, then re-derives it from the empirical misfit (a
     noise-level estimate) and the penalty norm of the fit (a forcing-norm
     estimate).  Stops when the weight moves less than ``stop_tol`` in
-    absolute value; the final fit is recomputed at the accepted weight.
-    Non-convergence within ``max_outer`` passes is flagged on the trace and
-    the last iterate is returned.  Small sensor sets run in the representer
-    form, the others in the CG form (see the module docstring).
+    absolute value; the final fit is recomputed at the accepted weight by
+    :func:`solve_data_fit`.  Non-convergence within ``max_outer`` passes is
+    flagged on the trace and the last iterate is returned.  The passes read
+    their misfit and penalty norm from one Lanczos process, to the tolerance
+    of the CG solve.
 
     Raises ConvergenceError naming the pass if a fit fails, if its penalty
     norm is zero (the update is undefined), or if the update is not a
-    positive finite weight.
+    positive finite weight; the error carries the weights so far in
+    ``trace``.
     """
     expo = _lambda_exponent(s)
     ws = workspace if workspace is not None else _FitWorkspace(grid, beta, meas.points)
     n = meas.n
-    if _representer_form(n, grid.node_count):
-        gram = ws.representer_gram(s)
-
-        def fit(lam):
-            return _representer_fit(ws, s, lam, meas)
-
-        def norms(lam):
-            c = _representer_coefficients(gram, lam, meas.values)
-            return n * lam * float(np.linalg.norm(c)) / np.sqrt(n), \
-                float(np.sqrt(max(c @ (gram @ c), 0.0)))
-    else:
-        def fit(lam):
-            return solve_data_fit(grid, beta, meas, FitConfig(s=s, lam=lam), workspace=ws)
-
-        def norms(lam):
-            result = fit(lam)
-            return result.misfit_n, result.penalty_norm
+    tol = default_tolerance()
 
     def failed(where, lam, why):
-        return ConvergenceError(f"self-consistent weight loop, {where} "
-                                f"(lambda={lam:.6g}): {why}")
+        exc = ConvergenceError(f"self-consistent weight loop, {where} "
+                               f"(lambda={lam:.6g}): {why}")
+        exc.trace = LambdaTrace(lams, False)
+        return exc
 
     lam = float(n ** (-0.5 / expo))
     lams = [lam]
     converged = False
-    for k in range(1, max_outer + 1):
-        # overflow shows as a non-finite norm or weight, reported below
-        with np.errstate(over="ignore", invalid="ignore"):
+    # overflow shows as a non-finite coefficient, norm or weight, reported below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        krylov = _ShiftedLanczos(ws, s, meas.values)
+        for k in range(1, max_outer + 1):
             try:
-                misfit, penalty = norms(lam)
-            except (ConvergenceError, np.linalg.LinAlgError) as exc:
+                misfit, penalty = krylov.norms(lam, tol)
+            except ConvergenceError as exc:
                 raise failed(f"pass {k}", lam, exc) from exc
             if not penalty > 0.0:
                 raise failed(f"pass {k}", lam, f"penalty norm {penalty:g}, "
                                                 "the weight update is undefined")
             lam_next = float((misfit / np.sqrt(n) / penalty) ** (1.0 / expo))
-        if not 0.0 < lam_next < np.inf:
-            raise failed(f"pass {k}", lam, f"the update {lam_next} is not a positive "
-                                            "finite weight")
-        lams.append(lam_next)
-        done = abs(lam_next - lam) < stop_tol
-        lam = lam_next
-        if done:
-            converged = True
-            break
-    # recompute once at the accepted weight so the returned fit matches it
+            if not 0.0 < lam_next < np.inf:
+                raise failed(f"pass {k}", lam, f"the update {lam_next} is not a positive "
+                                                "finite weight")
+            lams.append(lam_next)
+            done = abs(lam_next - lam) < stop_tol
+            lam = lam_next
+            if done:
+                converged = True
+                break
     try:
-        result = fit(lam)
-    except (ConvergenceError, np.linalg.LinAlgError) as exc:
+        result = solve_data_fit(grid, beta, meas, FitConfig(s=s, lam=lam), workspace=ws)
+    except ConvergenceError as exc:
         raise failed("final fit", lam, exc) from exc
     return lam, result, LambdaTrace(lams, converged)
 

@@ -52,7 +52,14 @@ def default_tolerance() -> float:
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve failed to reach its tolerance."""
+    """An iterative solve failed to reach its tolerance.
+
+    Raised by the self-consistent weight loop of :mod:`fluoinv.fit`, it
+    carries in ``trace`` the weights of the passes made before it (a
+    ``LambdaTrace``); elsewhere ``trace`` is None.
+    """
+
+    trace = None
 
 
 def _tri_flux(m: int) -> sp.spmatrix:

@@ -506,9 +506,9 @@ def test_readme_lists_the_config_table():
 
 
 # About as much noise as signal, a single sensor, or no noise at all: the
-# self-consistent weight grows until the penalty norm underflows.  Grid 8
-# (81 nodes) takes the representer form for n <= 10, grid 4 (25 nodes) the
-# CG form for n = 5.
+# self-consistent weight grows until the penalty norm underflows, on grid 8
+# and on grid 4 (the ids ending in "representer" and "cg").  p1 and p2 keep
+# the weights of the passes made.
 SC = {"mode": "self-consistent"}
 DIVERGING = {"grid": 8, "truth": "example1", "n": 5, "sigma": 0.01, "s": 0, "lambda": SC}
 
@@ -527,9 +527,29 @@ DIVERGING = {"grid": 8, "truth": "example1", "n": 5, "sigma": 0.01, "s": 0, "lam
 def test_failing_weight_loop_exits_3_naming_the_pass(tmp_path, capsys, command, payload,
                                                      where):
     cfg = write_cfg(tmp_path, "c.json", payload)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "weight loop, pass" in err[0] and where in err[0]
+    passes = int(re.search(r"pass (\d+)", err[0]).group(1))
+    files = [f["name"] for f in json.loads((out / "manifest.json").read_text())["files"]]
+    if command == "rates":
+        assert files == []
+    else:
+        assert files == ["lambda_trace.csv"]
+        _, rows = read_csv(out / "lambda_trace.csv")
+        assert len(rows) == passes  # the starting weight and each update before the pass
+
+
+def test_overflowing_fit_stops_within_a_few_iterations(tmp_path, capsys):
+    # noise of 1e152 at a weight of 1e7: the CG curvature p'Ap overflows
+    cfg = write_cfg(tmp_path, "c.json", {
+        "grid": 8, "truth": "example1", "n": 20, "sigma": 1e152, "s": 0,
+        "lambda": {"mode": "fixed", "value": 1e7},
+    })
+    assert main(["p1", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and re.search(r"after \d iterations$", err[0]), err
 
 
 _STEPS_AND_TAU = st.tuples(st.integers(1, 4), st.sampled_from([0.01, 0.1, 0.25, 1.0, 3.0]))
@@ -549,25 +569,11 @@ _P_CONFIGS = st.fixed_dictionaries({
 _NOISE_KEY = st.sampled_from(["sigma", "relative_sigma"])
 
 
-@settings(max_examples=150)
-@given(command=st.sampled_from(["p1", "p2"]), cfg=_P_CONFIGS, steps_tau=_STEPS_AND_TAU,
-       noise=st.tuples(_NOISE_KEY, _NOISE_LEVEL),
-       p2_extra=st.fixed_dictionaries({}, optional={
-           "clean": st.booleans(),
-           "inverse": st.fixed_dictionaries({}, optional={
-               "max_iter": st.integers(1, 20), "clamp": st.booleans()})}),
-       seed=st.integers(0, 3))
-def test_valid_fit_configurations_end_in_an_exit_code(command, cfg, steps_tau, noise,
-                                                      p2_extra, seed):
-    # any configuration the table accepts ends in a documented exit code with
-    # at most one line on stderr, never in a traceback; the only warnings are
-    # the documented ones on violated problem hypotheses (flip_boundary)
-    steps, tau = steps_tau
-    cfg = {**cfg, "tau": tau, "T": steps * tau, noise[0]: noise[1]}
-    if command == "p2":
-        cfg.update(p2_extra)
-        if cfg["truth"] == "example1":  # p2 needs a source
-            cfg["truth"] = "example2-smooth"
+def assert_ends_in_an_exit_code(command, cfg, seed):
+    """Run ``cli.main`` in-process: any configuration the table accepts ends in
+    a documented exit code with at most one line on stderr, never in a
+    traceback; the only warnings are the documented ones on violated problem
+    hypotheses (flip_boundary)."""
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr), \
             contextlib.redirect_stdout(io.StringIO()), \
@@ -582,3 +588,39 @@ def test_valid_fit_configurations_end_in_an_exit_code(command, cfg, steps_tau, n
     assert len(lines) <= 1 and "Traceback" not in stderr.getvalue(), lines
     assert all(w.category is AssumptionWarning for w in caught), \
         [str(w.message) for w in caught]
+
+
+@settings(max_examples=150)
+@given(command=st.sampled_from(["p1", "p2"]), cfg=_P_CONFIGS, steps_tau=_STEPS_AND_TAU,
+       noise=st.tuples(_NOISE_KEY, _NOISE_LEVEL),
+       p2_extra=st.fixed_dictionaries({}, optional={
+           "clean": st.booleans(),
+           "inverse": st.fixed_dictionaries({}, optional={
+               "max_iter": st.integers(1, 20), "clamp": st.booleans()})}),
+       seed=st.integers(0, 3))
+def test_valid_fit_configurations_end_in_an_exit_code(command, cfg, steps_tau, noise,
+                                                      p2_extra, seed):
+    steps, tau = steps_tau
+    cfg = {**cfg, "tau": tau, "T": steps * tau, noise[0]: noise[1]}
+    if command == "p2":
+        cfg.update(p2_extra)
+        if cfg["truth"] == "example1":  # p2 needs a source
+            cfg["truth"] = "example2-smooth"
+    assert_ends_in_an_exit_code(command, cfg, seed)
+
+
+@settings(max_examples=100)
+@given(cfg=_P_CONFIGS, steps_tau=_STEPS_AND_TAU, noise=st.tuples(_NOISE_KEY, _NOISE_LEVEL),
+       rates=st.fixed_dictionaries({
+           "ladder": st.lists(st.integers(1, 50), min_size=1, max_size=2),
+           "trials": st.integers(1, 2),
+           "run_p2": st.booleans()}),
+       seed=st.integers(0, 3))
+def test_valid_rates_configurations_end_in_an_exit_code(cfg, steps_tau, noise, rates, seed):
+    # the rates ladder in place of the sensor count, at the default --threads 1
+    steps, tau = steps_tau
+    cfg = {k: v for k, v in cfg.items() if k != "n"}
+    cfg.update(rates, tau=tau, T=steps * tau, **{noise[0]: noise[1]})
+    if cfg["run_p2"] and cfg["truth"] == "example1":  # the source recovery needs a source
+        cfg["truth"] = "example2-smooth"
+    assert_ends_in_an_exit_code("rates", cfg, seed)

@@ -1,17 +1,11 @@
-import math
+import re
 
 import numpy as np
 import pytest
 
 import fluoinv as fv
-from fluoinv.fit import (
-    GRAM_BLOCK,
-    REPRESENTER_MAX_N,
-    FitConfig,
-    _FitWorkspace,
-    _representer_fit,
-    _representer_form,
-)
+from fluoinv.fit import FitConfig, _FitWorkspace, _ShiftedLanczos
+from fluoinv.grid import default_tolerance
 from fluoinv.presets import build_truth, trig_forcing
 from fluoinv.stochastic import NoiseModel, observe, sample_points
 
@@ -170,29 +164,23 @@ def example2_measurements(grid, n, relative_sigma, seed):
 
 
 @pytest.fixture(scope="module")
-def representer_fit(grid32):
-    # few enough sensors on the 32-cell grid for the representer form
-    meas = example2_measurements(grid32, 120, 0.001, 5)
-    assert _representer_form(meas.n, grid32.node_count)
-    return dict(grid=grid32, meas=meas)
+def few_sensors(grid32):
+    return dict(grid=grid32, meas=example2_measurements(grid32, 120, 0.001, 5))
 
 
-def test_self_consistent_lambda_small_scale(small_fit, representer_fit):
-    # the CG form (400 sensors on grid 16) and the representer form (120 on grid 32)
-    for form, data in (("cg", small_fit), ("representer", representer_fit)):
+def test_self_consistent_lambda_small_scale(small_fit, few_sensors):
+    # 400 sensors on grid 16, and 120 on grid 32
+    for data in (small_fit, few_sensors):
         grid, meas = data["grid"], data["meas"]
         lam, res, trace = fv.self_consistent_lambda(grid, 1.0, meas, s=0)
         assert trace.converged
         assert trace.outer_iterations <= 15
         assert abs(trace.lams[-1] - trace.lams[-2]) < 1e-10
         assert lam == trace.lams[-1]
-        # returned fit was recomputed at the accepted weight, in the loop's form
-        if form == "cg":
-            again = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=0, lam=lam))
-        else:
-            again = _representer_fit(_FitWorkspace(grid, 1.0, meas.points), 0, lam, meas)
-        assert (res.report is None) == (form == "representer")
-        assert fv.l2_norm(again.f - res.f) < 1e-12
+        # returned fit is the given-weight fit at the accepted weight
+        again = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=0, lam=lam))
+        assert res.report.converged
+        assert np.array_equal(again.f.values, res.f.values)
 
 
 def test_self_consistent_lambda_noiseless(small_fit):
@@ -208,61 +196,73 @@ def test_self_consistent_lambda_noiseless(small_fit):
 
 @pytest.mark.parametrize("cells,n", [(16, 30), (32, 120)])
 @pytest.mark.parametrize("s", [0, 1])
-def test_representer_form_matches_tight_cg(cells, n, s):
-    # the same minimizer at a fixed weight: CG run far below its default tolerance
+def test_weight_passes_match_tight_cg(cells, n, s):
+    # each pass at a falling weight reads the misfit and penalty norm of the
+    # CG solve run far below its default tolerance
     grid = fv.Grid(2, cells)
     sf_true = fv.elliptic_solve(grid, 1.0, trig_forcing(grid))
     meas = observe(sf_true, sample_points(2, n, seed=3), NoiseModel("gaussian", 0.002, 5))
-    lam = fv.optimal_lambda_prior(1.0, 0.002, n, s)
     ws = _FitWorkspace(grid, 1.0, meas.points)
-    cg = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=s, lam=lam, outer_tol=1e-13),
-                           workspace=ws)
-    rep = _representer_fit(ws, s, lam, meas)
-
-    def rel(a, b):
-        return np.linalg.norm(a - b) / np.linalg.norm(b)
-
-    assert rel(rep.f.values, cg.f.values) < 1e-10
-    assert rel(rep.sf.values, cg.sf.values) < 1e-11
-    assert rep.misfit_n == pytest.approx(cg.misfit_n, rel=1e-11)
-    assert rep.penalty_norm == pytest.approx(cg.penalty_norm, rel=1e-11)
-
-
-def test_representer_form_rule():
-    # a ratio of sensors to nodes, capped at a fixed sensor count (the memory of G)
-    assert _representer_form(325, 2601) and not _representer_form(326, 2601)
-    assert _representer_form(500, 10201)
-    assert _representer_form(REPRESENTER_MAX_N, 10201)
-    assert not _representer_form(REPRESENTER_MAX_N + 1, 10201)
-    assert not _representer_form(REPRESENTER_MAX_N + 1, 10**6)
+    krylov = _ShiftedLanczos(ws, s, meas.values)
+    for scale in (100.0, 1.0, 0.01):
+        lam = scale * fv.optimal_lambda_prior(1.0, 0.002, n, s)
+        misfit, penalty = krylov.norms(lam, default_tolerance())
+        cg = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=s, lam=lam, outer_tol=1e-13),
+                               workspace=ws)
+        assert misfit == pytest.approx(cg.misfit_n, rel=1e-8)
+        assert penalty == pytest.approx(cg.penalty_norm, rel=1e-8)
 
 
 @pytest.mark.parametrize("s", [0, 1])
-def test_representer_loop_cost(lu_counts, s):
-    # G costs 2 + s block solves per GRAM_BLOCK columns, the passes none, and
-    # the fields at the accepted weight 2 + s solves; a second loop on the same
-    # workspace reuses G
+def test_weight_loop_cost(lu_counts, s):
+    # the passes share one Lanczos process: 1 + s solves for its start vector
+    # and 2 + s per step; the fit at the accepted weight is a CG solve, 2 + s
+    # per iteration and 2 + s for its right-hand side, start and field
     grid = fv.Grid(2, 16)
     meas = example2_measurements(grid, 30, 0.01, 2)
     ws = _FitWorkspace(grid, 1.0, meas.points)
     ws.ops.lu_h1()
     lu_counts.update(factorizations=0, solves=0)
-    _, _, trace = fv.self_consistent_lambda(grid, 1.0, meas, s, workspace=ws)
+    _, res, trace = fv.self_consistent_lambda(grid, 1.0, meas, s, workspace=ws)
     assert trace.outer_iterations > 1
-    blocks = math.ceil(meas.n / GRAM_BLOCK)
-    assert lu_counts == {"factorizations": 0, "solves": (blocks + 1) * (2 + s)}
+    loop_solves = lu_counts["solves"]
+    # the same passes on a process of their own give the step count
+    krylov = _ShiftedLanczos(ws, s, meas.values)
+    for lam in trace.lams[:-1]:
+        krylov.norms(lam, default_tolerance())
+    steps = len(krylov.alphas)
+    assert steps > 1
+    assert loop_solves == (1 + s) + (2 + s) * steps + (2 + s) * (res.report.iterations + 1)
+    # a larger weight needs no deeper process: it costs no solve
     lu_counts.update(solves=0)
-    fv.self_consistent_lambda(grid, 1.0, meas, s, workspace=ws)
-    assert lu_counts == {"factorizations": 0, "solves": 2 + s}
+    krylov.norms(10 * max(trace.lams), default_tolerance())
+    assert lu_counts == {"factorizations": 0, "solves": 0}
 
 
 @pytest.mark.parametrize("cells", [4, 8], ids=["cg", "representer"])
 def test_diverging_weight_loop_names_the_pass(cells):
-    # about as much noise as signal: the weight grows until the penalty norm
-    # underflows to zero, and the loop says at which pass
+    # about as much noise as signal, on grids 4 and 8: the weight grows until
+    # the penalty norm underflows to zero, and the loop says at which pass and
+    # keeps the weights of the passes before it
     grid = fv.Grid(2, cells)
     sf_true = fv.elliptic_solve(grid, 1.0, trig_forcing(grid))
     meas = observe(sf_true, sample_points(2, 5, seed=0), NoiseModel("gaussian", 1.0, 0))
-    assert _representer_form(meas.n, grid.node_count) == (cells == 8)
-    with pytest.raises(fv.ConvergenceError, match=r"weight loop, pass \d+ .*penalty norm"):
+    with pytest.raises(fv.ConvergenceError,
+                       match=r"weight loop, pass \d+ .*penalty norm") as info:
         fv.self_consistent_lambda(grid, 1.0, meas, 0)
+    passes = int(re.search(r"pass (\d+)", str(info.value)).group(1))
+    assert len(info.value.trace.lams) == passes and not info.value.trace.converged
+
+
+def test_weight_loop_stops_on_overflowing_lanczos(grid16):
+    # data of 1e200: the start coefficient overflows, and the first pass says so
+    meas = fv.MeasurementSet(sample_points(2, 20, seed=0), np.full(20, 1e200))
+    with pytest.raises(fv.ConvergenceError, match=r"pass 1 .*start has a non-finite"):
+        fv.self_consistent_lambda(grid16, 1.0, meas, 0)
+    # a step whose product overflows stops there
+    ws = _FitWorkspace(grid16, 1.0, meas.points)
+    krylov = _ShiftedLanczos(ws, 0, np.ones(20))
+    ws.data_apply = lambda f: np.full_like(f, np.inf)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(fv.ConvergenceError, match="step 1 has a non-finite"):
+        krylov.norms(1e-6, default_tolerance())
