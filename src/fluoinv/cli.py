@@ -14,7 +14,8 @@ commands ignore it.  Exit codes:
 written so far and the manifest are kept), 4 property-check failure.  The
 environment variable SOLVER_TOL overrides the tolerance of every fit: the
 residual of the conjugate-gradient solve at a given weight, and of the
-Krylov iterate each pass of the self-consistent weight loop reads.
+Krylov iterates the self-consistent weight loop reads at each pass and
+returns at the accepted weight.
 """
 
 from __future__ import annotations

@@ -18,8 +18,10 @@ sparse E'E.
 
 The self-consistent weight loop refits the same data at moving weights,
 whose systems differ only by a shift of R_s^-1 (ES)'(ES)/n: all its passes
-read one Lanczos process (multi-shift Krylov), and the fit at the accepted
-weight is the CG fit.
+read one Lanczos process (multi-shift Krylov) that keeps its reorthogonalized
+basis, and the fit at the accepted weight is read off that basis, to the
+residual rule of the CG solve, with no CG of its own.  The loop's inner
+products sum pairwise, so its outputs do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ __all__ = [
     "fit_at_weight",
 ]
 
-CG_MAX_ITER = 20000     # normal-equation CG iteration cap, and Lanczos step cap
+CG_MAX_ITER = 20000     # normal-equation CG iteration cap; the Lanczos basis holds
+                        # at most min(CG_MAX_ITER, N) vectors
 
 
 @dataclass
@@ -133,11 +136,12 @@ def empirical_norm(values) -> float:
 
 @dataclass
 class SolveReport:
-    """Outcome of the normal-equation CG."""
+    """Outcome of the normal-equation CG, or of the weight loop's Krylov fit."""
 
     iterations: int
-    residual: float
+    residual: float                 # relative to the right-hand side
     converged: bool
+    breakdown: str | None = None    # why the CG stopped before its residual rule
 
 
 @dataclass
@@ -206,7 +210,13 @@ class _FitWorkspace:
         return self.ops.lu_h1().solve(v)
 
     def penalty_norm(self, s: int, f_values: np.ndarray) -> float:
-        return float(np.sqrt(max(f_values @ self.gram_apply(s, f_values), 0.0)))
+        return float(np.sqrt(max(_dot(f_values, self.gram_apply(s, f_values)), 0.0)))
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x'y by numpy's pairwise summation, whose bits, unlike those of ``x @ y``
+    and ``np.linalg.norm``, do not depend on the BLAS thread count."""
+    return float(np.add.reduce(x * y))
 
 
 def _pcg(matvec, b, *, tol, max_iter, precond):
@@ -224,13 +234,17 @@ def _pcg(matvec, b, *, tol, max_iter, precond):
     rnorm = bnorm
 
     it = 0
+    breakdown = None
     while it < max_iter:
         if rnorm <= tol * bnorm:
             break
         Ap = matvec(p)
         denom = float(p @ Ap)
         if not 0.0 < denom < np.inf:
-            break  # loss of positive definiteness, or overflow; report and bail out
+            # loss of positive definiteness, or overflow; report and bail out
+            kind = "non-positive" if denom <= 0.0 else "non-finite"
+            breakdown = f"a {kind} curvature p'Ap = {denom:g}"
+            break
         alpha = rz / denom
         x = x + alpha * p
         r = r - alpha * Ap
@@ -244,7 +258,7 @@ def _pcg(matvec, b, *, tol, max_iter, precond):
         rz = rz_new
 
     rel = rnorm / bnorm
-    return x, SolveReport(it, rel, rel <= tol)
+    return x, SolveReport(it, rel, rel <= tol, breakdown)
 
 
 def solve_data_fit(grid: Grid, beta: float, meas: MeasurementSet,
@@ -270,14 +284,20 @@ def solve_data_fit(grid: Grid, beta: float, meas: MeasurementSet,
             precond=lambda r: ws.gram_solve(s, r),
         )
     if not report.converged:
+        why = f"stopped on {report.breakdown}" if report.breakdown else "stalled"
         raise ConvergenceError(
-            f"normal-equation CG stalled at residual {report.residual:.3e} "
+            f"normal-equation CG {why} at residual {report.residual:.3e} "
             f"after {report.iterations} iterations"
         )
-    f = GridFunction(grid, x)
-    sf = GridFunction(grid, ws.smooth(x))
+    return _fit_result(ws, meas, s, x, report)
+
+
+def _fit_result(ws: _FitWorkspace, meas: MeasurementSet, s: int, x: np.ndarray,
+                report: SolveReport) -> FitResult:
+    """The fit of forcing ``x``: its field Sf (one solve), misfit and penalty norm."""
+    sf = GridFunction(ws.grid, ws.smooth(x))
     misfit = empirical_norm(ws.ev.apply(sf) - meas.values)
-    return FitResult(f, sf, misfit, ws.penalty_norm(s, x), report)
+    return FitResult(GridFunction(ws.grid, x), sf, misfit, ws.penalty_norm(s, x), report)
 
 
 def _lambda_exponent(s: int) -> float:
@@ -319,41 +339,67 @@ class _ShiftedLanczos:
     preconditioned by R_s differ only by the shift lam of R_s^-1 K, so one
     Lanczos process on R_s^-1 K, in the R_s inner product and started from
     R_s^-1 b, serves them all (multi-shift Krylov, Frommer and Glaessner).
-    It keeps the tridiagonal T_k, not the basis Q_k.  At weight lam the CG
-    iterate is f_k = Q_k c with (T_k + lam I) c = beta_0 e_1 and residual
-    |c_k| |w_k|, w_k the next dual vector unnormalized.  As Q_k' R_s Q_k = I,
-    Q_k' K Q_k = T_k and b'Q_k = beta_0 e_1', its penalty norm is |c| and its
-    squared misfit c'T_k c - 2 beta_0 c_1 + y'y/n = y'y/n - beta_0 c_1 - lam |c|^2.
+    It keeps the tridiagonal T_k and the basis Q_k = [q_1..q_k], orthonormal
+    in the R_s inner product, as k N-vectors: k N 8 bytes (3.8 MB for 47
+    steps on grid 100).  A basis of N vectors spans the space, so the steps
+    stop at min(CG_MAX_ITER, N).  Each step reorthogonalizes its new vector
+    against the basis by one classical Gram-Schmidt pass; without it,
+    finite-precision Lanczos loses orthogonality and needs more steps.  The
+    vectors are the rows of arrays of _BLOCK vectors: the C allocator maps
+    an array that large (2.6 MB on grid 100) on its own and returns it to
+    the system when the loop ends, where single grid-100 vectors would stay
+    in the heap (+1.7 MB peak RSS of p1 at s = 0).
+
+    At weight lam the CG iterate is f_k = Q_k c with (T_k + lam I) c =
+    beta_0 e_1 and residual |c_k| |w_k|, w_k the next dual vector
+    unnormalized.  As Q_k' R_s Q_k = I, Q_k' K Q_k = T_k and b'Q_k =
+    beta_0 e_1', its penalty norm is |c| and its squared misfit
+    c'T_k c - 2 beta_0 c_1 + y'y/n = y'y/n - beta_0 c_1 - lam |c|^2.
     A step costs 2 + s solves, as a CG iteration does.
     """
+
+    _BLOCK = 32     # basis vectors per array
 
     def __init__(self, ws: _FitWorkspace, s: int, y: np.ndarray):
         self.ws = ws
         self.s = s
-        self.yy = float(y @ y)
+        self.yy = _dot(y, y)
         b = ws.rhs(y)
-        z = ws.gram_solve(s, b)
-        self.bnorm = float(np.linalg.norm(b))
+        self.bnorm = float(np.sqrt(_dot(b, b)))
+        self.cap = min(CG_MAX_ITER, b.size)
+        self.basis: list[np.ndarray] = []          # q_1..q_k, rows of blocks of _BLOCK
         self.alphas: list[float] = []
-        self.betas = [float(np.sqrt(b @ z))]     # beta_0, then beta_j after step j
-        self._wnorm = self.bnorm                  # |w_k|
-        self._v_prev = np.zeros_like(b)           # dual vectors R_s q_j of the last two steps
-        self._v = b / self.betas[0]
-        self._q = z / self.betas[0]               # the next step's basis vector
+        self._w, self._z = b, ws.gram_solve(s, b)   # w_k and R_s^-1 w_k
+        self.betas = [float(np.sqrt(_dot(b, self._z)))]  # beta_0, then beta_j after step j
+        self._wnorm = self.bnorm                    # |w_k|
+        self._v = np.zeros_like(b)                  # R_s q_k
 
     def _step(self) -> None:
-        kq = self.ws.data_apply(self._q)
-        alpha = float(self._q @ kq)
-        w = kq - alpha * self._v - self.betas[-1] * self._v_prev
+        beta = self.betas[-1]
+        k = len(self.basis)
+        if k % self._BLOCK == 0:
+            self._block = np.empty((self._BLOCK, self._w.size))
+        q = self._block[k % self._BLOCK]
+        np.divide(self._z, beta, out=q)
+        self.basis.append(q)
+        v_prev, self._v = self._v, self._w / beta
+        kq = self.ws.data_apply(q)
+        alpha = _dot(q, kq)
+        w = kq - alpha * self._v - beta * v_prev
+        # Gram-Schmidt in the R_s inner product, where q_i' R_s (R_s^-1 w) = q_i' w
+        projection = np.zeros_like(w)
+        for qi in self.basis:
+            projection += _dot(qi, w) * qi
+        w -= self.ws.gram_apply(self.s, projection)
         z = self.ws.gram_solve(self.s, w)
-        beta = float(np.sqrt(w @ z))
+        beta = float(np.sqrt(_dot(w, z)))
         if not (np.isfinite(alpha) and np.isfinite(beta)):
             raise ConvergenceError(f"Lanczos step {len(self.alphas) + 1} has a non-finite "
                                    f"coefficient (alpha={alpha:g}, beta={beta:g})")
         self.alphas.append(alpha)
         self.betas.append(beta)
-        self._wnorm = float(np.linalg.norm(w))
-        self._v_prev, self._v, self._q = self._v, w / beta, z / beta
+        self._w, self._z = w, z
+        self._wnorm = float(np.sqrt(_dot(w, w)))
 
     def _coefficients(self, lam: float) -> np.ndarray:
         """c solving (T_k + lam I) c = beta_0 e_1, by LDL' in O(k)."""
@@ -370,11 +416,13 @@ class _ShiftedLanczos:
             c[j] -= mults[j + 1] * c[j + 1]
         return c
 
-    def norms(self, lam: float, tol: float) -> tuple[float, float]:
-        """Misfit and penalty norm of the CG iterate at weight ``lam`` on all
-        the steps taken, extended until its residual is at most ``tol`` |b|
-        (the rule of the CG solve).  Raises ConvergenceError if a
-        coefficient is not finite or the step cap is reached."""
+    def _solve(self, lam: float, tol: float) -> tuple[np.ndarray, float]:
+        """c at weight ``lam`` on all the steps taken, extended until the
+        iterate's residual is at most ``tol`` |b| (the rule of the CG solve),
+        and that residual relative to |b|.  Raises ConvergenceError if a
+        coefficient is not finite or the step cap is reached first; the
+        residual test comes before each step, so a breakdown (beta_k = 0,
+        the space exhausted) stops here, not in a division."""
         if not (self.bnorm < np.inf and self.betas[0] < np.inf):
             raise ConvergenceError(f"Lanczos start has a non-finite coefficient "
                                    f"(beta={self.betas[0]:g})")
@@ -382,14 +430,26 @@ class _ShiftedLanczos:
             c = self._coefficients(lam)
             residual = abs(c[-1]) * self._wnorm if c.size else self.bnorm
             if residual <= tol * self.bnorm:
-                break
-            if len(self.alphas) == CG_MAX_ITER:
-                raise ConvergenceError(f"Lanczos stalled at residual "
-                                       f"{residual / self.bnorm:.3e} after {CG_MAX_ITER} steps")
+                return c, residual / self.bnorm if self.bnorm else 0.0
+            if len(self.alphas) == self.cap:
+                raise ConvergenceError(f"Lanczos stalled at residual {residual / self.bnorm:.3e} "
+                                       f"at its step cap min(CG_MAX_ITER, N) = {self.cap}")
             self._step()
-        cc = float(c @ c)
+
+    def norms(self, lam: float, tol: float) -> tuple[float, float]:
+        """Misfit and penalty norm of the iterate at weight ``lam`` (see _solve)."""
+        c, _ = self._solve(lam, tol)
+        cc = _dot(c, c)
         misfit2 = self.yy / self.ws.n - self.betas[0] * float(c[:1].sum()) - lam * cc
         return float(np.sqrt(max(misfit2, 0.0))), float(np.sqrt(cc))
+
+    def fit(self, lam: float, tol: float) -> tuple[np.ndarray, SolveReport]:
+        """The iterate f = Q_k c at weight ``lam`` (see _solve), and its report."""
+        c, residual = self._solve(lam, tol)
+        f = np.zeros_like(self._w)
+        for ci, qi in zip(c, self.basis):
+            f += ci * qi
+        return f, SolveReport(c.size, residual, True)
 
 
 def self_consistent_lambda(grid: Grid, beta: float, meas: MeasurementSet, s: int,
@@ -402,11 +462,11 @@ def self_consistent_lambda(grid: Grid, beta: float, meas: MeasurementSet, s: int
     at the current weight, then re-derives it from the empirical misfit (a
     noise-level estimate) and the penalty norm of the fit (a forcing-norm
     estimate).  Stops when the weight moves less than ``stop_tol`` in
-    absolute value; the final fit is recomputed at the accepted weight by
-    :func:`solve_data_fit`.  Non-convergence within ``max_outer`` passes is
-    flagged on the trace and the last iterate is returned.  The passes read
-    their misfit and penalty norm from one Lanczos process, to the tolerance
-    of the CG solve.
+    absolute value.  Non-convergence within ``max_outer`` passes is flagged
+    on the trace and the last iterate is returned.  The passes read their
+    misfit and penalty norm from one Lanczos process, and the returned fit
+    at the accepted weight is read off its basis, each to the residual rule
+    of the CG solve; its report counts the basis vectors.  No CG runs.
 
     Raises ConvergenceError naming the pass if a fit fails, if its penalty
     norm is zero (the update is undefined), or if the update is not a
@@ -448,11 +508,11 @@ def self_consistent_lambda(grid: Grid, beta: float, meas: MeasurementSet, s: int
             if done:
                 converged = True
                 break
-    try:
-        result = solve_data_fit(grid, beta, meas, FitConfig(s=s, lam=lam), workspace=ws)
-    except ConvergenceError as exc:
-        raise failed("final fit", lam, exc) from exc
-    return lam, result, LambdaTrace(lams, converged)
+        try:
+            f, report = krylov.fit(lam, tol)
+        except ConvergenceError as exc:
+            raise failed("final fit", lam, exc) from exc
+    return lam, _fit_result(ws, meas, s, f, report), LambdaTrace(lams, converged)
 
 
 def policy_weight(mode: str, s: int, f_true: GridFunction, sigma: float, n: int,

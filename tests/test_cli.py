@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -550,6 +553,27 @@ def test_overflowing_fit_stops_within_a_few_iterations(tmp_path, capsys):
     assert main(["p1", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and re.search(r"after \d iterations$", err[0]), err
+    assert re.search(r"CG stopped on a non-finite curvature p'Ap = (inf|nan) at residual", err[0])
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_weight_loop_outputs_do_not_depend_on_blas_threads(tmp_path, s):
+    # grid 100, 10,000 sensors: numpy's BLAS dot products and norms change
+    # their last bit with the thread count at this size; the weight loop's
+    # pairwise sums do not
+    cfg = write_cfg(tmp_path, "c.json", {"s": s, "lambda": {"mode": "self-consistent"}})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"o{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "fluoinv.cli", "p1", "--preset", "example1",
+                        "--config", cfg, "--out", str(out), "--seed", "0"],
+                       env=env, check=True)
+        outputs.append([(out / name).read_bytes()
+                        for name in ("lambda_trace.csv", "fit_fields.csv")])
+    assert outputs[0] == outputs[1]
 
 
 _STEPS_AND_TAU = st.tuples(st.integers(1, 4), st.sampled_from([0.01, 0.1, 0.25, 1.0, 3.0]))

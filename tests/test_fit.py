@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fluoinv as fv
+from fluoinv import fit as fit_module
 from fluoinv.fit import FitConfig, _FitWorkspace, _ShiftedLanczos
 from fluoinv.grid import default_tolerance
 from fluoinv.presets import build_truth, trig_forcing
@@ -168,6 +169,19 @@ def few_sensors(grid32):
     return dict(grid=grid32, meas=example2_measurements(grid32, 120, 0.001, 5))
 
 
+def assert_meets_the_cg_rule(grid, meas, s, lam, res):
+    """The returned fit solves the normal equations at ``lam`` to the CG rule,
+    checked on its true residual, and reports that residual."""
+    ws = _FitWorkspace(grid, 1.0, meas.points)
+    b = ws.rhs(meas.values)
+    f = res.f.values
+    residual = np.linalg.norm(b - lam * ws.gram_apply(s, f) - ws.data_apply(f))
+    assert res.report.converged
+    assert residual <= default_tolerance() * np.linalg.norm(b)
+    assert residual / np.linalg.norm(b) == pytest.approx(res.report.residual, rel=1e-3)
+    assert np.array_equal(res.sf.values, ws.smooth(f))
+
+
 def test_self_consistent_lambda_small_scale(small_fit, few_sensors):
     # 400 sensors on grid 16, and 120 on grid 32
     for data in (small_fit, few_sensors):
@@ -177,10 +191,29 @@ def test_self_consistent_lambda_small_scale(small_fit, few_sensors):
         assert trace.outer_iterations <= 15
         assert abs(trace.lams[-1] - trace.lams[-2]) < 1e-10
         assert lam == trace.lams[-1]
-        # returned fit is the given-weight fit at the accepted weight
-        again = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=0, lam=lam))
-        assert res.report.converged
-        assert np.array_equal(again.f.values, res.f.values)
+        assert_meets_the_cg_rule(grid, meas, 0, lam, res)
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_accepted_weight_fit_is_read_off_the_basis(monkeypatch, s):
+    # the example1 field on grid 16 at the noise of the p1 preset: the fit at
+    # the accepted weight comes from the loop's Lanczos basis, with no CG, and
+    # lies as close to a CG solve far below the default tolerance as a CG
+    # solve at the default tolerance does (about 1e-8; on fewer sensors both
+    # drift further, as the normal equations are worse conditioned)
+    grid = fv.Grid(2, 16)
+    _, sf_true, _, _ = build_truth("example1", grid)
+    meas = observe(sf_true, sample_points(2, 1000, seed=0), NoiseModel("gaussian", 0.002, 0))
+    with monkeypatch.context() as m:
+        m.setattr(fit_module, "_pcg", None)
+        lam, res, trace = fv.self_consistent_lambda(grid, 1.0, meas, s)
+    assert trace.converged
+    assert_meets_the_cg_rule(grid, meas, s, lam, res)
+    tight = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=s, lam=lam, outer_tol=1e-13))
+    distance = np.linalg.norm(res.f.values - tight.f.values)
+    assert distance <= 1e-7 * np.linalg.norm(tight.f.values)
+    assert res.misfit_n == pytest.approx(tight.misfit_n, rel=1e-7)
+    assert res.penalty_norm == pytest.approx(tight.penalty_norm, rel=1e-7)
 
 
 def test_self_consistent_lambda_noiseless(small_fit):
@@ -192,6 +225,56 @@ def test_self_consistent_lambda_noiseless(small_fit):
     assert trace.lams[1] < trace.lams[0]  # the weight heads down without noise
     # misfit settles at the interpolation-error level, far below the field scale
     assert res.misfit_n < 0.05 * fv.empirical_norm(meas.values)
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_noiseless_weight_loop_holds_at_most_n_basis_vectors(small_fit, s):
+    # noiseless data drive the weight toward 1e-13, where Lanczos without
+    # reorthogonalization takes 539 (s = 0) and 2,210 (s = 1) steps on these
+    # 289 nodes, past the cap of N basis vectors
+    grid, sf_true = small_fit["grid"], small_fit["sf_true"]
+    meas = observe(sf_true, sample_points(2, 1000, seed=8), NoiseModel("zero", 0.0, 0))
+    lam, res, trace = fv.self_consistent_lambda(grid, 1.0, meas, s)
+    assert trace.converged and lam < 1e-11
+    assert 1 < res.report.iterations <= grid.node_count
+    assert_meets_the_cg_rule(grid, meas, s, lam, res)
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_lanczos_basis_is_orthonormal(few_sensors, s):
+    # a small weight takes the process deep: 54 (s = 0) and 75 (s = 1) steps
+    grid, meas = few_sensors["grid"], few_sensors["meas"]
+    ws = _FitWorkspace(grid, 1.0, meas.points)
+    krylov = _ShiftedLanczos(ws, s, meas.values)
+    krylov.norms(1e-12, default_tolerance())
+    basis = np.array(krylov.basis)
+    assert len(basis) == len(krylov.alphas) > 50
+    gram = basis @ np.array([ws.gram_apply(s, q) for q in basis]).T
+    assert np.abs(gram - np.eye(len(basis))).max() <= 1e-10
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_lanczos_breakdown_stops_before_dividing(grid16, s):
+    # n sensors span a space of n dimensions: the n-th step leaves beta about
+    # 0, and the residual test stops the process before it divides by beta
+    for n in (1, 3, 5):
+        meas = fv.MeasurementSet(sample_points(2, n, seed=0), np.linspace(1.0, 2.0, n))
+        with np.errstate(all="raise"):
+            krylov = _ShiftedLanczos(_FitWorkspace(grid16, 1.0, meas.points), s, meas.values)
+            for lam in (1e-2, 1e-6, 1e-12):
+                krylov.norms(lam, default_tolerance())
+        assert len(krylov.alphas) == n
+
+
+def test_lanczos_step_cap_is_the_node_count(grid16):
+    # the basis cannot outgrow the space: the cap is N, and reaching it is named
+    meas = fv.MeasurementSet(sample_points(2, 400, seed=8), np.ones(400))
+    krylov = _ShiftedLanczos(_FitWorkspace(grid16, 1.0, meas.points), 0, meas.values)
+    assert krylov.cap == grid16.node_count
+    krylov.cap = 3
+    with pytest.raises(fv.ConvergenceError, match=r"step cap min\(CG_MAX_ITER, N\) = 3"):
+        krylov.norms(1e-12, default_tolerance())
+    assert len(krylov.basis) == 3
 
 
 @pytest.mark.parametrize("cells,n", [(16, 30), (32, 120)])
@@ -216,8 +299,8 @@ def test_weight_passes_match_tight_cg(cells, n, s):
 @pytest.mark.parametrize("s", [0, 1])
 def test_weight_loop_cost(lu_counts, s):
     # the passes share one Lanczos process: 1 + s solves for its start vector
-    # and 2 + s per step; the fit at the accepted weight is a CG solve, 2 + s
-    # per iteration and 2 + s for its right-hand side, start and field
+    # and 2 + s per step; the fit at the accepted weight is read off its basis,
+    # and its field Sf is one more solve
     grid = fv.Grid(2, 16)
     meas = example2_measurements(grid, 30, 0.01, 2)
     ws = _FitWorkspace(grid, 1.0, meas.points)
@@ -226,20 +309,20 @@ def test_weight_loop_cost(lu_counts, s):
     _, res, trace = fv.self_consistent_lambda(grid, 1.0, meas, s, workspace=ws)
     assert trace.outer_iterations > 1
     loop_solves = lu_counts["solves"]
-    # the same passes on a process of their own give the step count
+    # the same passes and fit on a process of their own give the step count
     krylov = _ShiftedLanczos(ws, s, meas.values)
-    for lam in trace.lams[:-1]:
+    for lam in trace.lams:
         krylov.norms(lam, default_tolerance())
     steps = len(krylov.alphas)
-    assert steps > 1
-    assert loop_solves == (1 + s) + (2 + s) * steps + (2 + s) * (res.report.iterations + 1)
+    assert steps == res.report.iterations > 1
+    assert loop_solves == (1 + s) + (2 + s) * steps + 1
     # a larger weight needs no deeper process: it costs no solve
     lu_counts.update(solves=0)
     krylov.norms(10 * max(trace.lams), default_tolerance())
     assert lu_counts == {"factorizations": 0, "solves": 0}
 
 
-@pytest.mark.parametrize("cells", [4, 8], ids=["cg", "representer"])
+@pytest.mark.parametrize("cells", [4, 8], ids=["grid4", "grid8"])
 def test_diverging_weight_loop_names_the_pass(cells):
     # about as much noise as signal, on grids 4 and 8: the weight grows until
     # the penalty norm underflows to zero, and the loop says at which pass and
@@ -266,3 +349,4 @@ def test_weight_loop_stops_on_overflowing_lanczos(grid16):
     with np.errstate(invalid="ignore"), \
             pytest.raises(fv.ConvergenceError, match="step 1 has a non-finite"):
         krylov.norms(1e-6, default_tolerance())
+
