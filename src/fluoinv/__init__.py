@@ -14,10 +14,9 @@ from .fit import (
     FitConfig,
     FitResult,
     MeasurementSet,
+    PointEvaluation,
     SolveReport,
-    empirical_norm,
     optimal_lambda_prior,
-    point_evaluation,
     policy_weight,
     self_consistent_lambda,
     solve_data_fit,
@@ -40,7 +39,7 @@ from .inverse import (
     initial_guess,
     stability_constants,
 )
-from .metrics import ErrorBundle, dual_h1_norm, error_bundle, h1_norm, l2_norm
+from .metrics import ErrorBundle, dual_h1_norm, empirical_norm, error_bundle, h1_norm, l2_norm
 from .spectral import SpectrumReport, empirical_smoothing_spectrum, laplacian_spectrum
 from .stochastic import (
     ExperimentRecord,

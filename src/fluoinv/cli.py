@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fit import FitConfig, fit_at_weight, policy_weight, solve_data_fit
+from .fit import FitConfig, PointEvaluation, fit_at_weight, policy_weight, solve_data_fit
 from .forward import terminal_fields
 from .grid import ConvergenceError, Grid, default_tolerance
 from .inverse import InverseConfig, PositivityError, fixed_point_solve
@@ -287,9 +287,9 @@ def _sigma_from(cfg: dict, sf_true) -> float:
 def _measure(cfg: dict, grid: Grid, sf_true):
     n = _require(cfg, "n")
     sigma = _sigma_from(cfg, sf_true)
-    points = sample_points(grid.dim, n, seed=cfg["seed"])
+    sensors = PointEvaluation(grid, sample_points(grid.dim, n, seed=cfg["seed"]))
     noise = NoiseModel(cfg["noise"], sigma, np.random.SeedSequence(cfg["seed"]))
-    return observe(sf_true, points, noise), sigma
+    return observe(sf_true, sensors, noise), sigma
 
 
 def _weight(cfg: dict, s: int, f_true, sigma: float, n: int):
@@ -310,12 +310,12 @@ def _weight(cfg: dict, s: int, f_true, sigma: float, n: int):
     return lam
 
 
-def _fit(cfg: dict, grid, meas, s: int, lam, out: Path, manifest: Manifest):
+def _fit(cfg: dict, meas, s: int, lam, out: Path, manifest: Manifest):
     """``fit_at_weight``, requiring the weight loop to stabilize.  A loop that
     fails writes its passes to lambda_trace.csv before the ConvergenceError
     propagates (exit 3)."""
     try:
-        fitted = fit_at_weight(grid, cfg["beta"], meas, s, lam)
+        fitted = fit_at_weight(cfg["beta"], meas, s, lam)
     except ConvergenceError as exc:
         if exc.trace is not None:
             _write_lambda_trace(out, manifest, exc.trace)
@@ -370,7 +370,7 @@ def cmd_p1(cfg: dict, out: Path, manifest: Manifest) -> int:
             raise ConfigError("config error at 'lambda': 'values' is required in ladder mode")
         rows = []
         for lam in cfg["lambda"]["values"]:
-            result = solve_data_fit(grid, cfg["beta"], meas, FitConfig(s=s, lam=lam))
+            result = solve_data_fit(cfg["beta"], meas, FitConfig(s=s, lam=lam))
             b = error_bundle(meas=meas, sf=result.sf, sf_true=sf_true,
                              f=result.f, f_true=f_true)
             rows.append([lam, result.misfit_n, result.penalty_norm] + _err_row(b))
@@ -379,7 +379,7 @@ def cmd_p1(cfg: dict, out: Path, manifest: Manifest) -> int:
                                 "err1", "err2", "err3", "err4", "err5"], rows))
         return EXIT_OK
 
-    lam, result, trace = _fit(cfg, grid, meas, s, _weight(cfg, s, f_true, sigma, meas.n),
+    lam, result, trace = _fit(cfg, meas, s, _weight(cfg, s, f_true, sigma, meas.n),
                               out, manifest)
     _write_lambda_trace(out, manifest, trace)
     bundle = error_bundle(meas=meas, sf=result.sf, sf_true=sf_true,
@@ -408,7 +408,7 @@ def cmd_p2(cfg: dict, out: Path, manifest: Manifest) -> int:
     else:
         s = _require(cfg, "s")
         meas, sigma = _measure(cfg, grid, sf_true)
-        lam, fitres, _ = _fit(cfg, grid, meas, s, _weight(cfg, s, f_true, sigma, meas.n),
+        lam, fitres, _ = _fit(cfg, meas, s, _weight(cfg, s, f_true, sigma, meas.n),
                               out, manifest)
         g = fitres.sf
     try:

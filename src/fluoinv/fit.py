@@ -11,10 +11,12 @@ minimizer solves SPD normal equations
     (lam * R_s + (1/n) (ES)' (ES)) f = (1/n) (ES)' y
 
 with R_s the lumped-mass (s=0) or mass+stiffness (s=1) Gram matrix and E
-the multilinear point-evaluation map.  CG preconditioned by R_s solves
-them; a product costs two elliptic solves on the cached factorization of
-the Laplacian, with the n measurement couplings folded into a precomputed
-sparse E'E.
+the multilinear point-evaluation map of the sensor set.  A measurement set
+carries its map (``PointEvaluation``), which folds the n measurement
+couplings into a sparse E'E once, so each fit takes only the measurements
+and reads its grid off them.  CG preconditioned by R_s solves the normal
+equations; a product costs two elliptic solves on the grid's cached
+factorization of the Laplacian.
 
 The self-consistent weight loop refits the same data at moving weights,
 whose systems differ only by a shift of R_s^-1 (ES)'(ES)/n: all its passes
@@ -32,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import ConvergenceError, Grid, GridFunction, default_tolerance
-from .metrics import hs_norm
+from .metrics import _dot, empirical_norm, hs_norm
 
 __all__ = [
     "MeasurementSet",
@@ -41,8 +43,6 @@ __all__ = [
     "FitResult",
     "LambdaTrace",
     "PointEvaluation",
-    "point_evaluation",
-    "empirical_norm",
     "solve_data_fit",
     "optimal_lambda_prior",
     "self_consistent_lambda",
@@ -54,34 +54,14 @@ CG_MAX_ITER = 20000     # normal-equation CG iteration cap; the Lanczos basis ho
                         # at most min(CG_MAX_ITER, N) vectors
 
 
-@dataclass
-class MeasurementSet:
-    """Sensor locations and noisy readings."""
-
-    points: np.ndarray      # (n, dim), strictly inside the open domain
-    values: np.ndarray      # (n,)
-
-    def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        self.values = np.asarray(self.values, dtype=float)
-        if self.points.shape[0] < 1:
-            raise ValueError("need at least one measurement point")
-        if self.values.shape != (self.points.shape[0],):
-            raise ValueError("values/points length mismatch")
-        if (self.points <= 0.0).any() or (self.points >= 1.0).any():
-            raise ValueError("measurement points must lie strictly inside the domain")
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-
 class PointEvaluation:
-    """Sparse linear map from nodal fields to values at scattered points.
+    """Sparse linear map E from nodal fields to values at one sensor set.
 
     Uses linear (1D) / bilinear (2D) interpolation on the cell containing
     each point; the transpose is exposed as the scatter (adjoint) map used
-    by the normal equations.
+    by the normal equations, whose data term E'E is built here once.  A
+    sensor set is built once and carried by the measurements read through
+    it, so observation, fit and sensor errors share one map.
     """
 
     def __init__(self, grid: Grid, points):
@@ -92,6 +72,7 @@ class PointEvaluation:
             raise ValueError("evaluation point outside the closed domain")
         self.grid = grid
         self.points = points
+        self.n = points.shape[0]
         m = grid.cells_per_side
         h = grid.h
         npts = points.shape[0]
@@ -112,6 +93,7 @@ class PointEvaluation:
                 [(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty]
             ).ravel()
         self.matrix = sp.csr_matrix((w, (rows, cols)), shape=(npts, grid.node_count))
+        self.ete = (self.matrix.T @ self.matrix).tocsr()
 
     def apply(self, u) -> np.ndarray:
         values = u.values if isinstance(u, GridFunction) else np.asarray(u)
@@ -121,17 +103,29 @@ class PointEvaluation:
         return GridFunction(self.grid, self.matrix.T @ np.asarray(vec, dtype=float))
 
 
-def point_evaluation(grid: Grid, points) -> PointEvaluation:
-    """Build the interpolation map for the given sensor locations."""
-    return PointEvaluation(grid, points)
+@dataclass
+class MeasurementSet:
+    """Noisy readings and the sensor map they were read through."""
 
+    sensors: PointEvaluation
+    values: np.ndarray      # (n,)
 
-def empirical_norm(values) -> float:
-    """Root mean square over the sensors: ||v||_n = sqrt(sum v_i^2 / n)."""
-    values = np.asarray(values, dtype=float)
-    if values.size < 1:
-        raise ValueError("empirical norm needs at least one value")
-    return float(np.sqrt(np.mean(values**2)))
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        if self.n < 1:
+            raise ValueError("need at least one measurement point")
+        if self.values.shape != (self.n,):
+            raise ValueError("values/points length mismatch")
+        if (self.points <= 0.0).any() or (self.points >= 1.0).any():
+            raise ValueError("measurement points must lie strictly inside the domain")
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.sensors.points
+
+    @property
+    def n(self) -> int:
+        return self.sensors.n
 
 
 @dataclass
@@ -175,15 +169,13 @@ class FitResult:
 
 
 class _FitWorkspace:
-    """Per-(grid, beta, points) precomputations shared across fits."""
+    """The operators of the fits on one sensor set: its map and E'E, and the
+    grid's cached operators and factors at beta."""
 
-    def __init__(self, grid: Grid, beta: float, points):
-        self.grid = grid
-        self.beta = beta
-        self.ops = grid.operators(beta)
-        self.ev = PointEvaluation(grid, points)
-        self.n = self.ev.points.shape[0]
-        self.ete = (self.ev.matrix.T @ self.ev.matrix).tocsr()
+    def __init__(self, sensors: PointEvaluation, beta: float):
+        self.sensors = sensors
+        self.grid = sensors.grid
+        self.ops = self.grid.operators(beta)
         self.lu = self.ops.lu_laplacian()
 
     def smooth(self, f_values: np.ndarray) -> np.ndarray:
@@ -192,12 +184,12 @@ class _FitWorkspace:
 
     def data_apply(self, f_values: np.ndarray) -> np.ndarray:
         """(ES)'(ES) f / n, the data term of the normal equations."""
-        t = self.ete @ self.smooth(f_values)
-        return (self.ops.weights * self.lu.solve(t)) / self.n
+        t = self.sensors.ete @ self.smooth(f_values)
+        return (self.ops.weights * self.lu.solve(t)) / self.sensors.n
 
     def rhs(self, y: np.ndarray) -> np.ndarray:
         """(ES)' y / n, the right-hand side of the normal equations."""
-        return (self.ops.weights * self.lu.solve(self.ev.matrix.T @ y)) / self.n
+        return (self.ops.weights * self.lu.solve(self.sensors.matrix.T @ y)) / self.sensors.n
 
     def gram_apply(self, s: int, v: np.ndarray) -> np.ndarray:
         if s == 0:
@@ -211,12 +203,6 @@ class _FitWorkspace:
 
     def penalty_norm(self, s: int, f_values: np.ndarray) -> float:
         return float(np.sqrt(max(_dot(f_values, self.gram_apply(s, f_values)), 0.0)))
-
-
-def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    """x'y by numpy's pairwise summation, whose bits, unlike those of ``x @ y``
-    and ``np.linalg.norm``, do not depend on the BLAS thread count."""
-    return float(np.add.reduce(x * y))
 
 
 def _pcg(matvec, b, *, tol, max_iter, precond):
@@ -261,13 +247,13 @@ def _pcg(matvec, b, *, tol, max_iter, precond):
     return x, SolveReport(it, rel, rel <= tol, breakdown)
 
 
-def solve_data_fit(grid: Grid, beta: float, meas: MeasurementSet,
-                   cfg: FitConfig, workspace: _FitWorkspace | None = None) -> FitResult:
-    """Solve the penalized least-squares problem for the nodal forcing.
+def solve_data_fit(beta: float, meas: MeasurementSet, cfg: FitConfig) -> FitResult:
+    """Solve the penalized least-squares problem for the nodal forcing on the
+    grid of ``meas.sensors``.
 
     Raises ConvergenceError if the outer CG does not reach its tolerance.
     """
-    ws = workspace if workspace is not None else _FitWorkspace(grid, beta, meas.points)
+    ws = _FitWorkspace(meas.sensors, beta)
     lam = cfg.lam
     s = cfg.s
 
@@ -296,7 +282,7 @@ def _fit_result(ws: _FitWorkspace, meas: MeasurementSet, s: int, x: np.ndarray,
                 report: SolveReport) -> FitResult:
     """The fit of forcing ``x``: its field Sf (one solve), misfit and penalty norm."""
     sf = GridFunction(ws.grid, ws.smooth(x))
-    misfit = empirical_norm(ws.ev.apply(sf) - meas.values)
+    misfit = empirical_norm(ws.sensors.apply(sf) - meas.values)
     return FitResult(GridFunction(ws.grid, x), sf, misfit, ws.penalty_norm(s, x), report)
 
 
@@ -440,7 +426,7 @@ class _ShiftedLanczos:
         """Misfit and penalty norm of the iterate at weight ``lam`` (see _solve)."""
         c, _ = self._solve(lam, tol)
         cc = _dot(c, c)
-        misfit2 = self.yy / self.ws.n - self.betas[0] * float(c[:1].sum()) - lam * cc
+        misfit2 = self.yy / self.ws.sensors.n - self.betas[0] * float(c[:1].sum()) - lam * cc
         return float(np.sqrt(max(misfit2, 0.0))), float(np.sqrt(cc))
 
     def fit(self, lam: float, tol: float) -> tuple[np.ndarray, SolveReport]:
@@ -452,9 +438,8 @@ class _ShiftedLanczos:
         return f, SolveReport(c.size, residual, True)
 
 
-def self_consistent_lambda(grid: Grid, beta: float, meas: MeasurementSet, s: int,
+def self_consistent_lambda(beta: float, meas: MeasurementSet, s: int,
                            stop_tol: float = 1e-10, max_outer: int = 50,
-                           workspace: _FitWorkspace | None = None,
                            ) -> tuple[float, FitResult, LambdaTrace]:
     """Alternate fitting and re-estimating the regularization weight.
 
@@ -474,7 +459,7 @@ def self_consistent_lambda(grid: Grid, beta: float, meas: MeasurementSet, s: int
     ``trace``.
     """
     expo = _lambda_exponent(s)
-    ws = workspace if workspace is not None else _FitWorkspace(grid, beta, meas.points)
+    ws = _FitWorkspace(meas.sensors, beta)
     n = meas.n
     tol = default_tolerance()
 
@@ -535,8 +520,7 @@ def policy_weight(mode: str, s: int, f_true: GridFunction, sigma: float, n: int,
     raise ValueError(f"unknown weight policy {mode!r}; choose from prior, fixed, self-consistent")
 
 
-def fit_at_weight(grid: Grid, beta: float, meas: MeasurementSet, s: int,
-                  lam: float | None, workspace: _FitWorkspace | None = None,
+def fit_at_weight(beta: float, meas: MeasurementSet, s: int, lam: float | None,
                   ) -> tuple[float, FitResult, LambdaTrace]:
     """Fit at the weight ``lam``, or run the self-consistent loop if it is None.
 
@@ -544,6 +528,6 @@ def fit_at_weight(grid: Grid, beta: float, meas: MeasurementSet, s: int,
     has a one-entry, converged trace.  Callers check ``trace.converged``.
     """
     if lam is None:
-        return self_consistent_lambda(grid, beta, meas, s, workspace=workspace)
-    fit = solve_data_fit(grid, beta, meas, FitConfig(s=s, lam=lam), workspace=workspace)
+        return self_consistent_lambda(beta, meas, s)
+    fit = solve_data_fit(beta, meas, FitConfig(s=s, lam=lam))
     return lam, fit, LambdaTrace([lam], True)

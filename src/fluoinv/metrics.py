@@ -2,7 +2,8 @@
 
 The L2 and H1 norms use the lumped mass and natural-boundary stiffness
 Gram matrices; the dual H1 norm is realized through the Riesz map of the
-full H1 inner product, i.e. one solve with ``mass + stiffness``.
+full H1 inner product, i.e. one solve with ``mass + stiffness``.  The
+empirical norm is the root mean square over a sensor set.
 """
 
 from __future__ import annotations
@@ -13,7 +14,22 @@ import numpy as np
 
 from .grid import Grid, GridFunction
 
-__all__ = ["l2_norm", "h1_norm", "hs_norm", "dual_h1_norm", "ErrorBundle", "error_bundle"]
+__all__ = ["empirical_norm", "l2_norm", "h1_norm", "hs_norm", "dual_h1_norm", "ErrorBundle",
+           "error_bundle"]
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x'y by numpy's pairwise summation, whose bits, unlike those of ``x @ y``
+    and ``np.linalg.norm``, do not depend on the BLAS thread count."""
+    return float(np.add.reduce(x * y))
+
+
+def empirical_norm(values) -> float:
+    """Root mean square over the sensors: ||v||_n = sqrt(sum v_i^2 / n)."""
+    values = np.asarray(values, dtype=float)
+    if values.size < 1:
+        raise ValueError("empirical norm needs at least one value")
+    return float(np.sqrt(np.mean(values**2)))
 
 
 def l2_norm(u: GridFunction) -> float:
@@ -88,14 +104,12 @@ def error_bundle(
     """Compute whichever relative errors the provided fields permit.
 
     ``meas`` (a MeasurementSet) enables the empirical-norm error err1 of
-    sf against sf_true at the sensor locations; the remaining errors are
-    grid-norm ratios of reconstruction minus truth over truth.
+    sf against sf_true, read through its sensor map; the remaining errors
+    are grid-norm ratios of reconstruction minus truth over truth.
     """
-    from .fit import empirical_norm, point_evaluation  # local import, avoids a cycle
-
     out = ErrorBundle()
     if meas is not None and sf is not None and sf_true is not None:
-        ev = point_evaluation(sf.grid, meas.points)
+        ev = meas.sensors
         d = ev.apply(sf) - ev.apply(sf_true)
         out.err1 = _rel(empirical_norm(d), empirical_norm(ev.apply(sf_true)), "err1")
     if f is not None and f_true is not None:

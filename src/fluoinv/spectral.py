@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from .fit import PointEvaluation
 from .grid import Grid
 from .stochastic import fit_rate
 
@@ -92,10 +93,8 @@ def empirical_smoothing_spectrum(grid: Grid, beta: float, points, s: int) -> Spe
     n = points.shape[0]
     if n > PENCIL_POINT_CAP:
         raise ValueError(f"{n} sensors exceed the dense-pencil cap {PENCIL_POINT_CAP}")
-    from .fit import point_evaluation
-
     ops = grid.operators(beta)
-    ev = point_evaluation(grid, points)
+    ev = PointEvaluation(grid, points)
     lu = ops.lu_laplacian()
     Et = np.asarray(ev.matrix.T.todense())
     Z = ops.weights[:, None] * lu.solve(Et)      # (ES)' applied to unit vectors

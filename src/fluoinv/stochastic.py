@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fit import MeasurementSet, _FitWorkspace, empirical_norm, fit_at_weight, point_evaluation
+from .fit import MeasurementSet, PointEvaluation, fit_at_weight
 from .forward import ProblemData
 from .grid import ConvergenceError, Grid, GridFunction
 from .inverse import fixed_point_solve
-from .metrics import ErrorBundle, error_bundle, hs_norm
+from .metrics import ErrorBundle, empirical_norm, error_bundle, hs_norm
 
 __all__ = [
     "NoiseModel",
@@ -103,11 +103,10 @@ class NoiseModel:
         return rng.uniform(-half, half, n)
 
 
-def observe(g: GridFunction, points: np.ndarray, noise: NoiseModel) -> MeasurementSet:
-    """Interpolate the field at the sensors and add one noise realization."""
-    ev = point_evaluation(g.grid, points)
-    values = ev.apply(g) + noise.draw(len(points))
-    return MeasurementSet(points=points, values=values)
+def observe(g: GridFunction, sensors: PointEvaluation, noise: NoiseModel) -> MeasurementSet:
+    """Read the field through the sensor map and add one noise realization;
+    the measurements carry the map."""
+    return MeasurementSet(sensors, sensors.apply(g) + noise.draw(sensors.n))
 
 
 def trial_seed(base_seed: int, ladder_index: int, trial_index: int) -> np.random.SeedSequence:
@@ -177,20 +176,19 @@ class ExperimentRecord:
         return out
 
 
-def _run_trial(pipeline: InversionPipeline, point: LadderPoint, points, workspace,
+def _run_trial(pipeline: InversionPipeline, point: LadderPoint, sensors: PointEvaluation,
                base_seed: int, ladder_index: int, trial_index: int):
     seed = trial_seed(base_seed, ladder_index, trial_index)
     noise = NoiseModel(pipeline.noise_kind, point.sigma, seed)
-    meas = observe(pipeline.sf_true, points, noise)
+    meas = observe(pipeline.sf_true, sensors, noise)
     try:
-        lam, fit, lam_trace = fit_at_weight(pipeline.grid, pipeline.beta, meas, pipeline.s,
-                                            point.lam, workspace=workspace)
+        lam, fit, lam_trace = fit_at_weight(pipeline.beta, meas, pipeline.s, point.lam)
     except ConvergenceError as exc:
         raise ConvergenceError(f"{exc} at rung n={point.n}, trial {trial_index}") from exc
     if not lam_trace.converged:
         raise ConvergenceError(f"self-consistent weight loop did not stabilize at rung "
                                f"n={point.n}, trial {trial_index}")
-    sf_err_n = empirical_norm(workspace.ev.apply(fit.sf) - workspace.ev.apply(pipeline.sf_true))
+    sf_err_n = empirical_norm(sensors.apply(fit.sf) - sensors.apply(pipeline.sf_true))
 
     q_rec = None
     fp_iters = 0
@@ -227,23 +225,23 @@ def worker_count(requested: int, tasks: int) -> int:
 class _TrialRunner:
     """Runs trial (ladder index, trial index) of one experiment.
 
-    Built in the calling process: it draws the sensor points of every rung,
+    Built in the calling process: it draws the sensor points of every rung
+    and builds each rung's sensor map (with the E'E of its fits) once,
     factorizes every matrix the trials share and marches the zero-source
     excitation that every map and initial guess read, so forked workers
-    inherit them instead of redoing them.  The fit workspace of the current rung
-    is built on first use and kept until the rung changes; trials arrive in
-    rung order, so each process builds a rung's workspace at most once.
+    inherit them instead of redoing them.
     """
 
     def __init__(self, pipeline: InversionPipeline, ladder: list[LadderPoint], base_seed: int):
         self.pipeline = pipeline
         self.ladder = ladder
         self.base_seed = base_seed
-        self.points = []
+        self.sensors = []
         for i, point in enumerate(self.ladder):
             pt_seed = int(np.random.SeedSequence(entropy=base_seed,
                                                  spawn_key=(i,)).generate_state(1)[0])
-            self.points.append(sample_points(pipeline.grid.dim, point.n, seed=pt_seed))
+            points = sample_points(pipeline.grid.dim, point.n, seed=pt_seed)
+            self.sensors.append(PointEvaluation(pipeline.grid, points))
         ops = pipeline.grid.operators(pipeline.beta)
         ops.lu_laplacian()                      # every fit's Poisson solve
         if pipeline.s == 1:
@@ -251,17 +249,10 @@ class _TrialRunner:
         pipeline.grid.operators(1.0).lu_h1()    # the dual-H1 errors of every trial
         if pipeline.recovers_source:
             pipeline.data.zero_source_levels()  # every map and initial guess
-        self._rung = None
-        self._workspace = None
 
     def __call__(self, task: tuple[int, int]):
         i, t = task
-        if i != self._rung:
-            self._workspace = _FitWorkspace(self.pipeline.grid, self.pipeline.beta,
-                                            self.points[i])
-            self._rung = i
-        return _run_trial(self.pipeline, self.ladder[i], self.points[i], self._workspace,
-                          self.base_seed, i, t)
+        return _run_trial(self.pipeline, self.ladder[i], self.sensors[i], self.base_seed, i, t)
 
 
 _worker_runner: _TrialRunner | None = None   # set in pool workers only

@@ -42,7 +42,7 @@ def example1_data():
     f_true, sf_true, _, _ = build_truth("example1", grid)
     points = sample_points(2, 10**4, seed=SEED)
     noise = NoiseModel("gaussian", 0.002, np.random.SeedSequence(SEED))
-    meas = observe(sf_true, points, noise)
+    meas = observe(sf_true, fv.PointEvaluation(grid, points), noise)
     return dict(grid=grid, f_true=f_true, sf_true=sf_true, meas=meas)
 
 
@@ -54,7 +54,7 @@ def test_criterion_1_table_reproduction(example1_data):
     ok = True
     for s, targets in TABLE1.items():
         lam = fv.policy_weight("prior", s, example1_data["f_true"], 0.002, meas.n)
-        res = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=s, lam=lam))
+        res = fv.solve_data_fit(1.0, meas, FitConfig(s=s, lam=lam))
         b = fv.error_bundle(meas=meas, sf=res.sf, sf_true=example1_data["sf_true"],
                             f=res.f, f_true=example1_data["f_true"])
         got = (b.err1, b.err2, b.err3)
@@ -72,7 +72,7 @@ def test_criterion_2_self_consistent_weight(example1_data):
     details = []
     ok = True
     for s, target in SELF_CONSISTENT_LAM.items():
-        lam, _, trace = fv.self_consistent_lambda(grid, 1.0, meas, s)
+        lam, _, trace = fv.self_consistent_lambda(1.0, meas, s)
         ok &= trace.converged and trace.outer_iterations <= 10
         ok &= within_factor(lam, target, 3.0)
         details.append(f"s={s}: lam={lam:.4e} vs {target:.4e} "

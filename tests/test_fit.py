@@ -11,9 +11,14 @@ from fluoinv.presets import build_truth, trig_forcing
 from fluoinv.stochastic import NoiseModel, observe, sample_points
 
 
+def sensors(grid, n, seed):
+    """The map of n Halton sensors on a 2-D grid."""
+    return fv.PointEvaluation(grid, sample_points(2, n, seed=seed))
+
+
 def test_point_evaluation_at_nodes(grid16):
     pts = grid16.coords[grid16.interior_indices[:5]]
-    ev = fv.point_evaluation(grid16, pts)
+    ev = fv.PointEvaluation(grid16, pts)
     rng = np.random.default_rng(0)
     u = grid16.function(rng.standard_normal(grid16.node_count))
     assert np.allclose(ev.apply(u), u.values[grid16.interior_indices[:5]], atol=1e-14)
@@ -21,14 +26,14 @@ def test_point_evaluation_at_nodes(grid16):
 
 def test_point_evaluation_partition_of_unity(grid16):
     pts = sample_points(2, 200, seed=1)
-    ev = fv.point_evaluation(grid16, pts)
+    ev = fv.PointEvaluation(grid16, pts)
     const = grid16.function(np.full(grid16.node_count, 2.5))
     assert np.allclose(ev.apply(const), 2.5, atol=1e-13)
 
 
 def test_point_evaluation_adjoint_identity(grid16):
     pts = sample_points(2, 50, seed=2)
-    ev = fv.point_evaluation(grid16, pts)
+    ev = fv.PointEvaluation(grid16, pts)
     rng = np.random.default_rng(3)
     u = rng.standard_normal(grid16.node_count)
     y = rng.standard_normal(50)
@@ -37,7 +42,7 @@ def test_point_evaluation_adjoint_identity(grid16):
 
 def test_point_evaluation_rejects_outside(grid16):
     with pytest.raises(ValueError):
-        fv.point_evaluation(grid16, np.array([[0.5, 1.2]]))
+        fv.PointEvaluation(grid16, np.array([[0.5, 1.2]]))
 
 
 def test_empirical_norm():
@@ -49,8 +54,8 @@ def test_empirical_norm():
 
 
 def test_zero_data_zero_minimizer(grid16):
-    meas = fv.MeasurementSet(sample_points(2, 100, seed=4), np.zeros(100))
-    res = fv.solve_data_fit(grid16, 1.0, meas, FitConfig(s=0, lam=1e-6))
+    meas = fv.MeasurementSet(sensors(grid16, 100, 4), np.zeros(100))
+    res = fv.solve_data_fit(1.0, meas, FitConfig(s=0, lam=1e-6))
     assert np.abs(res.f.values).max() < 1e-12
 
 
@@ -59,14 +64,14 @@ def small_fit(grid16):
     f_true = trig_forcing(grid16)
     sf_true = fv.elliptic_solve(grid16, 1.0, f_true)
     pts = sample_points(2, 400, seed=5)
-    meas = observe(sf_true, pts, NoiseModel("gaussian", 0.002, 99))
+    meas = observe(sf_true, fv.PointEvaluation(grid16, pts), NoiseModel("gaussian", 0.002, 99))
     return dict(grid=grid16, f_true=f_true, sf_true=sf_true, meas=meas)
 
 
-def objective(grid, meas, s, lam, f_values):
-    ws = _FitWorkspace(grid, 1.0, meas.points)
+def objective(meas, s, lam, f_values):
+    ws = _FitWorkspace(meas.sensors, 1.0)
     sf = ws.smooth(f_values)
-    misfit = float(np.mean((ws.ev.apply(sf) - meas.values) ** 2))
+    misfit = float(np.mean((ws.sensors.apply(sf) - meas.values) ** 2))
     return misfit + lam * float(f_values @ ws.gram_apply(s, f_values))
 
 
@@ -74,45 +79,45 @@ def objective(grid, meas, s, lam, f_values):
 def test_first_order_optimality(small_fit, s):
     grid, meas = small_fit["grid"], small_fit["meas"]
     lam = 1e-6
-    res = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=s, lam=lam))
-    j0 = objective(grid, meas, s, lam, res.f.values)
+    res = fv.solve_data_fit(1.0, meas, FitConfig(s=s, lam=lam))
+    j0 = objective(meas, s, lam, res.f.values)
     rng = np.random.default_rng(6)
     scale = 1e-6 * max(np.abs(res.f.values).max(), 1.0)
     for _ in range(20):
         d = rng.standard_normal(grid.node_count)
         d *= scale / np.abs(d).max()
-        assert objective(grid, meas, s, lam, res.f.values + d) >= j0 - 1e-15
-        assert objective(grid, meas, s, lam, res.f.values - d) >= j0 - 1e-15
+        assert objective(meas, s, lam, res.f.values + d) >= j0 - 1e-15
+        assert objective(meas, s, lam, res.f.values - d) >= j0 - 1e-15
 
 
 def test_gradient_matches_finite_differences(small_fit):
     # normal-equation residual = half objective gradient, checked directionally
     grid, meas = small_fit["grid"], small_fit["meas"]
     s, lam = 1, 1e-5
-    ws = _FitWorkspace(grid, 1.0, meas.points)
+    ws = _FitWorkspace(meas.sensors, 1.0)
     rng = np.random.default_rng(7)
     f0 = rng.standard_normal(grid.node_count)
     v = rng.standard_normal(grid.node_count)
     sf = ws.smooth(f0)
-    resid_vec = ws.ev.apply(sf) - meas.values
+    resid_vec = ws.sensors.apply(sf) - meas.values
     grad = 2.0 * (lam * ws.gram_apply(s, f0)
-                  + ws.ops.weights * ws.lu.solve(ws.ev.matrix.T @ resid_vec) / meas.n)
+                  + ws.ops.weights * ws.lu.solve(ws.sensors.matrix.T @ resid_vec) / meas.n)
     eps = 1e-6
-    fd = (objective(grid, meas, s, lam, f0 + eps * v)
-          - objective(grid, meas, s, lam, f0 - eps * v)) / (2 * eps)
+    fd = (objective(meas, s, lam, f0 + eps * v)
+          - objective(meas, s, lam, f0 - eps * v)) / (2 * eps)
     assert fd == pytest.approx(grad @ v, rel=1e-6)
 
 
 def test_misfit_monotone_in_lambda(small_fit):
     grid, meas = small_fit["grid"], small_fit["meas"]
-    misfits = [fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=0, lam=lam)).misfit_n
+    misfits = [fv.solve_data_fit(1.0, meas, FitConfig(s=0, lam=lam)).misfit_n
                for lam in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)]
     assert all(b >= a * (1 - 1e-12) for a, b in zip(misfits, misfits[1:]))
 
 
 def test_large_lambda_kills_penalty_norm(small_fit):
     grid, meas = small_fit["grid"], small_fit["meas"]
-    res = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=1, lam=1e6))
+    res = fv.solve_data_fit(1.0, meas, FitConfig(s=1, lam=1e6))
     assert res.penalty_norm < 1e-6
 
 
@@ -120,7 +125,7 @@ def test_large_lambda_kills_penalty_norm(small_fit):
 def test_fit_result_consistent_with_elliptic_solve(small_fit, s):
     # Sf from the fit against an independent dense solve of the Robin problem
     grid, meas = small_fit["grid"], small_fit["meas"]
-    res = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=s, lam=1e-6))
+    res = fv.solve_data_fit(1.0, meas, FitConfig(s=s, lam=1e-6))
     ops = grid.operators(1.0)
     L = ops.laplacian.toarray()
     sf = grid.function(np.linalg.solve(L, grid.cv_fractions * res.f.values))
@@ -139,7 +144,7 @@ def test_config_validation(grid16):
     with pytest.raises(ValueError):
         FitConfig(s=0, lam=1e-6, outer_tol=0.0)
     with pytest.raises(ValueError):
-        fv.MeasurementSet(np.array([[0.5, 1.0]]), np.zeros(1))
+        fv.MeasurementSet(fv.PointEvaluation(grid16, [[0.5, 1.0]]), np.zeros(1))
 
 
 def test_lambda_prior_rule_values():
@@ -160,7 +165,7 @@ def example2_measurements(grid, n, relative_sigma, seed):
     field (about 0.02 at its peak) sends the weight loop to infinity."""
     _, sf_true, _, _ = build_truth("example2-smooth", grid, tau=0.25)
     sigma = relative_sigma * np.abs(sf_true.values).max()
-    return observe(sf_true, sample_points(2, n, seed=seed),
+    return observe(sf_true, sensors(grid, n, seed),
                    NoiseModel("gaussian", sigma, seed))
 
 
@@ -169,10 +174,10 @@ def few_sensors(grid32):
     return dict(grid=grid32, meas=example2_measurements(grid32, 120, 0.001, 5))
 
 
-def assert_meets_the_cg_rule(grid, meas, s, lam, res):
+def assert_meets_the_cg_rule(meas, s, lam, res):
     """The returned fit solves the normal equations at ``lam`` to the CG rule,
     checked on its true residual, and reports that residual."""
-    ws = _FitWorkspace(grid, 1.0, meas.points)
+    ws = _FitWorkspace(meas.sensors, 1.0)
     b = ws.rhs(meas.values)
     f = res.f.values
     residual = np.linalg.norm(b - lam * ws.gram_apply(s, f) - ws.data_apply(f))
@@ -186,12 +191,12 @@ def test_self_consistent_lambda_small_scale(small_fit, few_sensors):
     # 400 sensors on grid 16, and 120 on grid 32
     for data in (small_fit, few_sensors):
         grid, meas = data["grid"], data["meas"]
-        lam, res, trace = fv.self_consistent_lambda(grid, 1.0, meas, s=0)
+        lam, res, trace = fv.self_consistent_lambda(1.0, meas, s=0)
         assert trace.converged
         assert trace.outer_iterations <= 15
         assert abs(trace.lams[-1] - trace.lams[-2]) < 1e-10
         assert lam == trace.lams[-1]
-        assert_meets_the_cg_rule(grid, meas, 0, lam, res)
+        assert_meets_the_cg_rule(meas, 0, lam, res)
 
 
 @pytest.mark.parametrize("s", [0, 1])
@@ -203,13 +208,13 @@ def test_accepted_weight_fit_is_read_off_the_basis(monkeypatch, s):
     # drift further, as the normal equations are worse conditioned)
     grid = fv.Grid(2, 16)
     _, sf_true, _, _ = build_truth("example1", grid)
-    meas = observe(sf_true, sample_points(2, 1000, seed=0), NoiseModel("gaussian", 0.002, 0))
+    meas = observe(sf_true, sensors(grid, 1000, 0), NoiseModel("gaussian", 0.002, 0))
     with monkeypatch.context() as m:
         m.setattr(fit_module, "_pcg", None)
-        lam, res, trace = fv.self_consistent_lambda(grid, 1.0, meas, s)
+        lam, res, trace = fv.self_consistent_lambda(1.0, meas, s)
     assert trace.converged
-    assert_meets_the_cg_rule(grid, meas, s, lam, res)
-    tight = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=s, lam=lam, outer_tol=1e-13))
+    assert_meets_the_cg_rule(meas, s, lam, res)
+    tight = fv.solve_data_fit(1.0, meas, FitConfig(s=s, lam=lam, outer_tol=1e-13))
     distance = np.linalg.norm(res.f.values - tight.f.values)
     assert distance <= 1e-7 * np.linalg.norm(tight.f.values)
     assert res.misfit_n == pytest.approx(tight.misfit_n, rel=1e-7)
@@ -219,8 +224,8 @@ def test_accepted_weight_fit_is_read_off_the_basis(monkeypatch, s):
 def test_self_consistent_lambda_noiseless(small_fit):
     grid, sf_true = small_fit["grid"], small_fit["sf_true"]
     pts = sample_points(2, 400, seed=8)
-    meas = observe(sf_true, pts, NoiseModel("zero", 0.0, 0))
-    lam, res, trace = fv.self_consistent_lambda(grid, 1.0, meas, s=0)
+    meas = observe(sf_true, fv.PointEvaluation(grid, pts), NoiseModel("zero", 0.0, 0))
+    lam, res, trace = fv.self_consistent_lambda(1.0, meas, s=0)
     assert trace.converged
     assert trace.lams[1] < trace.lams[0]  # the weight heads down without noise
     # misfit settles at the interpolation-error level, far below the field scale
@@ -233,18 +238,18 @@ def test_noiseless_weight_loop_holds_at_most_n_basis_vectors(small_fit, s):
     # reorthogonalization takes 539 (s = 0) and 2,210 (s = 1) steps on these
     # 289 nodes, past the cap of N basis vectors
     grid, sf_true = small_fit["grid"], small_fit["sf_true"]
-    meas = observe(sf_true, sample_points(2, 1000, seed=8), NoiseModel("zero", 0.0, 0))
-    lam, res, trace = fv.self_consistent_lambda(grid, 1.0, meas, s)
+    meas = observe(sf_true, sensors(grid, 1000, 8), NoiseModel("zero", 0.0, 0))
+    lam, res, trace = fv.self_consistent_lambda(1.0, meas, s)
     assert trace.converged and lam < 1e-11
     assert 1 < res.report.iterations <= grid.node_count
-    assert_meets_the_cg_rule(grid, meas, s, lam, res)
+    assert_meets_the_cg_rule(meas, s, lam, res)
 
 
 @pytest.mark.parametrize("s", [0, 1])
 def test_lanczos_basis_is_orthonormal(few_sensors, s):
     # a small weight takes the process deep: 54 (s = 0) and 75 (s = 1) steps
     grid, meas = few_sensors["grid"], few_sensors["meas"]
-    ws = _FitWorkspace(grid, 1.0, meas.points)
+    ws = _FitWorkspace(meas.sensors, 1.0)
     krylov = _ShiftedLanczos(ws, s, meas.values)
     krylov.norms(1e-12, default_tolerance())
     basis = np.array(krylov.basis)
@@ -258,9 +263,9 @@ def test_lanczos_breakdown_stops_before_dividing(grid16, s):
     # n sensors span a space of n dimensions: the n-th step leaves beta about
     # 0, and the residual test stops the process before it divides by beta
     for n in (1, 3, 5):
-        meas = fv.MeasurementSet(sample_points(2, n, seed=0), np.linspace(1.0, 2.0, n))
+        meas = fv.MeasurementSet(sensors(grid16, n, 0), np.linspace(1.0, 2.0, n))
         with np.errstate(all="raise"):
-            krylov = _ShiftedLanczos(_FitWorkspace(grid16, 1.0, meas.points), s, meas.values)
+            krylov = _ShiftedLanczos(_FitWorkspace(meas.sensors, 1.0), s, meas.values)
             for lam in (1e-2, 1e-6, 1e-12):
                 krylov.norms(lam, default_tolerance())
         assert len(krylov.alphas) == n
@@ -268,8 +273,8 @@ def test_lanczos_breakdown_stops_before_dividing(grid16, s):
 
 def test_lanczos_step_cap_is_the_node_count(grid16):
     # the basis cannot outgrow the space: the cap is N, and reaching it is named
-    meas = fv.MeasurementSet(sample_points(2, 400, seed=8), np.ones(400))
-    krylov = _ShiftedLanczos(_FitWorkspace(grid16, 1.0, meas.points), 0, meas.values)
+    meas = fv.MeasurementSet(sensors(grid16, 400, 8), np.ones(400))
+    krylov = _ShiftedLanczos(_FitWorkspace(meas.sensors, 1.0), 0, meas.values)
     assert krylov.cap == grid16.node_count
     krylov.cap = 3
     with pytest.raises(fv.ConvergenceError, match=r"step cap min\(CG_MAX_ITER, N\) = 3"):
@@ -284,14 +289,13 @@ def test_weight_passes_match_tight_cg(cells, n, s):
     # CG solve run far below its default tolerance
     grid = fv.Grid(2, cells)
     sf_true = fv.elliptic_solve(grid, 1.0, trig_forcing(grid))
-    meas = observe(sf_true, sample_points(2, n, seed=3), NoiseModel("gaussian", 0.002, 5))
-    ws = _FitWorkspace(grid, 1.0, meas.points)
+    meas = observe(sf_true, sensors(grid, n, 3), NoiseModel("gaussian", 0.002, 5))
+    ws = _FitWorkspace(meas.sensors, 1.0)
     krylov = _ShiftedLanczos(ws, s, meas.values)
     for scale in (100.0, 1.0, 0.01):
         lam = scale * fv.optimal_lambda_prior(1.0, 0.002, n, s)
         misfit, penalty = krylov.norms(lam, default_tolerance())
-        cg = fv.solve_data_fit(grid, 1.0, meas, FitConfig(s=s, lam=lam, outer_tol=1e-13),
-                               workspace=ws)
+        cg = fv.solve_data_fit(1.0, meas, FitConfig(s=s, lam=lam, outer_tol=1e-13))
         assert misfit == pytest.approx(cg.misfit_n, rel=1e-8)
         assert penalty == pytest.approx(cg.penalty_norm, rel=1e-8)
 
@@ -303,10 +307,10 @@ def test_weight_loop_cost(lu_counts, s):
     # and its field Sf is one more solve
     grid = fv.Grid(2, 16)
     meas = example2_measurements(grid, 30, 0.01, 2)
-    ws = _FitWorkspace(grid, 1.0, meas.points)
+    ws = _FitWorkspace(meas.sensors, 1.0)
     ws.ops.lu_h1()
     lu_counts.update(factorizations=0, solves=0)
-    _, res, trace = fv.self_consistent_lambda(grid, 1.0, meas, s, workspace=ws)
+    _, res, trace = fv.self_consistent_lambda(1.0, meas, s)
     assert trace.outer_iterations > 1
     loop_solves = lu_counts["solves"]
     # the same passes and fit on a process of their own give the step count
@@ -329,21 +333,21 @@ def test_diverging_weight_loop_names_the_pass(cells):
     # keeps the weights of the passes before it
     grid = fv.Grid(2, cells)
     sf_true = fv.elliptic_solve(grid, 1.0, trig_forcing(grid))
-    meas = observe(sf_true, sample_points(2, 5, seed=0), NoiseModel("gaussian", 1.0, 0))
+    meas = observe(sf_true, sensors(grid, 5, 0), NoiseModel("gaussian", 1.0, 0))
     with pytest.raises(fv.ConvergenceError,
                        match=r"weight loop, pass \d+ .*penalty norm") as info:
-        fv.self_consistent_lambda(grid, 1.0, meas, 0)
+        fv.self_consistent_lambda(1.0, meas, 0)
     passes = int(re.search(r"pass (\d+)", str(info.value)).group(1))
     assert len(info.value.trace.lams) == passes and not info.value.trace.converged
 
 
 def test_weight_loop_stops_on_overflowing_lanczos(grid16):
     # data of 1e200: the start coefficient overflows, and the first pass says so
-    meas = fv.MeasurementSet(sample_points(2, 20, seed=0), np.full(20, 1e200))
+    meas = fv.MeasurementSet(sensors(grid16, 20, 0), np.full(20, 1e200))
     with pytest.raises(fv.ConvergenceError, match=r"pass 1 .*start has a non-finite"):
-        fv.self_consistent_lambda(grid16, 1.0, meas, 0)
+        fv.self_consistent_lambda(1.0, meas, 0)
     # a step whose product overflows stops there
-    ws = _FitWorkspace(grid16, 1.0, meas.points)
+    ws = _FitWorkspace(meas.sensors, 1.0)
     krylov = _ShiftedLanczos(ws, 0, np.ones(20))
     ws.data_apply = lambda f: np.full_like(f, np.inf)
     with np.errstate(invalid="ignore"), \

@@ -140,9 +140,9 @@ def _noisy_recovery(cells, level, s, seed=2024, tau=0.01):
     grid = fv.Grid(2, cells)
     _, g, data, q_true = build_truth("example2-smooth", grid, tau=tau)
     sigma = level * np.abs(g.values).max()
-    meas = observe(g, sample_points(2, 500, seed=0),
+    meas = observe(g, fv.PointEvaluation(grid, sample_points(2, 500, seed=0)),
                    NoiseModel("gaussian", sigma, np.random.SeedSequence(seed)))
-    _, fit, _ = fv.self_consistent_lambda(grid, 1.0, meas, s)
+    _, fit, _ = fv.self_consistent_lambda(1.0, meas, s)
     q_rec, trace = fv.fixed_point_solve(data, fit.sf)
     assert trace.converged
     return fv.error_bundle(q=q_rec, q_true=q_true)

@@ -55,7 +55,8 @@ def test_error_bundle_zero_for_exact_reconstruction(grid16):
 
     rng = np.random.default_rng(2)
     u = grid16.function(1.0 + rng.random(grid16.node_count))
-    meas = fv.MeasurementSet(sample_points(2, 50, seed=3), np.zeros(50))
+    meas = fv.MeasurementSet(fv.PointEvaluation(grid16, sample_points(2, 50, seed=3)),
+                             np.zeros(50))
     b = fv.error_bundle(meas=meas, sf=u, sf_true=u, f=u, f_true=u, q=u, q_true=u)
     assert all(v == 0.0 for v in b.present().values())
     assert set(b.present()) == {"err1", "err2", "err3", "err4", "err5"}

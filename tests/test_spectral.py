@@ -36,7 +36,7 @@ def test_pencil_single_point(grid16):
     rep = fv.empirical_smoothing_spectrum(grid16, 1.0, pt, s=0)
     assert len(rep.eigenvalues) == 1
     ops = grid16.operators(1.0)
-    ev = fv.point_evaluation(grid16, pt)
+    ev = fv.PointEvaluation(grid16, pt)
     z = ops.weights * ops.lu_laplacian().solve(ev.matrix.T.toarray().ravel())
     b = float(z @ (z / ops.mass_diag))
     assert rep.eigenvalues[0] == pytest.approx(1.0 / b, rel=1e-10)
@@ -51,7 +51,7 @@ def test_pencil_positive_sorted_and_consistent(grid32):
     assert (np.diff(rho) >= -1e-9 * rho[-1]).all()
     # independent column-by-column construction of the reduced matrix
     ops = grid32.operators(1.0)
-    ev = fv.point_evaluation(grid32, pts)
+    ev = fv.PointEvaluation(grid32, pts)
     cols = []
     for i in range(60):
         e = np.zeros(60)

@@ -41,16 +41,17 @@ def test_sample_points_strictly_inside():
 
 def test_observe_noise_free_exact(grid16):
     u = trig_forcing(grid16)
-    pts = sample_points(2, 300, seed=1)
-    meas = observe(u, pts, NoiseModel("zero", 0.0, 0))
-    assert np.array_equal(meas.values, fv.point_evaluation(grid16, pts).apply(u))
+    sensors = fv.PointEvaluation(grid16, sample_points(2, 300, seed=1))
+    meas = observe(u, sensors, NoiseModel("zero", 0.0, 0))
+    assert meas.sensors is sensors
+    assert np.array_equal(meas.values, sensors.apply(u))
 
 
 def test_observe_reproducible(grid16):
     u = trig_forcing(grid16)
-    pts = sample_points(2, 100, seed=2)
-    a = observe(u, pts, NoiseModel("gaussian", 0.1, 42))
-    b = observe(u, pts, NoiseModel("gaussian", 0.1, 42))
+    sensors = fv.PointEvaluation(grid16, sample_points(2, 100, seed=2))
+    a = observe(u, sensors, NoiseModel("gaussian", 0.1, 42))
+    b = observe(u, sensors, NoiseModel("gaussian", 0.1, 42))
     assert np.array_equal(a.values, b.values)
 
 
@@ -117,10 +118,11 @@ def test_zero_noise_single_trial_is_deterministic(small_pipeline, grid16):
     rec = fv.expectation_experiment(pipeline, ladder, trials=1, base_seed=3)[0]
     pts = sample_points(2, 200, seed=int(np.random.SeedSequence(entropy=3, spawn_key=(0,))
                                          .generate_state(1)[0]))
-    meas = observe(small_pipeline.sf_true, pts, NoiseModel("zero", 0.0, 0))
-    direct = fv.solve_data_fit(grid16, 1.0, meas, FitConfig(s=0, lam=1e-7))
-    direct_err1 = (fv.empirical_norm(fv.point_evaluation(grid16, pts).apply(direct.sf - small_pipeline.sf_true))
-                   / fv.empirical_norm(fv.point_evaluation(grid16, pts).apply(small_pipeline.sf_true)))
+    sensors = fv.PointEvaluation(grid16, pts)
+    meas = observe(small_pipeline.sf_true, sensors, NoiseModel("zero", 0.0, 0))
+    direct = fv.solve_data_fit(1.0, meas, FitConfig(s=0, lam=1e-7))
+    direct_err1 = (fv.empirical_norm(sensors.apply(direct.sf - small_pipeline.sf_true))
+                   / fv.empirical_norm(sensors.apply(small_pipeline.sf_true)))
     assert rec.mean_errors()["err1"] == pytest.approx(direct_err1, abs=1e-14)
 
 
