@@ -73,7 +73,8 @@ class ProblemData:
         if M <= 0:
             raise ValueError(f"admissible bound M must be positive, got {M}")
         steps = T / tau
-        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        if not steps < np.inf or round(steps) < 1 \
+                or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(f"T/tau = {steps} is not a positive integer number of steps")
         if p.grid is not grid:
             raise ValueError("p must live on the problem grid")

@@ -35,13 +35,14 @@ def empirical_norm(values) -> float:
 def l2_norm(u: GridFunction) -> float:
     """sqrt(u' M u) with the lumped mass matrix."""
     ops = u.grid.operators(1.0)
-    return float(np.sqrt(u.values @ (ops.mass_diag * u.values)))
+    return float(np.sqrt(_dot(u.values, ops.mass_diag * u.values)))
 
 
 def h1_norm(u: GridFunction) -> float:
     """Full H1 norm sqrt(u' (M + A) u), natural boundary stiffness A."""
     ops = u.grid.operators(1.0)
     v = u.values
+    # BLAS dots until ROADMAP item 1: via hs_norm this sets the H1 prior weight
     return float(np.sqrt(v @ (ops.mass_diag * v) + v @ (ops.stiffness_natural @ v)))
 
 
@@ -60,7 +61,7 @@ def dual_h1_norm(v: GridFunction) -> float:
     """
     ops = v.grid.operators(1.0)
     w = ops.lu_h1().solve(ops.mass_diag * v.values)
-    val = float(v.values @ (ops.mass_diag * w))
+    val = _dot(v.values, ops.mass_diag * w)
     return float(np.sqrt(max(val, 0.0)))
 
 

@@ -1,8 +1,11 @@
-"""Each layer module's ``__all__`` names what it defines, and only that."""
+"""Each layer module's ``__all__`` names what it defines, and only that; and
+every import of a sibling module sits at module level, where a cycle cannot hide."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +25,15 @@ def test_all_lists_exactly_the_public_definitions(name):
                if not n.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
                and obj.__module__ == module.__name__]
     assert [n for n in defined if n not in listed] == []
+
+
+def test_no_relative_import_inside_a_function():
+    # a function-level ``from .x import ...`` is how an import cycle between
+    # layers hides; deferred stdlib imports (multiprocessing) are not relative
+    found = set()
+    for path in sorted(Path(fluoinv.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                             if isinstance(node, ast.ImportFrom) and node.level > 0)
+    assert sorted(found) == []

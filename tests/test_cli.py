@@ -393,6 +393,10 @@ LADDER = {"mode": "ladder", "values": [1e-6, 1e-5]}
     ("p2", {**P2_NOISY, "relative_sigma": 1e300}, "'relative_sigma'"),
     ("rates", {**RATES, "sigma": 1e-300}, "'sigma'"),
     ("p2", {**P2, "T": 1e300, "tau": 1e299}, "'tau'"),
+    ("forward", {"grid": 4, "source": "example2-smooth", "T": 1, "tau": 1e-320}, "'tau'"),
+    ("p2", {"grid": 4, "truth": "example2-smooth", "clean": True, "T": 1, "tau": 1e-320},
+     "'tau'"),
+    ("verify", {"grid": 4, "tau": 1e-320}, "'tau'"),
 ], ids=["rates-sigma-0", "rates-lambda-string", "p1-lambda-string", "rates-trials-0",
         "p1-sigma-negative", "p1-sigma-string", "rates-relative-sigma-negative",
         "rates-relative-sigma-string", "rates-ladder-empty", "p2-inverse-string",
@@ -410,7 +414,8 @@ LADDER = {"mode": "ladder", "values": [1e-6, 1e-5]}
         "spectral-penalties-empty", "verify-key-unread", "rates-tail-zmax-0",
         "rates-tail-trials-20", "spectral-pencil-rank-deficient", "forward-no-whole-step",
         "p1-prior-weight-underflows", "p2-noise-square-overflows",
-        "rates-prior-weight-underflows", "p2-tau-squared-overflows"])
+        "rates-prior-weight-underflows", "p2-tau-squared-overflows",
+        "forward-steps-overflow", "p2-steps-overflow", "verify-steps-overflow"])
 def test_weight_policy_and_trial_errors_are_config_errors(tmp_path, capsys,
                                                           command, payload, key):
     cfg = write_cfg(tmp_path, "c.json", payload)
@@ -559,8 +564,8 @@ def test_overflowing_fit_stops_within_a_few_iterations(tmp_path, capsys):
 @pytest.mark.parametrize("s", [0, 1])
 def test_weight_loop_outputs_do_not_depend_on_blas_threads(tmp_path, s):
     # grid 100, 10,000 sensors: numpy's BLAS dot products and norms change
-    # their last bit with the thread count at this size; the weight loop's
-    # pairwise sums do not
+    # their last bit with the thread count at this size; the pairwise sums of
+    # the weight loop and of the L2 and dual-H1 error norms do not
     cfg = write_cfg(tmp_path, "c.json", {"s": s, "lambda": {"mode": "self-consistent"}})
     src = str(Path(cli.__file__).resolve().parents[1])
     outputs = []
@@ -572,7 +577,7 @@ def test_weight_loop_outputs_do_not_depend_on_blas_threads(tmp_path, s):
                         "--config", cfg, "--out", str(out), "--seed", "0"],
                        env=env, check=True)
         outputs.append([(out / name).read_bytes()
-                        for name in ("lambda_trace.csv", "fit_fields.csv")])
+                        for name in ("lambda_trace.csv", "fit_fields.csv", "fit_errors.csv")])
     assert outputs[0] == outputs[1]
 
 
@@ -648,3 +653,36 @@ def test_valid_rates_configurations_end_in_an_exit_code(cfg, steps_tau, noise, r
     if cfg["run_p2"] and cfg["truth"] == "example1":  # the source recovery needs a source
         cfg["truth"] = "example2-smooth"
     assert_ends_in_an_exit_code("rates", cfg, seed)
+
+
+@settings(max_examples=60)
+@given(cfg=st.fixed_dictionaries({
+           "grid": st.integers(4, 8),
+           "source": st.sampled_from(["example2-smooth", "example2-discontinuous", "zero"]),
+           "flip_boundary": st.booleans()}),
+       steps_tau=_STEPS_AND_TAU, seed=st.integers(0, 3))
+def test_valid_forward_configurations_end_in_an_exit_code(cfg, steps_tau, seed):
+    steps, tau = steps_tau
+    assert_ends_in_an_exit_code("forward", {**cfg, "tau": tau, "T": steps * tau}, seed)
+
+
+@settings(max_examples=60)
+@given(cfg=st.fixed_dictionaries({
+           "grid": st.integers(4, 8),
+           "which": st.sampled_from(["dirichlet", "pencil", "both"]),
+           "n": st.integers(1, 50),
+           "k_max": st.integers(1, 20),
+           "penalties": st.lists(st.sampled_from([0, 1]), min_size=1, max_size=2,
+                                 unique=True)}),
+       seed=st.integers(0, 3))
+def test_valid_spectral_configurations_end_in_an_exit_code(cfg, seed):
+    assert_ends_in_an_exit_code("spectral", cfg, seed)
+
+
+@settings(max_examples=40)
+@given(grid=st.integers(4, 8), steps_tau=_STEPS_AND_TAU, flip_boundary=st.booleans(),
+       seed=st.integers(0, 3))
+def test_valid_verify_configurations_end_in_an_exit_code(grid, steps_tau, flip_boundary, seed):
+    # the battery marches to its problem's own final time: only tau is drawn
+    cfg = {"grid": grid, "tau": steps_tau[1], "flip_boundary": flip_boundary}
+    assert_ends_in_an_exit_code("verify", cfg, seed)
