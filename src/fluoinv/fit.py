@@ -72,10 +72,9 @@ class PointEvaluation:
             raise ValueError("evaluation point outside the closed domain")
         self.grid = grid
         self.points = points
-        self.n = points.shape[0]
+        self.n = npts = points.shape[0]
         m = grid.cells_per_side
         h = grid.h
-        npts = points.shape[0]
         cell = np.minimum((points / h).astype(int), m - 1)
         local = points / h - cell
         if grid.dim == 1:

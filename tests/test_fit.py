@@ -63,8 +63,7 @@ def test_zero_data_zero_minimizer(grid16):
 def small_fit(grid16):
     f_true = trig_forcing(grid16)
     sf_true = fv.elliptic_solve(grid16, 1.0, f_true)
-    pts = sample_points(2, 400, seed=5)
-    meas = observe(sf_true, fv.PointEvaluation(grid16, pts), NoiseModel("gaussian", 0.002, 99))
+    meas = observe(sf_true, sensors(grid16, 400, 5), NoiseModel("gaussian", 0.002, 99))
     return dict(grid=grid16, f_true=f_true, sf_true=sf_true, meas=meas)
 
 
@@ -223,8 +222,7 @@ def test_accepted_weight_fit_is_read_off_the_basis(monkeypatch, s):
 
 def test_self_consistent_lambda_noiseless(small_fit):
     grid, sf_true = small_fit["grid"], small_fit["sf_true"]
-    pts = sample_points(2, 400, seed=8)
-    meas = observe(sf_true, fv.PointEvaluation(grid, pts), NoiseModel("zero", 0.0, 0))
+    meas = observe(sf_true, sensors(grid, 400, 8), NoiseModel("zero", 0.0, 0))
     lam, res, trace = fv.self_consistent_lambda(1.0, meas, s=0)
     assert trace.converged
     assert trace.lams[1] < trace.lams[0]  # the weight heads down without noise

@@ -162,6 +162,18 @@ def test_worker_count_clamps_to_cpus_and_tasks(monkeypatch):
             worker_count(bad, 10)
 
 
+def test_one_sensor_map_per_rung(small_pipeline, monkeypatch):
+    # each rung's map (with the E'E of its fits) is built once, before the
+    # trials; every trial's observation, fit and sensor errors read that map
+    built = []
+    init = fv.PointEvaluation.__init__
+    monkeypatch.setattr(fv.PointEvaluation, "__init__",
+                        lambda self, *args: built.append(len(args[1])) or init(self, *args))
+    ladder = [prior_rung(small_pipeline, n, 0.01) for n in (100, 200)]
+    fv.expectation_experiment(small_pipeline, ladder, trials=3, base_seed=4)
+    assert built == [100, 200]
+
+
 def test_available_cpus_falls_back_to_cpu_count(monkeypatch):
     assert available_cpus() >= 1
     monkeypatch.delattr(stochastic.os, "sched_getaffinity", raising=False)
