@@ -11,7 +11,6 @@ Monte-Carlo rate experiments, and eigenvalue diagnostics, plus a CLI
 __version__ = "0.1.0"
 
 from .fit import (
-    FitConfig,
     FitResult,
     MeasurementSet,
     PointEvaluation,
@@ -33,7 +32,6 @@ from .inverse import (
     InverseConfig,
     IterationTrace,
     PositivityError,
-    check_domain,
     fixed_point_map,
     fixed_point_solve,
     initial_guess,

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fit import FitConfig, PointEvaluation, fit_at_weight, policy_weight, solve_data_fit
+from .fit import PointEvaluation, fit_at_weight, policy_weight, solve_data_fit
 from .forward import terminal_fields
 from .grid import ConvergenceError, Grid, default_tolerance
 from .inverse import InverseConfig, PositivityError, fixed_point_solve
@@ -370,7 +370,7 @@ def cmd_p1(cfg: dict, out: Path, manifest: Manifest) -> int:
             raise ConfigError("config error at 'lambda': 'values' is required in ladder mode")
         rows = []
         for lam in cfg["lambda"]["values"]:
-            result = solve_data_fit(cfg["beta"], meas, FitConfig(s=s, lam=lam))
+            result = solve_data_fit(cfg["beta"], meas, s, lam)
             b = error_bundle(meas=meas, sf=result.sf, sf_true=sf_true,
                              f=result.f, f_true=f_true)
             rows.append([lam, result.misfit_n, result.penalty_norm] + _err_row(b))

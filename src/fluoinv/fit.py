@@ -39,7 +39,6 @@ from .metrics import _dot, empirical_norm, hs_norm
 __all__ = [
     "MeasurementSet",
     "SolveReport",
-    "FitConfig",
     "FitResult",
     "LambdaTrace",
     "PointEvaluation",
@@ -52,14 +51,18 @@ __all__ = [
 
 CG_MAX_ITER = 20000     # normal-equation CG iteration cap; the Lanczos basis holds
                         # at most min(CG_MAX_ITER, N) vectors
+# the weight loop stops when lambda moves less than WEIGHT_STOP_TOL, and
+# reports non-convergence after WEIGHT_MAX_PASSES passes
+WEIGHT_STOP_TOL = 1e-10
+WEIGHT_MAX_PASSES = 50
 
 
 class PointEvaluation:
     """Sparse linear map E from nodal fields to values at one sensor set.
 
     Uses linear (1D) / bilinear (2D) interpolation on the cell containing
-    each point; the transpose is exposed as the scatter (adjoint) map used
-    by the normal equations, whose data term E'E is built here once.  A
+    each point; the normal equations read its transpose ``matrix.T`` as the
+    scatter map, and their data term E'E is built here once.  A
     sensor set is built once and carried by the measurements read through
     it, so observation, fit and sensor errors share one map.
     """
@@ -98,9 +101,6 @@ class PointEvaluation:
         values = u.values if isinstance(u, GridFunction) else np.asarray(u)
         return self.matrix @ values
 
-    def adjoint(self, vec) -> GridFunction:
-        return GridFunction(self.grid, self.matrix.T @ np.asarray(vec, dtype=float))
-
 
 @dataclass
 class MeasurementSet:
@@ -135,25 +135,6 @@ class SolveReport:
     residual: float                 # relative to the right-hand side
     converged: bool
     breakdown: str | None = None    # why the CG stopped before its residual rule
-
-
-@dataclass
-class FitConfig:
-    """Penalty order, regularization weight, and CG tolerance."""
-
-    s: int
-    lam: float
-    outer_tol: float | None = None     # normal-equation CG tolerance
-
-    def __post_init__(self):
-        if self.s not in (0, 1):
-            raise ValueError(f"penalty order s must be 0 or 1, got {self.s}")
-        if self.lam <= 0:
-            raise ValueError(f"regularization weight must be positive, got {self.lam}")
-        if self.outer_tol is None:
-            self.outer_tol = default_tolerance()
-        elif not self.outer_tol > 0:
-            raise ValueError(f"tolerance must be positive, got {self.outer_tol}")
 
 
 @dataclass
@@ -246,15 +227,18 @@ def _pcg(matvec, b, *, tol, max_iter, precond):
     return x, SolveReport(it, rel, rel <= tol, breakdown)
 
 
-def solve_data_fit(beta: float, meas: MeasurementSet, cfg: FitConfig) -> FitResult:
-    """Solve the penalized least-squares problem for the nodal forcing on the
-    grid of ``meas.sensors``.
+def solve_data_fit(beta: float, meas: MeasurementSet, s: int, lam: float) -> FitResult:
+    """Solve the penalized least-squares problem of order ``s`` at weight
+    ``lam`` for the nodal forcing on the grid of ``meas.sensors``.
 
-    Raises ConvergenceError if the outer CG does not reach its tolerance.
+    Raises ValueError if s is not 0 or 1 or lam is not positive, and
+    ConvergenceError if the outer CG does not reach its tolerance.
     """
+    if s not in (0, 1):
+        raise ValueError(f"penalty order s must be 0 or 1, got {s}")
+    if lam <= 0:
+        raise ValueError(f"regularization weight must be positive, got {lam}")
     ws = _FitWorkspace(meas.sensors, beta)
-    lam = cfg.lam
-    s = cfg.s
 
     def matvec(f):
         return lam * ws.gram_apply(s, f) + ws.data_apply(f)
@@ -264,7 +248,7 @@ def solve_data_fit(beta: float, meas: MeasurementSet, cfg: FitConfig) -> FitResu
         x, report = _pcg(
             matvec,
             ws.rhs(meas.values),
-            tol=cfg.outer_tol,
+            tol=default_tolerance(),
             max_iter=CG_MAX_ITER,
             precond=lambda r: ws.gram_solve(s, r),
         )
@@ -437,20 +421,19 @@ class _ShiftedLanczos:
         return f, SolveReport(c.size, residual, True)
 
 
-def self_consistent_lambda(beta: float, meas: MeasurementSet, s: int,
-                           stop_tol: float = 1e-10, max_outer: int = 50,
-                           ) -> tuple[float, FitResult, LambdaTrace]:
+def self_consistent_lambda(beta: float, meas: MeasurementSet,
+                           s: int) -> tuple[float, FitResult, LambdaTrace]:
     """Alternate fitting and re-estimating the regularization weight.
 
     Starting from ``lam_0`` fixed by the sample count alone, each pass fits
     at the current weight, then re-derives it from the empirical misfit (a
     noise-level estimate) and the penalty norm of the fit (a forcing-norm
-    estimate).  Stops when the weight moves less than ``stop_tol`` in
-    absolute value.  Non-convergence within ``max_outer`` passes is flagged
-    on the trace and the last iterate is returned.  The passes read their
-    misfit and penalty norm from one Lanczos process, and the returned fit
-    at the accepted weight is read off its basis, each to the residual rule
-    of the CG solve; its report counts the basis vectors.  No CG runs.
+    estimate).  Stops when the weight moves less than ``WEIGHT_STOP_TOL`` in
+    absolute value.  Non-convergence within ``WEIGHT_MAX_PASSES`` passes is
+    flagged on the trace and the last iterate is returned.  The passes read
+    their misfit and penalty norm from one Lanczos process, and the returned
+    fit at the accepted weight is read off its basis, each to the residual
+    rule of the CG solve; its report counts the basis vectors.  No CG runs.
 
     Raises ConvergenceError naming the pass if a fit fails, if its penalty
     norm is zero (the update is undefined), or if the update is not a
@@ -474,7 +457,7 @@ def self_consistent_lambda(beta: float, meas: MeasurementSet, s: int,
     # overflow shows as a non-finite coefficient, norm or weight, reported below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         krylov = _ShiftedLanczos(ws, s, meas.values)
-        for k in range(1, max_outer + 1):
+        for k in range(1, WEIGHT_MAX_PASSES + 1):
             try:
                 misfit, penalty = krylov.norms(lam, tol)
             except ConvergenceError as exc:
@@ -487,7 +470,7 @@ def self_consistent_lambda(beta: float, meas: MeasurementSet, s: int,
                 raise failed(f"pass {k}", lam, f"the update {lam_next} is not a positive "
                                                 "finite weight")
             lams.append(lam_next)
-            done = abs(lam_next - lam) < stop_tol
+            done = abs(lam_next - lam) < WEIGHT_STOP_TOL
             lam = lam_next
             if done:
                 converged = True
@@ -528,5 +511,5 @@ def fit_at_weight(beta: float, meas: MeasurementSet, s: int, lam: float | None,
     """
     if lam is None:
         return self_consistent_lambda(beta, meas, s)
-    fit = solve_data_fit(beta, meas, FitConfig(s=s, lam=lam))
+    fit = solve_data_fit(beta, meas, s, lam)
     return lam, fit, LambdaTrace([lam], True)

@@ -47,12 +47,10 @@ __all__ = [
     "InverseConfig",
     "IterationTrace",
     "PositivityError",
-    "DomainReport",
     "StabilityConstants",
     "fixed_point_map",
     "initial_guess",
     "fixed_point_solve",
-    "check_domain",
     "stability_constants",
 ]
 
@@ -184,34 +182,6 @@ def fixed_point_solve(data: ProblemData, g: GridFunction, cfg: InverseConfig | N
         exc.trace = trace
         raise
     return q, trace
-
-
-@dataclass
-class DomainReport:
-    """Nodewise admissibility of a candidate source."""
-
-    ok: bool
-    upper_violations: np.ndarray   # node indices with q > M
-    lower_violations: np.ndarray   # node indices with q < lower envelope
-    max_upper_excess: float
-    max_lower_deficit: float
-
-
-def check_domain(data: ProblemData, q: GridFunction, g: GridFunction,
-                 slack: float = 1e-10) -> DomainReport:
-    """Check M >= q >= (initial guess from g) nodewise, with slack."""
-    lower = initial_guess(data, g).values
-    qv = q.values
-    upper_bad = np.flatnonzero(qv > data.M + slack)
-    lower_bad = np.flatnonzero(qv < lower - slack)
-    report = DomainReport(
-        ok=(upper_bad.size == 0 and lower_bad.size == 0),
-        upper_violations=upper_bad,
-        lower_violations=lower_bad,
-        max_upper_excess=float(max((qv - data.M).max(), 0.0)),
-        max_lower_deficit=float(max((lower - qv).max(), 0.0)),
-    )
-    return report
 
 
 @dataclass

@@ -3,9 +3,13 @@
 Two spectra back the statistical rate analysis.  The Dirichlet Laplacian's
 eigenvalues grow like k^(2/d); and for n sensors the pencil pairing the
 H^s Gram matrix against the empirical inner product of smoothed fields has
-exactly n finite eigenvalues growing at least like k^(2(2+s)/d).  Both are
-computed densely -- these are diagnostics at modest scale, not production
-solves.
+exactly n finite eigenvalues growing at least like k^(2(2+s)/d).
+
+The Dirichlet spectrum of the uniform 5-point grid is exact and closed form,
+so it needs no eigensolver, has no grid cap, and its bytes do not depend on
+the BLAS thread count.  The pencil is a dense n x n problem (at most
+PENCIL_POINT_CAP sensors) solved by LAPACK, whose last bits can change with
+the thread count.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .fit import PointEvaluation
 from .grid import Grid
@@ -22,7 +25,6 @@ from .stochastic import fit_rate
 
 __all__ = ["SpectrumReport", "laplacian_spectrum", "empirical_smoothing_spectrum"]
 
-DENSE_NODE_CAP = 4096       # interior nodes for the dense symmetric eigensolver
 PENCIL_POINT_CAP = 400      # sensors for the dense reduced pencil
 FIT_SKIP = 9                # indices excluded before the asymptotic regime
 
@@ -46,34 +48,24 @@ def _fit_exponent(eigenvalues: np.ndarray, k_lo: int, k_hi: int):
     return rf.slope, rf.r_squared
 
 
-def _dirichlet_matrix(grid: Grid) -> np.ndarray:
-    m = grid.cells_per_side
-    k = m - 1
-    T = sp.diags([np.full(k - 1, -1.0), np.full(k, 2.0), np.full(k - 1, -1.0)],
-                 [-1, 0, 1])
-    if grid.dim == 1:
-        A = T
-    else:
-        I = sp.identity(k)
-        A = sp.kron(I, T) + sp.kron(T, I)
-    return (A / grid.h**2).toarray()
-
-
 def laplacian_spectrum(grid: Grid, k_max: int) -> SpectrumReport:
     """Smallest k_max eigenvalues of the Dirichlet negative Laplacian.
 
-    Dense symmetric eigensolver on the interior nodes; grids beyond the
-    documented cap are rejected rather than silently crawling.
+    On the uniform grid of m cells the 1-D eigenvalues are
+    (2/h sin(j pi h/2))^2, j = 1..m-1; in 2-D the spectrum is their
+    pairwise sums, by separation of variables.
     """
-    interior = (grid.cells_per_side - 1) ** grid.dim
+    m = grid.cells_per_side
+    interior = (m - 1) ** grid.dim
     if k_max > interior:
         raise ValueError(f"k_max = {k_max} exceeds the {interior} interior nodes")
-    if interior > DENSE_NODE_CAP:
-        raise ValueError(
-            f"{interior} interior nodes exceed the dense-solver cap {DENSE_NODE_CAP}"
-        )
-    vals = sla.eigh(_dirichlet_matrix(grid), eigvals_only=True,
-                    subset_by_index=[0, k_max - 1])
+    # a sum with an index above k_max exceeds the k_max sums lam_i + lam_1,
+    # i <= k_max, so the first k_max 1-D eigenvalues hold every wanted sum
+    j = np.arange(1, min(m - 1, k_max) + 1)
+    lam = (2.0 / grid.h * np.sin(j * np.pi * grid.h / 2.0)) ** 2
+    if grid.dim == 2:
+        lam = np.add.outer(lam, lam).ravel()
+    vals = np.sort(lam)[:k_max]
     k_lo = min(FIT_SKIP + 1, max(k_max - 9, 1))
     slope, r2 = _fit_exponent(vals, k_lo, k_max)
     return SpectrumReport(vals, slope, (k_lo, k_max), r2)

@@ -374,15 +374,15 @@ class TailCurve:
     trials: int
 
 
-def tail_histogram(record: ExperimentRecord, z: np.ndarray,
-                   min_trials: int = TAIL_MIN_TRIALS) -> TailCurve:
+def tail_histogram(record: ExperimentRecord, z: np.ndarray) -> TailCurve:
     """P(||Sf - Sf*||_n >= sqrt(lam) * rho0 * z) estimated over the trials.
 
     Only the shape is meaningful (monotone decay in z); no constants are
-    asserted.  Requires enough trials for the empirical tail to be stable.
+    asserted.  Requires TAIL_MIN_TRIALS trials for the empirical tail to be
+    stable.
     """
-    if record.trials < min_trials:
-        raise ValueError(f"need at least {min_trials} trials, have {record.trials}")
+    if record.trials < TAIL_MIN_TRIALS:
+        raise ValueError(f"need at least {TAIL_MIN_TRIALS} trials, have {record.trials}")
     z = np.asarray(z, dtype=float)
     errs = np.asarray(record.sf_errors_n)
     thresholds = np.sqrt(record.lam) * record.rho0 * z

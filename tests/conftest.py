@@ -65,7 +65,7 @@ def lu_counts(monkeypatch):
 
 @pytest.fixture(scope="session")
 def dirichlet64():
-    """Dense Dirichlet spectrum at diagnostic scale (shared: it costs seconds)."""
+    """Dirichlet spectrum at diagnostic scale, shared by the spectral tests."""
     return fv.laplacian_spectrum(fv.Grid(2, 64), 200)
 
 

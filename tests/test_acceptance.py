@@ -13,7 +13,6 @@ import pytest
 
 import fluoinv as fv
 from fluoinv.cli import main
-from fluoinv.fit import FitConfig
 from fluoinv.presets import build_truth
 from fluoinv.stochastic import LadderPoint, NoiseModel, available_cpus, observe, sample_points
 from fluoinv.verify import BATTERY_CHECKS, run_battery
@@ -54,7 +53,7 @@ def test_criterion_1_table_reproduction(example1_data):
     ok = True
     for s, targets in TABLE1.items():
         lam = fv.policy_weight("prior", s, example1_data["f_true"], 0.002, meas.n)
-        res = fv.solve_data_fit(1.0, meas, FitConfig(s=s, lam=lam))
+        res = fv.solve_data_fit(1.0, meas, s, lam)
         b = fv.error_bundle(meas=meas, sf=res.sf, sf_true=example1_data["sf_true"],
                             f=res.f, f_true=example1_data["f_true"])
         got = (b.err1, b.err2, b.err3)

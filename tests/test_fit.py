@@ -5,7 +5,7 @@ import pytest
 
 import fluoinv as fv
 from fluoinv import fit as fit_module
-from fluoinv.fit import FitConfig, _FitWorkspace, _ShiftedLanczos
+from fluoinv.fit import _FitWorkspace, _ShiftedLanczos
 from fluoinv.grid import default_tolerance
 from fluoinv.presets import build_truth, trig_forcing
 from fluoinv.stochastic import NoiseModel, observe, sample_points
@@ -31,15 +31,6 @@ def test_point_evaluation_partition_of_unity(grid16):
     assert np.allclose(ev.apply(const), 2.5, atol=1e-13)
 
 
-def test_point_evaluation_adjoint_identity(grid16):
-    pts = sample_points(2, 50, seed=2)
-    ev = fv.PointEvaluation(grid16, pts)
-    rng = np.random.default_rng(3)
-    u = rng.standard_normal(grid16.node_count)
-    y = rng.standard_normal(50)
-    assert ev.apply(u) @ y == pytest.approx(u @ ev.adjoint(y).values, abs=1e-12)
-
-
 def test_point_evaluation_rejects_outside(grid16):
     with pytest.raises(ValueError):
         fv.PointEvaluation(grid16, np.array([[0.5, 1.2]]))
@@ -55,7 +46,7 @@ def test_empirical_norm():
 
 def test_zero_data_zero_minimizer(grid16):
     meas = fv.MeasurementSet(sensors(grid16, 100, 4), np.zeros(100))
-    res = fv.solve_data_fit(1.0, meas, FitConfig(s=0, lam=1e-6))
+    res = fv.solve_data_fit(1.0, meas, 0, 1e-6)
     assert np.abs(res.f.values).max() < 1e-12
 
 
@@ -78,7 +69,7 @@ def objective(meas, s, lam, f_values):
 def test_first_order_optimality(small_fit, s):
     grid, meas = small_fit["grid"], small_fit["meas"]
     lam = 1e-6
-    res = fv.solve_data_fit(1.0, meas, FitConfig(s=s, lam=lam))
+    res = fv.solve_data_fit(1.0, meas, s, lam)
     j0 = objective(meas, s, lam, res.f.values)
     rng = np.random.default_rng(6)
     scale = 1e-6 * max(np.abs(res.f.values).max(), 1.0)
@@ -109,14 +100,14 @@ def test_gradient_matches_finite_differences(small_fit):
 
 def test_misfit_monotone_in_lambda(small_fit):
     grid, meas = small_fit["grid"], small_fit["meas"]
-    misfits = [fv.solve_data_fit(1.0, meas, FitConfig(s=0, lam=lam)).misfit_n
+    misfits = [fv.solve_data_fit(1.0, meas, 0, lam).misfit_n
                for lam in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)]
     assert all(b >= a * (1 - 1e-12) for a, b in zip(misfits, misfits[1:]))
 
 
 def test_large_lambda_kills_penalty_norm(small_fit):
     grid, meas = small_fit["grid"], small_fit["meas"]
-    res = fv.solve_data_fit(1.0, meas, FitConfig(s=1, lam=1e6))
+    res = fv.solve_data_fit(1.0, meas, 1, 1e6)
     assert res.penalty_norm < 1e-6
 
 
@@ -124,7 +115,7 @@ def test_large_lambda_kills_penalty_norm(small_fit):
 def test_fit_result_consistent_with_elliptic_solve(small_fit, s):
     # Sf from the fit against an independent dense solve of the Robin problem
     grid, meas = small_fit["grid"], small_fit["meas"]
-    res = fv.solve_data_fit(1.0, meas, FitConfig(s=s, lam=1e-6))
+    res = fv.solve_data_fit(1.0, meas, s, 1e-6)
     ops = grid.operators(1.0)
     L = ops.laplacian.toarray()
     sf = grid.function(np.linalg.solve(L, grid.cv_fractions * res.f.values))
@@ -135,13 +126,16 @@ def test_fit_result_consistent_with_elliptic_solve(small_fit, s):
     assert np.linalg.norm(derived - res.f.values) <= 1e-9 * np.linalg.norm(res.f.values)
 
 
-def test_config_validation(grid16):
-    with pytest.raises(ValueError):
-        FitConfig(s=2, lam=1e-6)
-    with pytest.raises(ValueError):
-        FitConfig(s=0, lam=0.0)
-    with pytest.raises(ValueError):
-        FitConfig(s=0, lam=1e-6, outer_tol=0.0)
+def test_config_validation(grid16, monkeypatch):
+    meas = fv.MeasurementSet(sensors(grid16, 10, 0), np.zeros(10))
+    with pytest.raises(ValueError, match="penalty order"):
+        fv.solve_data_fit(1.0, meas, 2, 1e-6)
+    for lam in (0.0, -1.0):
+        with pytest.raises(ValueError, match="regularization weight"):
+            fv.solve_data_fit(1.0, meas, 0, lam)
+    monkeypatch.setenv("SOLVER_TOL", "0")
+    with pytest.raises(ValueError, match="SOLVER_TOL"):
+        fv.solve_data_fit(1.0, meas, 0, 1e-6)
     with pytest.raises(ValueError):
         fv.MeasurementSet(fv.PointEvaluation(grid16, [[0.5, 1.0]]), np.zeros(1))
 
@@ -213,7 +207,9 @@ def test_accepted_weight_fit_is_read_off_the_basis(monkeypatch, s):
         lam, res, trace = fv.self_consistent_lambda(1.0, meas, s)
     assert trace.converged
     assert_meets_the_cg_rule(meas, s, lam, res)
-    tight = fv.solve_data_fit(1.0, meas, FitConfig(s=s, lam=lam, outer_tol=1e-13))
+    with monkeypatch.context() as m:
+        m.setenv("SOLVER_TOL", "1e-13")
+        tight = fv.solve_data_fit(1.0, meas, s, lam)
     distance = np.linalg.norm(res.f.values - tight.f.values)
     assert distance <= 1e-7 * np.linalg.norm(tight.f.values)
     assert res.misfit_n == pytest.approx(tight.misfit_n, rel=1e-7)
@@ -282,7 +278,7 @@ def test_lanczos_step_cap_is_the_node_count(grid16):
 
 @pytest.mark.parametrize("cells,n", [(16, 30), (32, 120)])
 @pytest.mark.parametrize("s", [0, 1])
-def test_weight_passes_match_tight_cg(cells, n, s):
+def test_weight_passes_match_tight_cg(monkeypatch, cells, n, s):
     # each pass at a falling weight reads the misfit and penalty norm of the
     # CG solve run far below its default tolerance
     grid = fv.Grid(2, cells)
@@ -293,7 +289,9 @@ def test_weight_passes_match_tight_cg(cells, n, s):
     for scale in (100.0, 1.0, 0.01):
         lam = scale * fv.optimal_lambda_prior(1.0, 0.002, n, s)
         misfit, penalty = krylov.norms(lam, default_tolerance())
-        cg = fv.solve_data_fit(1.0, meas, FitConfig(s=s, lam=lam, outer_tol=1e-13))
+        with monkeypatch.context() as m:
+            m.setenv("SOLVER_TOL", "1e-13")
+            cg = fv.solve_data_fit(1.0, meas, s, lam)
         assert misfit == pytest.approx(cg.misfit_n, rel=1e-8)
         assert penalty == pytest.approx(cg.penalty_norm, rel=1e-8)
 

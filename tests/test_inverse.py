@@ -86,13 +86,12 @@ def test_positivity_error_carries_the_trace(ex2_32):
     assert len(trace.step_minima) == trace.iterations
 
 
-def test_check_domain(ex2_32):
-    data, grid, g = ex2_32["data"], ex2_32["grid"], ex2_32["g"]
-    assert fv.check_domain(data, grid.function(np.full(grid.node_count, data.M)), g).ok
-    assert fv.check_domain(data, fv.initial_guess(data, g), g).ok
-    rep = fv.check_domain(data, grid.function(np.full(grid.node_count, -1.0)), g)
-    assert not rep.ok
-    assert len(rep.lower_violations) == grid.node_count
+def test_initial_guess_lies_in_the_domain(ex2_32):
+    # on clean data the initial guess lies in (-1, M] at every node
+    data, g = ex2_32["data"], ex2_32["g"]
+    q0 = fv.initial_guess(data, g).values
+    assert (q0 > -1.0).all()
+    assert (q0 <= data.M).all()
 
 
 def test_clean_recovery_discontinuous_source_with_clamp():

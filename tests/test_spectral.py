@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 import fluoinv as fv
 from fluoinv.stochastic import sample_points
@@ -10,6 +12,22 @@ def test_1d_dirichlet_eigenvalues():
     rep = fv.laplacian_spectrum(grid, 10)
     for k in range(1, 11):
         assert rep.eigenvalues[k - 1] == pytest.approx(np.pi**2 * k**2, rel=0.05)
+
+
+def dense_dirichlet_eigenvalues(grid):
+    """All eigenvalues of the assembled 5-point Dirichlet matrix, by dense eigh."""
+    k = grid.cells_per_side - 1
+    T = sp.diags([np.full(k - 1, -1.0), np.full(k, 2.0), np.full(k - 1, -1.0)], [-1, 0, 1])
+    A = T if grid.dim == 1 else sp.kron(sp.identity(k), T) + sp.kron(T, sp.identity(k))
+    return sla.eigh((A / grid.h**2).toarray(), eigvals_only=True)
+
+
+@pytest.mark.parametrize("dim,cells", [(1, 64), (2, 16)])
+def test_closed_form_matches_the_assembled_matrix(dim, cells):
+    grid = fv.Grid(dim, cells)
+    dense = dense_dirichlet_eigenvalues(grid)
+    rep = fv.laplacian_spectrum(grid, dense.size)    # every mode: 63 and 225
+    np.testing.assert_allclose(rep.eigenvalues, dense, rtol=1e-12, atol=0.0)
 
 
 def test_2d_weyl_growth(dirichlet64):
@@ -23,8 +41,7 @@ def test_2d_weyl_growth(dirichlet64):
 def test_spectrum_caps():
     with pytest.raises(ValueError):
         fv.laplacian_spectrum(fv.Grid(2, 16), 500)   # more modes than nodes
-    with pytest.raises(ValueError):
-        fv.laplacian_spectrum(fv.Grid(2, 128), 10)   # beyond the dense cap
+    assert fv.laplacian_spectrum(fv.Grid(2, 128), 10).eigenvalues.size == 10  # no grid cap
     with pytest.raises(ValueError):
         fv.empirical_smoothing_spectrum(fv.Grid(2, 16), 1.0,
                                         np.full((500, 2), 0.5), s=0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -111,8 +113,6 @@ def prior_rung(pipeline, n, sigma):
 
 
 def test_zero_noise_single_trial_is_deterministic(small_pipeline, grid16):
-    from fluoinv.fit import FitConfig
-
     ladder = [LadderPoint(n=200, sigma=0.0, lam=1e-7)]
     pipeline = fv.InversionPipeline(**{**small_pipeline.__dict__, "noise_kind": "zero"})
     rec = fv.expectation_experiment(pipeline, ladder, trials=1, base_seed=3)[0]
@@ -120,7 +120,7 @@ def test_zero_noise_single_trial_is_deterministic(small_pipeline, grid16):
                                          .generate_state(1)[0]))
     sensors = fv.PointEvaluation(grid16, pts)
     meas = observe(small_pipeline.sf_true, sensors, NoiseModel("zero", 0.0, 0))
-    direct = fv.solve_data_fit(1.0, meas, FitConfig(s=0, lam=1e-7))
+    direct = fv.solve_data_fit(1.0, meas, 0, 1e-7)
     direct_err1 = (fv.empirical_norm(sensors.apply(direct.sf - small_pipeline.sf_true))
                    / fv.empirical_norm(sensors.apply(small_pipeline.sf_true)))
     assert rec.mean_errors()["err1"] == pytest.approx(direct_err1, abs=1e-14)
@@ -145,8 +145,11 @@ def test_tail_histogram(small_pipeline):
     assert curve.exceedance[0] == 1.0
     assert curve.exceedance[-1] == 0.0  # beyond the largest observed ratio
     assert all(b <= a for a, b in zip(curve.exceedance, curve.exceedance[1:]))
-    with pytest.raises(ValueError):
-        fv.tail_histogram(rec, z, min_trials=100)
+    # the first TAIL_MIN_TRIALS - 1 trials alone are too few for a tail
+    k = stochastic.TAIL_MIN_TRIALS - 1
+    few = dataclasses.replace(rec, bundles=rec.bundles[:k], sf_errors_n=rec.sf_errors_n[:k])
+    with pytest.raises(ValueError, match=f"need at least {k + 1} trials, have {k}"):
+        fv.tail_histogram(few, z)
 
 
 def test_worker_count_clamps_to_cpus_and_tasks(monkeypatch):
