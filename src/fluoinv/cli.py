@@ -11,11 +11,7 @@ error naming the key; preset keys the command does not read are dropped.
 (at most one per available CPU; outputs do not depend on N); the other
 commands ignore it.  Exit codes:
 0 success, 2 configuration error, 3 solver non-convergence (the files
-written so far and the manifest are kept), 4 property-check failure.  The
-environment variable SOLVER_TOL overrides the tolerance of every fit: the
-residual of the conjugate-gradient solve at a given weight, and of the
-Krylov iterates the self-consistent weight loop reads at each pass and
-returns at the accepted weight.
+written so far and the manifest are kept), 4 property-check failure.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ import numpy as np
 from . import __version__
 from .fit import PointEvaluation, fit_at_weight, policy_weight, solve_data_fit
 from .forward import terminal_fields
-from .grid import ConvergenceError, Grid, default_tolerance
+from .grid import ConvergenceError, Grid
 from .inverse import InverseConfig, PositivityError, fixed_point_solve
 from .io import Manifest, write_csv, write_field_csv
 from .metrics import error_bundle
@@ -227,10 +223,6 @@ def _load_config(args) -> dict:
     cfg = _validate(args.command, preset, user)
     if args.preset:
         cfg["preset"] = args.preset
-    try:
-        cfg["solver_tol"] = default_tolerance()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -311,19 +303,14 @@ def _weight(cfg: dict, s: int, f_true, sigma: float, n: int):
 
 
 def _fit(cfg: dict, meas, s: int, lam, out: Path, manifest: Manifest):
-    """``fit_at_weight``, requiring the weight loop to stabilize.  A loop that
-    fails writes its passes to lambda_trace.csv before the ConvergenceError
-    propagates (exit 3)."""
+    """``fit_at_weight``; a weight loop that fails writes its passes to
+    lambda_trace.csv before the ConvergenceError propagates (exit 3)."""
     try:
-        fitted = fit_at_weight(cfg["beta"], meas, s, lam)
+        return fit_at_weight(cfg["beta"], meas, s, lam)
     except ConvergenceError as exc:
         if exc.trace is not None:
             _write_lambda_trace(out, manifest, exc.trace)
         raise
-    if not fitted[2].converged:
-        _write_lambda_trace(out, manifest, fitted[2])
-        raise ConvergenceError("self-consistent weight loop did not stabilize")
-    return fitted
 
 
 def _write_lambda_trace(out: Path, manifest: Manifest, trace) -> None:
@@ -491,14 +478,15 @@ def cmd_rates(cfg: dict, out: Path, manifest: Manifest, workers: int = 1) -> int
 
 
 def cmd_spectral(cfg: dict, out: Path, manifest: Manifest) -> int:
-    grid = _grid_from(cfg)
+    cells = _require(cfg, "grid")
     which = cfg["which"]
     spectra = []  # (name, file, report); all computed before any file is written
     try:
         if which in ("dirichlet", "both"):
             spectra.append(("dirichlet", "dirichlet_spectrum.csv",
-                            laplacian_spectrum(grid, cfg["k_max"])))
+                            laplacian_spectrum(cfg["dim"], cells, cfg["k_max"])))
         if which in ("pencil", "both"):
+            grid = Grid(cfg["dim"], cells)  # only the pencil reads a grid
             points = sample_points(grid.dim, cfg["n"], seed=cfg["seed"])
             for s in cfg["penalties"]:
                 spectra.append((f"pencil-s{s}", f"pencil_spectrum_s{s}.csv",

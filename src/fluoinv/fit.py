@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import ConvergenceError, Grid, GridFunction, default_tolerance
+from .grid import ConvergenceError, Grid, GridFunction
 from .metrics import _dot, empirical_norm, hs_norm
 
 __all__ = [
@@ -49,10 +49,11 @@ __all__ = [
     "fit_at_weight",
 ]
 
+SOLVER_TOL = 1e-10      # residual rule of every fit, relative to the right-hand side
 CG_MAX_ITER = 20000     # normal-equation CG iteration cap; the Lanczos basis holds
                         # at most min(CG_MAX_ITER, N) vectors
 # the weight loop stops when lambda moves less than WEIGHT_STOP_TOL, and
-# reports non-convergence after WEIGHT_MAX_PASSES passes
+# raises ConvergenceError after WEIGHT_MAX_PASSES passes
 WEIGHT_STOP_TOL = 1e-10
 WEIGHT_MAX_PASSES = 50
 
@@ -129,12 +130,11 @@ class MeasurementSet:
 
 @dataclass
 class SolveReport:
-    """Outcome of the normal-equation CG, or of the weight loop's Krylov fit."""
+    """Work and residual of a fit that met the residual rule: the normal-equation
+    CG, or the weight loop's Krylov fit."""
 
     iterations: int
-    residual: float                 # relative to the right-hand side
-    converged: bool
-    breakdown: str | None = None    # why the CG stopped before its residual rule
+    residual: float         # relative to the right-hand side
 
 
 @dataclass
@@ -186,11 +186,12 @@ class _FitWorkspace:
 
 
 def _pcg(matvec, b, *, tol, max_iter, precond):
-    """Preconditioned conjugate gradients; returns (x, SolveReport)."""
+    """Preconditioned conjugate gradients; returns (x, SolveReport), or raises
+    ConvergenceError saying why the residual rule was not met."""
     n = b.shape[0]
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(n), SolveReport(0, 0.0, True)
+        return np.zeros(n), SolveReport(0, 0.0)
 
     x = np.zeros(n)
     r = b.copy()
@@ -200,7 +201,7 @@ def _pcg(matvec, b, *, tol, max_iter, precond):
     rnorm = bnorm
 
     it = 0
-    breakdown = None
+    why = "stalled"     # unless the curvature breaks down
     while it < max_iter:
         if rnorm <= tol * bnorm:
             break
@@ -209,7 +210,7 @@ def _pcg(matvec, b, *, tol, max_iter, precond):
         if not 0.0 < denom < np.inf:
             # loss of positive definiteness, or overflow; report and bail out
             kind = "non-positive" if denom <= 0.0 else "non-finite"
-            breakdown = f"a {kind} curvature p'Ap = {denom:g}"
+            why = f"stopped on a {kind} curvature p'Ap = {denom:g}"
             break
         alpha = rz / denom
         x = x + alpha * p
@@ -224,7 +225,10 @@ def _pcg(matvec, b, *, tol, max_iter, precond):
         rz = rz_new
 
     rel = rnorm / bnorm
-    return x, SolveReport(it, rel, rel <= tol, breakdown)
+    if not rel <= tol:
+        raise ConvergenceError(f"normal-equation CG {why} at residual {rel:.3e} "
+                               f"after {it} iterations")
+    return x, SolveReport(it, rel)
 
 
 def solve_data_fit(beta: float, meas: MeasurementSet, s: int, lam: float) -> FitResult:
@@ -248,15 +252,9 @@ def solve_data_fit(beta: float, meas: MeasurementSet, s: int, lam: float) -> Fit
         x, report = _pcg(
             matvec,
             ws.rhs(meas.values),
-            tol=default_tolerance(),
+            tol=SOLVER_TOL,
             max_iter=CG_MAX_ITER,
             precond=lambda r: ws.gram_solve(s, r),
-        )
-    if not report.converged:
-        why = f"stopped on {report.breakdown}" if report.breakdown else "stalled"
-        raise ConvergenceError(
-            f"normal-equation CG {why} at residual {report.residual:.3e} "
-            f"after {report.iterations} iterations"
         )
     return _fit_result(ws, meas, s, x, report)
 
@@ -294,7 +292,6 @@ class LambdaTrace:
     """Sequence of regularization weights produced by the self-consistent loop."""
 
     lams: list[float]
-    converged: bool
 
     @property
     def outer_iterations(self) -> int:
@@ -385,10 +382,9 @@ class _ShiftedLanczos:
             c[j] -= mults[j + 1] * c[j + 1]
         return c
 
-    def _solve(self, lam: float, tol: float) -> tuple[np.ndarray, float]:
+    def _solve(self, lam: float) -> tuple[np.ndarray, float]:
         """c at weight ``lam`` on all the steps taken, extended until the
-        iterate's residual is at most ``tol`` |b| (the rule of the CG solve),
-        and that residual relative to |b|.  Raises ConvergenceError if a
+        iterate meets the residual rule of the CG solve, and its residual relative to |b|.  Raises ConvergenceError if a
         coefficient is not finite or the step cap is reached first; the
         residual test comes before each step, so a breakdown (beta_k = 0,
         the space exhausted) stops here, not in a division."""
@@ -398,27 +394,27 @@ class _ShiftedLanczos:
         while True:
             c = self._coefficients(lam)
             residual = abs(c[-1]) * self._wnorm if c.size else self.bnorm
-            if residual <= tol * self.bnorm:
+            if residual <= SOLVER_TOL * self.bnorm:
                 return c, residual / self.bnorm if self.bnorm else 0.0
             if len(self.alphas) == self.cap:
                 raise ConvergenceError(f"Lanczos stalled at residual {residual / self.bnorm:.3e} "
                                        f"at its step cap min(CG_MAX_ITER, N) = {self.cap}")
             self._step()
 
-    def norms(self, lam: float, tol: float) -> tuple[float, float]:
+    def norms(self, lam: float) -> tuple[float, float]:
         """Misfit and penalty norm of the iterate at weight ``lam`` (see _solve)."""
-        c, _ = self._solve(lam, tol)
+        c, _ = self._solve(lam)
         cc = _dot(c, c)
         misfit2 = self.yy / self.ws.sensors.n - self.betas[0] * float(c[:1].sum()) - lam * cc
         return float(np.sqrt(max(misfit2, 0.0))), float(np.sqrt(cc))
 
-    def fit(self, lam: float, tol: float) -> tuple[np.ndarray, SolveReport]:
+    def fit(self, lam: float) -> tuple[np.ndarray, SolveReport]:
         """The iterate f = Q_k c at weight ``lam`` (see _solve), and its report."""
-        c, residual = self._solve(lam, tol)
+        c, residual = self._solve(lam)
         f = np.zeros_like(self._w)
         for ci, qi in zip(c, self.basis):
             f += ci * qi
-        return f, SolveReport(c.size, residual, True)
+        return f, SolveReport(c.size, residual)
 
 
 def self_consistent_lambda(beta: float, meas: MeasurementSet,
@@ -429,37 +425,35 @@ def self_consistent_lambda(beta: float, meas: MeasurementSet,
     at the current weight, then re-derives it from the empirical misfit (a
     noise-level estimate) and the penalty norm of the fit (a forcing-norm
     estimate).  Stops when the weight moves less than ``WEIGHT_STOP_TOL`` in
-    absolute value.  Non-convergence within ``WEIGHT_MAX_PASSES`` passes is
-    flagged on the trace and the last iterate is returned.  The passes read
-    their misfit and penalty norm from one Lanczos process, and the returned
-    fit at the accepted weight is read off its basis, each to the residual
-    rule of the CG solve; its report counts the basis vectors.  No CG runs.
+    absolute value.  The passes read their misfit and penalty norm from one
+    Lanczos process, and the returned fit at the accepted weight is read off
+    its basis, each to the residual rule of the CG solve; its report counts
+    the basis vectors.  No CG runs.
 
     Raises ConvergenceError naming the pass if a fit fails, if its penalty
     norm is zero (the update is undefined), or if the update is not a
-    positive finite weight; the error carries the weights so far in
-    ``trace``.
+    positive finite weight, and naming the cap if the weight still moves
+    after ``WEIGHT_MAX_PASSES`` passes; the error carries the weights so far
+    in ``trace``.
     """
     expo = _lambda_exponent(s)
     ws = _FitWorkspace(meas.sensors, beta)
     n = meas.n
-    tol = default_tolerance()
 
     def failed(where, lam, why):
         exc = ConvergenceError(f"self-consistent weight loop, {where} "
                                f"(lambda={lam:.6g}): {why}")
-        exc.trace = LambdaTrace(lams, False)
+        exc.trace = LambdaTrace(lams)
         return exc
 
     lam = float(n ** (-0.5 / expo))
     lams = [lam]
-    converged = False
     # overflow shows as a non-finite coefficient, norm or weight, reported below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         krylov = _ShiftedLanczos(ws, s, meas.values)
         for k in range(1, WEIGHT_MAX_PASSES + 1):
             try:
-                misfit, penalty = krylov.norms(lam, tol)
+                misfit, penalty = krylov.norms(lam)
             except ConvergenceError as exc:
                 raise failed(f"pass {k}", lam, exc) from exc
             if not penalty > 0.0:
@@ -473,13 +467,16 @@ def self_consistent_lambda(beta: float, meas: MeasurementSet,
             done = abs(lam_next - lam) < WEIGHT_STOP_TOL
             lam = lam_next
             if done:
-                converged = True
                 break
+        else:
+            raise failed(f"at its pass cap WEIGHT_MAX_PASSES = {WEIGHT_MAX_PASSES}", lam,
+                         f"the last pass moved the weight by {abs(lams[-1] - lams[-2]):.3g}, "
+                         f"not below WEIGHT_STOP_TOL = {WEIGHT_STOP_TOL:g}")
         try:
-            f, report = krylov.fit(lam, tol)
+            f, report = krylov.fit(lam)
         except ConvergenceError as exc:
             raise failed("final fit", lam, exc) from exc
-    return lam, _fit_result(ws, meas, s, f, report), LambdaTrace(lams, converged)
+    return lam, _fit_result(ws, meas, s, f, report), LambdaTrace(lams)
 
 
 def policy_weight(mode: str, s: int, f_true: GridFunction, sigma: float, n: int,
@@ -507,9 +504,9 @@ def fit_at_weight(beta: float, meas: MeasurementSet, s: int, lam: float | None,
     """Fit at the weight ``lam``, or run the self-consistent loop if it is None.
 
     Returns the weight used, the fit, and the weight trace; a given weight
-    has a one-entry, converged trace.  Callers check ``trace.converged``.
+    has a one-entry trace.  Raises ConvergenceError if the fit fails.
     """
     if lam is None:
         return self_consistent_lambda(beta, meas, s)
     fit = solve_data_fit(beta, meas, s, lam)
-    return lam, fit, LambdaTrace([lam], True)
+    return lam, fit, LambdaTrace([lam])

@@ -16,8 +16,6 @@ handed out by ``Grid.operators(beta)``.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -26,29 +24,7 @@ __all__ = [
     "Grid",
     "GridFunction",
     "ConvergenceError",
-    "default_tolerance",
 ]
-
-DEFAULT_CG_TOL = 1e-10
-
-
-def default_tolerance() -> float:
-    """Solver tolerance, overridable through the SOLVER_TOL env variable.
-
-    Raises ValueError naming the variable if its value is not a positive
-    finite number.
-    """
-    val = os.environ.get("SOLVER_TOL")
-    if not val:
-        return DEFAULT_CG_TOL
-    bad = ValueError(f"SOLVER_TOL must be a positive number, got {val!r}")
-    try:
-        tol = float(val)
-    except ValueError:
-        raise bad from None
-    if not 0.0 < tol < np.inf:
-        raise bad
-    return tol
 
 
 class ConvergenceError(RuntimeError):

@@ -48,22 +48,29 @@ def _fit_exponent(eigenvalues: np.ndarray, k_lo: int, k_hi: int):
     return rf.slope, rf.r_squared
 
 
-def laplacian_spectrum(grid: Grid, k_max: int) -> SpectrumReport:
-    """Smallest k_max eigenvalues of the Dirichlet negative Laplacian.
+def laplacian_spectrum(dim: int, cells_per_side: int, k_max: int) -> SpectrumReport:
+    """Smallest k_max eigenvalues of the Dirichlet negative Laplacian on the
+    uniform grid of ``cells_per_side`` cells per side in ``dim`` dimensions.
 
-    On the uniform grid of m cells the 1-D eigenvalues are
-    (2/h sin(j pi h/2))^2, j = 1..m-1; in 2-D the spectrum is their
-    pairwise sums, by separation of variables.
+    With m cells and h = 1/m the 1-D eigenvalues are (2/h sin(j pi h/2))^2,
+    j = 1..m-1; in 2-D the spectrum is their pairwise sums, by separation of
+    variables.  No grid is built.  Raises ValueError for a dim other than 1
+    or 2, fewer than 4 cells, or more modes than interior nodes.
     """
-    m = grid.cells_per_side
-    interior = (m - 1) ** grid.dim
+    if dim not in (1, 2):
+        raise ValueError(f"dim must be 1 or 2, got {dim}")
+    if cells_per_side < 4:
+        raise ValueError(f"cells_per_side must be >= 4, got {cells_per_side}")
+    m = int(cells_per_side)
+    h = 1.0 / m
+    interior = (m - 1) ** dim
     if k_max > interior:
         raise ValueError(f"k_max = {k_max} exceeds the {interior} interior nodes")
     # a sum with an index above k_max exceeds the k_max sums lam_i + lam_1,
     # i <= k_max, so the first k_max 1-D eigenvalues hold every wanted sum
     j = np.arange(1, min(m - 1, k_max) + 1)
-    lam = (2.0 / grid.h * np.sin(j * np.pi * grid.h / 2.0)) ** 2
-    if grid.dim == 2:
+    lam = (2.0 / h * np.sin(j * np.pi * h / 2.0)) ** 2
+    if dim == 2:
         lam = np.add.outer(lam, lam).ravel()
     vals = np.sort(lam)[:k_max]
     k_lo = min(FIT_SKIP + 1, max(k_max - 9, 1))

@@ -132,8 +132,7 @@ def run_battery(grid_cells: int = 32, seed: int = 20250810, tau: float = 0.25,
 
     # (d) clean-data recovery: increasing iterates converging to the truth
     def run_clean():
-        return fixed_point_solve(data, g,
-                                 InverseConfig(tol=1e-10, max_iter=200, clamp=False))
+        return fixed_point_solve(data, g, InverseConfig(clamp=False))
 
     state = {}
 

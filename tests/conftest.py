@@ -66,7 +66,7 @@ def lu_counts(monkeypatch):
 @pytest.fixture(scope="session")
 def dirichlet64():
     """Dirichlet spectrum at diagnostic scale, shared by the spectral tests."""
-    return fv.laplacian_spectrum(fv.Grid(2, 64), 200)
+    return fv.laplacian_spectrum(2, 64, 200)
 
 
 def stacked_levels(data, q):

@@ -37,3 +37,17 @@ def test_no_relative_import_inside_a_function():
                 found.update(f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                              if isinstance(node, ast.ImportFrom) and node.level > 0)
     assert sorted(found) == []
+
+
+def test_no_module_reads_the_environment():
+    # every setting comes from the command line or a configuration file, so
+    # the manifest records what a run read; the environment would bypass both
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    found = set()
+    for path in sorted(Path(fluoinv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if ((isinstance(node, ast.Attribute) and node.attr in readers)
+                    or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                        and any(alias.name in readers for alias in node.names))):
+                found.add(f"{path.name}:{node.lineno}")
+    assert sorted(found) == []

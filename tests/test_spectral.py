@@ -8,8 +8,7 @@ from fluoinv.stochastic import sample_points
 
 
 def test_1d_dirichlet_eigenvalues():
-    grid = fv.Grid(1, 512)
-    rep = fv.laplacian_spectrum(grid, 10)
+    rep = fv.laplacian_spectrum(1, 512, 10)
     for k in range(1, 11):
         assert rep.eigenvalues[k - 1] == pytest.approx(np.pi**2 * k**2, rel=0.05)
 
@@ -26,7 +25,7 @@ def dense_dirichlet_eigenvalues(grid):
 def test_closed_form_matches_the_assembled_matrix(dim, cells):
     grid = fv.Grid(dim, cells)
     dense = dense_dirichlet_eigenvalues(grid)
-    rep = fv.laplacian_spectrum(grid, dense.size)    # every mode: 63 and 225
+    rep = fv.laplacian_spectrum(dim, cells, dense.size)    # every mode: 63 and 225
     np.testing.assert_allclose(rep.eigenvalues, dense, rtol=1e-12, atol=0.0)
 
 
@@ -40,8 +39,11 @@ def test_2d_weyl_growth(dirichlet64):
 
 def test_spectrum_caps():
     with pytest.raises(ValueError):
-        fv.laplacian_spectrum(fv.Grid(2, 16), 500)   # more modes than nodes
-    assert fv.laplacian_spectrum(fv.Grid(2, 128), 10).eigenvalues.size == 10  # no grid cap
+        fv.laplacian_spectrum(2, 16, 500)   # more modes than nodes
+    assert fv.laplacian_spectrum(2, 128, 10).eigenvalues.size == 10  # no grid cap
+    for dim, cells in ((3, 16), (0, 16), (2, 3)):
+        with pytest.raises(ValueError, match="dim must be|cells_per_side must be"):
+            fv.laplacian_spectrum(dim, cells, 1)
     with pytest.raises(ValueError):
         fv.empirical_smoothing_spectrum(fv.Grid(2, 16), 1.0,
                                         np.full((500, 2), 0.5), s=0)
