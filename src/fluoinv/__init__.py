@@ -29,7 +29,6 @@ from .forward import (
 )
 from .grid import ConvergenceError, Grid, GridFunction
 from .inverse import (
-    InverseConfig,
     IterationTrace,
     PositivityError,
     fixed_point_map,

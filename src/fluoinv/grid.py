@@ -32,7 +32,9 @@ class ConvergenceError(RuntimeError):
 
     Raised by the self-consistent weight loop of :mod:`fluoinv.fit`, it
     carries in ``trace`` the weights of the passes made before it (a
-    ``LambdaTrace``); elsewhere ``trace`` is None.
+    ``LambdaTrace``); raised by the fixed-point iteration of
+    :mod:`fluoinv.inverse`, the steps it made (an ``IterationTrace``);
+    elsewhere ``trace`` is None.
     """
 
     trace = None

@@ -34,17 +34,15 @@ for bit.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .forward import ProblemData, terminal_excitation
-from .grid import GridFunction
+from .grid import ConvergenceError, GridFunction
 from .metrics import l2_norm
 
 __all__ = [
-    "InverseConfig",
     "IterationTrace",
     "PositivityError",
     "StabilityConstants",
@@ -68,23 +66,10 @@ class PositivityError(RuntimeError):
     trace: IterationTrace | None = None
 
 
-@dataclass
-class InverseConfig:
-    """Stopping rule and projection behavior of the fixed-point iteration."""
-
-    tol: float = 1e-10          # L2 increment threshold
-    max_iter: int = 200
-    clamp: bool = True          # project iterates onto [0, M]
-
-    def __post_init__(self):
-        if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
-                or not 0 < self.tol < np.inf):  # also rejects NaN
-            raise ValueError(f"tol must be a positive finite number, got {self.tol!r}")
-        if not isinstance(self.clamp, bool):
-            raise ValueError(f"clamp must be true or false, got {self.clamp!r}")
-        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
-                or self.max_iter < 1):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+# the iteration stops when an L2 increment falls below FIXED_POINT_TOL, and
+# raises ConvergenceError after FIXED_POINT_MAX_ITER steps
+FIXED_POINT_TOL = 1e-10
+FIXED_POINT_MAX_ITER = 200
 
 
 @dataclass
@@ -94,7 +79,6 @@ class IterationTrace:
     increments: list[float] = field(default_factory=list)   # ||q_{j+1} - q_j||_L2
     step_minima: list[float] = field(default_factory=list)  # min_x (q_{j+1} - q_j)
     misfits: list[float] = field(default_factory=list)      # ||u_m(T; q_j) - g||_L2
-    converged: bool = False
 
     @property
     def iterations(self) -> int:
@@ -140,48 +124,51 @@ def initial_guess(data: ProblemData, g: GridFunction) -> GridFunction:
     return _guarded_divide(_forcing(data, g), data.zero_source_levels()[0], data.grid)
 
 
-def fixed_point_solve(data: ProblemData, g: GridFunction, cfg: InverseConfig | None = None):
+def fixed_point_solve(data: ProblemData, g: GridFunction, clamp: bool = True):
     """Iterate the map for the terminal field g from the natural initial guess.
 
     g is the clean terminal observation or the fitted field Sf; its forcing
     is formed once.  Per-step misfits in the trace compare
     the terminal emission field of the current iterate against g.  With
-    ``cfg.clamp`` (the default) iterates are projected onto [0, M], since
-    noise can push them outside; without it the raw map (and its
-    monotonicity) is observable, and an iterate leaving the admissible set
-    raises PositivityError, which carries the trace so far.  Returns
-    ``(q, trace)``.
+    ``clamp`` (the default, for fitted data) iterates are projected onto
+    [0, M], since noise can push them outside; without it (clean data) the
+    raw map and its monotonicity are observable, and an iterate leaving the
+    admissible set raises PositivityError.  Returns ``(q, trace)`` once an
+    L2 increment falls below FIXED_POINT_TOL; after FIXED_POINT_MAX_ITER
+    steps raises ConvergenceError.  Either error carries the trace so far.
     """
-    cfg = cfg or InverseConfig()
     forcing = _forcing(data, g)
     trace = IterationTrace()
     try:
         # the initial guess, on the forcing formed above
         q = _guarded_divide(forcing, data.zero_source_levels()[0], data.grid)
-        if cfg.clamp:
+        if clamp:
             q = GridFunction(data.grid, np.clip(q.values, 0.0, data.M))
-        for _ in range(cfg.max_iter):
-            if not cfg.clamp and q.values.min() < 0.0:
+        for _ in range(FIXED_POINT_MAX_ITER):
+            if not clamp and q.values.min() < 0.0:
                 raise PositivityError(
                     f"iterate left the admissible set (min q = {q.values.min():g}); "
-                    "the data violate the sign hypotheses -- enable clamping to proceed"
+                    "the data violate the sign hypotheses of the unclamped iteration"
                 )
             ue_T, dtum_T, um_T = _terminal_triple(data, q)
             trace.misfits.append(l2_norm(um_T - g))
             q_next = _guarded_divide(dtum_T.values + forcing, ue_T.values, data.grid)
-            if cfg.clamp:
+            if clamp:
                 q_next = GridFunction(data.grid, np.clip(q_next.values, 0.0, data.M))
             step = q_next - q
             trace.increments.append(l2_norm(step))
             trace.step_minima.append(step.min())
             q = q_next
-            if trace.increments[-1] < cfg.tol:
-                trace.converged = True
-                break
-    except PositivityError as exc:
+            if trace.increments[-1] < FIXED_POINT_TOL:
+                return q, trace
+        raise ConvergenceError(
+            f"fixed-point iteration, at its step cap FIXED_POINT_MAX_ITER = "
+            f"{FIXED_POINT_MAX_ITER}: the last step moved q by {trace.increments[-1]:g} "
+            f"in L2, not below FIXED_POINT_TOL = {FIXED_POINT_TOL:g}"
+        )
+    except (ConvergenceError, PositivityError) as exc:
         exc.trace = trace
         raise
-    return q, trace
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 from .fit import MeasurementSet, PointEvaluation, fit_at_weight
 from .forward import ProblemData
 from .grid import ConvergenceError, Grid, GridFunction
-from .inverse import fixed_point_solve
+from .inverse import PositivityError, fixed_point_solve
 from .metrics import ErrorBundle, empirical_norm, error_bundle, hs_norm
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "RateFit",
     "fit_rate",
     "rate_fits",
-    "TailCurve",
     "tail_histogram",
 ]
 
@@ -181,20 +180,16 @@ def _run_trial(pipeline: InversionPipeline, point: LadderPoint, sensors: PointEv
     seed = trial_seed(base_seed, ladder_index, trial_index)
     noise = NoiseModel(pipeline.noise_kind, point.sigma, seed)
     meas = observe(pipeline.sf_true, sensors, noise)
-    try:
-        lam, fit, lam_trace = fit_at_weight(pipeline.beta, meas, pipeline.s, point.lam)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"{exc} at rung n={point.n}, trial {trial_index}") from exc
-    sf_err_n = empirical_norm(sensors.apply(fit.sf) - sensors.apply(pipeline.sf_true))
-
     q_rec = None
     fp_iters = 0
-    if pipeline.recovers_source:
-        q_rec, trace = fixed_point_solve(pipeline.data, fit.sf)
-        if not trace.converged:
-            raise ConvergenceError(f"fixed-point iteration did not converge at rung "
-                                   f"n={point.n}, trial {trial_index}")
-        fp_iters = trace.iterations
+    try:
+        lam, fit, lam_trace = fit_at_weight(pipeline.beta, meas, pipeline.s, point.lam)
+        if pipeline.recovers_source:
+            q_rec, trace = fixed_point_solve(pipeline.data, fit.sf)
+            fp_iters = trace.iterations
+    except (ConvergenceError, PositivityError) as exc:
+        raise type(exc)(f"{exc} at rung n={point.n}, trial {trial_index}") from exc
+    sf_err_n = empirical_norm(sensors.apply(fit.sf) - sensors.apply(pipeline.sf_true))
     bundle = error_bundle(
         meas=meas, sf=fit.sf, sf_true=pipeline.sf_true,
         f=fit.f, f_true=pipeline.f_true,
@@ -292,9 +287,8 @@ def expectation_experiment(pipeline: InversionPipeline, ladder, trials: int = 10
     run on that many forked processes (clamped by :func:`worker_count`);
     the records are identical to the serial run's.  Individual trial
     failures propagate (they indicate configuration errors, not statistical
-    bad luck); a self-consistent weight loop that does not stabilize, or a
-    fixed-point iteration that does not converge, raises ConvergenceError
-    for the first such trial in (rung, trial) order.
+    bad luck); the first ConvergenceError or PositivityError in (rung,
+    trial) order is raised again with that rung and trial named.
     """
     ladder = list(ladder)
     tasks = [(i, t) for i in range(len(ladder)) for t in range(trials)]
@@ -360,19 +354,9 @@ def rate_fits(records: list[ExperimentRecord]) -> dict[str, RateFit]:
     return fits
 
 
-@dataclass
-class TailCurve:
-    """Empirical exceedance of the scaled empirical error over a z grid."""
-
-    z: np.ndarray
-    exceedance: np.ndarray
-    lam: float
-    rho0: float
-    trials: int
-
-
-def tail_histogram(record: ExperimentRecord, z: np.ndarray) -> TailCurve:
-    """P(||Sf - Sf*||_n >= sqrt(lam) * rho0 * z) estimated over the trials.
+def tail_histogram(record: ExperimentRecord, z: np.ndarray) -> np.ndarray:
+    """The exceedance P(||Sf - Sf*||_n >= sqrt(lam) * rho0 * z) at each z,
+    estimated over the trials.
 
     Only the shape is meaningful (monotone decay in z); no constants are
     asserted.  Requires TAIL_MIN_TRIALS trials for the empirical tail to be
@@ -383,5 +367,4 @@ def tail_histogram(record: ExperimentRecord, z: np.ndarray) -> TailCurve:
     z = np.asarray(z, dtype=float)
     errs = np.asarray(record.sf_errors_n)
     thresholds = np.sqrt(record.lam) * record.rho0 * z
-    exceed = (errs[None, :] >= thresholds[:, None]).mean(axis=1)
-    return TailCurve(z, exceed, record.lam, record.rho0, record.trials)
+    return (errs[None, :] >= thresholds[:, None]).mean(axis=1)

@@ -17,12 +17,7 @@ import numpy as np
 
 from .forward import coupled_levels, terminal_excitation, terminal_fields
 from .grid import Grid, GridFunction
-from .inverse import (
-    InverseConfig,
-    fixed_point_map,
-    fixed_point_solve,
-    stability_constants,
-)
+from .inverse import fixed_point_map, fixed_point_solve, stability_constants
 from .metrics import l2_norm
 from .presets import example2_problem, smooth_source, stability_problem
 
@@ -132,7 +127,7 @@ def run_battery(grid_cells: int = 32, seed: int = 20250810, tau: float = 0.25,
 
     # (d) clean-data recovery: increasing iterates converging to the truth
     def run_clean():
-        return fixed_point_solve(data, g, InverseConfig(clamp=False))
+        return fixed_point_solve(data, g, clamp=False)
 
     state = {}
 

@@ -178,9 +178,9 @@ def test_criterion_7_tail_curve():
                             200, SEED)[0]
     scale = np.sqrt(rec.lam) * rec.rho0
     z_hi = 1.05 * max(rec.sf_errors_n) / scale
-    curve = fv.tail_histogram(rec, np.linspace(0.0, z_hi, 41))
-    mono = all(b <= a for a, b in zip(curve.exceedance, curve.exceedance[1:]))
-    ok = mono and curve.exceedance[0] == 1.0 and curve.exceedance[-1] == 0.0
+    exceedance = fv.tail_histogram(rec, np.linspace(0.0, z_hi, 41))
+    mono = all(b <= a for a, b in zip(exceedance, exceedance[1:]))
+    ok = mono and exceedance[0] == 1.0 and exceedance[-1] == 0.0
     elapsed = time.time() - t0
     ok &= elapsed <= 1200
     report(7, "empirical exceedance decays", ok,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from fluoinv import cli
+from fluoinv import cli, inverse
 from fluoinv.cli import main
 from fluoinv.forward import AssumptionWarning
 from fluoinv.presets import PRESETS
@@ -123,13 +123,18 @@ def test_p2_clean_mode(tmp_path):
     assert err5 <= 1e-2
 
 
-def test_p2_nonconvergence_exit_code_with_trace(tmp_path):
+def test_p2_nonconvergence_exit_code_with_trace(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(inverse, "FIXED_POINT_MAX_ITER", 2)
+    monkeypatch.setattr(inverse, "FIXED_POINT_TOL", 1e-14)
     cfg = write_cfg(tmp_path, "c.json", {
         "grid": 24, "tau": 0.05, "truth": "example2-smooth", "clean": True,
-        "inverse": {"max_iter": 2, "tol": 1e-14},
     })
     out = tmp_path / "o"
     assert main(["p2", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "FIXED_POINT_MAX_ITER = 2" in err[0]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [f["name"] for f in manifest["files"]] == ["iteration_trace.csv"]
     _, rows = read_csv(out / "iteration_trace.csv")
     assert len(rows) == 2  # the trace is still written
 
@@ -227,12 +232,19 @@ def test_verify_default_passes(tmp_path):
     assert all(r[1] == "1" for r in rows)
 
 
-def test_verify_violated_fails(tmp_path):
+def test_verify_violated_fails(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["verify", "--preset", "verify-violated", "--out", str(out)]) == 4
     header, rows = read_csv(out / "verify_report.csv")
     passed = {r[0]: r[1] for r in rows}
     assert passed["field-positivity"] == "0"
+    # one stderr line names the failed checks; stdout keeps the table
+    captured = capsys.readouterr()
+    failed = [name for name in BATTERY_CHECKS if passed[name] == "0"]
+    assert captured.err.splitlines() == [
+        f"error: {len(failed)} of {len(BATTERY_CHECKS)} property checks failed: "
+        f"{', '.join(failed)}"]
+    assert len(captured.out.splitlines()) == len(BATTERY_CHECKS)
 
 
 def test_verify_runs_the_requested_seed(tmp_path):
@@ -286,12 +298,7 @@ def test_rates_weight_loop_nonconvergence_exits_3(tmp_path, capsys, one_pass_wei
 @pytest.fixture
 def one_step_fixed_point(monkeypatch):
     """Cut each trial's fixed-point iteration to one step, so it never converges."""
-    import fluoinv.stochastic as stochastic
-    from fluoinv.inverse import InverseConfig
-
-    solve = stochastic.fixed_point_solve
-    monkeypatch.setattr(stochastic, "fixed_point_solve",
-                        lambda data, g, cfg=None: solve(data, g, InverseConfig(max_iter=1)))
+    monkeypatch.setattr(inverse, "FIXED_POINT_MAX_ITER", 1)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -307,6 +314,26 @@ def test_rates_fixed_point_nonconvergence_exits_3(tmp_path, capsys, one_step_fix
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "fixed-point" in err and "n=100" in err and "trial 0" in err
+    assert json.loads((out / "manifest.json").read_text())["files"] == []
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rates_positivity_failure_names_rung_and_trial(tmp_path, capsys, threads):
+    # flipped boundary data make the terminal excitation negative, so the
+    # first trial's fixed point cannot divide by it
+    cfg = write_cfg(tmp_path, "c.json", {
+        "grid": 16, "tau": 0.25, "truth": "example2-smooth", "s": 0,
+        "relative_sigma": 0.01, "ladder": [100, 300], "trials": 2, "run_p2": True,
+        "flip_boundary": True,
+    })
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AssumptionWarning)
+        assert main(["rates", "--config", cfg, "--threads", threads,
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "nonpositive" in err[0]
+    assert "n=100" in err[0] and "trial 0" in err[0]
     assert json.loads((out / "manifest.json").read_text())["files"] == []
 
 
@@ -330,10 +357,7 @@ LADDER = {"mode": "ladder", "values": [1e-6, 1e-5]}
     ("rates", {**RATES_NO_SIGMA, "relative_sigma": -0.001}, "'relative_sigma'"),
     ("rates", {**RATES_NO_SIGMA, "relative_sigma": "abc"}, "'relative_sigma'"),
     ("rates", {**RATES, "ladder": [], "tail_trials": 50}, "'ladder'"),
-    ("p2", {**P2, "inverse": "fast"}, "'inverse'"),
-    ("p2", {**P2, "inverse": {"tol": 0}}, "'inverse'"),
-    ("p2", {**P2, "inverse": {"max_iter": 0}}, "'inverse'"),
-    ("p2", {**P2, "inverse": {"clamp": "no"}}, "'inverse'"),
+    ("p2", {**P2, "inverse": {"max_iter": 20}}, "'inverse': unknown key"),
     ("rates", {**RATES, "tail_trials": "abc"}, "'tail_trials'"),
     ("rates", {**RATES, "tail_trials": -1}, "'tail_trials'"),
     ("rates", {**RATES, "tail_trials": 50, "tail_zmax": "x"}, "'tail_zmax'"),
@@ -386,8 +410,7 @@ LADDER = {"mode": "ladder", "values": [1e-6, 1e-5]}
     ("verify", {"grid": 4, "tau": 1e-320}, "'tau'"),
 ], ids=["rates-sigma-0", "rates-lambda-string", "p1-lambda-string", "rates-trials-0",
         "p1-sigma-negative", "p1-sigma-string", "rates-relative-sigma-negative",
-        "rates-relative-sigma-string", "rates-ladder-empty", "p2-inverse-string",
-        "p2-inverse-tol-0", "p2-inverse-max-iter-0", "p2-inverse-clamp-string",
+        "rates-relative-sigma-string", "rates-ladder-empty", "p2-inverse-unknown",
         "rates-tail-trials-string", "rates-tail-trials-negative", "rates-tail-zmax-string",
         "p2-beta-string", "p2-tau-string", "p2-T-infinite", "p1-beta-string",
         "p1-dim-string", "p1-layout", "p1-noise-unknown", "rates-noise-unknown",
@@ -439,13 +462,13 @@ KINDS = {
     "grid": int, "dim": int, "beta": float, "T": float, "tau": float, "M": float,
     "flip_boundary": bool, "source": str, "truth": str, "n": int, "sigma": float,
     "relative_sigma": float, "noise": str, "s": int, "lambda": dict, "clean": bool,
-    "inverse": dict, "run_p2": bool, "ladder": list, "trials": int, "tail_trials": int,
+    "run_p2": bool, "ladder": list, "trials": int, "tail_trials": int,
     "tail_n": int, "tail_zmax": float, "which": str, "k_max": int, "penalties": list,
     "seed": int,
 }
 WORDS = ["prior", "fixed", "self-consistent", "ladder", "gaussian", "uniform", "zero",
          "example1", "example2-smooth", "dirichlet", "pencil", "both"]
-SUB_KEYS = ["mode", "value", "values", "tol", "max_iter", "clamp"]
+SUB_KEYS = ["mode", "value", "values"]
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=5) | st.sampled_from(WORDS)
     | st.floats(allow_nan=False, allow_infinity=False),
@@ -603,8 +626,8 @@ _NOISE_KEY = st.sampled_from(["sigma", "relative_sigma"])
 
 def assert_ends_in_an_exit_code(command, cfg, seed):
     """Run ``cli.main`` in-process: any configuration the table accepts ends in
-    a documented exit code with at most one line on stderr, never in a
-    traceback; the only warnings are the documented ones on violated problem
+    a documented exit code, with one line on stderr if that code is not 0
+    and none if it is, never in a traceback; the only warnings are the documented ones on violated problem
     hypotheses (flip_boundary)."""
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr), \
@@ -617,7 +640,7 @@ def assert_ends_in_an_exit_code(command, cfg, seed):
     lines = stderr.getvalue().strip().splitlines()
     event(f"{command} exit {code}")  # shown by pytest --hypothesis-show-statistics
     assert code in (0, 2, 3, 4), (code, lines)
-    assert len(lines) <= 1 and "Traceback" not in stderr.getvalue(), lines
+    assert len(lines) == (code != 0) and "Traceback" not in stderr.getvalue(), lines
     assert all(w.category is AssumptionWarning for w in caught), \
         [str(w.message) for w in caught]
 
@@ -625,10 +648,7 @@ def assert_ends_in_an_exit_code(command, cfg, seed):
 @settings(max_examples=150)
 @given(command=st.sampled_from(["p1", "p2"]), cfg=_P_CONFIGS, steps_tau=_STEPS_AND_TAU,
        noise=st.tuples(_NOISE_KEY, _NOISE_LEVEL),
-       p2_extra=st.fixed_dictionaries({}, optional={
-           "clean": st.booleans(),
-           "inverse": st.fixed_dictionaries({}, optional={
-               "max_iter": st.integers(1, 20), "clamp": st.booleans()})}),
+       p2_extra=st.fixed_dictionaries({}, optional={"clean": st.booleans()}),
        seed=st.integers(0, 3))
 def test_valid_fit_configurations_end_in_an_exit_code(command, cfg, steps_tau, noise,
                                                       p2_extra, seed):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fluoinv as fv
+from fluoinv import inverse
 from fluoinv.forward import AssumptionWarning, terminal_excitation, terminal_fields
 from fluoinv.inverse import _terminal_triple
 from fluoinv.presets import build_source, build_truth, example2_problem, smooth_source
@@ -253,7 +254,7 @@ def test_map_fields_match_the_forward_observation(source):
         assert np.array_equal(a.values, b.values)
 
 
-def test_forward_pass_keeps_one_history():
+def test_forward_pass_keeps_one_history(monkeypatch):
     # no pass keeps a history: peak traced memory stays below half of one,
     # for a forward observation (both fields marched in lockstep), for one
     # map application (the excitation alone) and over a fixed-point run of
@@ -273,6 +274,12 @@ def test_forward_pass_keeps_one_history():
             tracemalloc.stop()
 
     assert peak(lambda: terminal_fields(data, q)) < 0.5 * history
-    cfg = fv.InverseConfig(tol=1e-300, max_iter=4)
-    assert peak(lambda: fv.fixed_point_solve(data, g, cfg)) < 0.5 * history
+    monkeypatch.setattr(inverse, "FIXED_POINT_MAX_ITER", 4)
+    monkeypatch.setattr(inverse, "FIXED_POINT_TOL", 1e-300)
+
+    def four_steps():
+        with pytest.raises(fv.ConvergenceError):
+            fv.fixed_point_solve(data, g)
+
+    assert peak(four_steps) < 0.5 * history
     assert peak(lambda: fv.fixed_point_map(data, q, g)) < 0.5 * history

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 import fluoinv as fv
+from fluoinv import inverse
 from fluoinv.presets import build_truth, example2_problem
 from fluoinv.stochastic import NoiseModel, observe, sample_points
-
-
-# the raw map, unprojected, so its monotonicity is observable
-UNCLAMPED = fv.InverseConfig(clamp=False)
 
 
 def test_zero_data_fixed_point(ex2_32):
@@ -15,8 +12,8 @@ def test_zero_data_fixed_point(ex2_32):
     g0 = grid.zeros()
     assert np.abs(fv.initial_guess(data, g0).values).max() == 0.0
     assert np.abs(fv.fixed_point_map(data, grid.zeros(), g0).values).max() == 0.0
-    q, trace = fv.fixed_point_solve(data, g0, UNCLAMPED)
-    assert trace.converged and trace.iterations == 1
+    q, trace = fv.fixed_point_solve(data, g0, clamp=False)
+    assert trace.iterations == 1
     assert np.abs(q.values).max() == 0.0
 
 
@@ -52,8 +49,8 @@ def test_initial_guess_bounds(ex2_32):
 
 def test_clean_recovery_inverse_crime(ex2_32):
     data, g, q_true = ex2_32["data"], ex2_32["g"], ex2_32["q_true"]
-    q, trace = fv.fixed_point_solve(data, g, UNCLAMPED)
-    assert trace.converged
+    # the raw map, unprojected, so its monotonicity is observable
+    q, trace = fv.fixed_point_solve(data, g, clamp=False)
     assert min(trace.step_minima) >= -1e-10          # increasing iterates
     assert (q.values - q_true.values).max() <= 1e-8  # never overshooting the truth
     assert fv.l2_norm(q - q_true) / fv.l2_norm(q_true) <= 1e-2
@@ -70,7 +67,7 @@ def test_clamped_iterates_stay_admissible(ex2_32):
     # inflate the field: its initial guess is about 20 q_0 > M
     g_big = 20.0 * g
     assert fv.initial_guess(data, g_big).values.max() > data.M
-    q, trace = fv.fixed_point_solve(data, g_big, fv.InverseConfig(max_iter=20))
+    q, trace = fv.fixed_point_solve(data, g_big)
     assert q.values.min() >= 0.0
     assert q.values.max() <= data.M
 
@@ -80,9 +77,9 @@ def test_positivity_error_carries_the_trace(ex2_32):
     # excitation vanishes; the error keeps the iterations made before it
     data, g = ex2_32["data"], ex2_32["g"]
     with pytest.raises(fv.PositivityError, match="nonpositive") as failed:
-        fv.fixed_point_solve(data, 20.0 * g, UNCLAMPED)
+        fv.fixed_point_solve(data, 20.0 * g, clamp=False)
     trace = failed.value.trace
-    assert trace.iterations > 0 and not trace.converged
+    assert trace.iterations > 0
     assert len(trace.step_minima) == trace.iterations
 
 
@@ -100,22 +97,31 @@ def test_clean_recovery_discontinuous_source_with_clamp():
     _, g, data, q_true = build_truth("example2-discontinuous", fv.Grid(2, 40), tau=0.05)
     assert fv.initial_guess(data, g).values.min() < 0  # raw guess leaves [0, M]
     with pytest.raises(fv.PositivityError) as failed:
-        fv.fixed_point_solve(data, g, UNCLAMPED)  # the unclamped iteration rejects it
-    assert failed.value.trace.iterations == 0 and not failed.value.trace.converged
-    q, trace = fv.fixed_point_solve(data, g)
-    assert trace.converged
+        fv.fixed_point_solve(data, g, clamp=False)  # the unclamped iteration rejects it
+    assert failed.value.trace.iterations == 0
+    q, _ = fv.fixed_point_solve(data, g)
     assert fv.l2_norm(q - q_true) / fv.l2_norm(q_true) <= 1e-2
 
 
+def test_fixed_point_at_its_cap_raises(ex2_32, monkeypatch, lu_counts):
+    # three steps cannot reach a tolerance of 1e-300: the iteration names the
+    # cap, keeps its three steps, and factorizes once per map application
+    data, g = ex2_32["data"], ex2_32["g"]
+    fv.initial_guess(data, g)  # the cached emission factor and q = 0 levels
+    monkeypatch.setattr(inverse, "FIXED_POINT_MAX_ITER", 3)
+    monkeypatch.setattr(inverse, "FIXED_POINT_TOL", 1e-300)
+    lu_counts.update(factorizations=0, solves=0)
+    with pytest.raises(fv.ConvergenceError,
+                       match=r"step cap FIXED_POINT_MAX_ITER = 3: .* FIXED_POINT_TOL = 1e-300$"
+                       ) as info:
+        fv.fixed_point_solve(data, g, clamp=False)
+    trace = info.value.trace
+    assert trace.iterations == 3
+    assert len(trace.misfits) == len(trace.step_minima) == 3
+    assert lu_counts == {"factorizations": 3, "solves": 3 * data.n_steps}
+
+
 @pytest.mark.parametrize("call, match", [
-    pytest.param(lambda data, g: fv.InverseConfig(tol=0.0), "tol", id="tol-zero"),
-    pytest.param(lambda data, g: fv.InverseConfig(tol=np.nan), "tol", id="tol-nan"),
-    pytest.param(lambda data, g: fv.InverseConfig(tol=np.inf), "tol", id="tol-inf"),
-    pytest.param(lambda data, g: fv.InverseConfig(tol="x"), "tol", id="tol-string"),
-    pytest.param(lambda data, g: fv.InverseConfig(clamp="no"), "clamp", id="clamp-string"),
-    pytest.param(lambda data, g: fv.InverseConfig(max_iter=0), "max_iter", id="max_iter-zero"),
-    pytest.param(lambda data, g: fv.InverseConfig(max_iter=2.5), "max_iter",
-                 id="max_iter-fraction"),
     pytest.param(lambda data, g: fv.initial_guess(data, g), "problem grid",
                  id="guess-g-off-grid"),
     pytest.param(lambda data, g: fv.fixed_point_solve(data, g), "problem grid",
@@ -142,8 +148,7 @@ def _noisy_recovery(cells, level, s, seed=2024, tau=0.01):
     meas = observe(g, fv.PointEvaluation(grid, sample_points(2, 500, seed=0)),
                    NoiseModel("gaussian", sigma, np.random.SeedSequence(seed)))
     _, fit, _ = fv.self_consistent_lambda(1.0, meas, s)
-    q_rec, trace = fv.fixed_point_solve(data, fit.sf)
-    assert trace.converged
+    q_rec, _ = fv.fixed_point_solve(data, fit.sf)
     return fv.error_bundle(q=q_rec, q_true=q_true)
 
 

@@ -141,10 +141,11 @@ def test_tail_histogram(small_pipeline):
     scale = np.sqrt(rec.lam) * rec.rho0
     z_max = max(rec.sf_errors_n) / scale
     z = np.linspace(0.0, 1.01 * z_max, 21)
-    curve = fv.tail_histogram(rec, z)
-    assert curve.exceedance[0] == 1.0
-    assert curve.exceedance[-1] == 0.0  # beyond the largest observed ratio
-    assert all(b <= a for a, b in zip(curve.exceedance, curve.exceedance[1:]))
+    exceedance = fv.tail_histogram(rec, z)
+    assert exceedance.shape == z.shape
+    assert exceedance[0] == 1.0
+    assert exceedance[-1] == 0.0  # beyond the largest observed ratio
+    assert all(b <= a for a, b in zip(exceedance, exceedance[1:]))
     # the first TAIL_MIN_TRIALS - 1 trials alone are too few for a tail
     k = stochastic.TAIL_MIN_TRIALS - 1
     few = dataclasses.replace(rec, bundles=rec.bundles[:k], sf_errors_n=rec.sf_errors_n[:k])
