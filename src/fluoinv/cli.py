@@ -11,7 +11,8 @@ error naming the key; preset keys the command does not read are dropped.
 (at most one per available CPU; outputs do not depend on N); the other
 commands ignore it.  Exit codes:
 0 success, 2 configuration error, 3 solver non-convergence (the files
-written so far and the manifest are kept), 4 property-check failure.
+written so far and the manifest are kept), 4 property-check failure.  Data
+that violate a hypothesis of the theory add a ``warning:`` line, not a code.
 """
 
 from __future__ import annotations
@@ -245,10 +246,19 @@ def _problem(cfg: dict, build, *args):
         raise ConfigError(f"config error at {key!r}: {exc}") from exc
 
 
+def _report_violations(data) -> None:
+    """One stderr line naming the violated hypotheses, if any; the run goes on."""
+    if k := len(data.violations):
+        print(f"warning: the problem data violate {k} hypothes{'is' if k == 1 else 'es'}: "
+              f"{'; '.join(data.violations)}", file=sys.stderr)
+
+
 def _truth(cfg: dict, grid: Grid, needs_source: bool = False):
     """(f_true, sf_true, data, q_true) of the configured truth."""
     truth = _problem(cfg, build_truth, _require(cfg, "truth"), grid)
-    if needs_source and truth[2] is None:
+    if truth[2] is not None:
+        _report_violations(truth[2])
+    elif needs_source:
         raise ConfigError("config error at 'truth': source recovery needs a coupled-model truth")
     return truth
 
@@ -335,6 +345,7 @@ def _write_trace(out: Path, manifest: Manifest, trace) -> None:
 def cmd_forward(cfg: dict, out: Path, manifest: Manifest) -> int:
     grid = _grid_from(cfg)
     data = _problem(cfg, example2_problem, grid)
+    _report_violations(data)
     q = build_source(_require(cfg, "source"), grid)
     ue_T, _, um_T = terminal_fields(data, q)
     manifest.add(write_field_csv(out / "terminal_fields.csv", grid, {

@@ -19,28 +19,17 @@ the q = 0 excitation v, whose last two levels ``ProblemData`` caches.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .grid import Grid, GridFunction
 
 __all__ = [
     "ProblemData",
-    "AssumptionWarning",
     "coupled_levels",
     "terminal_excitation",
     "terminal_fields",
     "elliptic_solve",
 ]
-
-
-class AssumptionWarning(UserWarning):
-    """A hypothesis of the underlying theory is violated by the given data.
-
-    These are warnings, not errors: exploring violated hypotheses is a
-    supported use of the solvers.
-    """
 
 
 class ProblemData:
@@ -50,7 +39,7 @@ class ProblemData:
     ----------
     grid : Grid
     p : GridFunction
-        Background absorption, strictly positive.
+        Background absorption; the theory assumes it strictly positive.
     b : callable(coords, t) -> array
         Boundary data evaluated at the boundary-node coordinates (an array
         of shape (n_boundary, dim)) and scalar time t.
@@ -61,13 +50,15 @@ class ProblemData:
     M : float
         Upper bound of the admissible source set [0, M].
 
-    The maximum ``M_b`` of b and its first/second finite-difference time
-    derivatives over boundary nodes and time levels is computed on
-    construction, together with warnings for violated sign hypotheses.
+    On construction it computes the maximum ``M_b`` of b and its first/second
+    finite-difference time derivatives over boundary nodes and time levels, and
+    ``violations``: one message per violated hypothesis of the theory (p > 0;
+    b >= 0, nondecreasing and convex in time, b(T) > 0).  The solvers run on
+    such data all the same; the CLI reports the list.
     """
 
     def __init__(self, grid: Grid, p: GridFunction, b, beta: float, T: float,
-                 tau: float, M: float, check_assumptions: bool = True):
+                 tau: float, M: float):
         if beta <= 0:
             raise ValueError(f"beta must be positive, got {beta}")
         if M <= 0:
@@ -107,25 +98,25 @@ class ProblemData:
                              d2tb.max() if d2tb.size else 0.0, 0.0))
         self._emission_lu = None
         self._zero_source_levels = None
-        if check_assumptions:
-            self._warn_on_violations(bv, dtb, d2tb)
+        self.violations = self._violations(bv, dtb, d2tb)
 
-    def _warn_on_violations(self, bv, dtb, d2tb):
-        def warn(msg):
-            warnings.warn(msg, AssumptionWarning, stacklevel=3)
-
+    def _violations(self, bv, dtb, d2tb) -> list[str]:
+        """One message per violated sign hypothesis, in a fixed order."""
+        found = []
+        add = found.append
         if self.p.values.min() <= 0:
-            warn(f"background absorption must be positive; min p = {self.p.values.min():g}")
+            add(f"background absorption must be positive; min p = {self.p.values.min():g}")
         if bv.min() < 0:
-            warn(f"boundary data takes negative values (min {bv.min():g})")
+            add(f"boundary data takes negative values (min {bv.min():g})")
         if dtb.size and dtb.min() < -1e-12 * max(1.0, self.M_b):
-            warn(f"boundary data decreases in time (min rate {dtb.min():g})")
+            add(f"boundary data decreases in time (min rate {dtb.min():g})")
         if d2tb.size and d2tb.min() < -1e-9 * max(1.0, self.M_b):
-            warn(f"boundary data is concave in time (min curvature {d2tb.min():g})")
+            add(f"boundary data is concave in time (min curvature {d2tb.min():g})")
         if not (bv > 0).any():
-            warn("boundary data vanishes identically")
+            add("boundary data has no positive value")
         if bv[-1].min() <= 0:
-            warn(f"terminal boundary data is not strictly positive (min {bv[-1].min():g})")
+            add(f"terminal boundary data is not strictly positive (min {bv[-1].min():g})")
+        return found
 
     def boundary_field(self, k: int) -> np.ndarray:
         """Boundary values at time level k scattered to all nodes."""

@@ -61,12 +61,12 @@ def example2_boundary(coords: np.ndarray, t: float) -> np.ndarray:
 
 def example2_problem(grid: Grid, beta: float = 1.0, T: float = 1.0,
                      tau: float = 0.01, M: float = 5.0,
-                     flip_boundary: bool = False,
-                     check_assumptions: bool = True) -> ProblemData:
+                     flip_boundary: bool = False) -> ProblemData:
     """The coupled-diffusion benchmark: p = x + y + 10, b = (x+y)^2 t + 5.
 
     ``flip_boundary`` negates the boundary data, a deliberate hypothesis
-    violation used as a negative control by the verification battery.
+    violation (listed in ``violations``) used as a negative control by the
+    verification battery.
     Raises ValueError for a grid that is not 2-D.
     """
     if grid.dim != 2:
@@ -74,8 +74,7 @@ def example2_problem(grid: Grid, beta: float = 1.0, T: float = 1.0,
     b = example2_boundary
     if flip_boundary:
         b = lambda coords, t: -example2_boundary(coords, t)  # noqa: E731
-    return ProblemData(grid, example2_absorption(grid), b, beta=beta, T=T, tau=tau,
-                       M=M, check_assumptions=check_assumptions)
+    return ProblemData(grid, example2_absorption(grid), b, beta=beta, T=T, tau=tau, M=M)
 
 
 def stability_problem(grid: Grid) -> ProblemData:

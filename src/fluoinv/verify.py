@@ -76,8 +76,7 @@ def run_battery(grid_cells: int = 32, seed: int = 20250810, tau: float = 0.25,
     """Run all checks at desk scale and return one result per check."""
     rng = np.random.default_rng(seed)
     grid = Grid(2, grid_cells)
-    data = example2_problem(grid, tau=tau, flip_boundary=flip_boundary,
-                            check_assumptions=False)
+    data = example2_problem(grid, tau=tau, flip_boundary=flip_boundary)
     q_true = smooth_source(grid)
     results: list[CheckResult] = []
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from fluoinv import cli, inverse
 from fluoinv.cli import main
-from fluoinv.forward import AssumptionWarning
 from fluoinv.presets import PRESETS
 from fluoinv.verify import BATTERY_CHECKS
 
@@ -327,14 +326,43 @@ def test_rates_positivity_failure_names_rung_and_trial(tmp_path, capsys, threads
         "flip_boundary": True,
     })
     out = tmp_path / "o"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AssumptionWarning)
-        assert main(["rates", "--config", cfg, "--threads", threads,
-                     "--out", str(out)]) == 3
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "nonpositive" in err[0]
-    assert "n=100" in err[0] and "trial 0" in err[0]
+    assert main(["rates", "--config", cfg, "--threads", threads, "--out", str(out)]) == 3
+    warning, error = capsys.readouterr().err.splitlines()  # the parent warns, no worker
+    assert warning.startswith("warning: the problem data violate 4 hypotheses: ")
+    assert error.startswith("error: ") and "nonpositive" in error
+    assert "n=100" in error and "trial 0" in error
     assert json.loads((out / "manifest.json").read_text())["files"] == []
+
+
+def run_cli(argv, **env):
+    """``python -m fluoinv.cli argv`` in a subprocess on this package's sources,
+    with the given environment variables added; the completed process."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "fluoinv.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("command, payload, code", [
+    ("forward", {"grid": 8, "tau": 0.25, "source": "zero", "flip_boundary": True}, 0),
+    ("p2", {"grid": 8, "tau": 0.25, "truth": "example2-smooth", "clean": True,
+            "flip_boundary": True}, 3),
+], ids=["forward", "p2-clean"])
+def test_violated_hypotheses_are_one_line_under_a_strict_warning_filter(tmp_path, command,
+                                                                         payload, code):
+    # PYTHONWARNINGS=error turns any Python warning into a traceback and exit
+    # 1; the violated hypotheses are a line of the CLI's own, before the error
+    cfg = write_cfg(tmp_path, "c.json", payload)
+    run = run_cli([command, "--config", cfg, "--out", str(tmp_path / "o")],
+                  PYTHONWARNINGS="error")
+    assert run.returncode == code, run.stderr
+    lines = run.stderr.splitlines()
+    assert lines[0] == ("warning: the problem data violate 4 hypotheses: boundary data "
+                        "takes negative values (min -9); boundary data decreases in time "
+                        "(min rate -4); boundary data has no positive value; terminal "
+                        "boundary data is not strictly positive (min -9)")
+    assert [ln.split(" ", 1)[0] for ln in lines[1:]] == ["error:"] * (code != 0), lines
 
 
 RATES = {"grid": 16, "truth": "example1", "s": 0, "sigma": 0.002,
@@ -574,14 +602,11 @@ def test_overflowing_fit_stops_within_a_few_iterations(tmp_path, capsys):
 def outputs_at_blas_threads(tmp_path, argv, names):
     """The bytes of the named outputs of ``fluoinv argv``, run in one
     subprocess at each of OPENBLAS_NUM_THREADS 1 and 2."""
-    src = str(Path(cli.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"o{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        subprocess.run([sys.executable, "-m", "fluoinv.cli", *argv,
-                        "--out", str(out), "--seed", "0"], env=env, check=True)
+        run_cli([*argv, "--out", str(out), "--seed", "0"],
+                OPENBLAS_NUM_THREADS=threads).check_returncode()
         outputs.append([(out / name).read_bytes() for name in names])
     return outputs
 
@@ -626,9 +651,10 @@ _NOISE_KEY = st.sampled_from(["sigma", "relative_sigma"])
 
 def assert_ends_in_an_exit_code(command, cfg, seed):
     """Run ``cli.main`` in-process: any configuration the table accepts ends in
-    a documented exit code, with one line on stderr if that code is not 0
-    and none if it is, never in a traceback; the only warnings are the documented ones on violated problem
-    hypotheses (flip_boundary)."""
+    a documented exit code, never in a traceback or a Python warning.  Its
+    stderr holds one ``error:`` line if the code is not 0 and none if it is,
+    after at most one ``warning:`` line, and that only on flipped boundary
+    data, which violate the problem's hypotheses."""
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr), \
             contextlib.redirect_stdout(io.StringIO()), \
@@ -637,12 +663,13 @@ def assert_ends_in_an_exit_code(command, cfg, seed):
         path = write_cfg(Path(tmp), "c.json", cfg)
         code = main([command, "--config", path, "--seed", str(seed),
                      "--out", str(Path(tmp) / "o")])
-    lines = stderr.getvalue().strip().splitlines()
+    lines = stderr.getvalue().splitlines()
     event(f"{command} exit {code}")  # shown by pytest --hypothesis-show-statistics
     assert code in (0, 2, 3, 4), (code, lines)
-    assert len(lines) == (code != 0) and "Traceback" not in stderr.getvalue(), lines
-    assert all(w.category is AssumptionWarning for w in caught), \
-        [str(w.message) for w in caught]
+    warned = int(bool(lines) and lines[0].startswith("warning: "))
+    assert not warned or cfg.get("flip_boundary"), lines
+    assert [ln.split(" ", 1)[0] for ln in lines[warned:]] == ["error:"] * (code != 0), lines
+    assert caught == [], [str(w.message) for w in caught]
 
 
 @settings(max_examples=150)

@@ -1,12 +1,11 @@
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
 import fluoinv as fv
 from fluoinv import inverse
-from fluoinv.forward import AssumptionWarning, terminal_excitation, terminal_fields
+from fluoinv.forward import terminal_excitation, terminal_fields
 from fluoinv.inverse import _terminal_triple
 from fluoinv.presets import build_source, build_truth, example2_problem, smooth_source
 
@@ -14,11 +13,8 @@ from conftest import restrict, stacked_levels
 
 
 def zero_boundary_problem(grid):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AssumptionWarning)
-        return fv.ProblemData(grid, grid.function(lambda x, y: x + y + 10.0),
-                              lambda c, t: np.zeros(len(c)), beta=1.0, T=1.0,
-                              tau=0.25, M=5.0)
+    return fv.ProblemData(grid, grid.function(lambda x, y: x + y + 10.0),
+                          lambda c, t: np.zeros(len(c)), beta=1.0, T=1.0, tau=0.25, M=5.0)
 
 
 def test_zero_boundary_data_gives_zero_field(grid16):
@@ -162,16 +158,22 @@ def test_energy_estimate(ex2_32):
         assert num <= bound * den
 
 
-def test_validation_and_warnings(grid16):
+def test_validation_and_violations(grid16):
     data = example2_problem(grid16, tau=0.25)
+    assert data.violations == []
     negative = grid16.function(np.full(grid16.node_count, -0.1))
     for march in (fv.coupled_levels, terminal_excitation, terminal_fields):
         with pytest.raises(ValueError):
             march(data, negative)  # on the call, before any level is drawn
     with pytest.raises(ValueError):
         example2_problem(grid16, T=1.0, tau=0.3)  # not an integer number of steps
-    with pytest.warns(AssumptionWarning):
-        example2_problem(grid16, tau=0.25, flip_boundary=True)
+    # b = -((x+y)^2 t + 5) lies in [-9, -5]: the messages are data, in a fixed order
+    assert example2_problem(grid16, tau=0.25, flip_boundary=True).violations == [
+        "boundary data takes negative values (min -9)",
+        "boundary data decreases in time (min rate -4)",
+        "boundary data has no positive value",
+        "terminal boundary data is not strictly positive (min -9)",
+    ]
 
 
 @pytest.mark.parametrize("build", [

@@ -134,8 +134,7 @@ def test_inverse_input_checks(ex2_32, grid16, call, match):
 
 
 def test_division_guard_on_violated_data(grid16):
-    data = example2_problem(grid16, tau=0.25, flip_boundary=True,
-                            check_assumptions=False)
+    data = example2_problem(grid16, tau=0.25, flip_boundary=True)
     g = grid16.function(np.ones(grid16.node_count))
     with pytest.raises(fv.PositivityError):
         fv.initial_guess(data, g)

@@ -17,8 +17,7 @@ def test_streamed_reductions_match_the_stacked_levels(flip_boundary, tau):
     results = {r.name: r for r in run_battery(grid_cells=16, tau=tau,
                                               flip_boundary=flip_boundary)}
     grid = fv.Grid(2, 16)
-    data = example2_problem(grid, tau=tau, flip_boundary=flip_boundary,
-                            check_assumptions=False)
+    data = example2_problem(grid, tau=tau, flip_boundary=flip_boundary)
     u_e, u_m = stacked_levels(data, smooth_source(grid))
     dt = np.diff(u_e, axis=0) / data.tau
     d2t = np.diff(dt, axis=0) / data.tau
