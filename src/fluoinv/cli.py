@@ -101,6 +101,19 @@ def _one_of(*choices):
     return parse
 
 
+def _policy(**fields):
+    """The weight policy object, whose "value" only fixed mode reads, and "values" only ladder."""
+    policy = _object({"mode": "prior"}, **fields)
+
+    def parse(val):
+        out = policy(val)
+        for sub, mode in (("value", "fixed"), ("values", "ladder")):
+            if sub in out and out["mode"] != mode:
+                raise ValueError(f"{sub!r} is read in {mode} mode only, not in {out['mode']} mode")
+        return out
+    return parse
+
+
 def _list_of(item):
     def parse(val):
         if not isinstance(val, list) or not val:
@@ -152,8 +165,7 @@ _KEYS = {
     "relative_sigma": (_num(0), None, {}, _FIT),
     "noise": (_one_of(*NOISE_KINDS), "gaussian", {}, _FIT),
     "s": (_num(0, 1, integer=True), None, {}, _FIT),
-    "lambda": (_object({"mode": "prior"},
-                       mode=_one_of("prior", "fixed", "self-consistent", "ladder"),
+    "lambda": (_policy(mode=_one_of("prior", "fixed", "self-consistent", "ladder"),
                        value=_POSITIVE, values=_list_of(_POSITIVE)), {}, {}, _FIT),
     "clean": (_FLAG, False, {}, ("p2",)),
     "run_p2": (_FLAG, False, {}, ("rates",)),
@@ -260,6 +272,8 @@ def _truth(cfg: dict, grid: Grid, needs_source: bool = False):
         _report_violations(truth[2])
     elif needs_source:
         raise ConfigError("config error at 'truth': source recovery needs a coupled-model truth")
+    elif cfg["flip_boundary"]:
+        raise ConfigError("config error at 'flip_boundary': the example1 truth has no boundary")
     return truth
 
 

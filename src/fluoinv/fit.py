@@ -149,40 +149,26 @@ class FitResult:
 
 
 class _FitWorkspace:
-    """The operators of the fits on one sensor set: its map and E'E, and the
-    grid's cached operators and factors at beta."""
+    """The operators of the fits on one sensor set: its map and E'E, the grid
+    (whose Gram matrices R_s weigh the penalty) and the grid's operators at
+    beta (S and S')."""
 
     def __init__(self, sensors: PointEvaluation, beta: float):
         self.sensors = sensors
         self.grid = sensors.grid
         self.ops = self.grid.operators(beta)
-        self.lu = self.ops.lu_laplacian()
-
-    def smooth(self, f_values: np.ndarray) -> np.ndarray:
-        """Apply the Poisson solve S through the cached factorization."""
-        return self.lu.solve(self.ops.weights * f_values)
 
     def data_apply(self, f_values: np.ndarray) -> np.ndarray:
         """(ES)'(ES) f / n, the data term of the normal equations."""
-        t = self.sensors.ete @ self.smooth(f_values)
-        return (self.ops.weights * self.lu.solve(t)) / self.sensors.n
+        t = self.sensors.ete @ self.ops.smooth(f_values)
+        return self.ops.smooth_adjoint(t) / self.sensors.n
 
     def rhs(self, y: np.ndarray) -> np.ndarray:
         """(ES)' y / n, the right-hand side of the normal equations."""
-        return (self.ops.weights * self.lu.solve(self.sensors.matrix.T @ y)) / self.sensors.n
-
-    def gram_apply(self, s: int, v: np.ndarray) -> np.ndarray:
-        if s == 0:
-            return self.ops.mass_diag * v
-        return self.ops.mass_diag * v + self.ops.stiffness_natural @ v
-
-    def gram_solve(self, s: int, v: np.ndarray) -> np.ndarray:
-        if s == 0:
-            return v / self.ops.mass_diag
-        return self.ops.lu_h1().solve(v)
+        return self.ops.smooth_adjoint(self.sensors.matrix.T @ y) / self.sensors.n
 
     def penalty_norm(self, s: int, f_values: np.ndarray) -> float:
-        return float(np.sqrt(max(_dot(f_values, self.gram_apply(s, f_values)), 0.0)))
+        return float(np.sqrt(max(_dot(f_values, self.grid.gram_apply(s, f_values)), 0.0)))
 
 
 def _pcg(matvec, b, *, tol, max_iter, precond):
@@ -245,7 +231,7 @@ def solve_data_fit(beta: float, meas: MeasurementSet, s: int, lam: float) -> Fit
     ws = _FitWorkspace(meas.sensors, beta)
 
     def matvec(f):
-        return lam * ws.gram_apply(s, f) + ws.data_apply(f)
+        return lam * ws.grid.gram_apply(s, f) + ws.data_apply(f)
 
     # overflow shows as a non-finite curvature, which stops the CG
     with np.errstate(over="ignore", invalid="ignore"):
@@ -254,7 +240,7 @@ def solve_data_fit(beta: float, meas: MeasurementSet, s: int, lam: float) -> Fit
             ws.rhs(meas.values),
             tol=SOLVER_TOL,
             max_iter=CG_MAX_ITER,
-            precond=lambda r: ws.gram_solve(s, r),
+            precond=lambda r: ws.grid.gram_solve(s, r),
         )
     return _fit_result(ws, meas, s, x, report)
 
@@ -262,7 +248,7 @@ def solve_data_fit(beta: float, meas: MeasurementSet, s: int, lam: float) -> Fit
 def _fit_result(ws: _FitWorkspace, meas: MeasurementSet, s: int, x: np.ndarray,
                 report: SolveReport) -> FitResult:
     """The fit of forcing ``x``: its field Sf (one solve), misfit and penalty norm."""
-    sf = GridFunction(ws.grid, ws.smooth(x))
+    sf = GridFunction(ws.grid, ws.ops.smooth(x))
     misfit = empirical_norm(ws.sensors.apply(sf) - meas.values)
     return FitResult(GridFunction(ws.grid, x), sf, misfit, ws.penalty_norm(s, x), report)
 
@@ -335,7 +321,7 @@ class _ShiftedLanczos:
         self.cap = min(CG_MAX_ITER, b.size)
         self.basis: list[np.ndarray] = []          # q_1..q_k, rows of blocks of _BLOCK
         self.alphas: list[float] = []
-        self._w, self._z = b, ws.gram_solve(s, b)   # w_k and R_s^-1 w_k
+        self._w, self._z = b, ws.grid.gram_solve(s, b)  # w_k and R_s^-1 w_k
         self.betas = [float(np.sqrt(_dot(b, self._z)))]  # beta_0, then beta_j after step j
         self._wnorm = self.bnorm                    # |w_k|
         self._v = np.zeros_like(b)                  # R_s q_k
@@ -356,8 +342,8 @@ class _ShiftedLanczos:
         projection = np.zeros_like(w)
         for qi in self.basis:
             projection += _dot(qi, w) * qi
-        w -= self.ws.gram_apply(self.s, projection)
-        z = self.ws.gram_solve(self.s, w)
+        w -= self.ws.grid.gram_apply(self.s, projection)
+        z = self.ws.grid.gram_solve(self.s, w)
         beta = float(np.sqrt(_dot(w, z)))
         if not (np.isfinite(alpha) and np.isfinite(beta)):
             raise ConvergenceError(f"Lanczos step {len(self.alphas) + 1} has a non-finite "
@@ -384,10 +370,11 @@ class _ShiftedLanczos:
 
     def _solve(self, lam: float) -> tuple[np.ndarray, float]:
         """c at weight ``lam`` on all the steps taken, extended until the
-        iterate meets the residual rule of the CG solve, and its residual relative to |b|.  Raises ConvergenceError if a
-        coefficient is not finite or the step cap is reached first; the
-        residual test comes before each step, so a breakdown (beta_k = 0,
-        the space exhausted) stops here, not in a division."""
+        iterate meets the residual rule of the CG solve, and its residual
+        relative to |b|.  Raises ConvergenceError if a coefficient is not
+        finite or the step cap is reached first; the residual test comes
+        before each step, so a breakdown (beta_k = 0, the space exhausted)
+        stops here, not in a division."""
         if not (self.bnorm < np.inf and self.betas[0] < np.inf):
             raise ConvergenceError(f"Lanczos start has a non-finite coefficient "
                                    f"(beta={self.betas[0]:g})")

@@ -151,10 +151,9 @@ def _march(data: ProblemData, lu):
     level is held; the caller keeps what it needs.
     """
     ops = data.grid.operators(data.beta)
-    w = ops.weights
     u = np.zeros(data.grid.node_count)
     for k in range(1, data.n_steps + 1):
-        rhs = w * u / data.tau
+        rhs = data.grid.weights * u / data.tau
         rhs = rhs + ops.load_weights * data.boundary_field(k)
         u = lu.solve(rhs)
         yield u
@@ -193,7 +192,7 @@ def coupled_levels(data: ProblemData, q: GridFunction):
     """
     excitation = _excitation_march(data, q)
     lu = data.emission_lu()
-    w = data.grid.operators(data.beta).weights
+    w = data.grid.weights
 
     def lockstep():
         u_m = np.zeros(data.grid.node_count)
@@ -246,5 +245,4 @@ def elliptic_solve(grid: Grid, beta: float, f: GridFunction) -> GridFunction:
     """
     if f.grid is not grid:
         raise ValueError("f must live on the given grid")
-    ops = grid.operators(beta)
-    return GridFunction(grid, ops.lu_laplacian().solve(ops.weights * f.values))
+    return GridFunction(grid, grid.operators(beta).smooth(f.values))

@@ -7,11 +7,11 @@ matrix, and a natural-boundary stiffness matrix used by the H1 inner
 product.  The Laplacian is kept in a symmetrized scaling in which interior
 rows reproduce the classic 3-point / 5-point stencils divided by h^2 while
 the matrix stays a symmetric M-matrix; dividing rows by the control-volume
-fractions recovers the pointwise (ghost-node) form exactly.
+weights recovers the pointwise (ghost-node) form exactly.
 
-This module is also the only place that decides how a grid system is
-solved: every solve in the package goes through a sparse LU factorization
-handed out by ``Grid.operators(beta)``.
+Only the Laplacian reads the Robin parameter: it and the solves built on it
+belong to ``Grid.operators(beta)``, everything else to the ``Grid``.  Every
+solve in the package goes through a sparse LU factorization built here.
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ class ConvergenceError(RuntimeError):
     trace = None
 
 
+def _per_node(d: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return d if v.ndim == 1 else d[:, None]    # scales a vector, or each column
+
+
 def _tri_flux(m: int) -> sp.spmatrix:
     # dimensionless 1D flux stencil: rows [1,-1], [-1,2,-1], ..., [-1,1]
     n = m + 1
@@ -51,6 +55,13 @@ def _tri_flux(m: int) -> sp.spmatrix:
 
 class Grid:
     """Uniform rectilinear grid on (0,1)^dim with nodes at every cell corner.
+
+    It holds what does not read the Robin parameter: the control-volume
+    fractions W (``weights``: 1 inside, 1/2 on a face, 1/4 at a corner), the
+    lumped mass M = h^dim W (``mass_diag``, summing to 1), the natural
+    stiffness A (``stiffness_natural``; ``u^T A u`` approximates the squared
+    gradient seminorm) and the Gram matrices R_0 = M, R_1 = M + A of the
+    penalties and norms, whose one H1 factor ``lu_h1`` is cached.
 
     Parameters
     ----------
@@ -74,10 +85,8 @@ class Grid:
         m = self.cells_per_side
         n = m + 1
         if dim == 1:
-            self.shape = (n,)
             self.coords = (np.arange(n) * self.h)[:, None]
         else:
-            self.shape = (n, n)
             idx = np.arange(n * n)
             i = idx % n
             j = idx // n
@@ -90,12 +99,16 @@ class Grid:
         self.boundary_indices = np.flatnonzero(self.boundary_mask)
         self.interior_indices = np.flatnonzero(~self.boundary_mask)
 
-        # control-volume fraction per node: 1 interior, 1/2 face, 1/4 corner
         w1 = np.ones(n)
         w1[0] = w1[-1] = 0.5
-        self.cv_fractions = w1 if dim == 1 else np.kron(w1, w1)
+        self.weights = w1 if dim == 1 else np.kron(w1, w1)
+        self.mass_diag = self.weights * self.h ** dim
+        T, Wd = _tri_flux(m), sp.diags(w1)
+        A = T / self.h if dim == 1 else sp.kron(Wd, T) + sp.kron(T, Wd)
+        self.stiffness_natural = A.tocsr()
 
         self._op_cache: dict[float, "_GridOperators"] = {}
+        self._lu_h1 = None
 
     # x (and y) coordinate views, handy for building coefficient fields
     @property
@@ -117,8 +130,26 @@ class Grid:
     def zeros(self) -> "GridFunction":
         return GridFunction(self, np.zeros(self.node_count))
 
+    def lu_h1(self):
+        """Cached factorization of the H1 Gram matrix M + A."""
+        if self._lu_h1 is None:
+            self._lu_h1 = spla.splu((sp.diags(self.mass_diag) + self.stiffness_natural).tocsc())
+        return self._lu_h1
+
+    def gram_apply(self, s: int, v: np.ndarray) -> np.ndarray:
+        """R_s v: M v for s = 0, (M + A) v for s = 1."""
+        if s == 0:
+            return self.mass_diag * v
+        return self.mass_diag * v + self.stiffness_natural @ v
+
+    def gram_solve(self, s: int, v: np.ndarray) -> np.ndarray:
+        """R_s^-1 v, for a vector or for the columns of an array."""
+        if s == 0:
+            return v / _per_node(self.mass_diag, v)
+        return self.lu_h1().solve(v)
+
     def operators(self, beta: float) -> "_GridOperators":
-        """Cached assembled operators for a given Robin parameter."""
+        """Cached Robin Laplacian and its solves for a given Robin parameter."""
         key = float(beta)
         ops = self._op_cache.get(key)
         if ops is None:
@@ -200,7 +231,7 @@ class GridFunction:
 
 
 class _GridOperators:
-    """Assembled CSR matrices and the LU factorizations of every grid system.
+    """The Robin Laplacian at one beta and every solve built on it.
 
     - ``laplacian``: negative Laplacian with the Robin condition eliminated,
       a symmetric M-matrix, weakly diagonally dominant and strictly so on
@@ -208,14 +239,12 @@ class _GridOperators:
       (1D) or 5-point (2D) stencil over h^2.  Applied to a constant c it gives
       exactly the load ``load_weights * c`` of boundary data b = c, with
       ``load_weights`` ``1/(beta*h)`` on boundary nodes and zero inside.
-    - ``mass`` (diagonal ``mass_diag``): lumped mass, entries summing to 1.
-    - ``stiffness_natural``: natural-boundary stiffness of the H1 product;
-      ``u^T A u`` approximates the squared gradient seminorm, constants
-      span its kernel.
+    - ``smooth``: the Poisson solve S = L^-1 W; ``smooth_adjoint``: its
+      transpose S' = W L^-1, L being symmetric.
 
-    The Laplacian and H1 Gram factors are built lazily and cached; a
-    backward-Euler step factor depends on the absorption field, so
-    ``step_lu`` builds a fresh one and callers keep what they reuse.
+    The Laplacian factor is built lazily and cached; a backward-Euler step
+    factor depends on the absorption field, so ``step_lu`` builds a fresh
+    one and callers keep what they reuse.
     """
 
     def __init__(self, grid: Grid, beta: float):
@@ -223,54 +252,34 @@ class _GridOperators:
             raise ValueError(f"Robin parameter beta must be positive, got {beta}")
         self.grid = grid
         self.beta = beta
-        m = grid.cells_per_side
         h = grid.h
-        T = _tri_flux(m)
-        if grid.dim == 1:
-            a_nat = (T / h).tocsr()
-        else:
-            n = m + 1
-            w = np.ones(n)
-            w[0] = w[-1] = 0.5
-            Wd = sp.diags(w)
-            a_nat = (sp.kron(Wd, T) + sp.kron(T, Wd)).tocsr()
-
         robin = np.zeros(grid.node_count)
         robin[grid.boundary_mask] = h ** (grid.dim - 1) / beta
-        scale = h ** grid.dim
-        self.laplacian = ((a_nat + sp.diags(robin)) / scale).tocsr()
-        self.stiffness_natural = a_nat
-        self.mass_diag = grid.cv_fractions * scale
-        self.mass = sp.diags(self.mass_diag).tocsr()
-        # control-volume weights: W = mass / h^dim; W^-1 L is the pointwise operator
-        self.weights = grid.cv_fractions
+        self.laplacian = ((grid.stiffness_natural + sp.diags(robin)) / h ** grid.dim).tocsr()
         self.load_weights = np.zeros(grid.node_count)
         self.load_weights[grid.boundary_mask] = 1.0 / (beta * h)
-
         self._lu_laplacian = None
-        self._lu_h1 = None
 
     def lu_laplacian(self):
         if self._lu_laplacian is None:
             self._lu_laplacian = spla.splu(self.laplacian.tocsc())
         return self._lu_laplacian
 
-    def lu_h1(self):
-        if self._lu_h1 is None:
-            gram = self.mass + self.stiffness_natural
-            self._lu_h1 = spla.splu(gram.tocsc())
-        return self._lu_h1
+    def smooth(self, v: np.ndarray) -> np.ndarray:
+        """S v = L^-1 W v: the Robin Poisson solve with source v."""
+        return self.lu_laplacian().solve(self.grid.weights * v)
+
+    def smooth_adjoint(self, v: np.ndarray) -> np.ndarray:
+        """S' v = W L^-1 v, for a vector or for the columns of an array."""
+        return _per_node(self.grid.weights, v) * self.lu_laplacian().solve(v)
 
     def step_lu(self, tau: float, absorption: np.ndarray):
         """Factorization of one backward-Euler step, W/tau + L + W diag(absorption).
 
         Not cached: the absorption changes with the source being solved for.
         """
-        A = (
-            sp.diags(self.weights / tau)
-            + self.laplacian
-            + sp.diags(self.weights * absorption)
-        ).tocsc()
+        w = self.grid.weights
+        A = (sp.diags(w / tau) + self.laplacian + sp.diags(w * absorption)).tocsc()
         return spla.splu(A)
 
     def pointwise_laplacian(self, values: np.ndarray) -> np.ndarray:
@@ -279,5 +288,4 @@ class _GridOperators:
         Valid for fields satisfying the homogeneous Robin condition; the
         boundary rows use the same elimination as the assembled operator.
         """
-        return (self.laplacian @ values) / self.weights
-
+        return (self.laplacian @ values) / self.grid.weights

@@ -92,12 +92,9 @@ def empirical_smoothing_spectrum(grid: Grid, beta: float, points, s: int) -> Spe
     n = points.shape[0]
     if n > PENCIL_POINT_CAP:
         raise ValueError(f"{n} sensors exceed the dense-pencil cap {PENCIL_POINT_CAP}")
-    ops = grid.operators(beta)
     ev = PointEvaluation(grid, points)
-    lu = ops.lu_laplacian()
-    Et = np.asarray(ev.matrix.T.todense())
-    Z = ops.weights[:, None] * lu.solve(Et)      # (ES)' applied to unit vectors
-    V = Z / ops.mass_diag[:, None] if s == 0 else ops.lu_h1().solve(Z)
+    Z = grid.operators(beta).smooth_adjoint(ev.matrix.T.toarray())  # (ES)' on unit vectors
+    V = grid.gram_solve(s, Z)
     B = (Z.T @ V) / n
     eta = sla.eigh(B, eigvals_only=True)         # ascending
     scale = eta[-1]

@@ -219,7 +219,8 @@ class _TrialRunner:
 
     Built in the calling process: it draws the sensor points of every rung
     and builds each rung's sensor map (with the E'E of its fits) once,
-    factorizes every matrix the trials share and marches the zero-source
+    factorizes the two matrices the trials share (the Robin Laplacian at
+    beta and the grid's H1 Gram matrix) and marches the zero-source
     excitation that every map and initial guess read, so forked workers
     inherit them instead of redoing them.
     """
@@ -234,11 +235,8 @@ class _TrialRunner:
                                                  spawn_key=(i,)).generate_state(1)[0])
             points = sample_points(pipeline.grid.dim, point.n, seed=pt_seed)
             self.sensors.append(PointEvaluation(pipeline.grid, points))
-        ops = pipeline.grid.operators(pipeline.beta)
-        ops.lu_laplacian()                      # every fit's Poisson solve
-        if pipeline.s == 1:
-            ops.lu_h1()                         # the H1 fit's preconditioner
-        pipeline.grid.operators(1.0).lu_h1()    # the dual-H1 errors of every trial
+        pipeline.grid.operators(pipeline.beta).lu_laplacian()  # every fit's S and S'
+        pipeline.grid.lu_h1()   # the dual-H1 errors of every trial, and the H1 fits' R_1
         if pipeline.recovers_source:
             pipeline.data.zero_source_levels()  # every map and initial guess
 

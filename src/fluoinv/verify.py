@@ -168,8 +168,7 @@ def run_battery(grid_cells: int = 32, seed: int = 20250810, tau: float = 0.25,
 
     # (f) Lipschitz stability with its explicit constant, on the dedicated
     # large-absorption configuration
-    sgrid = Grid(2, grid_cells)
-    sdata = stability_problem(sgrid)
+    sdata = stability_problem(grid)
 
     def check_hypothesis():
         sc = stability_constants(sdata)
@@ -184,14 +183,14 @@ def run_battery(grid_cells: int = 32, seed: int = 20250810, tau: float = 0.25,
         sc = state.get("sc")
         if sc is None or sc.C is None:
             raise RuntimeError("stability constant undefined (hypothesis violated)")
-        ops = sgrid.operators(sdata.beta)
+        ops = grid.operators(sdata.beta)
         p_inf = float(np.abs(sdata.p.values).max())
         worst = 0.0
         for _ in range(20):
-            qa = _random_source(rng, sgrid, sdata.M)
-            qb = _random_source(rng, sgrid, sdata.M)
+            qa = _random_source(rng, grid, sdata.M)
+            qb = _random_source(rng, grid, sdata.M)
             dg = terminal_fields(sdata, qa)[2] - terminal_fields(sdata, qb)[2]
-            lap = GridFunction(sgrid, ops.pointwise_laplacian(dg.values))
+            lap = GridFunction(grid, ops.pointwise_laplacian(dg.values))
             lhs = l2_norm(qa - qb)
             rhs = sc.C * (l2_norm(lap) + p_inf * l2_norm(dg))
             if rhs > 0:

@@ -39,6 +39,20 @@ def test_no_relative_import_inside_a_function():
     assert sorted(found) == []
 
 
+def test_no_module_makes_up_a_robin_parameter():
+    # what does not read beta is the grid's, so no module asks for the
+    # operators at a literal beta to reach it
+    found = set()
+    for path in sorted(Path(fluoinv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "operators"
+                    and any(isinstance(arg, ast.Constant)
+                             for arg in [*node.args, *(k.value for k in node.keywords)])):
+                found.add(f"{path.name}:{node.lineno}")
+    assert sorted(found) == []
+
+
 def test_no_module_reads_the_environment():
     # every setting comes from the command line or a configuration file, so
     # the manifest records what a run read; the environment would bypass both

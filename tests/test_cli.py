@@ -100,6 +100,17 @@ def test_p1_small_run_and_rerun_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_p1_away_from_unit_beta_factorizes_h1_once(tmp_path, lu_counts):
+    # the truth's two step factors, the Laplacian at beta = 2, and one H1
+    # factor for the grid, shared by the fit's preconditioner and the
+    # dual-H1 errors, which do not read beta
+    cfg = write_cfg(tmp_path, "c.json", {"grid": 16, "tau": 0.25, "beta": 2,
+                                         "truth": "example2-smooth", "n": 100,
+                                         "relative_sigma": 0.01, "s": 1})
+    assert main(["p1", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert lu_counts["factorizations"] == 4
+
+
 def test_p1_lambda_ladder_row_count(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {
         "grid": 16, "truth": "example1", "n": 300, "sigma": 0.002, "s": 0,
@@ -436,6 +447,13 @@ LADDER = {"mode": "ladder", "values": [1e-6, 1e-5]}
     ("p2", {"grid": 4, "truth": "example2-smooth", "clean": True, "T": 1, "tau": 1e-320},
      "'tau'"),
     ("verify", {"grid": 4, "tau": 1e-320}, "'tau'"),
+    ("p1", {**P1, "flip_boundary": True}, "'flip_boundary'"),
+    ("rates", {**RATES, "flip_boundary": True}, "'flip_boundary'"),
+    ("p1", {**P1, "lambda": {"mode": "prior", "value": 0.5}}, "'value'"),
+    ("rates", {**RATES, "lambda": {"mode": "self-consistent", "value": 0.5}}, "'value'"),
+    ("p1", {**P1, "lambda": {"mode": "fixed", "value": 0.5, "values": [0.5]}}, "'values'"),
+    ("p2", {**P2_NOISY, "sigma": 0.01, "lambda": {"mode": "prior", "values": [0.5]}},
+     "'values'"),
 ], ids=["rates-sigma-0", "rates-lambda-string", "p1-lambda-string", "rates-trials-0",
         "p1-sigma-negative", "p1-sigma-string", "rates-relative-sigma-negative",
         "rates-relative-sigma-string", "rates-ladder-empty", "p2-inverse-unknown",
@@ -453,7 +471,10 @@ LADDER = {"mode": "ladder", "values": [1e-6, 1e-5]}
         "rates-tail-trials-20", "spectral-pencil-rank-deficient", "forward-no-whole-step",
         "p1-prior-weight-underflows", "p2-noise-square-overflows",
         "rates-prior-weight-underflows", "p2-tau-squared-overflows",
-        "forward-steps-overflow", "p2-steps-overflow", "verify-steps-overflow"])
+        "forward-steps-overflow", "p2-steps-overflow", "verify-steps-overflow",
+        "p1-example1-flip-boundary", "rates-example1-flip-boundary", "p1-value-in-prior-mode",
+        "rates-value-in-self-consistent-mode", "p1-values-in-fixed-mode",
+        "p2-values-in-prior-mode"])
 def test_weight_policy_and_trial_errors_are_config_errors(tmp_path, capsys,
                                                           command, payload, key):
     cfg = write_cfg(tmp_path, "c.json", payload)
@@ -685,6 +706,8 @@ def test_valid_fit_configurations_end_in_an_exit_code(command, cfg, steps_tau, n
         cfg.update(p2_extra)
         if cfg["truth"] == "example1":  # p2 needs a source
             cfg["truth"] = "example2-smooth"
+    if cfg["truth"] == "example1":  # it has no boundary data to flip
+        cfg["flip_boundary"] = False
     assert_ends_in_an_exit_code(command, cfg, seed)
 
 
@@ -702,6 +725,8 @@ def test_valid_rates_configurations_end_in_an_exit_code(cfg, steps_tau, noise, r
     cfg.update(rates, tau=tau, T=steps * tau, **{noise[0]: noise[1]})
     if cfg["run_p2"] and cfg["truth"] == "example1":  # the source recovery needs a source
         cfg["truth"] = "example2-smooth"
+    if cfg["truth"] == "example1":  # it has no boundary data to flip
+        cfg["flip_boundary"] = False
     assert_ends_in_an_exit_code("rates", cfg, seed)
 
 

@@ -59,9 +59,9 @@ def small_fit(grid16):
 
 def objective(meas, s, lam, f_values):
     ws = _FitWorkspace(meas.sensors, 1.0)
-    sf = ws.smooth(f_values)
+    sf = ws.ops.smooth(f_values)
     misfit = float(np.mean((ws.sensors.apply(sf) - meas.values) ** 2))
-    return misfit + lam * float(f_values @ ws.gram_apply(s, f_values))
+    return misfit + lam * float(f_values @ ws.grid.gram_apply(s, f_values))
 
 
 @pytest.mark.parametrize("s", [0, 1])
@@ -87,10 +87,11 @@ def test_gradient_matches_finite_differences(small_fit):
     rng = np.random.default_rng(7)
     f0 = rng.standard_normal(grid.node_count)
     v = rng.standard_normal(grid.node_count)
-    sf = ws.smooth(f0)
+    sf = ws.ops.smooth(f0)
     resid_vec = ws.sensors.apply(sf) - meas.values
-    grad = 2.0 * (lam * ws.gram_apply(s, f0)
-                  + ws.ops.weights * ws.lu.solve(ws.sensors.matrix.T @ resid_vec) / meas.n)
+    grad = 2.0 * (lam * ws.grid.gram_apply(s, f0)
+                  + ws.grid.weights * ws.ops.lu_laplacian().solve(ws.sensors.matrix.T @ resid_vec)
+                  / meas.n)
     eps = 1e-6
     fd = (objective(meas, s, lam, f0 + eps * v)
           - objective(meas, s, lam, f0 - eps * v)) / (2 * eps)
@@ -117,7 +118,7 @@ def test_fit_result_consistent_with_elliptic_solve(small_fit, s):
     res = fv.solve_data_fit(1.0, meas, s, 1e-6)
     ops = grid.operators(1.0)
     L = ops.laplacian.toarray()
-    sf = grid.function(np.linalg.solve(L, grid.cv_fractions * res.f.values))
+    sf = grid.function(np.linalg.solve(L, grid.weights * res.f.values))
     assert fv.l2_norm(sf - res.sf) <= 1e-8
     assert fv.l2_norm(fv.elliptic_solve(grid, 1.0, res.f) - res.sf) <= 1e-8
     # the fixed point forms its forcing as -Delta_h Sf, which must give back f
@@ -169,10 +170,10 @@ def assert_meets_the_cg_rule(meas, s, lam, res):
     ws = _FitWorkspace(meas.sensors, 1.0)
     b = ws.rhs(meas.values)
     f = res.f.values
-    residual = np.linalg.norm(b - lam * ws.gram_apply(s, f) - ws.data_apply(f))
+    residual = np.linalg.norm(b - lam * ws.grid.gram_apply(s, f) - ws.data_apply(f))
     assert residual <= fit_module.SOLVER_TOL * np.linalg.norm(b)
     assert residual / np.linalg.norm(b) == pytest.approx(res.report.residual, rel=1e-3)
-    assert np.array_equal(res.sf.values, ws.smooth(f))
+    assert np.array_equal(res.sf.values, ws.ops.smooth(f))
 
 
 def test_self_consistent_lambda_small_scale(small_fit, few_sensors):
@@ -240,7 +241,7 @@ def test_lanczos_basis_is_orthonormal(few_sensors, s):
     krylov.norms(1e-12)
     basis = np.array(krylov.basis)
     assert len(basis) == len(krylov.alphas) > 50
-    gram = basis @ np.array([ws.gram_apply(s, q) for q in basis]).T
+    gram = basis @ np.array([ws.grid.gram_apply(s, q) for q in basis]).T
     assert np.abs(gram - np.eye(len(basis))).max() <= 1e-10
 
 
@@ -296,7 +297,8 @@ def test_weight_loop_cost(lu_counts, s):
     grid = fv.Grid(2, 16)
     meas = example2_measurements(grid, 30, 0.01, 2)
     ws = _FitWorkspace(meas.sensors, 1.0)
-    ws.ops.lu_h1()
+    ws.ops.lu_laplacian()
+    ws.grid.lu_h1()
     lu_counts.update(factorizations=0, solves=0)
     _, res, trace = fv.self_consistent_lambda(1.0, meas, s)
     assert trace.outer_iterations > 1
@@ -337,7 +339,8 @@ def test_weight_loop_at_its_pass_cap_raises(monkeypatch, lu_counts, s):
     grid = fv.Grid(2, 16)
     meas = example2_measurements(grid, 30, 0.01, 2)
     ws = _FitWorkspace(meas.sensors, 1.0)
-    ws.ops.lu_h1()
+    ws.ops.lu_laplacian()
+    ws.grid.lu_h1()
     monkeypatch.setattr(fit_module, "WEIGHT_MAX_PASSES", 2)
     lu_counts.update(factorizations=0, solves=0)
     with pytest.raises(fv.ConvergenceError, match=r"pass cap WEIGHT_MAX_PASSES = 2 ") as info:

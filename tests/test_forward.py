@@ -101,7 +101,7 @@ def test_elliptic_solve_zero(grid16):
 
 def test_elliptic_self_adjoint(grid32):
     rng = np.random.default_rng(5)
-    mass = grid32.operators(1.0).mass_diag
+    mass = grid32.mass_diag
     f = grid32.function(rng.standard_normal(grid32.node_count))
     g = grid32.function(rng.standard_normal(grid32.node_count))
     sf = fv.elliptic_solve(grid32, 1.0, f)

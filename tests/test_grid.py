@@ -42,7 +42,7 @@ def test_constant_reproduces_robin_load(grid16):
 def test_laplacian_is_symmetric_m_matrix(grid16):
     ops = grid16.operators(1.0)
     A = ops.laplacian
-    for S in (A, ops.stiffness_natural, ops.mass):
+    for S in (A, grid16.stiffness_natural):
         assert S.shape == (grid16.node_count, grid16.node_count)
         assert abs(S - S.T).max() == 0.0
     diag = A.diagonal()
@@ -70,13 +70,13 @@ def test_dirichlet_smallest_eigenvalue(dirichlet64):
 
 
 def test_mass_unit_integral(grid16):
-    d = grid16.operators(1.0).mass.diagonal()
+    d = grid16.mass_diag
     assert (d > 0).all()
     assert d.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mass_quadrature(grid100):
-    M = grid100.operators(1.0).mass.diagonal()
+    M = grid100.mass_diag
     x, y = grid100.x, grid100.y
     odd = np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
     assert abs(M @ odd) < 1e-10
@@ -91,6 +91,32 @@ def test_lu_laplacian_against_dense_oracle(grid16):
     oracle = np.linalg.solve(A.toarray(), rhs)
     x = grid16.operators(1.0).lu_laplacian().solve(rhs)
     assert np.abs(x - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_gram_solve_inverts_gram_apply(s, lu_counts):
+    # on a vector and on the columns of an array; the H1 factor is the
+    # grid's, built once whatever Robin parameters are in use
+    grid = fv.Grid(2, 16)
+    grid.operators(2.0)
+    v = np.random.default_rng(3).standard_normal((grid.node_count, 3))
+    r = np.column_stack([grid.gram_apply(s, c) for c in v.T])
+    assert np.abs(grid.gram_solve(s, r) - v).max() <= 1e-10 * np.abs(v).max()
+    assert np.abs(grid.gram_solve(s, r[:, 0]) - v[:, 0]).max() <= 1e-10 * np.abs(v).max()
+    assert grid.lu_h1() is grid.lu_h1()
+    assert lu_counts["factorizations"] == 1
+
+
+def test_smooth_adjoint_is_the_transpose(grid16):
+    # (S f)'g = f'(S' g), for a vector and for each column of an array
+    rng = np.random.default_rng(4)
+    f = rng.standard_normal(grid16.node_count)
+    g = rng.standard_normal((grid16.node_count, 2))
+    for beta in (0.5, 2.0):
+        ops = grid16.operators(beta)
+        lhs = ops.smooth(f) @ g
+        assert f @ ops.smooth_adjoint(g) == pytest.approx(lhs, rel=1e-10)
+        assert f @ ops.smooth_adjoint(g[:, 1]) == pytest.approx(lhs[1], rel=1e-10)
 
 
 def test_grid_function_arithmetic(grid16, grid32):
