@@ -44,6 +44,7 @@ from .stochastic import (
     LadderPoint,
     NoiseModel,
     RateFit,
+    TrialOutcome,
     expectation_experiment,
     fit_rate,
     observe,

@@ -5,14 +5,16 @@ comes from a preset name and/or a JSON file; --seed and --out override it.
 The table ``_KEYS`` declares, for every configuration key, the value it
 accepts, its default and the commands that read it.  The merged preset and
 file are checked against it before any work: a value of the wrong type or
-range, or a file key that the command does not read, is a configuration
-error naming the key; preset keys the command does not read are dropped.
+range, or a file key that the command does not read (``_UNREAD_WHEN``: also
+in the mode another key sets), is a configuration error naming the key;
+preset keys the command does not read are dropped.
 --threads N runs the Monte-Carlo trials of rates on N worker processes
 (at most one per available CPU; outputs do not depend on N); the other
 commands ignore it.  Exit codes:
-0 success, 2 configuration error, 3 solver non-convergence (the files
-written so far and the manifest are kept), 4 property-check failure.  Data
-that violate a hypothesis of the theory add a ``warning:`` line, not a code.
+0 success, 2 configuration error, 3 solver non-convergence (``main`` writes
+the trace the error carries; the files written so far and the manifest are
+kept), 4 property-check failure.  Data that violate a hypothesis of the
+theory add a ``warning:`` line, not a code.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fit import PointEvaluation, fit_at_weight, policy_weight, solve_data_fit
+from .fit import LambdaTrace, PointEvaluation, fit_at_weight, policy_weight, solve_data_fit
 from .forward import terminal_fields
 from .grid import ConvergenceError, Grid
-from .inverse import PositivityError, fixed_point_solve
+from .inverse import IterationTrace, PositivityError, fixed_point_solve
 from .io import Manifest, write_csv, write_field_csv
 from .metrics import error_bundle
 from .presets import PRESETS, SOURCES, TRUTHS, build_source, build_truth, example2_problem
@@ -180,10 +182,18 @@ _KEYS = {
     "seed": (_num(0, integer=True), 0, {}, _ALL),
 }
 
+# (command, key, value) -> the keys that command does not read when key has that value
+_UNREAD_WHEN = {
+    ("p2", "clean", True): ("n", "sigma", "relative_sigma", "noise", "s", "lambda"),
+    ("rates", "tail_trials", 0): ("tail_n", "tail_zmax"),
+    ("spectral", "which", "dirichlet"): ("n", "penalties", "beta"),
+}
+
 
 def _validate(command: str, preset: dict, user: dict) -> dict:
     """The typed, defaulted value of every key `command` reads; a user key it
-    does not read is an error, a preset key it does not read is dropped."""
+    does not read, also in the mode another key sets, is an error, a preset
+    key it does not read is dropped."""
     for key in user:
         if key not in _KEYS:
             raise ConfigError(f"config error at {key!r}: unknown key")
@@ -204,6 +214,13 @@ def _validate(command: str, preset: dict, user: dict) -> dict:
             cfg[key] = parse(val)
         except ValueError as exc:
             raise ConfigError(f"config error at {key!r}: {exc}") from None
+    for (reader, key, value), unread in _UNREAD_WHEN.items():
+        if reader == command and cfg[key] == value:
+            for name in unread:
+                if name in user:
+                    raise ConfigError(f"config error at {name!r}: {command} does not read "
+                                      f"this key when {key} is {json.dumps(value)}")
+                cfg.pop(name, None)
     return cfg
 
 
@@ -325,17 +342,6 @@ def _weight(cfg: dict, s: int, f_true, sigma: float, n: int):
     return lam
 
 
-def _fit(cfg: dict, meas, s: int, lam, out: Path, manifest: Manifest):
-    """``fit_at_weight``; a weight loop that fails writes its passes to
-    lambda_trace.csv before the ConvergenceError propagates (exit 3)."""
-    try:
-        return fit_at_weight(cfg["beta"], meas, s, lam)
-    except ConvergenceError as exc:
-        if exc.trace is not None:
-            _write_lambda_trace(out, manifest, exc.trace)
-        raise
-
-
 def _write_lambda_trace(out: Path, manifest: Manifest, trace) -> None:
     manifest.add(write_csv(out / "lambda_trace.csv", "lambda-trace-v1",
                            ["iteration", "lambda"], enumerate(trace.lams)))
@@ -349,9 +355,8 @@ def _err_row(bundle) -> list:
 def _write_trace(out: Path, manifest: Manifest, trace) -> None:
     manifest.add(write_csv(out / "iteration_trace.csv", "fp-trace-v1",
                            ["iteration", "increment", "min_step", "misfit"],
-                           [(j + 1, inc, mn, mis) for j, (inc, mn, mis) in
-                            enumerate(zip(trace.increments, trace.step_minima,
-                                          trace.misfits))]))
+                           [(j, *row) for j, row in enumerate(
+                               zip(trace.increments, trace.step_minima, trace.misfits), 1)]))
 
 
 # ---------------------------------------------------------------- commands
@@ -390,8 +395,8 @@ def cmd_p1(cfg: dict, out: Path, manifest: Manifest) -> int:
                                 "err1", "err2", "err3", "err4", "err5"], rows))
         return EXIT_OK
 
-    lam, result, trace = _fit(cfg, meas, s, _weight(cfg, s, f_true, sigma, meas.n),
-                              out, manifest)
+    lam, result, trace = fit_at_weight(cfg["beta"], meas, s,
+                                       _weight(cfg, s, f_true, sigma, meas.n))
     _write_lambda_trace(out, manifest, trace)
     bundle = error_bundle(meas=meas, sf=result.sf, sf_true=sf_true,
                           f=result.f, f_true=f_true)
@@ -416,14 +421,11 @@ def cmd_p2(cfg: dict, out: Path, manifest: Manifest) -> int:
     else:
         s = _require(cfg, "s")
         meas, sigma = _measure(cfg, grid, sf_true)
-        lam, fitres, _ = _fit(cfg, meas, s, _weight(cfg, s, f_true, sigma, meas.n),
-                              out, manifest)
+        lam, fitres, _ = fit_at_weight(cfg["beta"], meas, s,
+                                       _weight(cfg, s, f_true, sigma, meas.n))
         g = fitres.sf
-    try:  # fitted data are clamped to [0, M]; clean data run the raw map
-        q_rec, trace = fixed_point_solve(data, g, clamp=not clean)
-    except (ConvergenceError, PositivityError) as exc:  # exit 3 keeps the steps made
-        _write_trace(out, manifest, exc.trace)
-        raise
+    # fitted data are clamped to [0, M]; clean data run the raw map
+    q_rec, trace = fixed_point_solve(data, g, clamp=not clean)
 
     bundle = error_bundle(q=q_rec, q_true=q_true)
     manifest.add(write_field_csv(out / "source_fields.csv", grid,
@@ -464,13 +466,11 @@ def cmd_rates(cfg: dict, out: Path, manifest: Manifest, workers: int = 1) -> int
     trial_rows, agg_rows = [], []
     for rec in records:
         means = rec.mean_errors()
-        for t, b in enumerate(rec.bundles):
-            trial_rows.append([rec.point.n, rec.lams[t], t] + _err_row(b)
-                              + [rec.sf_errors_n[t], rec.lambda_passes[t],
-                                 rec.fp_iterations[t]])
+        for t, o in enumerate(rec.outcomes):
+            trial_rows.append([rec.point.n, o.lam, t] + _err_row(o.errors)
+                              + [o.sf_err_n, o.lambda_passes, o.fp_iterations])
         agg_rows.append([rec.point.n, rec.lam, rec.rho0]
-                        + ["" if k not in means else means[k]
-                           for k in ("err1", "err2", "err3", "err4", "err5")])
+                        + [means.get(k, "") for k in ("err1", "err2", "err3", "err4", "err5")])
     manifest.add(write_csv(out / "trials.csv", "rate-trials-v2",
                            ["n", "lambda", "trial", "err1", "err2", "err3",
                             "err4", "err5", "sf_err_n", "lambda_passes", "fp_iterations"],
@@ -590,11 +590,13 @@ def main(argv=None) -> int:
         manifest = Manifest(args.command, cfg, cfg["seed"], __version__)
         try:
             code = command(cfg, out, manifest)
-        except ConvergenceError as exc:
-            print(f"error: solver did not converge: {exc}", file=sys.stderr)
-            code = EXIT_NONCONVERGENCE
-        except PositivityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (ConvergenceError, PositivityError) as exc:  # keep the steps it carries
+            if isinstance(exc.trace, LambdaTrace):
+                _write_lambda_trace(out, manifest, exc.trace)
+            elif isinstance(exc.trace, IterationTrace):
+                _write_trace(out, manifest, exc.trace)
+            cause = "solver did not converge: " if isinstance(exc, ConvergenceError) else ""
+            print(f"error: {cause}{exc}", file=sys.stderr)
             code = EXIT_NONCONVERGENCE
         manifest.write(out)
         return code

@@ -32,8 +32,9 @@ class ConvergenceError(RuntimeError):
 
     Raised by the self-consistent weight loop of :mod:`fluoinv.fit`, it
     carries in ``trace`` the weights of the passes made before it (a
-    ``LambdaTrace``); raised by the fixed-point iteration of
-    :mod:`fluoinv.inverse`, the steps it made (an ``IterationTrace``);
+    ``LambdaTrace``, which ``fluoinv.cli.main`` writes to lambda_trace.csv);
+    raised by the fixed-point iteration of :mod:`fluoinv.inverse`, the
+    steps it made (an ``IterationTrace``, written to iteration_trace.csv);
     elsewhere ``trace`` is None.
     """
 

@@ -30,6 +30,7 @@ __all__ = [
     "worker_count",
     "InversionPipeline",
     "LadderPoint",
+    "TrialOutcome",
     "ExperimentRecord",
     "expectation_experiment",
     "RateFit",
@@ -146,56 +147,44 @@ class LadderPoint:
     lam: float | None = None    # weight of every trial; None: self-consistent per trial
 
 
+@dataclass(frozen=True)
+class TrialOutcome:
+    """What one Monte-Carlo trial measured, and the work it took."""
+
+    errors: ErrorBundle
+    sf_err_n: float          # absolute empirical error of Sf against the truth
+    lam: float               # the weight used
+    lambda_passes: int       # weight-loop passes (0 at a given weight)
+    fp_iterations: int       # fixed-point iterations (0 without source recovery)
+
+
 @dataclass
 class ExperimentRecord:
-    """Aggregated outcome of all trials at one ladder point."""
+    """The outcomes of all trials at one ladder point, in trial order."""
 
     point: LadderPoint
-    bundles: list[ErrorBundle]
-    sf_errors_n: list[float]     # absolute empirical errors vs truth, per trial
-    lams: list[float]            # weight actually used, per trial
-    lambda_passes: list[int]     # weight-loop passes, per trial (0 at a given weight)
-    fp_iterations: list[int]     # fixed-point iterations, per trial (0 without run_p2)
+    outcomes: list[TrialOutcome]
     rho0: float
 
     @property
     def trials(self) -> int:
-        return len(self.bundles)
+        return len(self.outcomes)
 
     @property
     def lam(self) -> float:
-        return float(np.mean(np.asarray(self.lams)))
+        return float(np.mean(np.asarray([o.lam for o in self.outcomes])))
+
+    @property
+    def sf_errors_n(self) -> list[float]:
+        return [o.sf_err_n for o in self.outcomes]
 
     def mean_errors(self) -> dict[str, float]:
         out: dict[str, float] = {}
         for key in ("err1", "err2", "err3", "err4", "err5"):
-            vals = [getattr(b, key) for b in self.bundles]
+            vals = [getattr(o.errors, key) for o in self.outcomes]
             if all(v is not None for v in vals):
                 out[key] = float(np.mean(np.asarray(vals)))
         return out
-
-
-def _run_trial(pipeline: InversionPipeline, point: LadderPoint, sensors: PointEvaluation,
-               base_seed: int, ladder_index: int, trial_index: int):
-    seed = trial_seed(base_seed, ladder_index, trial_index)
-    noise = NoiseModel(pipeline.noise_kind, point.sigma, seed)
-    meas = observe(pipeline.sf_true, sensors, noise)
-    q_rec = None
-    fp_iters = 0
-    try:
-        lam, fit, lam_trace = fit_at_weight(pipeline.beta, meas, pipeline.s, point.lam)
-        if pipeline.recovers_source:
-            q_rec, trace = fixed_point_solve(pipeline.data, fit.sf)
-            fp_iters = trace.iterations
-    except (ConvergenceError, PositivityError) as exc:
-        raise type(exc)(f"{exc} at rung n={point.n}, trial {trial_index}") from exc
-    sf_err_n = empirical_norm(sensors.apply(fit.sf) - sensors.apply(pipeline.sf_true))
-    bundle = error_bundle(
-        meas=meas, sf=fit.sf, sf_true=pipeline.sf_true,
-        f=fit.f, f_true=pipeline.f_true,
-        q=q_rec, q_true=pipeline.q_true,
-    )
-    return bundle, sf_err_n, float(lam), lam_trace.outer_iterations, fp_iters
 
 
 def available_cpus() -> int:
@@ -215,7 +204,8 @@ def worker_count(requested: int, tasks: int) -> int:
 
 
 class _TrialRunner:
-    """Runs trial (ladder index, trial index) of one experiment.
+    """Runs trial (ladder index, trial index) of one experiment and returns
+    its TrialOutcome.
 
     Built in the calling process: it draws the sensor points of every rung
     and builds each rung's sensor map (with the E'E of its fits) once,
@@ -240,9 +230,23 @@ class _TrialRunner:
         if pipeline.recovers_source:
             pipeline.data.zero_source_levels()  # every map and initial guess
 
-    def __call__(self, task: tuple[int, int]):
+    def __call__(self, task: tuple[int, int]) -> TrialOutcome:
         i, t = task
-        return _run_trial(self.pipeline, self.ladder[i], self.sensors[i], self.base_seed, i, t)
+        pipeline, point, sensors = self.pipeline, self.ladder[i], self.sensors[i]
+        noise = NoiseModel(pipeline.noise_kind, point.sigma, trial_seed(self.base_seed, i, t))
+        meas = observe(pipeline.sf_true, sensors, noise)
+        q_rec, fp_iters = None, 0
+        try:
+            lam, fit, lam_trace = fit_at_weight(pipeline.beta, meas, pipeline.s, point.lam)
+            if pipeline.recovers_source:
+                q_rec, trace = fixed_point_solve(pipeline.data, fit.sf)
+                fp_iters = trace.iterations
+        except (ConvergenceError, PositivityError) as exc:
+            raise type(exc)(f"{exc} at rung n={point.n}, trial {t}") from exc
+        errors = error_bundle(meas=meas, sf=fit.sf, sf_true=pipeline.sf_true, f=fit.f,
+                              f_true=pipeline.f_true, q=q_rec, q_true=pipeline.q_true)
+        sf_err_n = empirical_norm(sensors.apply(fit.sf) - sensors.apply(pipeline.sf_true))
+        return TrialOutcome(errors, sf_err_n, float(lam), lam_trace.outer_iterations, fp_iters)
 
 
 _worker_runner: _TrialRunner | None = None   # set in pool workers only
@@ -253,11 +257,11 @@ def _install_runner(runner: _TrialRunner) -> None:
     _worker_runner = runner
 
 
-def _run_task(task: tuple[int, int]):
+def _run_task(task: tuple[int, int]) -> TrialOutcome:
     return _worker_runner(task)
 
 
-def _run_tasks(runner: _TrialRunner, tasks: list, workers: int) -> list:
+def _run_tasks(runner: _TrialRunner, tasks: list, workers: int) -> list[TrialOutcome]:
     """Outcomes of `tasks` in task order, on `workers` forked processes.
 
     The runner reaches the workers by fork inheritance, not by pickling
@@ -295,19 +299,9 @@ def expectation_experiment(pipeline: InversionPipeline, ladder, trials: int = 10
     outcomes = _run_tasks(runner, tasks, workers)
 
     norm_f_true = hs_norm(pipeline.f_true, pipeline.s)
-    records = []
-    for i, point in enumerate(ladder):
-        rung = outcomes[i * trials:(i + 1) * trials]
-        records.append(ExperimentRecord(
-            point=point,
-            bundles=[o[0] for o in rung],
-            sf_errors_n=[o[1] for o in rung],
-            lams=[o[2] for o in rung],
-            lambda_passes=[o[3] for o in rung],
-            fp_iterations=[o[4] for o in rung],
-            rho0=float(norm_f_true + point.sigma / np.sqrt(point.n)),
-        ))
-    return records
+    return [ExperimentRecord(point=point, outcomes=outcomes[i * trials:(i + 1) * trials],
+                             rho0=float(norm_f_true + point.sigma / np.sqrt(point.n)))
+            for i, point in enumerate(ladder)]
 
 
 @dataclass

@@ -454,6 +454,11 @@ LADDER = {"mode": "ladder", "values": [1e-6, 1e-5]}
     ("p1", {**P1, "lambda": {"mode": "fixed", "value": 0.5, "values": [0.5]}}, "'values'"),
     ("p2", {**P2_NOISY, "sigma": 0.01, "lambda": {"mode": "prior", "values": [0.5]}},
      "'values'"),
+    ("p2", {**P2, "n": 20, "sigma": 0.01, "s": 0, "lambda": {"mode": "prior"},
+            "noise": "uniform"}, "'n'"),
+    ("rates", {**RATES, "tail_n": 100, "tail_zmax": 2.0}, "'tail_n'"),
+    ("spectral", {"grid": 16, "which": "dirichlet", "n": 20, "penalties": [0], "beta": 2.0},
+     "'n'"),
 ], ids=["rates-sigma-0", "rates-lambda-string", "p1-lambda-string", "rates-trials-0",
         "p1-sigma-negative", "p1-sigma-string", "rates-relative-sigma-negative",
         "rates-relative-sigma-string", "rates-ladder-empty", "p2-inverse-unknown",
@@ -474,7 +479,8 @@ LADDER = {"mode": "ladder", "values": [1e-6, 1e-5]}
         "forward-steps-overflow", "p2-steps-overflow", "verify-steps-overflow",
         "p1-example1-flip-boundary", "rates-example1-flip-boundary", "p1-value-in-prior-mode",
         "rates-value-in-self-consistent-mode", "p1-values-in-fixed-mode",
-        "p2-values-in-prior-mode"])
+        "p2-values-in-prior-mode", "p2-clean-fit-keys", "rates-tail-keys-without-tail",
+        "spectral-dirichlet-pencil-keys"])
 def test_weight_policy_and_trial_errors_are_config_errors(tmp_path, capsys,
                                                           command, payload, key):
     cfg = write_cfg(tmp_path, "c.json", payload)
@@ -526,6 +532,8 @@ JSON_VALUES = st.recursive(
                                      max_size=3)),
     max_leaves=6)
 READS = [(key, command) for key, row in cli._KEYS.items() for command in row[3]]
+# the keys read only once another key is set
+READ_WITH = {"tail_n": {"tail_trials": 50}, "tail_zmax": {"tail_trials": 50}}
 
 
 def test_kinds_cover_the_table():
@@ -538,13 +546,14 @@ def test_each_key_validates_or_names_itself(value):
     # every key against every command that reads it, for each drawn value
     for key, command in READS:
         try:
-            cfg = cli._validate(command, {}, {key: value})
+            cfg = cli._validate(command, {}, {**READ_WITH.get(key, {}), key: value})
         except cli.ConfigError as exc:
             message = str(exc)
             assert message.startswith(f"config error at {key!r}: ") and "\n" not in message
         else:
             assert type(cfg[key]) is KINDS[key]
-            assert cli._validate(command, {}, {key: cfg[key]})[key] == cfg[key]
+            assert (cli._validate(command, {}, {**READ_WITH.get(key, {}), key: cfg[key]})[key]
+                    == cfg[key])
 
 
 # Where README.md lists each preset, plus the benchmark's rates run.
@@ -706,6 +715,9 @@ def test_valid_fit_configurations_end_in_an_exit_code(command, cfg, steps_tau, n
         cfg.update(p2_extra)
         if cfg["truth"] == "example1":  # p2 needs a source
             cfg["truth"] = "example2-smooth"
+        if cfg.get("clean"):  # clean data are not fitted
+            cfg = {k: v for k, v in cfg.items()
+                   if k not in ("n", "s", "noise", "lambda", "sigma", "relative_sigma")}
     if cfg["truth"] == "example1":  # it has no boundary data to flip
         cfg["flip_boundary"] = False
     assert_ends_in_an_exit_code(command, cfg, seed)
@@ -751,6 +763,8 @@ def test_valid_forward_configurations_end_in_an_exit_code(cfg, steps_tau, seed):
                                  unique=True)}),
        seed=st.integers(0, 3))
 def test_valid_spectral_configurations_end_in_an_exit_code(cfg, seed):
+    if cfg["which"] == "dirichlet":  # the closed form reads no sensors or penalties
+        cfg = {k: v for k, v in cfg.items() if k not in ("n", "penalties")}
     assert_ends_in_an_exit_code("spectral", cfg, seed)
 
 

@@ -148,7 +148,7 @@ def test_tail_histogram(small_pipeline):
     assert all(b <= a for a, b in zip(exceedance, exceedance[1:]))
     # the first TAIL_MIN_TRIALS - 1 trials alone are too few for a tail
     k = stochastic.TAIL_MIN_TRIALS - 1
-    few = dataclasses.replace(rec, bundles=rec.bundles[:k], sf_errors_n=rec.sf_errors_n[:k])
+    few = dataclasses.replace(rec, outcomes=rec.outcomes[:k])
     with pytest.raises(ValueError, match=f"need at least {k + 1} trials, have {k}"):
         fv.tail_histogram(few, z)
 
