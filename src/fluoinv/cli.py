@@ -11,10 +11,11 @@ preset keys the command does not read are dropped.
 --threads N runs the Monte-Carlo trials of rates on N worker processes
 (at most one per available CPU; outputs do not depend on N); the other
 commands ignore it.  Exit codes:
-0 success, 2 configuration error, 3 solver non-convergence (``main`` writes
-the trace the error carries; the files written so far and the manifest are
-kept), 4 property-check failure.  Data that violate a hypothesis of the
-theory add a ``warning:`` line, not a code.
+0 success, 2 configuration error (also an --out that cannot be a
+directory), 3 solver non-convergence (``main`` writes the trace the error
+carries; the files written so far and the manifest are kept), 4
+property-check failure.  Data that violate a hypothesis of the theory add
+a ``warning:`` line, not a code.
 """
 
 from __future__ import annotations
@@ -586,7 +587,11 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--threads must be at least 1, got {args.threads}")
             command = functools.partial(command, workers=args.threads)
         out = Path(args.out) if args.out else Path(f"out-{args.command}")
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use {str(out)!r} as the output directory: "
+                              f"{exc.strerror}") from exc
         manifest = Manifest(args.command, cfg, cfg["seed"], __version__)
         try:
             code = command(cfg, out, manifest)

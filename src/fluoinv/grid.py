@@ -165,7 +165,7 @@ class Grid:
 class GridFunction:
     """Nodal values of a scalar field on a Grid.
 
-    Arithmetic is only defined between functions living on the same grid;
+    Subtraction is only defined between functions living on the same grid;
     instances are treated as immutable after construction.
     """
 
@@ -180,52 +180,13 @@ class GridFunction:
         self.grid = grid
         self.values = values
 
-    def _check(self, other: "GridFunction"):
+    def __sub__(self, other: "GridFunction") -> "GridFunction":
         if other.grid is not self.grid:
             raise ValueError("grid mismatch between operands")
-
-    def __add__(self, other):
-        if isinstance(other, GridFunction):
-            self._check(other)
-            return GridFunction(self.grid, self.values + other.values)
-        return GridFunction(self.grid, self.values + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            self._check(other)
-            return GridFunction(self.grid, self.values - other.values)
-        return GridFunction(self.grid, self.values - other)
-
-    def __rsub__(self, other):
-        return GridFunction(self.grid, other - self.values)
-
-    def __mul__(self, other):
-        if isinstance(other, GridFunction):
-            self._check(other)
-            return GridFunction(self.grid, self.values * other.values)
-        return GridFunction(self.grid, self.values * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, GridFunction):
-            self._check(other)
-            return GridFunction(self.grid, self.values / other.values)
-        return GridFunction(self.grid, self.values / other)
-
-    def __neg__(self):
-        return GridFunction(self.grid, -self.values)
+        return GridFunction(self.grid, self.values - other.values)
 
     def min(self) -> float:
         return float(self.values.min())
-
-    def max(self) -> float:
-        return float(self.values.max())
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
 
     def __repr__(self):
         return f"GridFunction({self.grid!r}, n={len(self.values)})"

@@ -8,10 +8,10 @@ emission field by the terminal excitation field:
 The only data it reads is the terminal emission field g: the clean
 observation u_m(., T), or the smoothed field Sf a scattered-data fit
 returns when only noisy point samples are available.  The forcing
--Delta_h g + p g is formed here, once per solve.  On data produced by the
-same discrete forward solver the true source is an exact fixed point, and
-the iteration from the natural initial guess increases monotonically
-toward it.
+-Delta_h g + p g is formed here, once for the initial guess and once for
+the iteration.  On data produced by the same discrete forward solver the
+true source is an exact fixed point, and the iteration from the natural
+initial guess increases monotonically toward it.
 
 One application of the map marches the excitation only.  With the step
 matrix A_r = W/tau + L + W diag(r), the backward-Euler steps are
@@ -127,21 +127,21 @@ def initial_guess(data: ProblemData, g: GridFunction) -> GridFunction:
 def fixed_point_solve(data: ProblemData, g: GridFunction, clamp: bool = True):
     """Iterate the map for the terminal field g from the natural initial guess.
 
-    g is the clean terminal observation or the fitted field Sf; its forcing
-    is formed once.  Per-step misfits in the trace compare
-    the terminal emission field of the current iterate against g.  With
-    ``clamp`` (the default, for fitted data) iterates are projected onto
-    [0, M], since noise can push them outside; without it (clean data) the
-    raw map and its monotonicity are observable, and an iterate leaving the
-    admissible set raises PositivityError.  Returns ``(q, trace)`` once an
+    g is the clean terminal observation or the fitted field Sf; the
+    iteration starts from ``initial_guess`` and forms its forcing once.
+    Per-step misfits in the trace compare the terminal emission field of
+    the current iterate against g.  With ``clamp`` (the default, for
+    fitted data) iterates are projected onto [0, M], since noise can push
+    them outside; without it (clean data) the raw map and its monotonicity
+    are observable, and an iterate leaving the admissible set raises
+    PositivityError.  Returns ``(q, trace)`` once an
     L2 increment falls below FIXED_POINT_TOL; after FIXED_POINT_MAX_ITER
     steps raises ConvergenceError.  Either error carries the trace so far.
     """
     forcing = _forcing(data, g)
     trace = IterationTrace()
     try:
-        # the initial guess, on the forcing formed above
-        q = _guarded_divide(forcing, data.zero_source_levels()[0], data.grid)
+        q = initial_guess(data, g)
         if clamp:
             q = GridFunction(data.grid, np.clip(q.values, 0.0, data.M))
         for _ in range(FIXED_POINT_MAX_ITER):

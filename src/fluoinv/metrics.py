@@ -81,9 +81,6 @@ class ErrorBundle:
     err4: float | None = None
     err5: float | None = None
 
-    def present(self) -> dict[str, float]:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
-
 
 def _rel(num: float, den: float, label: str) -> float:
     if den == 0.0:

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -10,6 +13,15 @@ from fluoinv.presets import example2_problem, smooth_source
 # fail them.
 settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
 settings.load_profile("tier1")
+
+SRC = Path(fv.__file__).resolve().parents[1]
+
+
+def package_env(**extra):
+    """The environment for a subprocess that imports this package from its
+    sources: this one, with ``extra`` added and SRC first on PYTHONPATH."""
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import re
 import subprocess
 import sys
@@ -19,6 +18,8 @@ from fluoinv import cli, inverse
 from fluoinv.cli import main
 from fluoinv.presets import PRESETS
 from fluoinv.verify import BATTERY_CHECKS
+
+from conftest import package_env
 
 
 def read_csv(path):
@@ -50,6 +51,17 @@ def test_missing_key_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {"grid": 16})
     assert main(["forward", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "'source'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under", ["afile", "afile/sub"], ids=["file", "under-a-file"])
+def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, under):
+    (tmp_path / "afile").write_text("")
+    cfg = write_cfg(tmp_path, "c.json", {"grid": 8, "source": "zero"})
+    out = tmp_path / under
+    assert main(["forward", "--config", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert repr(str(out)) in lines[0]
 
 
 def test_forward_zero_source(tmp_path):
@@ -348,10 +360,7 @@ def test_rates_positivity_failure_names_rung_and_trial(tmp_path, capsys, threads
 def run_cli(argv, **env):
     """``python -m fluoinv.cli argv`` in a subprocess on this package's sources,
     with the given environment variables added; the completed process."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, **env,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "fluoinv.cli", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "fluoinv.cli", *argv], env=package_env(**env),
                           capture_output=True, text=True)
 
 

@@ -122,12 +122,10 @@ def test_smooth_adjoint_is_the_transpose(grid16):
 def test_grid_function_arithmetic(grid16, grid32):
     a = grid16.function(lambda x, y: x + y)
     b = grid16.function(lambda x, y: x * y)
-    assert np.allclose((a + b).values, a.values + b.values)
-    assert np.allclose((a - 2.0 * b).values, a.values - 2 * b.values)
-    assert np.allclose((a * b).values, a.values * b.values)
+    assert np.array_equal((a - b).values, a.values - b.values)
     other = grid32.zeros()
-    with pytest.raises(ValueError):
-        _ = a + other
+    with pytest.raises(ValueError, match="grid mismatch"):
+        _ = a - other
     with pytest.raises(ValueError):
         fv.GridFunction(grid16, np.zeros(5))
 

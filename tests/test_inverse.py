@@ -65,7 +65,7 @@ def test_clean_recovery_inverse_crime(ex2_32):
 def test_clamped_iterates_stay_admissible(ex2_32):
     data, g = ex2_32["data"], ex2_32["g"]
     # inflate the field: its initial guess is about 20 q_0 > M
-    g_big = 20.0 * g
+    g_big = data.grid.function(20.0 * g.values)
     assert fv.initial_guess(data, g_big).values.max() > data.M
     q, trace = fv.fixed_point_solve(data, g_big)
     assert q.values.min() >= 0.0
@@ -77,7 +77,7 @@ def test_positivity_error_carries_the_trace(ex2_32):
     # excitation vanishes; the error keeps the iterations made before it
     data, g = ex2_32["data"], ex2_32["g"]
     with pytest.raises(fv.PositivityError, match="nonpositive") as failed:
-        fv.fixed_point_solve(data, 20.0 * g, clamp=False)
+        fv.fixed_point_solve(data, data.grid.function(20.0 * g.values), clamp=False)
     trace = failed.value.trace
     assert trace.iterations > 0
     assert len(trace.step_minima) == trace.iterations

@@ -6,17 +6,15 @@ must equal what ``trials.csv`` records of the same work."""
 
 import csv
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import fluoinv
+from conftest import package_env
 
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
-SRC = Path(fluoinv.__file__).resolve().parents[1]
 
 SELF_CONSISTENT_P2 = {"grid": 16, "tau": 0.25, "truth": "example2-smooth", "s": 1,
                       "relative_sigma": 0.001, "ladder": [100, 300, 1000], "trials": 2,
@@ -33,9 +31,7 @@ def traced_rates(tmp_path, cfg):
     config.write_text(json.dumps(cfg))
     spec.write_text(json.dumps({"mode": "trace", "argv": [
         "rates", "--config", str(config), "--threads", "1", "--out", str(out)]}))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    subprocess.run([sys.executable, str(WORKER), str(spec), str(result)], env=env,
+    subprocess.run([sys.executable, str(WORKER), str(spec), str(result)], env=package_env(),
                    check=True)
     res = json.loads(result.read_text())
     assert res["code"] == 0
