@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+# the most time steps T/tau a problem may take, 1,000 times the presets'
+# 100; a problem above it is rejected before its time levels are allocated
+MAX_STEPS = 100_000
+
+
 class ProblemData:
     """Coefficients and run parameters for one forward model.
 
@@ -46,7 +51,7 @@ class ProblemData:
     beta : float
         Robin parameter.
     T, tau : float
-        Final time and time step; T/tau must be an integer.
+        Final time and time step; T/tau must be an integer, at most MAX_STEPS.
     M : float
         Upper bound of the admissible source set [0, M].
 
@@ -67,6 +72,8 @@ class ProblemData:
         if not steps < np.inf or round(steps) < 1 \
                 or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(f"T/tau = {steps} is not a positive integer number of steps")
+        if steps > MAX_STEPS:
+            raise ValueError(f"T/tau = {steps:g} steps is above the cap MAX_STEPS = {MAX_STEPS}")
         if p.grid is not grid:
             raise ValueError("p must live on the problem grid")
         self.grid = grid

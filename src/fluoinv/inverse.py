@@ -30,6 +30,21 @@ last two levels of v cached on the problem: one factorization and T/tau
 solves per application, and no history held.  The result agrees with the
 coupled march of ``terminal_fields`` to roundoff; u_e(T) is the same bit
 for bit.
+
+Unclamped (clean data), the iteration is the plain monotone one,
+q_(j+1) = F(q_j).  Clamped to [0, M] (fitted data), its rate is linear and
+steady, and each step is mixed with the previous one by a secant
+(depth-1 Anderson) rule: with F_j = clip(F(q_j), 0, M) and residual
+r_j = F_j - q_j,
+
+    q_(j+1) = clip(F_j - gamma (F_j - F_(j-1)), 0, M),
+    gamma   = <r_j - r_(j-1), r_j> / <r_j - r_(j-1), r_j - r_(j-1)>,
+
+in the lumped-mass inner product (Anderson, J. ACM 12 (1965) 547-560;
+Walker and Ni, SIAM J. Numer. Anal. 49 (2011) 1715-1735).  The first step,
+and any step whose residual did not fall, is the plain step q_(j+1) = F_j.
+Both iterations stop once ||r_j||_L2 falls below FIXED_POINT_TOL and
+return F_j; for a plain step r_j is the step q_(j+1) - q_j itself.
 """
 
 from __future__ import annotations
@@ -40,7 +55,7 @@ import numpy as np
 
 from .forward import ProblemData, terminal_excitation
 from .grid import ConvergenceError, GridFunction
-from .metrics import l2_norm
+from .metrics import _dot, l2_norm
 
 __all__ = [
     "IterationTrace",
@@ -66,8 +81,9 @@ class PositivityError(RuntimeError):
     trace: IterationTrace | None = None
 
 
-# the iteration stops when an L2 increment falls below FIXED_POINT_TOL, and
-# raises ConvergenceError after FIXED_POINT_MAX_ITER steps
+# the iteration stops when the L2 norm of a residual F(q_j) - q_j falls
+# below FIXED_POINT_TOL, and raises ConvergenceError after
+# FIXED_POINT_MAX_ITER map applications
 FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITER = 200
 
@@ -76,8 +92,10 @@ FIXED_POINT_MAX_ITER = 200
 class IterationTrace:
     """Per-step diagnostics of a fixed-point run."""
 
-    increments: list[float] = field(default_factory=list)   # ||q_{j+1} - q_j||_L2
-    step_minima: list[float] = field(default_factory=list)  # min_x (q_{j+1} - q_j)
+    # r_j = F(q_j) - q_j of the (clamped) map: the step q_{j+1} - q_j of a
+    # plain iteration; the iteration stops on its L2 norm
+    increments: list[float] = field(default_factory=list)   # ||r_j||_L2
+    step_minima: list[float] = field(default_factory=list)  # min_x r_j
     misfits: list[float] = field(default_factory=list)      # ||u_m(T; q_j) - g||_L2
 
     @property
@@ -124,6 +142,20 @@ def initial_guess(data: ProblemData, g: GridFunction) -> GridFunction:
     return _guarded_divide(_forcing(data, g), data.zero_source_levels()[0], data.grid)
 
 
+def _secant_step(F: np.ndarray, r: np.ndarray, F_prev: np.ndarray, r_prev: np.ndarray,
+                 data: ProblemData) -> np.ndarray:
+    """The depth-1 Anderson iterate clip(F - gamma (F - F_prev), 0, M), gamma
+    minimizing ||r - gamma (r - r_prev)|| in the lumped-mass inner product;
+    F itself when the residuals do not differ."""
+    dr = r - r_prev
+    w_dr = data.grid.mass_diag * dr
+    dr_dr = _dot(dr, w_dr)
+    if dr_dr == 0.0:
+        return F
+    gamma = _dot(w_dr, r) / dr_dr
+    return np.clip(F - gamma * (F - F_prev), 0.0, data.M)
+
+
 def fixed_point_solve(data: ProblemData, g: GridFunction, clamp: bool = True):
     """Iterate the map for the terminal field g from the natural initial guess.
 
@@ -131,12 +163,14 @@ def fixed_point_solve(data: ProblemData, g: GridFunction, clamp: bool = True):
     iteration starts from ``initial_guess`` and forms its forcing once.
     Per-step misfits in the trace compare the terminal emission field of
     the current iterate against g.  With ``clamp`` (the default, for
-    fitted data) iterates are projected onto [0, M], since noise can push
-    them outside; without it (clean data) the raw map and its monotonicity
-    are observable, and an iterate leaving the admissible set raises
-    PositivityError.  Returns ``(q, trace)`` once an
-    L2 increment falls below FIXED_POINT_TOL; after FIXED_POINT_MAX_ITER
-    steps raises ConvergenceError.  Either error carries the trace so far.
+    fitted data) the map is projected onto [0, M], since noise can push
+    it outside, and its steps are secant-mixed (see the module docstring);
+    without it (clean data) the raw map and the monotonicity of its plain
+    iterates are observable, and an iterate leaving the admissible set
+    raises PositivityError.  The trace records each residual
+    r_j = F(q_j) - q_j.  Returns ``(F(q_j), trace)`` once ||r_j||_L2 falls
+    below FIXED_POINT_TOL; after FIXED_POINT_MAX_ITER map applications
+    raises ConvergenceError.  Either error carries the trace so far.
     """
     forcing = _forcing(data, g)
     trace = IterationTrace()
@@ -144,6 +178,7 @@ def fixed_point_solve(data: ProblemData, g: GridFunction, clamp: bool = True):
         q = initial_guess(data, g)
         if clamp:
             q = GridFunction(data.grid, np.clip(q.values, 0.0, data.M))
+        F_prev = r_prev = None
         for _ in range(FIXED_POINT_MAX_ITER):
             if not clamp and q.values.min() < 0.0:
                 raise PositivityError(
@@ -152,18 +187,22 @@ def fixed_point_solve(data: ProblemData, g: GridFunction, clamp: bool = True):
                 )
             ue_T, dtum_T, um_T = _terminal_triple(data, q)
             trace.misfits.append(l2_norm(um_T - g))
-            q_next = _guarded_divide(dtum_T.values + forcing, ue_T.values, data.grid)
+            F = _guarded_divide(dtum_T.values + forcing, ue_T.values, data.grid)
             if clamp:
-                q_next = GridFunction(data.grid, np.clip(q_next.values, 0.0, data.M))
-            step = q_next - q
-            trace.increments.append(l2_norm(step))
-            trace.step_minima.append(step.min())
-            q = q_next
+                F = GridFunction(data.grid, np.clip(F.values, 0.0, data.M))
+            r = F - q
+            trace.increments.append(l2_norm(r))
+            trace.step_minima.append(r.min())
             if trace.increments[-1] < FIXED_POINT_TOL:
-                return q, trace
+                return F, trace
+            q = F
+            if clamp and r_prev is not None and trace.increments[-1] < trace.increments[-2]:
+                q = GridFunction(data.grid, _secant_step(F.values, r.values, F_prev, r_prev,
+                                                         data))
+            F_prev, r_prev = F.values, r.values
         raise ConvergenceError(
             f"fixed-point iteration, at its step cap FIXED_POINT_MAX_ITER = "
-            f"{FIXED_POINT_MAX_ITER}: the last step moved q by {trace.increments[-1]:g} "
+            f"{FIXED_POINT_MAX_ITER}: the last residual F(q) - q was {trace.increments[-1]:g} "
             f"in L2, not below FIXED_POINT_TOL = {FIXED_POINT_TOL:g}"
         )
     except (ConvergenceError, PositivityError) as exc:

@@ -456,6 +456,7 @@ LADDER = {"mode": "ladder", "values": [1e-6, 1e-5]}
     ("p2", {"grid": 4, "truth": "example2-smooth", "clean": True, "T": 1, "tau": 1e-320},
      "'tau'"),
     ("verify", {"grid": 4, "tau": 1e-320}, "'tau'"),
+    ("forward", {"grid": 8, "source": "zero", "T": 1e6, "tau": 1e-6}, "'tau'"),
     ("p1", {**P1, "flip_boundary": True}, "'flip_boundary'"),
     ("rates", {**RATES, "flip_boundary": True}, "'flip_boundary'"),
     ("p1", {**P1, "lambda": {"mode": "prior", "value": 0.5}}, "'value'"),
@@ -486,6 +487,7 @@ LADDER = {"mode": "ladder", "values": [1e-6, 1e-5]}
         "p1-prior-weight-underflows", "p2-noise-square-overflows",
         "rates-prior-weight-underflows", "p2-tau-squared-overflows",
         "forward-steps-overflow", "p2-steps-overflow", "verify-steps-overflow",
+        "forward-steps-above-cap",
         "p1-example1-flip-boundary", "rates-example1-flip-boundary", "p1-value-in-prior-mode",
         "rates-value-in-self-consistent-mode", "p1-values-in-fixed-mode",
         "p2-values-in-prior-mode", "p2-clean-fit-keys", "rates-tail-keys-without-tail",
@@ -659,6 +661,16 @@ def test_weight_loop_outputs_do_not_depend_on_blas_threads(tmp_path, s):
     one, two = outputs_at_blas_threads(
         tmp_path, ["p1", "--preset", "example1", "--config", cfg],
         ("lambda_trace.csv", "fit_fields.csv", "fit_errors.csv"))
+    assert one == two
+
+
+def test_source_recovery_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # grid 100, where BLAS dot products change their last bit with the thread
+    # count: the secant mixing of the clamped fixed point takes its inner
+    # products by pairwise sums, so the fit and the iteration repeat bit for bit
+    one, two = outputs_at_blas_threads(
+        tmp_path, ["p2", "--preset", "example2-smooth"],
+        ("iteration_trace.csv", "source_fields.csv", "source_errors.csv"))
     assert one == two
 
 

@@ -121,6 +121,50 @@ def test_fixed_point_at_its_cap_raises(ex2_32, monkeypatch, lu_counts):
     assert lu_counts == {"factorizations": 3, "solves": 3 * data.n_steps}
 
 
+@pytest.fixture(scope="module")
+def fitted_40():
+    """``p2 --preset example2-smooth --seed 0`` at grid 40: the problem and
+    the fitted field Sf that its clamped iteration reads."""
+    grid = fv.Grid(2, 40)
+    _, sf_true, data, _ = build_truth("example2-smooth", grid)
+    sigma = 0.01 * np.abs(sf_true.values).max()
+    meas = observe(sf_true, fv.PointEvaluation(grid, sample_points(2, 500, seed=0)),
+                   NoiseModel("gaussian", sigma, np.random.SeedSequence(0)))
+    _, fit, _ = fv.self_consistent_lambda(1.0, meas, 1)
+    return data, fit.sf
+
+
+def test_clamped_iteration_is_secant_mixed(fitted_40, monkeypatch, lu_counts):
+    # the mixed iteration takes 8 map applications where the plain clamped
+    # one takes 12, lands on the same point, and feeds the map only
+    # iterates in [0, M]
+    data, g = fitted_40
+
+    def clamped(u):
+        return fv.GridFunction(data.grid, np.clip(u.values, 0.0, data.M))
+
+    picard = clamped(fv.initial_guess(data, g))  # the plain clamped iteration
+    for applications in range(1, inverse.FIXED_POINT_MAX_ITER + 1):
+        previous, picard = picard, clamped(fv.fixed_point_map(data, picard, g))
+        if fv.l2_norm(picard - previous) < inverse.FIXED_POINT_TOL:
+            break
+    assert applications == 12
+
+    triple, iterates = inverse._terminal_triple, []
+
+    def recorded(data, q):
+        iterates.append(q.values)
+        return triple(data, q)
+
+    monkeypatch.setattr(inverse, "_terminal_triple", recorded)
+    lu_counts.update(factorizations=0, solves=0)
+    q, trace = fv.fixed_point_solve(data, g)
+    assert trace.iterations == len(iterates) == 8
+    assert lu_counts == {"factorizations": 8, "solves": 8 * data.n_steps}
+    assert all(0.0 <= v.min() and v.max() <= data.M for v in [*iterates, q.values])
+    assert fv.l2_norm(q - picard) <= 1e-9 * fv.l2_norm(picard)
+
+
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda data, g: fv.initial_guess(data, g), "problem grid",
                  id="guess-g-off-grid"),
