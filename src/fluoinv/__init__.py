@@ -16,7 +16,6 @@ from .fit import (
     PointEvaluation,
     SolveReport,
     optimal_lambda_prior,
-    policy_weight,
     self_consistent_lambda,
     solve_data_fit,
 )

@@ -3,19 +3,21 @@
 Subcommands: forward | p1 | p2 | rates | spectral | verify.  Configuration
 comes from a preset name and/or a JSON file; --seed and --out override it.
 The table ``_KEYS`` declares, for every configuration key, the value it
-accepts, its default and the commands that read it.  The merged preset and
-file are checked against it before any work: a value of the wrong type or
-range, or a file key that the command does not read (``_UNREAD_WHEN``: also
-in the mode another key sets), is a configuration error naming the key;
-preset keys the command does not read are dropped.
+accepts, its default (or ``REQUIRED``) and the commands that read it.
+``_validate`` checks the merged preset and file against it, and against the
+few rules that span keys, before any work: a wrong value, a missing key, a
+file key the command does not read (``_UNREAD_WHEN``: also in the mode
+another key sets) or a broken rule is a configuration error naming the key;
+preset keys the command does not read are dropped.  Only rules on computed
+data (T/tau, the squared noise, the prior weight, the pencil's rank) fail later.
 --threads N runs the Monte-Carlo trials of rates on N worker processes
 (at most one per available CPU; outputs do not depend on N); the other
 commands ignore it.  Exit codes:
 0 success, 2 configuration error (also an --out that cannot be a
-directory), 3 solver non-convergence (``main`` writes the trace the error
-carries; the files written so far and the manifest are kept), 4
-property-check failure.  Data that violate a hypothesis of the theory add
-a ``warning:`` line, not a code.
+directory, and a run out of memory), 3 solver non-convergence (``main``
+writes the trace the error carries; the files written so far and the
+manifest are kept), 4 property-check failure.  Data that violate a
+hypothesis of the theory add a ``warning:`` line, not a code.
 """
 
 from __future__ import annotations
@@ -29,14 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fit import LambdaTrace, PointEvaluation, fit_at_weight, policy_weight, solve_data_fit
+from .fit import LambdaTrace, PointEvaluation, fit_at_weight, optimal_lambda_prior, solve_data_fit
 from .forward import terminal_fields
 from .grid import ConvergenceError, Grid
 from .inverse import IterationTrace, PositivityError, fixed_point_solve
 from .io import Manifest, write_csv, write_field_csv
-from .metrics import error_bundle
+from .metrics import error_bundle, hs_norm
 from .presets import PRESETS, SOURCES, TRUTHS, build_source, build_truth, example2_problem
-from .spectral import empirical_smoothing_spectrum, laplacian_spectrum
+from .spectral import PENCIL_POINT_CAP, empirical_smoothing_spectrum, laplacian_spectrum
 from .stochastic import (
     NOISE_KINDS,
     TAIL_MIN_TRIALS,
@@ -105,7 +107,8 @@ def _one_of(*choices):
 
 
 def _policy(**fields):
-    """The weight policy object, whose "value" only fixed mode reads, and "values" only ladder."""
+    """The weight policy object: "value" is read, and required, in fixed mode
+    only, and "values" in ladder mode only."""
     policy = _object({"mode": "prior"}, **fields)
 
     def parse(val):
@@ -113,6 +116,8 @@ def _policy(**fields):
         for sub, mode in (("value", "fixed"), ("values", "ladder")):
             if sub in out and out["mode"] != mode:
                 raise ValueError(f"{sub!r} is read in {mode} mode only, not in {out['mode']} mode")
+            if sub not in out and out["mode"] == mode:
+                raise ValueError(f"{sub!r} is required in {mode} mode")
         return out
     return parse
 
@@ -149,11 +154,12 @@ _ALL = ("forward", "p1", "p2", "rates", "spectral", "verify")
 _PROBLEM = ("forward", "p1", "p2", "rates")
 _FIT = ("p1", "p2", "rates")
 
+REQUIRED = object()  # the default of a key that a command reading it needs given
+
 # key -> (accepted value, default, per-command defaults, commands that read it).
-# A None default leaves the key unset: required keys are checked where they
-# are read, because p2 with "clean": true needs no fit keys.
+# A None default leaves the key unset.
 _KEYS = {
-    "grid": (_num(4, integer=True), None, {"verify": 32}, _ALL),
+    "grid": (_num(4, integer=True), REQUIRED, {"verify": 32}, _ALL),
     "dim": (_num(1, 2, integer=True), 2, {}, _PROBLEM + ("spectral",)),
     "beta": (_POSITIVE, 1.0, {}, _PROBLEM + ("spectral",)),
     "T": (_POSITIVE, 1.0, {}, _PROBLEM),
@@ -161,18 +167,18 @@ _KEYS = {
     "tau": (_POSITIVE, 0.01, {"verify": 0.25}, _PROBLEM + ("verify",)),
     "M": (_POSITIVE, 5.0, {}, _PROBLEM),
     "flip_boundary": (_FLAG, False, {}, _PROBLEM + ("verify",)),
-    "source": (_one_of(*SOURCES), None, {}, ("forward",)),
-    "truth": (_one_of(*TRUTHS), None, {}, _FIT),
-    "n": (_COUNT, None, {"spectral": 200}, ("p1", "p2", "spectral")),
+    "source": (_one_of(*SOURCES), REQUIRED, {}, ("forward",)),
+    "truth": (_one_of(*TRUTHS), REQUIRED, {}, _FIT),
+    "n": (_COUNT, REQUIRED, {"spectral": 200}, ("p1", "p2", "spectral")),
     "sigma": (_num(0), None, {}, _FIT),
     "relative_sigma": (_num(0), None, {}, _FIT),
     "noise": (_one_of(*NOISE_KINDS), "gaussian", {}, _FIT),
-    "s": (_num(0, 1, integer=True), None, {}, _FIT),
+    "s": (_num(0, 1, integer=True), REQUIRED, {}, _FIT),
     "lambda": (_policy(mode=_one_of("prior", "fixed", "self-consistent", "ladder"),
                        value=_POSITIVE, values=_list_of(_POSITIVE)), {}, {}, _FIT),
     "clean": (_FLAG, False, {}, ("p2",)),
     "run_p2": (_FLAG, False, {}, ("rates",)),
-    "ladder": (_list_of(_COUNT), None, {}, ("rates",)),
+    "ladder": (_list_of(_COUNT), REQUIRED, {}, ("rates",)),
     "trials": (_COUNT, 10, {}, ("rates",)),
     "tail_trials": (_off_or_at_least(TAIL_MIN_TRIALS), 0, {}, ("rates",)),
     "tail_n": (_COUNT, None, {}, ("rates",)),
@@ -183,25 +189,33 @@ _KEYS = {
     "seed": (_num(0, integer=True), 0, {}, _ALL),
 }
 
+_COUPLED = ("T", "tau", "M", "flip_boundary")  # keys of the coupled problem, not of example1
 # (command, key, value) -> the keys that command does not read when key has that value
 _UNREAD_WHEN = {
+    ("p1", "truth", "example1"): _COUPLED,
+    ("rates", "truth", "example1"): _COUPLED,
     ("p2", "clean", True): ("n", "sigma", "relative_sigma", "noise", "s", "lambda"),
     ("rates", "tail_trials", 0): ("tail_n", "tail_zmax"),
     ("spectral", "which", "dirichlet"): ("n", "penalties", "beta"),
+    ("spectral", "which", "pencil"): ("k_max",),
 }
+_NOISE = ("sigma", "relative_sigma")
 
 
 def _validate(command: str, preset: dict, user: dict) -> dict:
-    """The typed, defaulted value of every key `command` reads; a user key it
-    does not read, also in the mode another key sets, is an error, a preset
-    key it does not read is dropped."""
+    """The typed, defaulted value of every key `command` reads, all rules on
+    them checked; a user key it does not read, also in the mode another key
+    sets, is an error, a preset key it does not read is dropped, and so is a
+    preset's noise level when the user gives one."""
     for key in user:
         if key not in _KEYS:
             raise ConfigError(f"config error at {key!r}: unknown key")
         if command not in _KEYS[key][3]:
             raise ConfigError(f"config error at {key!r}: {command} does not read this key")
     given = {**preset, **user}
-    cfg = {}
+    if user.keys() & set(_NOISE):
+        given = {k: v for k, v in given.items() if k in user or k not in _NOISE}
+    cfg, missing = {}, []
     for key, (parse, default, by_command, readers) in _KEYS.items():
         if command not in readers:
             continue
@@ -209,19 +223,48 @@ def _validate(command: str, preset: dict, user: dict) -> dict:
             val = given[key]
         else:
             val = by_command.get(command, default)
-            if val is None:
+            if val is REQUIRED:
+                missing.append(key)
+            if val is None or val is REQUIRED:
                 continue
         try:
             cfg[key] = parse(val)
         except ValueError as exc:
             raise ConfigError(f"config error at {key!r}: {exc}") from None
-    for (reader, key, value), unread in _UNREAD_WHEN.items():
-        if reader == command and cfg[key] == value:
-            for name in unread:
+    unread = set()
+    for (reader, key, value), names in _UNREAD_WHEN.items():
+        if reader == command and cfg.get(key) == value:
+            for name in names:
                 if name in user:
                     raise ConfigError(f"config error at {name!r}: {command} does not read "
                                       f"this key when {key} is {json.dumps(value)}")
                 cfg.pop(name, None)
+            unread.update(names)
+    if missing := [key for key in missing if key not in unread]:
+        raise ConfigError(f"config error at {missing[0]!r}: required key is missing")
+
+    def fail(key, why):  # the rules that span keys
+        raise ConfigError(f"config error at {key!r}: {why}")
+
+    if cfg.get("truth") == "example1" and (command == "p2" or cfg.get("run_p2")):
+        fail("truth", "source recovery needs a coupled-model truth")
+    if command in _FIT and "sigma" not in unread:
+        levels = [key for key in _NOISE if key in cfg]
+        if not levels:
+            fail("sigma", "one of 'sigma' and 'relative_sigma' is required")
+        if len(levels) == 2:
+            fail("relative_sigma", "give one of 'sigma' and 'relative_sigma', not both")
+        mode = cfg["lambda"]["mode"]
+        if mode == "ladder" and command != "p1":
+            fail("lambda", f"ladder mode is read by p1 only, not by {command}")
+        if mode == "prior" and not cfg[levels[0]] > 0:
+            fail("lambda", f"the prior weight needs a positive noise level, {levels[0]!r} is 0")
+    if (command == "forward" or cfg.get("truth", "example1") != "example1") and cfg["dim"] != 2:
+        fail("dim", f"the example2 problem needs a 2-D grid, got dim {cfg['dim']}")
+    if "k_max" in cfg and cfg["k_max"] > (interior := (cfg["grid"] - 1) ** cfg["dim"]):
+        fail("k_max", f"{cfg['k_max']} modes exceed the {interior} interior nodes")
+    if command == "spectral" and cfg.get("n", 0) > PENCIL_POINT_CAP:
+        fail("n", f"{cfg['n']} sensors exceed the dense-pencil cap {PENCIL_POINT_CAP}")
     return cfg
 
 
@@ -256,24 +299,14 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config error at {key!r}: required key is missing")
-    return cfg[key]
-
-
-def _grid_from(cfg: dict) -> Grid:
-    return Grid(cfg["dim"], _require(cfg, "grid"))
-
-
 def _problem(cfg: dict, build, *args):
-    """build(*args, beta=, T=, tau=, M=, flip_boundary=); what the table cannot
-    check spans keys: example2 needs a 2-D grid, and T/tau a whole number."""
+    """build(*args, beta=, T=, tau=, M=, flip_boundary=), of those keys the
+    configuration reads; the step-count rules of the problem data, which
+    need T/tau computed, are reported at 'tau'."""
     try:
-        return build(*args, **{k: cfg[k] for k in ("beta", "T", "tau", "M", "flip_boundary")})
+        return build(*args, **{k: cfg[k] for k in ("beta", *_COUPLED) if k in cfg})
     except ValueError as exc:
-        key = "dim" if cfg["dim"] != 2 else "tau"
-        raise ConfigError(f"config error at {key!r}: {exc}") from exc
+        raise ConfigError(f"config error at 'tau': {exc}") from exc
 
 
 def _report_violations(data) -> None:
@@ -283,25 +316,17 @@ def _report_violations(data) -> None:
               f"{'; '.join(data.violations)}", file=sys.stderr)
 
 
-def _truth(cfg: dict, grid: Grid, needs_source: bool = False):
+def _truth(cfg: dict, grid: Grid):
     """(f_true, sf_true, data, q_true) of the configured truth."""
-    truth = _problem(cfg, build_truth, _require(cfg, "truth"), grid)
+    truth = _problem(cfg, build_truth, cfg["truth"], grid)
     if truth[2] is not None:
         _report_violations(truth[2])
-    elif needs_source:
-        raise ConfigError("config error at 'truth': source recovery needs a coupled-model truth")
-    elif cfg["flip_boundary"]:
-        raise ConfigError("config error at 'flip_boundary': the example1 truth has no boundary")
     return truth
 
 
 def _sigma_key(cfg: dict) -> str:
-    """The key the noise level comes from: 'sigma' wins over 'relative_sigma'."""
-    if "sigma" in cfg:
-        return "sigma"
-    if "relative_sigma" not in cfg:
-        raise ConfigError("config error: one of 'sigma' or 'relative_sigma' is required")
-    return "relative_sigma"
+    """The key the noise level comes from."""
+    return "sigma" if "sigma" in cfg else "relative_sigma"
 
 
 def _sigma_from(cfg: dict, sf_true) -> float:
@@ -318,26 +343,24 @@ def _sigma_from(cfg: dict, sf_true) -> float:
 
 
 def _measure(cfg: dict, grid: Grid, sf_true):
-    n = _require(cfg, "n")
     sigma = _sigma_from(cfg, sf_true)
-    sensors = PointEvaluation(grid, sample_points(grid.dim, n, seed=cfg["seed"]))
+    sensors = PointEvaluation(grid, sample_points(grid.dim, cfg["n"], seed=cfg["seed"]))
     noise = NoiseModel(cfg["noise"], sigma, np.random.SeedSequence(cfg["seed"]))
     return observe(sf_true, sensors, noise), sigma
 
 
 def _weight(cfg: dict, s: int, f_true, sigma: float, n: int):
-    """The configured weight policy resolved for n sensors (None: self-consistent).
-
-    A prior weight that underflows to 0 or overflows is a configuration
-    error naming the key the noise level came from.
-    """
+    """The configured weight for n sensors: the a-priori rule's (prior), the
+    given value (fixed) or None (self-consistent: estimated per fit).  A prior
+    weight that underflows to 0 or overflows is a configuration error naming
+    the key the noise level came from."""
     policy = cfg["lambda"]
-    try:
-        with np.errstate(over="ignore"):
-            lam = policy_weight(policy["mode"], s, f_true, sigma, n, policy.get("value"))
-    except ValueError as exc:
-        raise ConfigError(f"config error at 'lambda': {exc}") from exc
-    if lam is not None and not 0.0 < lam < np.inf:
+    if policy["mode"] != "prior":
+        return policy.get("value")
+    # a relative noise level can underflow to 0 against a small field
+    with np.errstate(over="ignore"):
+        lam = optimal_lambda_prior(hs_norm(f_true, s), sigma, n, s) if sigma > 0 else 0.0
+    if not 0.0 < lam < np.inf:
         raise ConfigError(f"config error at {_sigma_key(cfg)!r}: the prior weight at "
                           f"n={n} is {lam:g}, not a positive finite number")
     return lam
@@ -363,10 +386,10 @@ def _write_trace(out: Path, manifest: Manifest, trace) -> None:
 # ---------------------------------------------------------------- commands
 
 def cmd_forward(cfg: dict, out: Path, manifest: Manifest) -> int:
-    grid = _grid_from(cfg)
+    grid = Grid(cfg["dim"], cfg["grid"])
     data = _problem(cfg, example2_problem, grid)
     _report_violations(data)
-    q = build_source(_require(cfg, "source"), grid)
+    q = build_source(cfg["source"], grid)
     ue_T, _, um_T = terminal_fields(data, q)
     manifest.add(write_field_csv(out / "terminal_fields.csv", grid, {
         "excitation_T": ue_T,
@@ -377,14 +400,12 @@ def cmd_forward(cfg: dict, out: Path, manifest: Manifest) -> int:
 
 
 def cmd_p1(cfg: dict, out: Path, manifest: Manifest) -> int:
-    grid = _grid_from(cfg)
-    s = _require(cfg, "s")
+    grid = Grid(cfg["dim"], cfg["grid"])
+    s = cfg["s"]
     f_true, sf_true, _, _ = _truth(cfg, grid)
     meas, sigma = _measure(cfg, grid, sf_true)
 
     if cfg["lambda"]["mode"] == "ladder":
-        if "values" not in cfg["lambda"]:
-            raise ConfigError("config error at 'lambda': 'values' is required in ladder mode")
         rows = []
         for lam in cfg["lambda"]["values"]:
             result = solve_data_fit(cfg["beta"], meas, s, lam)
@@ -412,15 +433,13 @@ def cmd_p1(cfg: dict, out: Path, manifest: Manifest) -> int:
 
 
 def cmd_p2(cfg: dict, out: Path, manifest: Manifest) -> int:
-    grid = _grid_from(cfg)
-    f_true, sf_true, data, q_true = _truth(cfg, grid, needs_source=True)
+    grid = Grid(cfg["dim"], cfg["grid"])
+    f_true, sf_true, data, q_true = _truth(cfg, grid)
     clean = cfg["clean"]
     if clean:
-        g = sf_true
-        lam = ""
-        sigma = 0.0
+        g, lam, sigma = sf_true, "", 0.0
     else:
-        s = _require(cfg, "s")
+        s = cfg["s"]
         meas, sigma = _measure(cfg, grid, sf_true)
         lam, fitres, _ = fit_at_weight(cfg["beta"], meas, s,
                                        _weight(cfg, s, f_true, sigma, meas.n))
@@ -443,11 +462,9 @@ def cmd_p2(cfg: dict, out: Path, manifest: Manifest) -> int:
 
 
 def cmd_rates(cfg: dict, out: Path, manifest: Manifest, workers: int = 1) -> int:
-    grid = _grid_from(cfg)
-    s = _require(cfg, "s")
-    ns = _require(cfg, "ladder")
-    run_p2 = cfg["run_p2"]
-    f_true, sf_true, data, q_true = _truth(cfg, grid, needs_source=run_p2)
+    grid = Grid(cfg["dim"], cfg["grid"])
+    s, ns, run_p2 = cfg["s"], cfg["ladder"], cfg["run_p2"]
+    f_true, sf_true, data, q_true = _truth(cfg, grid)
     pipeline = InversionPipeline(
         grid=grid, beta=cfg["beta"], s=s, f_true=f_true, sf_true=sf_true,
         noise_kind=cfg["noise"],
@@ -501,7 +518,7 @@ def cmd_rates(cfg: dict, out: Path, manifest: Manifest, workers: int = 1) -> int
 
 
 def cmd_spectral(cfg: dict, out: Path, manifest: Manifest) -> int:
-    cells = _require(cfg, "grid")
+    cells = cfg["grid"]
     which = cfg["which"]
     spectra = []  # (name, file, report); all computed before any file is written
     try:
@@ -607,6 +624,9 @@ def main(argv=None) -> int:
         return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # an oversized grid or sensor count
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import ConvergenceError, Grid, GridFunction
-from .metrics import _dot, empirical_norm, hs_norm
+from .metrics import _dot, empirical_norm
 
 __all__ = [
     "MeasurementSet",
@@ -45,7 +45,6 @@ __all__ = [
     "solve_data_fit",
     "optimal_lambda_prior",
     "self_consistent_lambda",
-    "policy_weight",
     "fit_at_weight",
 ]
 
@@ -464,26 +463,6 @@ def self_consistent_lambda(beta: float, meas: MeasurementSet,
         except ConvergenceError as exc:
             raise failed("final fit", lam, exc) from exc
     return lam, _fit_result(ws, meas, s, f, report), LambdaTrace(lams)
-
-
-def policy_weight(mode: str, s: int, f_true: GridFunction, sigma: float, n: int,
-                  value: float | None = None) -> float | None:
-    """Resolve a weight policy to the regularization weight of one fit.
-
-    ``prior`` applies the a-priori balance rule to the H^s norm of the true
-    forcing, ``fixed`` returns ``value``, and ``self-consistent`` returns
-    None: that weight is estimated from each measurement set by
-    :func:`fit_at_weight`.  Raises ValueError if the policy gives no weight.
-    """
-    if mode == "prior":
-        return optimal_lambda_prior(hs_norm(f_true, s), sigma, n, s)
-    if mode == "fixed":
-        if not isinstance(value, (int, float)) or not value > 0:
-            raise ValueError(f"the fixed policy needs a positive 'value', got {value!r}")
-        return float(value)
-    if mode == "self-consistent":
-        return None
-    raise ValueError(f"unknown weight policy {mode!r}; choose from prior, fixed, self-consistent")
 
 
 def fit_at_weight(beta: float, meas: MeasurementSet, s: int, lam: float | None,

@@ -5,6 +5,7 @@ the published tables are asserted within multiplicative factors; rate
 slopes within additive windows at the stated R-squared floors.
 """
 
+import csv
 import json
 import time
 
@@ -13,8 +14,9 @@ import pytest
 
 import fluoinv as fv
 from fluoinv.cli import main
+from fluoinv.metrics import hs_norm
 from fluoinv.presets import build_truth
-from fluoinv.stochastic import LadderPoint, NoiseModel, available_cpus, observe, sample_points
+from fluoinv.stochastic import NoiseModel, available_cpus, observe, sample_points
 from fluoinv.verify import BATTERY_CHECKS, run_battery
 
 SEED = 42
@@ -52,7 +54,7 @@ def test_criterion_1_table_reproduction(example1_data):
     details = []
     ok = True
     for s, targets in TABLE1.items():
-        lam = fv.policy_weight("prior", s, example1_data["f_true"], 0.002, meas.n)
+        lam = fv.optimal_lambda_prior(hs_norm(example1_data["f_true"], s), 0.002, meas.n, s)
         res = fv.solve_data_fit(1.0, meas, s, lam)
         b = fv.error_bundle(meas=meas, sf=res.sf, sf_true=example1_data["sf_true"],
                             f=res.f, f_true=example1_data["f_true"])
@@ -79,42 +81,39 @@ def test_criterion_2_self_consistent_weight(example1_data):
     report(2, "self-consistent weight stabilizes", ok, "; ".join(details))
 
 
-def _prior_experiment(grid, truth, s, sigma, ns, trials, seed):
-    """Monte-Carlo trials of the truth at the a-priori weight of each rung.
-
-    Trials continue into the source recovery whenever the truth has a source,
-    and run on one worker process per available CPU.
-    """
-    f_true, sf_true, data, q_true = truth
-    pipeline = fv.InversionPipeline(grid=grid, beta=1.0, s=s, f_true=f_true,
-                                    sf_true=sf_true, data=data, q_true=q_true)
-    rungs = [LadderPoint(n=n, sigma=sigma,
-                         lam=fv.policy_weight("prior", s, f_true, sigma, n))
-             for n in ns]
-    return fv.expectation_experiment(pipeline, rungs, trials=trials, base_seed=seed,
-                                     workers=available_cpus())
+def _rows(path):
+    """The rows of a CSV the CLI wrote, as dicts of strings."""
+    with open(path) as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
 
 
-def _run_rates(grid_cells, truth_name, s, sigma, ns, seed):
-    # the coupled-model truths take sigma relative to the data maximum
-    grid = fv.Grid(2, grid_cells)
-    truth = build_truth(truth_name, grid)
-    if truth[2] is not None:
-        sigma *= float(np.abs(truth[1].values).max())
-    records = _prior_experiment(grid, truth, s, sigma, ns, 10, seed)
-    return fv.rate_fits(records)
+def _rates(tmp_path, name, seed, **cfg):
+    """``fluoinv rates`` on `cfg` at the a-priori weight, with `seed` and one
+    worker process per available CPU; its output directory."""
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps({"lambda": {"mode": "prior"}, **cfg}))
+    out = tmp_path / name
+    assert main(["rates", "--config", str(config), "--seed", str(seed),
+                 "--threads", str(available_cpus()), "--out", str(out)]) == 0
+    return out
 
 
-def test_criterion_3_fit_rates():
+def _rate_fits(tmp_path, name, seed, **cfg):
+    """metric -> (slope, r_squared) of the rate fits of a ``rates`` run."""
+    rows = _rows(_rates(tmp_path, name, seed, trials=10, **cfg) / "rate_fits.csv")
+    return {r["metric"]: (float(r["slope"]), float(r["r_squared"])) for r in rows}
+
+
+def test_criterion_3_fit_rates(tmp_path):
     t0 = time.time()
     ns = [10**4, 31623, 10**5, 316228, 10**6]
-    fits0 = _run_rates(64, "example1", 0, 0.002, ns, seed=21)
-    fits1 = _run_rates(64, "example1", 1, 0.002, ns, seed=21)
+    fits0, fits1 = (_rate_fits(tmp_path, f"s{s}", 21, grid=64, truth="example1", s=s,
+                               sigma=0.002, ladder=ns) for s in (0, 1))
     checks = [
-        ("err1 s=0", fits0["err1"].slope, 0.5, 0.1, fits0["err1"].r_squared),
-        ("err1 s=1", fits1["err1"].slope, 0.5, 0.1, fits1["err1"].r_squared),
-        ("err2 s=0", fits0["err2"].slope, 0.25, 0.08, None),
-        ("err3 s=1", fits1["err3"].slope, 1.0 / 6.0, 0.07, None),
+        ("err1 s=0", fits0["err1"][0], 0.5, 0.1, fits0["err1"][1]),
+        ("err1 s=1", fits1["err1"][0], 0.5, 0.1, fits1["err1"][1]),
+        ("err2 s=0", fits0["err2"][0], 0.25, 0.08, None),
+        ("err3 s=1", fits1["err3"][0], 1.0 / 6.0, 0.07, None),
     ]
     ok = True
     details = []
@@ -129,14 +128,14 @@ def test_criterion_3_fit_rates():
            "; ".join(details) + f"; elapsed {elapsed:.0f}s")
 
 
-def test_criterion_4_source_rates():
+def test_criterion_4_source_rates(tmp_path):
     t0 = time.time()
     # 0.1% relative noise puts the induced weight ladder in the regime where
     # the leading rate term dominates the p-weighted secondary term
     ns = [1000, 3163, 10**4, 31623, 10**5]
-    fits0 = _run_rates(50, "example2-smooth", 0, 0.001, ns, seed=11)
-    fits1 = _run_rates(50, "example2-smooth", 1, 0.001, ns, seed=11)
-    s4, s5 = fits0["err4"].slope, fits1["err5"].slope
+    fits0, fits1 = (_rate_fits(tmp_path, f"s{s}", 11, grid=50, truth="example2-smooth", s=s,
+                               relative_sigma=0.001, ladder=ns, run_p2=True) for s in (0, 1))
+    s4, s5 = fits0["err4"][0], fits1["err5"][0]
     ok = abs(s4 - 0.25) <= 0.1 and abs(s5 - 1.0 / 6.0) <= 0.08
     elapsed = time.time() - t0
     report(4, "expectation rates of the source recovery", ok,
@@ -171,14 +170,16 @@ def test_criterion_6_spectral_diagnostics(dirichlet64):
            f"s=1: {rep1.growth_exponent:.3f} (>=2.7)")
 
 
-def test_criterion_7_tail_curve():
+def test_criterion_7_tail_curve(tmp_path):
     t0 = time.time()
-    grid = fv.Grid(2, 50)
-    rec = _prior_experiment(grid, build_truth("example1", grid), 0, 0.002, [10**4],
-                            200, SEED)[0]
-    scale = np.sqrt(rec.lam) * rec.rho0
-    z_hi = 1.05 * max(rec.sf_errors_n) / scale
-    exceedance = fv.tail_histogram(rec, np.linspace(0.0, z_hi, 41))
+    out = _rates(tmp_path, "tail", SEED, grid=50, truth="example1", s=0, sigma=0.002,
+                 ladder=[10**4], trials=200)
+    (rung,) = _rows(out / "aggregate.csv")
+    errors = np.array([float(r["sf_err_n"]) for r in _rows(out / "trials.csv")])
+    # the exceedance P(||Sf - Sf*||_n >= sqrt(lam) rho0 z) over the trials
+    scale = np.sqrt(float(rung["lambda"])) * float(rung["rho0"])
+    z = np.linspace(0.0, 1.05 * errors.max() / scale, 41)
+    exceedance = (errors[None, :] >= scale * z[:, None]).mean(axis=1)
     mono = all(b <= a for a, b in zip(exceedance, exceedance[1:]))
     ok = mono and exceedance[0] == 1.0 and exceedance[-1] == 0.0
     elapsed = time.time() - t0

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -357,11 +358,30 @@ def test_rates_positivity_failure_names_rung_and_trial(tmp_path, capsys, threads
     assert json.loads((out / "manifest.json").read_text())["files"] == []
 
 
-def run_cli(argv, **env):
+def run_cli(argv, preexec_fn=None, **env):
     """``python -m fluoinv.cli argv`` in a subprocess on this package's sources,
     with the given environment variables added; the completed process."""
     return subprocess.run([sys.executable, "-m", "fluoinv.cli", *argv], env=package_env(**env),
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, preexec_fn=preexec_fn)
+
+
+def cap_address_space():
+    """Cap the child's address space at 2 GiB, so an oversized allocation
+    fails there at once instead of taking the host's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("forward", {"grid": 10**7, "source": "zero"}),  # 728 TiB of nodes
+    ("p1", {"grid": 16, "truth": "example1", "n": 10**11, "sigma": 0.01, "s": 0}),  # 745 GiB
+], ids=["forward-grid", "p1-sensors"])
+def test_out_of_memory_is_one_line_and_exit_2(tmp_path, command, payload):
+    cfg = write_cfg(tmp_path, "c.json", payload)
+    run = run_cli([command, "--config", cfg, "--out", str(tmp_path / "o")],
+                  preexec_fn=cap_address_space, OPENBLAS_NUM_THREADS="1")
+    assert run.returncode == 2, run.stderr
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), lines
 
 
 @pytest.mark.parametrize("command, payload, code", [
@@ -395,7 +415,12 @@ FORWARD = {"grid": 16, "tau": 0.25, "source": "zero"}
 LADDER = {"mode": "ladder", "values": [1e-6, 1e-5]}
 
 
-@pytest.mark.parametrize("command,payload,key", [
+def without(payload, key):
+    """`payload` with `key` left out."""
+    return {k: v for k, v in payload.items() if k != key}
+
+
+CONFIG_ERRORS = [
     ("rates", {**RATES, "sigma": 0}, "'lambda'"),
     ("rates", {**RATES, "lambda": "prior"}, "'lambda'"),
     ("p1", {**P1, "lambda": "prior"}, "'lambda'"),
@@ -469,7 +494,29 @@ LADDER = {"mode": "ladder", "values": [1e-6, 1e-5]}
     ("rates", {**RATES, "tail_n": 100, "tail_zmax": 2.0}, "'tail_n'"),
     ("spectral", {"grid": 16, "which": "dirichlet", "n": 20, "penalties": [0], "beta": 2.0},
      "'n'"),
-], ids=["rates-sigma-0", "rates-lambda-string", "p1-lambda-string", "rates-trials-0",
+    ("p2", {**without(P2_NOISY, "s"), "sigma": 0.01}, "'s'"),
+    ("p1", without(P1, "n"), "'n'"),
+    ("p1", without(P1, "sigma"), "'sigma'"),
+    ("p1", without(P1, "truth"), "'truth'"),
+    ("p1", without(P1, "grid"), "'grid'"),
+    ("rates", without(RATES, "ladder"), "'ladder'"),
+    ("p1", {**P1, "relative_sigma": 0.01}, "'relative_sigma'"),
+    ("p1", {**without(P1, "sigma"), "relative_sigma": 0}, "'lambda'"),
+    ("p1", {**P1, "lambda": {"mode": "fixed"}}, "'value'"),
+    ("rates", {**RATES, "lambda": {"mode": "fixed"}}, "'value'"),
+    ("p2", {**P2_NOISY, "sigma": 0.01, "lambda": LADDER}, "'lambda'"),
+    ("rates", {**RATES, "lambda": LADDER}, "'lambda'"),
+    ("p2", {**P2, "truth": "example1"}, "'truth'"),
+    ("rates", {**RATES, "run_p2": True}, "'truth'"),
+    ("p1", {**P1, "T": 7}, "'T'"),
+    ("p1", {**P1, "tau": 0.3}, "'tau'"),
+    ("p1", {**P1, "M": 1}, "'M'"),
+    ("rates", {**RATES, "tau": 0.3}, "'tau'"),
+    ("spectral", {"grid": 16, "which": "pencil", "k_max": 5}, "'k_max'"),
+    ("spectral", {"grid": 4, "k_max": 10}, "'k_max'"),
+    ("spectral", {"grid": 16, "which": "pencil", "n": 401}, "'n'"),
+]
+CONFIG_ERROR_IDS = ["rates-sigma-0", "rates-lambda-string", "p1-lambda-string", "rates-trials-0",
         "p1-sigma-negative", "p1-sigma-string", "rates-relative-sigma-negative",
         "rates-relative-sigma-string", "rates-ladder-empty", "p2-inverse-unknown",
         "rates-tail-trials-string", "rates-tail-trials-negative", "rates-tail-zmax-string",
@@ -491,15 +538,51 @@ LADDER = {"mode": "ladder", "values": [1e-6, 1e-5]}
         "p1-example1-flip-boundary", "rates-example1-flip-boundary", "p1-value-in-prior-mode",
         "rates-value-in-self-consistent-mode", "p1-values-in-fixed-mode",
         "p2-values-in-prior-mode", "p2-clean-fit-keys", "rates-tail-keys-without-tail",
-        "spectral-dirichlet-pencil-keys"])
-def test_weight_policy_and_trial_errors_are_config_errors(tmp_path, capsys,
-                                                          command, payload, key):
+        "spectral-dirichlet-pencil-keys", "p2-s-missing", "p1-n-missing",
+        "p1-noise-level-missing", "p1-truth-missing", "p1-grid-missing", "rates-ladder-missing",
+        "p1-relative-sigma-beside-sigma", "p1-prior-relative-sigma-0", "p1-fixed-without-value",
+        "rates-fixed-without-value", "p2-ladder-mode", "rates-ladder-mode", "p2-example1",
+        "rates-run-p2-example1", "p1-example1-T", "p1-example1-tau", "p1-example1-M",
+        "rates-example1-tau", "spectral-pencil-k-max", "spectral-k-max-above-interior",
+        "spectral-pencil-above-cap"]
+# The cases whose rule reads computed data: the step count and tau^2 of the
+# problem data, the prior weight's underflow, the squared noise level's
+# overflow and the pencil's rank.  Every other case is rejected by the table.
+LATE = {"verify-tau-steps", "p2-tau-steps", "spectral-pencil-rank-deficient",
+        "forward-no-whole-step", "p1-prior-weight-underflows", "p2-noise-square-overflows",
+        "rates-prior-weight-underflows", "p2-tau-squared-overflows", "forward-steps-overflow",
+        "p2-steps-overflow", "verify-steps-overflow", "forward-steps-above-cap"}
+STATIC = [(case, name) for case, name in zip(CONFIG_ERRORS, CONFIG_ERROR_IDS)
+          if name not in LATE]
+
+
+def assert_config_error(tmp_path, capsys, command, payload, key):
+    """``fluoinv command`` on `payload` exits 2 with one line naming `key`,
+    having written nothing."""
     cfg = write_cfg(tmp_path, "c.json", payload)
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and key in err[0]
+    assert len(err) == 1 and key in err[0], err
     assert not out.exists() or not any(out.iterdir())  # rejected before any work
+
+
+@pytest.mark.parametrize("command,payload,key", CONFIG_ERRORS, ids=CONFIG_ERROR_IDS)
+def test_weight_policy_and_trial_errors_are_config_errors(tmp_path, capsys,
+                                                          command, payload, key):
+    assert_config_error(tmp_path, capsys, command, payload, key)
+
+
+@pytest.mark.parametrize("command,payload,key", [case for case, _ in STATIC],
+                         ids=[name for _, name in STATIC])
+def test_static_config_errors_come_before_any_work(tmp_path, capsys, monkeypatch,
+                                                   command, payload, key):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a configuration error the table can see reached the work")
+
+    for name in ("Grid", "run_battery", "laplacian_spectrum"):
+        monkeypatch.setattr(cli, name, no_work)
+    assert_config_error(tmp_path, capsys, command, payload, key)
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])
@@ -515,12 +598,6 @@ def test_other_commands_ignore_threads(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {"grid": 16, "tau": 0.25, "source": "zero"})
     assert main(["forward", "--config", cfg, "--threads", "0",
                  "--out", str(tmp_path / "o")]) == 0
-
-
-def test_rates_source_recovery_needs_a_source(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "c.json", {**RATES, "run_p2": True})
-    assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "'truth'" in capsys.readouterr().err
 
 
 # The type each key validates to, stated apart from the table it checks.
@@ -545,6 +622,15 @@ JSON_VALUES = st.recursive(
 READS = [(key, command) for key, row in cli._KEYS.items() for command in row[3]]
 # the keys read only once another key is set
 READ_WITH = {"tail_n": {"tail_trials": 50}, "tail_zmax": {"tail_trials": 50}}
+# A complete configuration of each command but for the noise level: its
+# example2 truth reads every problem key.  It goes in as the preset, so the
+# keys that a drawn value leaves unread are dropped, not rejected.
+FITTED = {"grid": 8, "truth": "example2-smooth", "n": 10, "s": 0,
+          "lambda": {"mode": "self-consistent"}}
+COMPLETE = {"forward": {"grid": 8, "source": "zero"}, "p1": FITTED, "p2": FITTED,
+            "rates": {**FITTED, "ladder": [10]}, "spectral": {"grid": 16, "k_max": 1},
+            "verify": {}}
+NOISY = {"sigma": 0.01}
 
 
 def test_kinds_cover_the_table():
@@ -556,14 +642,15 @@ def test_kinds_cover_the_table():
 def test_each_key_validates_or_names_itself(value):
     # every key against every command that reads it, for each drawn value
     for key, command in READS:
+        base = {**COMPLETE[command], **(NOISY if "truth" in COMPLETE[command] else {})}
         try:
-            cfg = cli._validate(command, {}, {**READ_WITH.get(key, {}), key: value})
+            cfg = cli._validate(command, base, {**READ_WITH.get(key, {}), key: value})
         except cli.ConfigError as exc:
             message = str(exc)
             assert message.startswith(f"config error at {key!r}: ") and "\n" not in message
         else:
             assert type(cfg[key]) is KINDS[key]
-            assert (cli._validate(command, {}, {**READ_WITH.get(key, {}), key: cfg[key]})[key]
+            assert (cli._validate(command, base, {**READ_WITH.get(key, {}), key: cfg[key]})[key]
                     == cfg[key])
 
 
@@ -581,15 +668,25 @@ PRESET_COMMANDS = {
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_presets_validate(name):
     assert set(PRESETS[name]) <= set(cli._KEYS)
-    for command in PRESET_COMMANDS[name]:
-        cfg = cli._validate(command, PRESETS[name], {})
+    for command in PRESET_COMMANDS[name]:  # the preset completes the configuration
+        cfg = cli._validate(command, {**COMPLETE[command], **PRESETS[name]}, {})
         assert set(cfg) <= {key for key, row in cli._KEYS.items() if command in row[3]}
 
 
 def test_readme_lists_the_config_table():
+    # every key, whether it is required, and each rule by which the rest of
+    # the configuration leaves keys unread, on one line of the section
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Configuration", 1)[1]
-    assert set(re.findall(r"^\| `(\w+)` \|", section, re.M)) == set(cli._KEYS)
+    defaults = dict(re.findall(r"^\| `(\w+)` \| [^|]+ \| ([^|]+) \|", section, re.M))
+    assert set(defaults) == set(cli._KEYS)
+    for key, row in cli._KEYS.items():
+        assert (row[1] is cli.REQUIRED) == defaults[key].startswith("required"), key
+    for (command, key, value), names in cli._UNREAD_WHEN.items():
+        rule = f'`"{key}": {json.dumps(value)}`'
+        assert any(f"`{command}`" in line and rule in line
+                   and all(f"`{name}`" in line for name in names)
+                   for line in section.splitlines()), (command, key, value)
 
 
 # About as much noise as signal, a single sensor, or no noise at all: the
@@ -698,6 +795,7 @@ _P_CONFIGS = st.fixed_dictionaries({
     "flip_boundary": st.booleans(),
 })
 _NOISE_KEY = st.sampled_from(["sigma", "relative_sigma"])
+COUPLED_KEYS = ("T", "tau", "M", "flip_boundary")  # the example1 truth reads none of them
 
 
 def assert_ends_in_an_exit_code(command, cfg, seed):
@@ -739,8 +837,8 @@ def test_valid_fit_configurations_end_in_an_exit_code(command, cfg, steps_tau, n
         if cfg.get("clean"):  # clean data are not fitted
             cfg = {k: v for k, v in cfg.items()
                    if k not in ("n", "s", "noise", "lambda", "sigma", "relative_sigma")}
-    if cfg["truth"] == "example1":  # it has no boundary data to flip
-        cfg["flip_boundary"] = False
+    if cfg["truth"] == "example1":  # it has no coupled problem
+        cfg = {k: v for k, v in cfg.items() if k not in COUPLED_KEYS}
     assert_ends_in_an_exit_code(command, cfg, seed)
 
 
@@ -758,8 +856,8 @@ def test_valid_rates_configurations_end_in_an_exit_code(cfg, steps_tau, noise, r
     cfg.update(rates, tau=tau, T=steps * tau, **{noise[0]: noise[1]})
     if cfg["run_p2"] and cfg["truth"] == "example1":  # the source recovery needs a source
         cfg["truth"] = "example2-smooth"
-    if cfg["truth"] == "example1":  # it has no boundary data to flip
-        cfg["flip_boundary"] = False
+    if cfg["truth"] == "example1":  # it has no coupled problem
+        cfg = {k: v for k, v in cfg.items() if k not in COUPLED_KEYS}
     assert_ends_in_an_exit_code("rates", cfg, seed)
 
 
@@ -786,6 +884,8 @@ def test_valid_forward_configurations_end_in_an_exit_code(cfg, steps_tau, seed):
 def test_valid_spectral_configurations_end_in_an_exit_code(cfg, seed):
     if cfg["which"] == "dirichlet":  # the closed form reads no sensors or penalties
         cfg = {k: v for k, v in cfg.items() if k not in ("n", "penalties")}
+    if cfg["which"] == "pencil":  # nor the pencil a mode count
+        cfg = {k: v for k, v in cfg.items() if k != "k_max"}
     assert_ends_in_an_exit_code("spectral", cfg, seed)
 
 

@@ -27,7 +27,8 @@ ALLOWED = {
 
 # (name, command, preset, configuration, exit code): every weight mode, fitted
 # and clean data, the trials with source recovery and a tail, a failing weight
-# loop and a failing battery; the exit code says a run still takes its path
+# loop, a failing battery and a broken cross-key rule; the exit code says a run
+# still takes its path
 RUNS = [
     ("forward-discontinuous", "forward", "example2-discontinuous", {"grid": 8, "tau": 0.25}, 0),
     ("forward-flipped", "forward", None,
@@ -52,6 +53,7 @@ RUNS = [
     ("spectral", "spectral", None, {"grid": 16, "k_max": 50, "n": 40}, 0),
     ("verify", "verify", "verify-default", {"grid": 8}, 0),
     ("verify-violated", "verify", "verify-violated", {"grid": 8}, 4),
+    ("p2-example1", "p2", None, {"grid": 8, "truth": "example1", "clean": True}, 2),
 ]
 
 # prints the exit codes, then (file, first line) of every code object entered

@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import fluoinv as fv
+from fluoinv.metrics import hs_norm
 from fluoinv.presets import build_truth, trig_forcing
 import fluoinv.stochastic as stochastic
 from fluoinv.stochastic import (
@@ -108,7 +109,7 @@ def small_pipeline(grid16):
 
 def prior_rung(pipeline, n, sigma):
     """A ladder point at the a-priori weight for n sensors."""
-    lam = fv.policy_weight("prior", pipeline.s, pipeline.f_true, sigma, n)
+    lam = fv.optimal_lambda_prior(hs_norm(pipeline.f_true, pipeline.s), sigma, n, pipeline.s)
     return LadderPoint(n=n, sigma=sigma, lam=lam)
 
 
