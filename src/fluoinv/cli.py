@@ -26,6 +26,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .forward import terminal_fields
 from .grid import ConvergenceError, Grid
 from .inverse import IterationTrace, PositivityError, fixed_point_solve
 from .io import Manifest, write_csv, write_field_csv
-from .metrics import error_bundle, hs_norm
+from .metrics import ERRORS, error_bundle, hs_norm
 from .presets import PRESETS, SOURCES, TRUTHS, build_source, build_truth, example2_problem
 from .spectral import PENCIL_POINT_CAP, empirical_smoothing_spectrum, laplacian_spectrum
 from .stochastic import (
@@ -372,8 +373,8 @@ def _write_lambda_trace(out: Path, manifest: Manifest, trace) -> None:
 
 
 def _err_row(bundle) -> list:
-    return ["" if v is None else v
-            for v in (bundle.err1, bundle.err2, bundle.err3, bundle.err4, bundle.err5)]
+    """The ERRORS columns of a row, empty where the bundle lacks an error."""
+    return ["" if v is None else v for v in astuple(bundle)]
 
 
 def _write_trace(out: Path, manifest: Manifest, trace) -> None:
@@ -413,8 +414,7 @@ def cmd_p1(cfg: dict, out: Path, manifest: Manifest) -> int:
                              f=result.f, f_true=f_true)
             rows.append([lam, result.misfit_n, result.penalty_norm] + _err_row(b))
         manifest.add(write_csv(out / "lambda_ladder.csv", "fit-ladder-v1",
-                               ["lambda", "misfit_n", "penalty_norm",
-                                "err1", "err2", "err3", "err4", "err5"], rows))
+                               ["lambda", "misfit_n", "penalty_norm", *ERRORS], rows))
         return EXIT_OK
 
     lam, result, trace = fit_at_weight(cfg["beta"], meas, s,
@@ -425,8 +425,7 @@ def cmd_p1(cfg: dict, out: Path, manifest: Manifest) -> int:
     manifest.add(write_field_csv(out / "fit_fields.csv", grid,
                                  {"f_sigma": result.f, "sf_sigma": result.sf}))
     manifest.add(write_csv(out / "fit_errors.csv", "fit-errors-v1",
-                           ["n", "sigma", "s", "lambda", "misfit_n", "penalty_norm",
-                            "err1", "err2", "err3", "err4", "err5"],
+                           ["n", "sigma", "s", "lambda", "misfit_n", "penalty_norm", *ERRORS],
                            [[meas.n, sigma, s, lam, result.misfit_n,
                              result.penalty_norm] + _err_row(bundle)]))
     return EXIT_OK
@@ -483,28 +482,24 @@ def cmd_rates(cfg: dict, out: Path, manifest: Manifest, workers: int = 1) -> int
 
     trial_rows, agg_rows = [], []
     for rec in records:
-        means = rec.mean_errors()
         for t, o in enumerate(rec.outcomes):
             trial_rows.append([rec.point.n, o.lam, t] + _err_row(o.errors)
                               + [o.sf_err_n, o.lambda_passes, o.fp_iterations])
-        agg_rows.append([rec.point.n, rec.lam, rec.rho0]
-                        + [means.get(k, "") for k in ("err1", "err2", "err3", "err4", "err5")])
+        agg_rows.append([rec.point.n, rec.lam, rec.rho0] + _err_row(rec.mean_errors()))
     manifest.add(write_csv(out / "trials.csv", "rate-trials-v2",
-                           ["n", "lambda", "trial", "err1", "err2", "err3",
-                            "err4", "err5", "sf_err_n", "lambda_passes", "fp_iterations"],
-                           trial_rows))
+                           ["n", "lambda", "trial", *ERRORS, "sf_err_n", "lambda_passes",
+                            "fp_iterations"], trial_rows))
     manifest.add(write_csv(out / "aggregate.csv", "rate-aggregate-v1",
-                           ["n", "lambda", "rho0", "err1", "err2", "err3",
-                            "err4", "err5"], agg_rows))
+                           ["n", "lambda", "rho0", *ERRORS], agg_rows))
 
     fits = rate_fits(records)
     manifest.add(write_csv(out / "rate_fits.csv", "rate-fit-v1",
                            ["metric", "slope", "intercept", "r_squared", "rungs"],
                            [[key, rf.slope, rf.intercept, rf.r_squared, len(rf.pairs)]
                             for key, rf in fits.items()]))
-    summary = [f"{key}: slope={rf.slope:.4f} r2={rf.r_squared:.5f} ({len(rf.pairs)} rungs)"
-               for key, rf in fits.items()]
-    (out / "rate_summary.txt").write_text("\n".join(summary) + "\n")
+    (out / "rate_summary.txt").write_text("".join(
+        f"{key}: slope={rf.slope:.4f} r2={rf.r_squared:.5f} ({len(rf.pairs)} rungs)\n"
+        for key, rf in fits.items()))
     manifest.add(out / "rate_summary.txt")
 
     if tail is not None:
@@ -521,18 +516,19 @@ def cmd_spectral(cfg: dict, out: Path, manifest: Manifest) -> int:
     cells = cfg["grid"]
     which = cfg["which"]
     spectra = []  # (name, file, report); all computed before any file is written
-    try:
-        if which in ("dirichlet", "both"):
-            spectra.append(("dirichlet", "dirichlet_spectrum.csv",
-                            laplacian_spectrum(cfg["dim"], cells, cfg["k_max"])))
-        if which in ("pencil", "both"):
-            grid = Grid(cfg["dim"], cells)  # only the pencil reads a grid
-            points = sample_points(grid.dim, cfg["n"], seed=cfg["seed"])
+    if which in ("dirichlet", "both"):
+        spectra.append(("dirichlet", "dirichlet_spectrum.csv",
+                        laplacian_spectrum(cfg["dim"], cells, cfg["k_max"])))
+    if which in ("pencil", "both"):
+        grid = Grid(cfg["dim"], cells)  # only the pencil reads a grid
+        points = sample_points(grid.dim, cfg["n"], seed=cfg["seed"])
+        try:
             for s in cfg["penalties"]:
                 spectra.append((f"pencil-s{s}", f"pencil_spectrum_s{s}.csv",
                                 empirical_smoothing_spectrum(grid, cfg["beta"], points, s)))
-    except ValueError as exc:
-        raise ConfigError(f"config error in spectral sizes: {exc}") from exc
+        except ValueError as exc:  # the one rule left: the pencil's rank
+            raise ConfigError(f"config error at 'n': {cfg['n']} sensors on {grid.node_count} "
+                              f"grid nodes: {exc}") from exc
     for _, filename, rep in spectra:
         manifest.add(write_csv(out / filename, "spectrum-v1", ["k", "eigenvalue"],
                                enumerate(rep.eigenvalues, start=1)))

@@ -78,20 +78,19 @@ class ProblemData:
             raise ValueError("p must live on the problem grid")
         self.grid = grid
         self.p = p
-        self.b = b
         self.beta = float(beta)
         self.T = float(T)
         self.tau = float(tau)
         self.M = float(M)
         self.n_steps = int(round(steps))
-        self.times = np.arange(self.n_steps + 1) * self.tau
+        times = np.arange(self.n_steps + 1) * self.tau
 
         bcoords = grid.coords[grid.boundary_indices]
         with np.errstate(over="ignore", invalid="ignore"):
             self.boundary_values = np.array(
                 [np.broadcast_to(np.asarray(b(bcoords, t), dtype=float),
                                  (len(grid.boundary_indices),)).copy()
-                 for t in self.times]
+                 for t in times]
             )
             bv = self.boundary_values
             dtb = np.diff(bv, axis=0) / self.tau

@@ -9,14 +9,14 @@ empirical norm is the root mean square over a sensor set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .grid import Grid, GridFunction
 
 __all__ = ["empirical_norm", "l2_norm", "h1_norm", "hs_norm", "dual_h1_norm", "ErrorBundle",
-           "error_bundle"]
+           "ERRORS", "error_bundle"]
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -66,7 +66,8 @@ def dual_h1_norm(v: GridFunction) -> float:
 
 @dataclass
 class ErrorBundle:
-    """Relative errors of a reconstruction run; absent entries are None.
+    """Relative errors of a reconstruction run; absent entries are None.  The
+    fields are the one spelling of the error names and their order (ERRORS).
 
     err1: empirical-norm error of the smoothed field at the sensors
     err2: dual-H1 error of the recovered forcing
@@ -80,6 +81,9 @@ class ErrorBundle:
     err3: float | None = None
     err4: float | None = None
     err5: float | None = None
+
+
+ERRORS = tuple(f.name for f in fields(ErrorBundle))  # the error columns, in order
 
 
 def _rel(num: float, den: float, label: str) -> float:

@@ -11,7 +11,7 @@ to the serial loop.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .fit import MeasurementSet, PointEvaluation, fit_at_weight
 from .forward import ProblemData
 from .grid import ConvergenceError, Grid, GridFunction
 from .inverse import PositivityError, fixed_point_solve
-from .metrics import ErrorBundle, empirical_norm, error_bundle, hs_norm
+from .metrics import ERRORS, ErrorBundle, empirical_norm, error_bundle, hs_norm
 
 __all__ = [
     "NoiseModel",
@@ -178,13 +178,11 @@ class ExperimentRecord:
     def sf_errors_n(self) -> list[float]:
         return [o.sf_err_n for o in self.outcomes]
 
-    def mean_errors(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for key in ("err1", "err2", "err3", "err4", "err5"):
-            vals = [getattr(o.errors, key) for o in self.outcomes]
-            if all(v is not None for v in vals):
-                out[key] = float(np.mean(np.asarray(vals)))
-        return out
+    def mean_errors(self) -> ErrorBundle:
+        """Each error's mean over the trials; None where some trial lacks it."""
+        columns = zip(*(astuple(o.errors) for o in self.outcomes))
+        return ErrorBundle(*(None if None in vals else float(np.mean(np.asarray(vals)))
+                             for vals in columns))
 
 
 def available_cpus() -> int:
@@ -317,8 +315,8 @@ class RateFit:
 def fit_rate(pairs) -> RateFit:
     """Fit a power law err ~ C * lam^slope from (lam, err) samples."""
     pairs = [(float(a), float(b)) for a, b in pairs]
-    if len(pairs) < 3:
-        raise ValueError("need at least three (lam, err) pairs")
+    if len({a for a, _ in pairs}) < 3:  # one weight leaves no line, two no residual
+        raise ValueError("need (lam, err) pairs at three or more distinct lam")
     arr = np.asarray(pairs)
     if (arr <= 0).any():
         raise ValueError("lam and err values must be positive for a log-log fit")
@@ -334,14 +332,15 @@ def fit_rate(pairs) -> RateFit:
 def rate_fits(records: list[ExperimentRecord]) -> dict[str, RateFit]:
     """Fit each mean error against the mean weight across the ladder.
 
-    An error gets a fit when at least three rungs report it; the keys keep
-    the order err1..err5.
+    An error gets a fit when the rungs that report it span at least three
+    distinct weights (so none at one fixed weight); the keys keep the order
+    of ERRORS.
     """
     means = [(rec.lam, rec.mean_errors()) for rec in records]
     fits = {}
-    for key in ("err1", "err2", "err3", "err4", "err5"):
-        pairs = [(lam, m[key]) for lam, m in means if key in m]
-        if len(pairs) >= 3:
+    for key in ERRORS:
+        pairs = [(lam, v) for lam, m in means if (v := getattr(m, key)) is not None]
+        if len({lam for lam, _ in pairs}) >= 3:
             fits[key] = fit_rate(pairs)
     return fits
 

@@ -111,6 +111,9 @@ def test_p1_small_run_and_rerun_identical(tmp_path):
     assert main(["p1", "--config", cfg, "--seed", "7", "--out", str(out2)]) == 0
     for name in ("fit_fields.csv", "fit_errors.csv", "lambda_trace.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    header, _ = read_csv(out1 / "fit_errors.csv")
+    assert header == ["n", "sigma", "s", "lambda", "misfit_n", "penalty_norm",
+                      "err1", "err2", "err3", "err4", "err5"]
 
 
 def test_p1_away_from_unit_beta_factorizes_h1_once(tmp_path, lu_counts):
@@ -131,7 +134,9 @@ def test_p1_lambda_ladder_row_count(tmp_path):
     })
     out = tmp_path / "o"
     assert main(["p1", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
-    _, rows = read_csv(out / "lambda_ladder.csv")
+    header, rows = read_csv(out / "lambda_ladder.csv")
+    assert header == ["lambda", "misfit_n", "penalty_norm", "err1", "err2", "err3", "err4",
+                      "err5"]
     assert len(rows) == 3
 
 
@@ -142,6 +147,7 @@ def test_p2_clean_mode(tmp_path):
     out = tmp_path / "o"
     assert main(["p2", "--config", cfg, "--out", str(out)]) == 0
     header, rows = read_csv(out / "source_errors.csv")
+    assert header == ["sigma", "lambda", "iterations", "converged", "err4", "err5"]
     err5 = float(rows[0][header.index("err5")])
     assert err5 <= 1e-2
 
@@ -201,13 +207,37 @@ def test_rates_trials_record_each_trials_work(tmp_path):
     assert main(["rates", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
     assert (out / "trials.csv").read_text().startswith("# schema=fluoinv/rate-trials-v2\n")
     header, rows = read_csv(out / "trials.csv")
-    assert header[-2:] == ["lambda_passes", "fp_iterations"]
+    assert header == ["n", "lambda", "trial", "err1", "err2", "err3", "err4", "err5",
+                      "sf_err_n", "lambda_passes", "fp_iterations"]
     assert len(rows) == 4
     assert all(int(r[-2]) >= 1 and int(r[-1]) >= 1 for r in rows)
     prior = write_cfg(tmp_path, "prior.json", RATES)
     assert main(["rates", "--config", prior, "--out", str(tmp_path / "p")]) == 0
     _, rows = read_csv(tmp_path / "p" / "trials.csv")
     assert all(r[-2:] == ["0", "0"] for r in rows)  # a given weight, no source recovery
+    header, rows = read_csv(tmp_path / "p" / "aggregate.csv")
+    assert header == ["n", "lambda", "rho0", "err1", "err2", "err3", "err4", "err5"]
+    assert all(r[-2:] == ["", ""] for r in rows)  # no source recovery: no err4, err5
+
+
+@pytest.mark.parametrize("ladder,policy", [
+    ([50, 100, 200], {"mode": "fixed", "value": 1e-6}),
+    ([100, 100, 100], {"mode": "prior"}),
+], ids=["fixed", "prior-repeated-count"])
+def test_rates_at_one_weight_fits_no_rate(tmp_path, capsys, ladder, policy):
+    # every rung at the same weight: a log-log line through one abscissa is
+    # not determined, so no error is fitted and nothing is printed
+    cfg = write_cfg(tmp_path, "c.json", {"grid": 8, "truth": "example1", "s": 0,
+                                         "sigma": 0.002, "ladder": ladder, "trials": 2,
+                                         "lambda": policy})
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["rates", "--config", cfg, "--out", str(out)]) == 0
+    assert caught == [] and capsys.readouterr().err == ""
+    header, rows = read_csv(out / "rate_fits.csv")
+    assert header == ["metric", "slope", "intercept", "r_squared", "rungs"] and rows == []
+    assert (out / "rate_summary.txt").read_text() == ""
 
 
 def test_rates_tail_curve_emitted(tmp_path):
@@ -471,7 +501,7 @@ CONFIG_ERRORS = [
     ("verify", {"beta": 1.0}, "'beta'"),
     ("rates", {**RATES, "tail_trials": 50, "tail_zmax": 0}, "'tail_zmax'"),
     ("rates", {**RATES, "tail_trials": 20}, "'tail_trials'"),
-    ("spectral", {"grid": 16, "dim": 1, "k_max": 5, "n": 20}, "spectral sizes"),
+    ("spectral", {"grid": 16, "dim": 1, "k_max": 5, "n": 20}, "'n': 20 sensors on 17 grid nodes"),
     ("forward", {**FORWARD, "T": 1e-12, "tau": 1}, "'tau'"),
     ("p1", {**P1, "sigma": 1e-300}, "'sigma'"),
     ("p2", {**P2_NOISY, "relative_sigma": 1e300}, "'relative_sigma'"),
@@ -845,7 +875,7 @@ def test_valid_fit_configurations_end_in_an_exit_code(command, cfg, steps_tau, n
 @settings(max_examples=100)
 @given(cfg=_P_CONFIGS, steps_tau=_STEPS_AND_TAU, noise=st.tuples(_NOISE_KEY, _NOISE_LEVEL),
        rates=st.fixed_dictionaries({
-           "ladder": st.lists(st.integers(1, 50), min_size=1, max_size=2),
+           "ladder": st.lists(st.integers(1, 50), min_size=1, max_size=3),
            "trials": st.integers(1, 2),
            "run_p2": st.booleans()}),
        seed=st.integers(0, 3))

@@ -98,6 +98,20 @@ def test_fit_rate_validation():
         fv.fit_rate([(1e-6, 1.0), (1e-5, 2.0)])
     with pytest.raises(ValueError):
         fv.fit_rate([(1e-6, 1.0), (1e-5, -2.0), (1e-4, 1.0)])
+    with pytest.raises(ValueError, match="distinct"):
+        fv.fit_rate([(1e-6, 1.0), (1e-6, 2.0), (1e-5, 1.0), (1e-5, 3.0)])
+
+
+def test_rate_fits_need_three_distinct_weights():
+    def rung(lam, **errors):
+        outcome = fv.TrialOutcome(fv.ErrorBundle(**errors), 0.1, lam, 0, 0)
+        return fv.ExperimentRecord(LadderPoint(n=10, sigma=0.01, lam=lam), [outcome], 1.0)
+
+    errs = {"err1": 0.1, "err2": 0.2, "err3": 0.3, "err5": 0.5}
+    records = [rung(1e-6, **errs, err4=0.4), rung(1e-5, **errs), rung(1e-4, **errs, err4=0.4)]
+    assert list(fv.rate_fits(records)) == ["err1", "err2", "err3", "err5"]  # err4 at two
+    assert records[1].mean_errors() == fv.ErrorBundle(**errs)  # None where a trial lacks it
+    assert fv.rate_fits([rung(1e-6, **errs) for _ in range(3)]) == {}
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +138,7 @@ def test_zero_noise_single_trial_is_deterministic(small_pipeline, grid16):
     direct = fv.solve_data_fit(1.0, meas, 0, 1e-7)
     direct_err1 = (fv.empirical_norm(sensors.apply(direct.sf - small_pipeline.sf_true))
                    / fv.empirical_norm(sensors.apply(small_pipeline.sf_true)))
-    assert rec.mean_errors()["err1"] == pytest.approx(direct_err1, abs=1e-14)
+    assert rec.mean_errors().err1 == pytest.approx(direct_err1, abs=1e-14)
 
 
 def test_mean_error_decreases_with_noise(small_pipeline):
@@ -132,7 +146,7 @@ def test_mean_error_decreases_with_noise(small_pipeline):
                                      trials=5, base_seed=1)[0]
     low = fv.expectation_experiment(small_pipeline, [prior_rung(small_pipeline, 300, 0.001)],
                                     trials=5, base_seed=1)[0]
-    assert low.mean_errors()["err1"] < high.mean_errors()["err1"]
+    assert low.mean_errors().err1 < high.mean_errors().err1
     assert low.rho0 < high.rho0
 
 
