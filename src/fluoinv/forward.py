@@ -6,22 +6,51 @@ sourced by ``q * u_e``.  Both are advanced with backward Euler, which keeps
 every step an M-matrix solve and therefore preserves nonnegativity of the
 discrete fields exactly -- the property tests rely on that, not on accuracy.
 
-Memory model: no pass holds a history.  One step loop, ``_march``, yields
-the excitation levels u^1..u^N one at a time and keeps none of them.
-``coupled_levels`` advances the emission march in lockstep with it and
-yields the pair of levels, holding two levels per field; the reductions of
-the property battery stream over it.  The forward observation,
-``terminal_fields``, keeps the last two pairs.  The pass of the fixed-point
-map, ``terminal_excitation``, marches the excitation alone and keeps its
-last two levels: the map forms the emission levels as u_m = v - u_e from
-the q = 0 excitation v, whose last two levels ``ProblemData`` caches.
+Two passes read the same scheme.  The reference march, ``coupled_levels``,
+advances both fields in lockstep and yields them level by level; the truth,
+the ``forward`` command and the property battery read it, and the forward
+observation ``terminal_fields`` keeps its last two levels.
+
+The fixed-point map needs only the last two excitation levels, and
+``terminal_excitation`` reads them without marching.  With the step matrix
+A = W/tau + L + W diag(p + q) and P = A^-1 W / tau, the march
+A u^k = W u^(k-1) / tau + l_k from u^0 = 0 gives
+
+    u^N = sum_(k=1..N) P^(N-k) A^-1 l_k,
+
+and P is self-adjoint in the W inner product.  ``ProblemData`` splits the
+Robin load once into time components, l_k = sum_j a_j[k] x_j, so each
+component adds p_j(P) A^-1 x_j with the polynomial p_j(t) =
+sum_k a_j[k] t^(N-k).  One Lanczos process on P in the W inner product,
+started from A^-1 x_j, reads it off its tridiagonal T_m as
+|A^-1 x_j|_W Q_m p_j(T_m) e_1 (polynomial Krylov evaluation of a matrix
+function: Saad, SIAM J. Numer. Anal. 29 (1992) 209-228), and u^(N-1) off
+the same process.  Each step is one solve.  The process stops once the
+tridiagonal's error estimate beta_m |e_m' y| falls below LANCZOS_TOL |y|
+for both levels' coordinates y, or at m = N steps, where the evaluation is
+exact (p_j has degree N - 1), or at a breakdown beta_m = 0, where the
+space is invariant and the evaluation exact too.  The levels agree with
+the march's to roundoff (about 1e-14 relative on the presets).  The cost
+grows with the rank of the boundary data in time: 2 for example2's
+(x+y)^2 t + 5, 1 for constant data, 0 for zero data, which needs no solve.
+
+Memory model: no pass holds a history.  ``coupled_levels`` holds two
+levels per field; ``terminal_fields`` keeps the last two pairs.
+``terminal_excitation`` holds a Lanczos basis of m rows for one component
+at a time, sized to the steps taken and released before the next
+component, and its two result levels.  The map forms the emission levels
+as u_m = v - u_e from the q = 0 excitation v, whose last two levels
+``ProblemData`` caches.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .grid import Grid, GridFunction
+from .metrics import _dot
 
 __all__ = [
     "ProblemData",
@@ -35,6 +64,14 @@ __all__ = [
 # the most time steps T/tau a problem may take, 1,000 times the presets'
 # 100; a problem above it is rejected before its time levels are allocated
 MAX_STEPS = 100_000
+
+# a row of boundary values whose Gram-Schmidt remainder is below RANK_TOL
+# times the largest row norm adds no time component to the Robin load
+RANK_TOL = 1e-13
+
+# the Lanczos process of terminal_excitation stops once the tridiagonal's
+# error estimate is below LANCZOS_TOL relative to the coordinates it reads
+LANCZOS_TOL = 1e-15
 
 
 class ProblemData:
@@ -104,6 +141,7 @@ class ProblemData:
                              d2tb.max() if d2tb.size else 0.0, 0.0))
         self._emission_lu = None
         self._zero_source_levels = None
+        self._load_components = _time_components(bv[1:])
         self.violations = self._violations(bv, dtb, d2tb)
 
     def _violations(self, bv, dtb, d2tb) -> list[str]:
@@ -134,35 +172,36 @@ class ProblemData:
         """Cached factorization of the (q-independent) emission step matrix."""
         if self._emission_lu is None:
             ops = self.grid.operators(self.beta)
-            self._emission_lu = ops.step_lu(self.tau, self.p.values)
+            self._emission_lu = ops.step_lu(self.tau, self.p.values, reference_order=True)
         return self._emission_lu
 
     def zero_source_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached last two levels (v^N, v^(N-1)) of the excitation at q = 0.
-
-        At q = 0 the excitation step matrix is the emission step matrix
-        (the absorption p + 0 is p bit for bit), so the march reuses the
-        cached emission factor and keeps no history.
-        """
+        """Cached ``terminal_excitation`` at q = 0: the last two levels (v^N, v^(N-1))."""
         if self._zero_source_levels is None:
-            self._zero_source_levels = _last_two(
-                _march(self, self.emission_lu()), np.zeros(self.grid.node_count))
+            self._zero_source_levels = terminal_excitation(self, self.grid.zeros())
         return self._zero_source_levels
 
 
-def _march(data: ProblemData, lu):
-    """Backward-Euler loop from u^0 = 0 under the Robin load, yielding u^1, ..., u^N.
+def _time_components(rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split boundary-value rows b_1..b_N as b_k = sum_j a_j[k] x_j: the pairs (a_j, x_j).
 
-    The load is taken fully implicitly, at the new level.  Only the current
-    level is held; the caller keeps what it needs.
+    The x_j come from a rank-revealing Gram-Schmidt over the rows in order,
+    two passes per row and pairwise sums, so the split is orthonormal to
+    roundoff and does not depend on the BLAS thread count; a row whose
+    remainder is below RANK_TOL times the largest row norm adds none.
+    Zero data have no component.
     """
-    ops = data.grid.operators(data.beta)
-    u = np.zeros(data.grid.node_count)
-    for k in range(1, data.n_steps + 1):
-        rhs = data.grid.weights * u / data.tau
-        rhs = rhs + ops.load_weights * data.boundary_field(k)
-        u = lu.solve(rhs)
-        yield u
+    scale = max(math.sqrt(_dot(row, row)) for row in rows)
+    basis = []
+    for row in rows:
+        x = row.copy()
+        for _ in range(2):
+            for b in basis:
+                x -= _dot(b, x) * b
+        norm = math.sqrt(_dot(x, x))
+        if norm > RANK_TOL * scale:
+            basis.append(x / norm)
+    return [(np.array([_dot(x, row) for row in rows]), x) for x in basis]
 
 
 def _last_two(levels, zero):
@@ -174,50 +213,154 @@ def _last_two(levels, zero):
     return last, before
 
 
-def _excitation_march(data: ProblemData, q: GridFunction):
-    """The excitation march at source q, after checking q; one factorization.
-
-    Rejects sources with negative entries: the admissible set is [0, M].
-    """
+def _check_source(data: ProblemData, q: GridFunction) -> None:
+    """Rejects a source off the problem grid or with negative entries: the
+    admissible set is [0, M]."""
     if q.grid is not data.grid:
         raise ValueError("source q must live on the problem grid")
     if q.values.min() < 0:
         raise ValueError(f"source must be nonnegative; min q = {q.values.min():g}")
-    lu = data.grid.operators(data.beta).step_lu(data.tau, data.p.values + q.values)
-    return _march(data, lu)
 
 
 def coupled_levels(data: ProblemData, q: GridFunction):
     """Both fields at source q, level by level: yields (u_e^k, u_m^k), k = 1..N.
 
-    The two backward-Euler marches advance in lockstep, and each emission
-    step, sourced by q * u_e^k, is taken on the cached emission factor right
-    after the excitation step it reads.  q is checked on the call, before
-    the first level.  Every yielded array is fresh, so a caller may keep
-    any of them; level 0 is zero for both fields and is not yielded.
+    The reference march.  The two backward-Euler marches advance in
+    lockstep from level 0, taking the Robin load fully implicitly, at the
+    new level; each emission step, sourced by q * u_e^k, is taken on the
+    cached emission factor right after the excitation step it reads.  q is
+    checked and the excitation step factorized on the call, before the
+    first level.  Every yielded array is fresh, so a caller may keep any of
+    them; level 0 is zero for both fields and is not yielded.
     """
-    excitation = _excitation_march(data, q)
-    lu = data.emission_lu()
+    _check_source(data, q)
+    ops = data.grid.operators(data.beta)
+    lu_e = ops.step_lu(data.tau, data.p.values + q.values, reference_order=True)
+    lu_m = data.emission_lu()
     w = data.grid.weights
 
     def lockstep():
-        u_m = np.zeros(data.grid.node_count)
-        for u_e in excitation:
+        u_e = u_m = np.zeros(data.grid.node_count)
+        for k in range(1, data.n_steps + 1):
+            rhs = w * u_e / data.tau
+            rhs = rhs + ops.load_weights * data.boundary_field(k)
+            u_e = lu_e.solve(rhs)
             rhs = w * u_m / data.tau
             rhs = rhs + w * (q.values * u_e)
-            u_m = lu.solve(rhs)
+            u_m = lu_m.solve(rhs)
             yield u_e, u_m
 
     return lockstep()
 
 
+def _tridiagonal_apply(alphas: np.ndarray, betas: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """T y for the symmetric tridiagonal T with diagonal alphas and
+    off-diagonal betas; y a vector or the columns of an array."""
+    if y.ndim == 2:
+        alphas, betas = alphas[:, None], betas[:, None]
+    z = alphas * y
+    z[1:] += betas * y[:-1]
+    z[:-1] += betas * y[1:]
+    return z
+
+
+def _polynomial_coordinates(alphas: list, betas: list, a: np.ndarray):
+    """y_N = sum_(k=1..N) a_k T^(N-k) e_1 and y_(N-1) = sum_(k<N) a_k T^(N-1-k) e_1.
+
+    T is the tridiagonal of the Lanczos steps taken (alphas, and the betas
+    but the last).  y_(N-1) comes by Horner's rule s = isqrt(N - 1) powers
+    of T at a time: with the columns T^r e_1 (r < s) and the dense T^s, a
+    block of s coefficients is one product with each, so about 2 sqrt(N)
+    numpy operations replace Horner's N.  Then y_N = T y_(N-1) + a_N e_1;
+    y_(N-1) = 0 when N = 1.
+    """
+    alphas, betas = np.array(alphas), np.array(betas[:-1])
+    n = a.size - 1
+    y = np.zeros(alphas.size)
+    if n:
+        s = math.isqrt(n)
+        blocks = -(-n // s)
+        coefs = np.concatenate([np.zeros(blocks * s - n), a[:-1]]).reshape(blocks, s)
+        power = np.eye(alphas.size)
+        krylov = np.empty((alphas.size, s))    # column r holds T^(s-1-r) e_1
+        for r in range(s - 1, -1, -1):
+            krylov[:, r] = power[:, 0]
+            power = _tridiagonal_apply(alphas, betas, power)
+        for row in coefs:                      # power is T^s
+            y = np.add.reduce(power * y, axis=1) + np.add.reduce(krylov * row, axis=1)
+    y_N = _tridiagonal_apply(alphas, betas, y)
+    y_N[0] += a[-1]
+    return y_N, y
+
+
+def _add_component_levels(data: ProblemData, lu, a: np.ndarray, x: np.ndarray,
+                          u_N: np.ndarray, u_prev: np.ndarray) -> None:
+    """Add one time component's share of u^N and u^(N-1) to u_N and u_prev.
+
+    The component's load is x on the boundary nodes times the Robin load
+    weights.  The Lanczos process on P = A^-1 W / tau in the W inner
+    product, from A^-1 load, runs without reorthogonalization (see the
+    module docstring).  The error estimate is read only at a step where it
+    could have met LANCZOS_TOL: it fell by about a decade per step at most
+    in the runs measured, so a reading that misses by a factor rho puts the
+    next log10(rho) / 2 steps on, and at least one.
+    """
+    grid, tau, N = data.grid, data.tau, data.n_steps
+    w = grid.weights
+    r = np.zeros(grid.node_count)
+    r[grid.boundary_indices] = x
+    r = lu.solve(r * grid.operators(data.beta).load_weights)
+    beta_0 = math.sqrt(_dot(r, w * r))
+    r /= beta_0
+    basis, alphas, betas = [r], [], []
+    read_at = 1
+    while True:
+        q = basis[-1]
+        wq = w * q
+        v = lu.solve(wq)
+        v /= tau
+        alpha = _dot(wq, v)
+        v -= alpha * q
+        if len(basis) > 1:
+            v -= betas[-1] * basis[-2]
+        np.multiply(w, v, out=wq)
+        beta = math.sqrt(_dot(v, wq))
+        alphas.append(alpha)
+        betas.append(beta)
+        m = len(alphas)
+        if m == read_at or m == N or not beta > 0.0:
+            y_N, y_prev = _polynomial_coordinates(alphas, betas, a)
+            # the estimate beta_m |e_m' y| against LANCZOS_TOL |y|, for both levels
+            rho = max(beta * abs(y[-1]) / (LANCZOS_TOL * math.sqrt(_dot(y, y))) if y.any()
+                      else 0.0 for y in (y_N, y_prev))
+            if not rho > 1.0 or m == N or not beta > 0.0:
+                break
+            read_at = m + max(1, int(math.log10(rho) / 2))
+        v /= beta
+        basis.append(v)
+    for c_N, c_prev, q in zip(y_N, y_prev, basis):
+        u_N += (beta_0 * c_N) * q
+        u_prev += (beta_0 * c_prev) * q
+
+
 def terminal_excitation(data: ProblemData, q: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     """The last two excitation levels (u_e^N, u_e^(N-1)) at source q.
 
-    The excitation is marched alone, one factorization and T/tau solves;
-    its levels are those of ``coupled_levels``, bit for bit.
+    Read off one Lanczos process per time component of the Robin load (see
+    the module docstring): one factorization, and per component one solve
+    for A^-1 x plus one per step; zero boundary data give zeros with none.
+    They agree with the levels of ``coupled_levels`` to roundoff.  q is
+    checked as there.
     """
-    return _last_two(_excitation_march(data, q), np.zeros(data.grid.node_count))
+    _check_source(data, q)
+    grid = data.grid
+    u_N, u_prev = np.zeros(grid.node_count), np.zeros(grid.node_count)
+    if not data._load_components:
+        return u_N, u_prev
+    lu = grid.operators(data.beta).step_lu(data.tau, data.p.values + q.values)
+    for a, x in data._load_components:
+        _add_component_levels(data, lu, a, x, u_N, u_prev)
+    return u_N, u_prev
 
 
 def terminal_fields(data: ProblemData, q: GridFunction):
@@ -229,9 +372,9 @@ def terminal_fields(data: ProblemData, q: GridFunction):
     built from it has the manufactured source as an exact fixed point on
     data generated by this solver.
 
-    The fixed-point map gets the same triple from one march, as
-    u_m = v - u_e with v the q = 0 excitation.  That agrees with this pass
-    only to roundoff, and the truth (``presets.build_truth``) and the
+    The fixed-point map gets the same triple from ``terminal_excitation``,
+    as u_m = v - u_e with v the q = 0 excitation.  That agrees with this
+    pass only to roundoff, and the truth (``presets.build_truth``) and the
     ``forward`` command keep this one: the benchmark reference values of
     ``rates-source`` were recorded on it, and the fit's outer CG, which
     stops at a relative residual of 1e-10, amplifies a roundoff change of

@@ -206,7 +206,8 @@ class _GridOperators:
 
     The Laplacian factor is built lazily and cached; a backward-Euler step
     factor depends on the absorption field, so ``step_lu`` builds a fresh
-    one and callers keep what they reuse.
+    one, in a symmetric ordering unless the reference march asks for the
+    default one, and callers keep what they reuse.
     """
 
     def __init__(self, grid: Grid, beta: float):
@@ -235,14 +236,21 @@ class _GridOperators:
         """S' v = W L^-1 v, for a vector or for the columns of an array."""
         return _per_node(self.grid.weights, v) * self.lu_laplacian().solve(v)
 
-    def step_lu(self, tau: float, absorption: np.ndarray):
+    def step_lu(self, tau: float, absorption: np.ndarray, reference_order: bool = False):
         """Factorization of one backward-Euler step, W/tau + L + W diag(absorption).
 
-        Not cached: the absorption changes with the source being solved for.
+        The matrix is symmetric, so its columns are ordered by minimum degree
+        on its own pattern (``MMD_AT_PLUS_A``): 386,976 entries in L and U at
+        grid 100 against 659,092 under SuperLU's default COLAMD.  Not cached:
+        the absorption changes with the source being solved for.
         """
+        # reference_order keeps COLAMD for the reference march, whose bits the
+        # benchmark reference values of rates-source were recorded on (the
+        # fit's CG amplifies a roundoff change of the truth); the keyword goes
+        # when ROADMAP item 2 regenerates that reference
         w = self.grid.weights
         A = (sp.diags(w / tau) + self.laplacian + sp.diags(w * absorption)).tocsc()
-        return spla.splu(A)
+        return spla.splu(A, permc_spec="COLAMD" if reference_order else "MMD_AT_PLUS_A")
 
     def pointwise_laplacian(self, values: np.ndarray) -> np.ndarray:
         """Apply the negative Laplacian nodewise: -Delta_h u = W^-1 (L u).

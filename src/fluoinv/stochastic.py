@@ -208,9 +208,9 @@ class _TrialRunner:
     Built in the calling process: it draws the sensor points of every rung
     and builds each rung's sensor map (with the E'E of its fits) once,
     factorizes the two matrices the trials share (the Robin Laplacian at
-    beta and the grid's H1 Gram matrix) and marches the zero-source
-    excitation that every map and initial guess read, so forked workers
-    inherit them instead of redoing them.
+    beta and the grid's H1 Gram matrix) and computes the last two levels
+    of the zero-source excitation that every map and initial guess read,
+    so forked workers inherit them instead of redoing them.
     """
 
     def __init__(self, pipeline: InversionPipeline, ladder: list[LadderPoint], base_seed: int):

@@ -5,9 +5,10 @@ import pytest
 
 import fluoinv as fv
 from fluoinv import inverse
-from fluoinv.forward import terminal_excitation, terminal_fields
+from fluoinv.forward import _last_two, terminal_excitation, terminal_fields
 from fluoinv.inverse import _terminal_triple
-from fluoinv.presets import build_source, build_truth, example2_problem, smooth_source
+from fluoinv.presets import (build_source, build_truth, example2_absorption, example2_problem,
+                             smooth_source, stability_problem)
 
 from conftest import restrict, stacked_levels
 
@@ -196,35 +197,44 @@ def test_grid_mismatch_rejected(ex2_32, grid16):
 
 def test_fixed_point_map_cost(lu_counts):
     # the cost model of one map application: the excitation step matrix
-    # depends on q and is factorized anew, and its backward-Euler march does
-    # one solve per step; the emission levels come from the cached q = 0 march
+    # depends on q and is factorized anew, and the two levels are read off a
+    # Lanczos process per time component of the load (2 for example2), about
+    # half the 100 solves of a march; the emission levels come from the
+    # cached q = 0 levels
     grid = fv.Grid(2, 16)
-    _, g, data, _ = build_truth("example2-smooth", grid, tau=0.25)
-    assert data.n_steps == 4
+    _, g, data, _ = build_truth("example2-smooth", grid)
+    assert data.n_steps == 100
     q = grid.function(np.full(grid.node_count, 1.0))
     fv.fixed_point_map(data, q, g)  # the q = 0 levels are cached by now
     lu_counts.update(factorizations=0, solves=0)
     fv.fixed_point_map(data, q, g)
-    assert lu_counts == {"factorizations": 1, "solves": data.n_steps}
+    assert lu_counts["factorizations"] == 1
+    assert lu_counts["solves"] <= 55
 
 
-def test_initial_guess_reuses_the_emission_factor(lu_counts):
-    # at q = 0 the excitation step matrix is the emission one, so the initial
-    # guess marches on the cached emission factor, once per problem
+def test_initial_guess_caches_the_zero_source_levels(lu_counts):
+    # the q = 0 levels are terminal_excitation at q = 0, computed once per
+    # problem: one factorization and about half a march's solves, then nothing
     grid = fv.Grid(2, 16)
-    _, g, data, _ = build_truth("example2-smooth", grid, tau=0.25)
-    data.emission_lu()
+    _, g, data, _ = build_truth("example2-smooth", grid)
     lu_counts.update(factorizations=0, solves=0)
     fv.initial_guess(data, g)
-    assert lu_counts == {"factorizations": 0, "solves": data.n_steps}
-    lu_counts.update(solves=0)
+    assert lu_counts["factorizations"] == 1
+    assert lu_counts["solves"] <= 55
+    lu_counts.update(factorizations=0, solves=0)
     fv.initial_guess(data, g)
     assert lu_counts == {"factorizations": 0, "solves": 0}
 
 
+def close(a, b, rtol=1e-13):
+    """a within rtol of b, relative to the largest entry of b."""
+    return np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
 def test_terminal_fields_match_the_histories():
-    # the terminal passes keep the last two levels of the same step loops
-    # whose stacked output is the history, and return owned arrays
+    # the observation keeps the last two levels of the march whose stacked
+    # output is the history, and returns owned arrays; the Lanczos levels
+    # of the map agree with the march to roundoff
     grid = fv.Grid(2, 16)
     data = example2_problem(grid, tau=0.05)
     q = smooth_source(grid)
@@ -235,25 +245,97 @@ def test_terminal_fields_match_the_histories():
     assert np.array_equal(um_T.values, u_m[-1])
     assert all(v.values.base is None for v in (ue_T, dtum_T, um_T))
     for level, stacked in zip(terminal_excitation(data, q), u_e[::-1]):
-        assert np.array_equal(level, stacked)
+        assert close(level, stacked)
     zero, _ = stacked_levels(data, grid.zeros())
     for level, stacked in zip(data.zero_source_levels(), zero[::-1]):
-        assert np.array_equal(level, stacked)
+        assert close(level, stacked)
 
 
 @pytest.mark.parametrize("source", ["example2-smooth", "example2-discontinuous"])
 def test_map_fields_match_the_forward_observation(source):
     # u_m = v - u_e, v the cached q = 0 excitation, gives the two-march
-    # triple of terminal_fields: u_e(T) bit for bit, the emission fields to
-    # roundoff, and all three bit for bit at q = 0
+    # triple of terminal_fields: u_e(T) to 1e-13, the emission fields to
+    # roundoff, and at q = 0 the emission fields exactly zero in both
     grid = fv.Grid(2, 24)
     _, _, data, q = build_truth(source, grid, tau=0.05)
     triple, forward = _terminal_triple(data, q), terminal_fields(data, q)
-    assert np.array_equal(triple[0].values, forward[0].values)
+    assert close(triple[0].values, forward[0].values)
     for a, b in zip(triple[1:], forward[1:]):
         assert np.abs(a.values - b.values).max() <= 1e-9 * np.abs(b.values).max()
-    for a, b in zip(_terminal_triple(data, grid.zeros()), terminal_fields(data, grid.zeros())):
-        assert np.array_equal(a.values, b.values)
+    triple, forward = _terminal_triple(data, grid.zeros()), terminal_fields(data, grid.zeros())
+    assert close(triple[0].values, forward[0].values)
+    for a, b in zip(triple[1:], forward[1:]):
+        assert np.array_equal(a.values, b.values) and not b.values.any()
+
+
+def with_source(data, source):
+    return data, source(data)
+
+
+def smooth_on(data):
+    return smooth_source(data.grid)
+
+
+def bound_on(data):
+    """The constant source M, at which stability_constants reads its floor."""
+    return data.grid.function(np.full(data.grid.node_count, data.M))
+
+
+def lanczos_cases():
+    """pytest params of a builder of (problem, source on its grid)."""
+    for cells in (16, 32):
+        for truth in ("example2-smooth", "example2-discontinuous"):
+            yield pytest.param(lambda c=cells, t=truth: build_truth(t, fv.Grid(2, c))[2:],
+                               id=f"{truth}-{cells}")
+        yield pytest.param(lambda c=cells: build_truth("example2-smooth", fv.Grid(2, c),
+                                                       flip_boundary=True)[2:],
+                           id=f"example2-flipped-{cells}")
+    for tau in (1.0, 0.25, 0.001):
+        yield pytest.param(lambda tau=tau: with_source(example2_problem(fv.Grid(2, 16), tau=tau),
+                                                       smooth_on),
+                           id=f"N={round(1 / tau)}")
+    yield pytest.param(lambda: with_source(stability_problem(fv.Grid(2, 32)), bound_on),
+                       id="stability")
+
+
+@pytest.mark.parametrize("build", lanczos_cases())
+def test_lanczos_levels_match_the_march(build, lu_counts):
+    # both levels within 1e-13 relative of the reference march, from one
+    # factorization; a process capped at N steps costs at most N + 1 solves
+    # per time component (the stability problem has one, N = 20)
+    data, q = build()
+    zero = np.zeros(data.grid.node_count)
+    (ue_N, _), (ue_prev, _) = _last_two(fv.coupled_levels(data, q), (zero, zero))
+    lu_counts.update(factorizations=0, solves=0)
+    levels = terminal_excitation(data, q)
+    assert close(levels[0], ue_N)
+    assert close(levels[1], ue_prev) if data.n_steps > 1 else not levels[1].any()
+    assert lu_counts["factorizations"] == 1
+    assert lu_counts["solves"] <= len(data._load_components) * (data.n_steps + 1)
+
+
+def test_zero_boundary_data_has_no_time_component(grid16, lu_counts):
+    # rank 0: the excitation is zero at every source, with no factorization
+    data = zero_boundary_problem(grid16)
+    assert data._load_components == []
+    u_N, u_prev = terminal_excitation(data, grid16.function(np.full(grid16.node_count, 2.0)))
+    assert not u_N.any() and not u_prev.any()
+    assert lu_counts == {"factorizations": 0, "solves": 0}
+
+
+def test_step_factor_fill(grid100):
+    # fill pins, machine-independent: the map's factor is ordered by minimum
+    # degree on the symmetric pattern; the reference march keeps SuperLU's
+    # default COLAMD, on whose bits the benchmark reference values of
+    # rates-source rest until ROADMAP item 2 regenerates them
+    ops = grid100.operators(1.0)
+    absorption = example2_absorption(grid100).values
+
+    def fill(lu):
+        return lu.L.nnz + lu.U.nnz
+
+    assert fill(ops.step_lu(0.01, absorption)) == 386_976
+    assert fill(ops.step_lu(0.01, absorption, reference_order=True)) == 659_092
 
 
 def test_forward_pass_keeps_one_history(monkeypatch):

@@ -105,7 +105,9 @@ def test_clean_recovery_discontinuous_source_with_clamp():
 
 def test_fixed_point_at_its_cap_raises(ex2_32, monkeypatch, lu_counts):
     # three steps cannot reach a tolerance of 1e-300: the iteration names the
-    # cap, keeps its three steps, and factorizes once per map application
+    # cap, keeps its three steps, and factorizes once per map application;
+    # at N = 4 each of the load's two time components runs its Lanczos
+    # process to the cap m = N, one solve for the start and one per step
     data, g = ex2_32["data"], ex2_32["g"]
     fv.initial_guess(data, g)  # the cached emission factor and q = 0 levels
     monkeypatch.setattr(inverse, "FIXED_POINT_MAX_ITER", 3)
@@ -118,7 +120,7 @@ def test_fixed_point_at_its_cap_raises(ex2_32, monkeypatch, lu_counts):
     trace = info.value.trace
     assert trace.iterations == 3
     assert len(trace.misfits) == len(trace.step_minima) == 3
-    assert lu_counts == {"factorizations": 3, "solves": 3 * data.n_steps}
+    assert lu_counts == {"factorizations": 3, "solves": 3 * 2 * (data.n_steps + 1)}
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +139,8 @@ def fitted_40():
 def test_clamped_iteration_is_secant_mixed(fitted_40, monkeypatch, lu_counts):
     # the mixed iteration takes 8 map applications where the plain clamped
     # one takes 12, lands on the same point, and feeds the map only
-    # iterates in [0, M]
+    # iterates in [0, M]; each application is one factorization and at most
+    # 55 solves, against a march's N = 100
     data, g = fitted_40
 
     def clamped(u):
@@ -160,7 +163,8 @@ def test_clamped_iteration_is_secant_mixed(fitted_40, monkeypatch, lu_counts):
     lu_counts.update(factorizations=0, solves=0)
     q, trace = fv.fixed_point_solve(data, g)
     assert trace.iterations == len(iterates) == 8
-    assert lu_counts == {"factorizations": 8, "solves": 8 * data.n_steps}
+    assert lu_counts["factorizations"] == 8
+    assert lu_counts["solves"] <= 8 * 55
     assert all(0.0 <= v.min() and v.max() <= data.M for v in [*iterates, q.values])
     assert fv.l2_norm(q - picard) <= 1e-9 * fv.l2_norm(picard)
 
