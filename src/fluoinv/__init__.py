@@ -44,6 +44,7 @@ from .stochastic import (
     NoiseModel,
     RateFit,
     TrialOutcome,
+    WorkerKilledError,
     expectation_experiment,
     fit_rate,
     observe,

@@ -46,6 +46,7 @@ from .stochastic import (
     InversionPipeline,
     LadderPoint,
     NoiseModel,
+    WorkerKilledError,
     expectation_experiment,
     observe,
     rate_fits,
@@ -616,6 +617,9 @@ def main(argv=None) -> int:
             cause = "solver did not converge: " if isinstance(exc, ConvergenceError) else ""
             print(f"error: {cause}{exc}", file=sys.stderr)
             code = EXIT_NONCONVERGENCE
+        except WorkerKilledError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_CONFIG
         manifest.write(out)
         return code
     except ConfigError as exc:

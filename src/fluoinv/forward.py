@@ -27,20 +27,26 @@ started from A^-1 x_j, reads it off its tridiagonal T_m as
 function: Saad, SIAM J. Numer. Anal. 29 (1992) 209-228), and u^(N-1) off
 the same process.  Each step is one solve.  The process stops once the
 tridiagonal's error estimate beta_m |e_m' y| falls below LANCZOS_TOL |y|
-for both levels' coordinates y, or at m = N steps, where the evaluation is
-exact (p_j has degree N - 1), or at a breakdown beta_m = 0, where the
-space is invariant and the evaluation exact too.  The levels agree with
-the march's to roundoff (about 1e-14 relative on the presets).  The cost
-grows with the rank of the boundary data in time: 2 for example2's
-(x+y)^2 t + 5, 1 for constant data, 0 for zero data, which needs no solve.
+for both levels' coordinates y, or at a breakdown beta_m = 0, where the
+space is invariant and the evaluation exact, or at m = N - 1 steps.  At
+that cap q_N completes the basis, and the coordinates on T_N are exact
+(p_j has degree N - 1) without a last step: its solve would give only
+T_N's last diagonal entry alpha_N, which no polynomial of degree N - 1 in
+T_N reads, so the cap takes it as 0.  The levels agree with the march's
+to roundoff (about 1e-14 relative on the presets).  The cost grows with
+the rank of the boundary data in time: 2 for example2's (x+y)^2 t + 5, 1
+for constant data, 0 for zero data, which needs no solve.
 
-Memory model: no pass holds a history.  ``coupled_levels`` holds two
-levels per field; ``terminal_fields`` keeps the last two pairs.
-``terminal_excitation`` holds a Lanczos basis of m rows for one component
-at a time, sized to the steps taken and released before the next
-component, and its two result levels.  The map forms the emission levels
-as u_m = v - u_e from the q = 0 excitation v, whose last two levels
-``ProblemData`` caches.
+Memory model: no pass holds a history, and no step factor outlives its
+call.  ``coupled_levels`` holds two factors, the excitation and the
+emission step, for as long as its march runs, and two levels per field;
+``terminal_fields`` keeps the last two pairs.  ``terminal_excitation``
+holds one factor per call, a Lanczos basis of m rows for one component at
+a time, sized to the steps taken and released before the next component,
+and its two result levels.  The map forms the emission levels as
+u_m = v - u_e from the q = 0 excitation v, whose last two levels
+``ProblemData`` caches.  The factors that last a command, the Laplacian's
+and the H1 Gram matrix's, belong to the grid (``fluoinv.grid``).
 """
 
 from __future__ import annotations
@@ -139,7 +145,6 @@ class ProblemData:
                              f"at T = {T:g}, tau = {tau:g}")
         self.M_b = float(max(bv.max(), dtb.max() if dtb.size else 0.0,
                              d2tb.max() if d2tb.size else 0.0, 0.0))
-        self._emission_lu = None
         self._zero_source_levels = None
         self._load_components = _time_components(bv[1:])
         self.violations = self._violations(bv, dtb, d2tb)
@@ -167,13 +172,6 @@ class ProblemData:
         v = np.zeros(self.grid.node_count)
         v[self.grid.boundary_indices] = self.boundary_values[k]
         return v
-
-    def emission_lu(self):
-        """Cached factorization of the (q-independent) emission step matrix."""
-        if self._emission_lu is None:
-            ops = self.grid.operators(self.beta)
-            self._emission_lu = ops.step_lu(self.tau, self.p.values, reference_order=True)
-        return self._emission_lu
 
     def zero_source_levels(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached ``terminal_excitation`` at q = 0: the last two levels (v^N, v^(N-1))."""
@@ -227,16 +225,18 @@ def coupled_levels(data: ProblemData, q: GridFunction):
 
     The reference march.  The two backward-Euler marches advance in
     lockstep from level 0, taking the Robin load fully implicitly, at the
-    new level; each emission step, sourced by q * u_e^k, is taken on the
-    cached emission factor right after the excitation step it reads.  q is
-    checked and the excitation step factorized on the call, before the
-    first level.  Every yielded array is fresh, so a caller may keep any of
-    them; level 0 is zero for both fields and is not yielded.
+    new level; each emission step, sourced by q * u_e^k, is taken right
+    after the excitation step it reads.  q is checked and both step
+    matrices factorized on the call, before the first level: the excitation
+    at p + q and the emission at p.  The returned generator alone holds the
+    two factors, so they are freed when the march ends or is dropped.
+    Every yielded array is fresh, so a caller may keep any of them; level 0
+    is zero for both fields and is not yielded.
     """
     _check_source(data, q)
     ops = data.grid.operators(data.beta)
     lu_e = ops.step_lu(data.tau, data.p.values + q.values, reference_order=True)
-    lu_m = data.emission_lu()
+    lu_m = ops.step_lu(data.tau, data.p.values, reference_order=True)
     w = data.grid.weights
 
     def lockstep():
@@ -314,7 +314,7 @@ def _add_component_levels(data: ProblemData, lu, a: np.ndarray, x: np.ndarray,
     r /= beta_0
     basis, alphas, betas = [r], [], []
     read_at = 1
-    while True:
+    while len(basis) < N:
         q = basis[-1]
         wq = w * q
         v = lu.solve(wq)
@@ -328,16 +328,21 @@ def _add_component_levels(data: ProblemData, lu, a: np.ndarray, x: np.ndarray,
         alphas.append(alpha)
         betas.append(beta)
         m = len(alphas)
-        if m == read_at or m == N or not beta > 0.0:
+        if m == read_at or not beta > 0.0:
             y_N, y_prev = _polynomial_coordinates(alphas, betas, a)
             # the estimate beta_m |e_m' y| against LANCZOS_TOL |y|, for both levels
             rho = max(beta * abs(y[-1]) / (LANCZOS_TOL * math.sqrt(_dot(y, y))) if y.any()
                       else 0.0 for y in (y_N, y_prev))
-            if not rho > 1.0 or m == N or not beta > 0.0:
+            if not rho > 1.0 or not beta > 0.0:
                 break
             read_at = m + max(1, int(math.log10(rho) / 2))
         v /= beta
         basis.append(v)
+    else:
+        # the cap: q_N is in the basis, and T_N's last diagonal entry, which
+        # one more solve would give, is never read by a polynomial of degree
+        # N - 1 in T_N; at N = 1 no step is taken and u^1 = a_1 A^-1 x
+        y_N, y_prev = _polynomial_coordinates(alphas + [0.0], betas + [0.0], a)
     for c_N, c_prev, q in zip(y_N, y_prev, basis):
         u_N += (beta_0 * c_N) * q
         u_prev += (beta_0 * c_prev) * q

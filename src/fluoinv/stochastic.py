@@ -37,6 +37,7 @@ __all__ = [
     "fit_rate",
     "rate_fits",
     "tail_histogram",
+    "WorkerKilledError",
 ]
 
 POINT_MARGIN = 1e-3
@@ -247,6 +248,15 @@ class _TrialRunner:
         return TrialOutcome(errors, sf_err_n, float(lam), lam_trace.outer_iterations, fp_iters)
 
 
+class WorkerKilledError(RuntimeError):
+    """A trial worker process ended before returning its outcome.
+
+    The operating system ends a worker this way, most likely its
+    out-of-memory killer; ``fluoinv.cli.main`` reports it in one line and
+    exits 2, as for a ``MemoryError``.
+    """
+
+
 _worker_runner: _TrialRunner | None = None   # set in pool workers only
 
 
@@ -266,16 +276,22 @@ def _run_tasks(runner: _TrialRunner, tasks: list, workers: int) -> list[TrialOut
     (factorizations do not pickle).  Results are read in task order, so the
     first exception in task order is re-raised here, as the serial loop
     would raise it; the trials not yet started are cancelled.  A worker
-    killed from outside raises BrokenProcessPool instead of hanging.
+    killed from outside breaks the pool instead of hanging it, and raises
+    WorkerKilledError.
     """
     if workers == 1:
         return [runner(task) for task in tasks]
     import multiprocessing  # deferred: only the pool path pays these imports
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_install_runner, initargs=(runner,)) as pool:
-        return list(pool.map(_run_task, tasks))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_install_runner, initargs=(runner,)) as pool:
+            return list(pool.map(_run_task, tasks))
+    except BrokenProcessPool as exc:
+        raise WorkerKilledError(f"a trial worker process was killed, most likely out of "
+                                f"memory, with {workers} workers running") from exc
 
 
 def expectation_experiment(pipeline: InversionPipeline, ladder, trials: int = 10,

@@ -1,4 +1,5 @@
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -53,10 +54,15 @@ def ex2_32():
 
 @pytest.fixture
 def lu_counts(monkeypatch):
-    """Counts of sparse factorizations and solves made from here on."""
+    """Counts of sparse factorizations and solves made from here on; of the
+    factors made from here on, ``live`` counts those alive now and
+    ``peak_live`` the most alive at once."""
     import scipy.sparse.linalg as spla
 
-    counts = {"factorizations": 0, "solves": 0}
+    class Counts(dict):
+        live = peak_live = 0
+
+    counts = Counts(factorizations=0, solves=0)
     splu = spla.splu
 
     class CountedFactor:
@@ -67,9 +73,16 @@ def lu_counts(monkeypatch):
             counts["solves"] += 1
             return self._lu.solve(rhs)
 
+    def released():
+        counts.live -= 1
+
     def counted_splu(*args, **kwargs):
         counts["factorizations"] += 1
-        return CountedFactor(splu(*args, **kwargs))
+        factor = CountedFactor(splu(*args, **kwargs))
+        counts.live += 1
+        counts.peak_live = max(counts.peak_live, counts.live)
+        weakref.finalize(factor, released)
+        return factor
 
     monkeypatch.setattr(spla, "splu", counted_splu)
     return counts

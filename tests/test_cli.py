@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import resource
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from fluoinv import cli, inverse
+from fluoinv import cli, inverse, stochastic
 from fluoinv.cli import main
 from fluoinv.presets import PRESETS
 from fluoinv.verify import BATTERY_CHECKS
@@ -385,6 +386,31 @@ def test_rates_positivity_failure_names_rung_and_trial(tmp_path, capsys, threads
     assert warning.startswith("warning: the problem data violate 4 hypotheses: ")
     assert error.startswith("error: ") and "nonpositive" in error
     assert "n=100" in error and "trial 0" in error
+    assert json.loads((out / "manifest.json").read_text())["files"] == []
+
+
+def test_killed_trial_worker_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch):
+    # one forked worker ends as the OOM killer would end it, at trial 1 of
+    # the first rung; the pool is forced, so the test process never runs a
+    # trial itself
+    parent, seed = os.getpid(), stochastic.trial_seed
+
+    def killed_at_one_trial(base_seed, i, t):
+        if (i, t) == (0, 1) and os.getpid() != parent:
+            os._exit(137)
+        return seed(base_seed, i, t)
+
+    monkeypatch.setattr(stochastic, "trial_seed", killed_at_one_trial)
+    monkeypatch.setattr(stochastic, "available_cpus", lambda: 2)
+    cfg = write_cfg(tmp_path, "c.json", {
+        "grid": 16, "truth": "example1", "s": 0, "sigma": 0.002,
+        "ladder": [100, 300, 1000], "trials": 2, "lambda": {"mode": "prior"},
+    })
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg, "--threads", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: a trial worker process was killed, most likely out of memory, "
+        "with 2 workers running"]
     assert json.loads((out / "manifest.json").read_text())["files"] == []
 
 

@@ -107,9 +107,9 @@ def test_fixed_point_at_its_cap_raises(ex2_32, monkeypatch, lu_counts):
     # three steps cannot reach a tolerance of 1e-300: the iteration names the
     # cap, keeps its three steps, and factorizes once per map application;
     # at N = 4 each of the load's two time components runs its Lanczos
-    # process to the cap m = N, one solve for the start and one per step
+    # process to the cap m = N - 1, one solve for the start and one per step
     data, g = ex2_32["data"], ex2_32["g"]
-    fv.initial_guess(data, g)  # the cached emission factor and q = 0 levels
+    fv.initial_guess(data, g)  # the cached q = 0 levels
     monkeypatch.setattr(inverse, "FIXED_POINT_MAX_ITER", 3)
     monkeypatch.setattr(inverse, "FIXED_POINT_TOL", 1e-300)
     lu_counts.update(factorizations=0, solves=0)
@@ -120,7 +120,7 @@ def test_fixed_point_at_its_cap_raises(ex2_32, monkeypatch, lu_counts):
     trace = info.value.trace
     assert trace.iterations == 3
     assert len(trace.misfits) == len(trace.step_minima) == 3
-    assert lu_counts == {"factorizations": 3, "solves": 3 * 2 * (data.n_steps + 1)}
+    assert lu_counts == {"factorizations": 3, "solves": 3 * 2 * data.n_steps}
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +197,15 @@ def _noisy_recovery(cells, level, s, seed=2024, tau=0.01):
     _, fit, _ = fv.self_consistent_lambda(1.0, meas, s)
     q_rec, _ = fv.fixed_point_solve(data, fit.sf)
     return fv.error_bundle(q=q_rec, q_true=q_true)
+
+
+def test_fitted_recovery_holds_three_factors_at_most(lu_counts):
+    # the truth's march frees its two step factors; then the fit holds the
+    # Laplacian's and the H1 factor for the command, and each map
+    # application one step factor of its own
+    _noisy_recovery(16, 0.01, s=1)
+    assert lu_counts.live == 2
+    assert lu_counts.peak_live == 3
 
 
 def test_noise_sweep_monotone_h1_penalty():
