@@ -45,8 +45,11 @@ holds one factor per call, a Lanczos basis of m rows for one component at
 a time, sized to the steps taken and released before the next component,
 and its two result levels.  The map forms the emission levels as
 u_m = v - u_e from the q = 0 excitation v, whose last two levels
-``ProblemData`` caches.  The factors that last a command, the Laplacian's
-and the H1 Gram matrix's, belong to the grid (``fluoinv.grid``).
+``ProblemData`` caches.  No pass here reads the two factors the grid
+caches, the Laplacian's and the H1 Gram matrix's: the fit and the dual-H1
+errors do (``fluoinv.grid``).  The ``p2`` command releases both once its
+fit has returned, so each map application runs beside its own step factor
+only, and its err4 factors H1 again at s = 1.
 """
 
 from __future__ import annotations
@@ -187,17 +190,22 @@ def _time_components(rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     two passes per row and pairwise sums, so the split is orthonormal to
     roundoff and does not depend on the BLAS thread count; a row whose
     remainder is below RANK_TOL times the largest row norm adds none.
-    Zero data have no component.
+    Zero data have no component.  Each row enters the sums scaled by the
+    power of two that brings its largest entry into [1/2, 1), so squares
+    of data as small as 1e-200 do not underflow; the scaling is exact, and
+    the split is the one the unscaled sums give wherever those do not
+    underflow.
     """
-    scale = max(math.sqrt(_dot(row, row)) for row in rows)
+    exponents = [math.frexp(np.abs(row).max())[1] for row in rows]
+    scaled = [np.ldexp(row, -e) for row, e in zip(rows, exponents)]
+    scale = max(math.ldexp(math.sqrt(_dot(x, x)), e) for x, e in zip(scaled, exponents))
     basis = []
-    for row in rows:
-        x = row.copy()
+    for x, e in zip(scaled, exponents):
         for _ in range(2):
             for b in basis:
                 x -= _dot(b, x) * b
         norm = math.sqrt(_dot(x, x))
-        if norm > RANK_TOL * scale:
+        if math.ldexp(norm, e) > RANK_TOL * scale:
             basis.append(x / norm)
     return [(np.array([_dot(x, row) for row in rows]), x) for x in basis]
 
@@ -303,9 +311,14 @@ def _add_component_levels(data: ProblemData, lu, a: np.ndarray, x: np.ndarray,
     module docstring).  The error estimate is read only at a step where it
     could have met LANCZOS_TOL: it fell by about a decade per step at most
     in the runs measured, so a reading that misses by a factor rho puts the
-    next log10(rho) / 2 steps on, and at least one.
+    next log10(rho) / 2 steps on, and at least one.  The coordinates are
+    read for a scaled by the power of two that brings its largest entry
+    into [1/2, 1), so the estimate's squares do not underflow for data as
+    small as 1e-200; the scaling is exact, and beta_0 takes it back.
     """
     grid, tau, N = data.grid, data.tau, data.n_steps
+    scale = math.frexp(np.abs(a).max())[1]
+    a = np.ldexp(a, -scale)
     w = grid.weights
     r = np.zeros(grid.node_count)
     r[grid.boundary_indices] = x
@@ -343,6 +356,7 @@ def _add_component_levels(data: ProblemData, lu, a: np.ndarray, x: np.ndarray,
         # one more solve would give, is never read by a polynomial of degree
         # N - 1 in T_N; at N = 1 no step is taken and u^1 = a_1 A^-1 x
         y_N, y_prev = _polynomial_coordinates(alphas + [0.0], betas + [0.0], a)
+    beta_0 = math.ldexp(beta_0, scale)
     for c_N, c_prev, q in zip(y_N, y_prev, basis):
         u_N += (beta_0 * c_N) * q
         u_prev += (beta_0 * c_prev) * q

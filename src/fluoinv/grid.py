@@ -64,6 +64,14 @@ class Grid:
     gradient seminorm) and the Gram matrices R_0 = M, R_1 = M + A of the
     penalties and norms, whose one H1 factor ``lu_h1`` is cached.
 
+    The cached factors, ``lu_h1`` and each ``operators(beta)``'s Laplacian
+    factor, serve the fit, the dual-H1 errors and the Poisson solves, not
+    the marches or the fixed-point map.  They live until
+    ``release_factors`` drops them, and each is rebuilt lazily, with the
+    same bits, on its next use; the library never releases them, a command
+    does (``p2`` once its fit has returned, so the fixed point runs beside
+    its own step factor only).
+
     Parameters
     ----------
     dim : int
@@ -149,6 +157,14 @@ class Grid:
             return v / _per_node(self.mass_diag, v)
         return self.lu_h1().solve(v)
 
+    def release_factors(self) -> None:
+        """Drop the cached H1 factor and the Laplacian factor of every cached
+        ``operators(beta)``; each is rebuilt on its next use.  SuperLU gives
+        the same factor for the same matrix, so no result changes."""
+        self._lu_h1 = None
+        for ops in self._op_cache.values():
+            ops._lu_laplacian = None
+
     def operators(self, beta: float) -> "_GridOperators":
         """Cached Robin Laplacian and its solves for a given Robin parameter."""
         key = float(beta)
@@ -204,10 +220,11 @@ class _GridOperators:
     - ``smooth``: the Poisson solve S = L^-1 W; ``smooth_adjoint``: its
       transpose S' = W L^-1, L being symmetric.
 
-    The Laplacian factor is built lazily and cached; a backward-Euler step
-    factor depends on the absorption field, so ``step_lu`` builds a fresh
-    one, in a symmetric ordering unless the reference march asks for the
-    default one, and callers keep what they reuse.
+    The Laplacian factor is built lazily and cached until
+    ``Grid.release_factors`` drops it; a backward-Euler step factor depends
+    on the absorption field, so ``step_lu`` builds a fresh one, in a
+    symmetric ordering unless the reference march asks for the default
+    one, and callers keep what they reuse.
     """
 
     def __init__(self, grid: Grid, beta: float):

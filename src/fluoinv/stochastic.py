@@ -211,7 +211,10 @@ class _TrialRunner:
     factorizes the two matrices the trials share (the Robin Laplacian at
     beta and the grid's H1 Gram matrix) and computes the last two levels
     of the zero-source excitation that every map and initial guess read,
-    so forked workers inherit them instead of redoing them.
+    so forked workers inherit them instead of redoing them.  Every trial's
+    fit and errors read both factors, so they stay cached on the grid for
+    the whole experiment, also beside each map's step factor; unlike
+    ``p2``, ``rates`` never releases them.
     """
 
     def __init__(self, pipeline: InversionPipeline, ladder: list[LadderPoint], base_seed: int):

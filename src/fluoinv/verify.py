@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import coupled_levels, terminal_excitation, terminal_fields
+from .forward import coupled_levels, terminal_excitation
 from .grid import Grid, GridFunction
 from .inverse import fixed_point_map, fixed_point_solve, stability_constants
 from .metrics import l2_norm
@@ -189,7 +189,9 @@ def run_battery(grid_cells: int = 32, seed: int = 20250810, tau: float = 0.25,
         for _ in range(20):
             qa = _random_source(rng, grid, sdata.M)
             qb = _random_source(rng, grid, sdata.M)
-            dg = terminal_fields(sdata, qa)[2] - terminal_fields(sdata, qb)[2]
+            # u_m(T) = v - u_e(T) on the map's path, and v, at q = 0, cancels
+            dg = GridFunction(grid, terminal_excitation(sdata, qb)[0]
+                              - terminal_excitation(sdata, qa)[0])
             lap = GridFunction(grid, ops.pointwise_laplacian(dg.values))
             lhs = l2_norm(qa - qb)
             rhs = sc.C * (l2_norm(lap) + p_inf * l2_norm(dg))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from fluoinv import cli, inverse, stochastic
+from fluoinv import cli, forward, inverse, stochastic
 from fluoinv.cli import main
 from fluoinv.presets import PRESETS
 from fluoinv.verify import BATTERY_CHECKS
@@ -126,6 +126,30 @@ def test_p1_away_from_unit_beta_factorizes_h1_once(tmp_path, lu_counts):
                                          "relative_sigma": 0.01, "s": 1})
     assert main(["p1", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert lu_counts["factorizations"] == 4
+
+
+def test_fitted_p2_maps_run_beside_their_own_step_factor_only(tmp_path, monkeypatch,
+                                                               lu_counts):
+    # p2 releases the grid's Laplacian and H1 factors once its fit has
+    # returned, so every terminal_excitation call holds its step factor
+    # alone; the count is the truth's two step factors, the fit's Laplacian
+    # and H1 factors, the q = 0 levels, one per map application (8) and H1
+    # once more for err4 at s = 1
+    live = []
+    add_levels = forward._add_component_levels
+
+    def recorded(*args):
+        live.append(lu_counts.live)
+        add_levels(*args)
+
+    monkeypatch.setattr(forward, "_add_component_levels", recorded)
+    cfg = write_cfg(tmp_path, "c.json", {"grid": 16})
+    out = tmp_path / "o"
+    assert main(["p2", "--preset", "example2-smooth", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "iteration_trace.csv")
+    assert len(rows) == 8
+    assert len(live) == 2 * (1 + 8) and set(live) == {1}
+    assert lu_counts["factorizations"] == 2 + 2 + 1 + 8 + 1
 
 
 def test_p1_lambda_ladder_row_count(tmp_path):
@@ -278,12 +302,15 @@ def test_spectral_command_and_caps(tmp_path, monkeypatch):
     assert len(rows) == 200
 
 
-def test_verify_default_passes(tmp_path):
+def test_verify_default_passes(tmp_path, lu_counts):
+    # the stability inequality reads u_m(T) on the map's path, one step
+    # factor per source, not a coupled march with two
     out = tmp_path / "o"
     assert main(["verify", "--preset", "verify-default", "--out", str(out)]) == 0
     _, rows = read_csv(out / "verify_report.csv")
     assert len(rows) == len(BATTERY_CHECKS)
     assert all(r[1] == "1" for r in rows)
+    assert lu_counts["factorizations"] <= 117
 
 
 def test_verify_violated_fails(tmp_path, capsys):

@@ -340,6 +340,22 @@ def test_zero_boundary_data_has_no_time_component(grid16, lu_counts):
     assert lu_counts == {"factorizations": 0, "solves": 0}
 
 
+@pytest.mark.parametrize("magnitude", [1e-200, 1e-150, 1.0, 1e200])
+def test_time_components_at_any_data_scale(magnitude):
+    # the load split and the Lanczos coordinates scale by powers of two, so
+    # no square underflows or overflows: b = c (1 + t) keeps its one time
+    # component, and the map's levels match the march's, at 1e-200 too
+    grid = fv.Grid(2, 4)
+    data = fv.ProblemData(grid, grid.function(np.ones(grid.node_count)),
+                          lambda c, t: np.full(len(c), magnitude * (1.0 + t)),
+                          beta=1.0, T=1.0, tau=0.1, M=5.0)
+    assert len(data._load_components) == 1
+    q = grid.function(np.full(grid.node_count, 0.5))
+    ue_T = terminal_fields(data, q)[0].values
+    assert ue_T.min() > 0.0
+    assert close(terminal_excitation(data, q)[0], ue_T, rtol=1e-14)
+
+
 def test_step_factor_fill(grid100):
     # fill pins, machine-independent: the map's factor is ordered by minimum
     # degree on the symmetric pattern; the reference march keeps SuperLU's

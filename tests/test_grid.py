@@ -107,6 +107,25 @@ def test_gram_solve_inverts_gram_apply(s, lu_counts):
     assert lu_counts["factorizations"] == 1
 
 
+def test_released_factors_are_rebuilt_with_the_same_bits(lu_counts):
+    # release_factors drops the H1 factor and the Laplacian factor at every
+    # cached beta, keeps the operators, and the next solves factor anew and
+    # give the same bits
+    grid = fv.Grid(2, 16)
+    v = np.random.default_rng(5).standard_normal(grid.node_count)
+
+    def solves():
+        return [grid.gram_solve(1, v)] + [grid.operators(beta).smooth(v) for beta in (0.5, 2.0)]
+
+    before, ops = solves(), grid.operators(0.5)
+    assert lu_counts.live == 3
+    grid.release_factors()
+    assert lu_counts.live == 0
+    assert all(np.array_equal(a, b) for a, b in zip(solves(), before))
+    assert grid.operators(0.5) is ops
+    assert lu_counts["factorizations"] == 6
+
+
 def test_smooth_adjoint_is_the_transpose(grid16):
     # (S f)'g = f'(S' g), for a vector and for each column of an array
     rng = np.random.default_rng(4)

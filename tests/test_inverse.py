@@ -200,9 +200,10 @@ def _noisy_recovery(cells, level, s, seed=2024, tau=0.01):
 
 
 def test_fitted_recovery_holds_three_factors_at_most(lu_counts):
-    # the truth's march frees its two step factors; then the fit holds the
-    # Laplacian's and the H1 factor for the command, and each map
-    # application one step factor of its own
+    # the truth's march frees its two step factors; the fit caches the
+    # Laplacian's and the H1 factor on the grid, and the library never
+    # releases them (the p2 command does, see test_cli), so here each map
+    # application runs its own step factor beside those two
     _noisy_recovery(16, 0.01, s=1)
     assert lu_counts.live == 2
     assert lu_counts.peak_live == 3
