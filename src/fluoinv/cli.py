@@ -447,8 +447,8 @@ def cmd_p2(cfg: dict, out: Path, manifest: Manifest) -> int:
         g = fitres.sf
         # the fixed point reads neither the fit's Laplacian factor nor the H1
         # factor, so each map application runs beside its own step factor
-        # only; at s = 1 err4 then factors H1 once more, about 30 ms at grid
-        # 100, for about 5.5 MB less peak RSS there
+        # only; at s = 1 err4 then factors H1 once more, 55-60 ms at grid 100
+        # on a 2-vCPU host, for 5.7 MB less peak RSS there (91.8 -> 86.1 MB)
         grid.release_factors()
     # fitted data are clamped to [0, M]; clean data run the raw map
     q_rec, trace = fixed_point_solve(data, g, clamp=not clean)

@@ -56,6 +56,12 @@ CG_MAX_ITER = 20000     # normal-equation CG iteration cap; the Lanczos basis ho
 WEIGHT_STOP_TOL = 1e-10
 WEIGHT_MAX_PASSES = 50
 
+# and it raises ConvergenceError naming the divergence once lambda exceeds
+# WEIGHT_DIVERGENCE_RATIO = 2^52 times a bound on the data operator's largest
+# Ritz value: then every shifted pivot alpha + lambda rounds to lambda, the
+# fit no longer reads the data, and each update only grows the weight
+WEIGHT_DIVERGENCE_RATIO = 2.0**52
+
 
 class PointEvaluation:
     """Sparse linear map E from nodal fields to values at one sensor set.
@@ -387,6 +393,15 @@ class _ShiftedLanczos:
                                        f"at its step cap min(CG_MAX_ITER, N) = {self.cap}")
             self._step()
 
+    def ritz_bound(self) -> float:
+        """A Gershgorin bound on the largest eigenvalue of T_k, the largest
+        Ritz value of R_s^-1 K; 0 before the first step."""
+        rows = np.array(self.alphas)
+        off = np.array(self.betas[1:len(self.alphas)])
+        rows[1:] += off
+        rows[:-1] += off
+        return float(rows.max()) if rows.size else 0.0
+
     def norms(self, lam: float) -> tuple[float, float]:
         """Misfit and penalty norm of the iterate at weight ``lam`` (see _solve)."""
         c, _ = self._solve(lam)
@@ -416,9 +431,11 @@ def self_consistent_lambda(beta: float, meas: MeasurementSet,
     its basis, each to the residual rule of the CG solve; its report counts
     the basis vectors.  No CG runs.
 
-    Raises ConvergenceError naming the pass if a fit fails, if its penalty
-    norm is zero (the update is undefined), or if the update is not a
-    positive finite weight, and naming the cap if the weight still moves
+    Raises ConvergenceError naming the pass if a fit fails, if the weight
+    diverges (it exceeds ``WEIGHT_DIVERGENCE_RATIO`` times a Gershgorin
+    bound on the largest Ritz value of the process's tridiagonal), if its
+    penalty norm is zero (the update is undefined), or if the update is not
+    a positive finite weight, and naming the cap if the weight still moves
     after ``WEIGHT_MAX_PASSES`` passes; the error carries the weights so far
     in ``trace``.
     """
@@ -442,6 +459,12 @@ def self_consistent_lambda(beta: float, meas: MeasurementSet,
                 misfit, penalty = krylov.norms(lam)
             except ConvergenceError as exc:
                 raise failed(f"pass {k}", lam, exc) from exc
+            theta = krylov.ritz_bound()
+            if krylov.alphas and lam > WEIGHT_DIVERGENCE_RATIO * theta:
+                raise failed(f"pass {k}", lam, f"the weight diverges: it exceeds 2^52 times "
+                                                f"{theta:.6g}, a Gershgorin bound on the data "
+                                                "operator's largest Ritz value, so the fit no "
+                                                "longer reads the data")
             if not penalty > 0.0:
                 raise failed(f"pass {k}", lam, f"penalty norm {penalty:g}, "
                                                 "the weight update is undefined")

@@ -222,9 +222,11 @@ class _GridOperators:
 
     The Laplacian factor is built lazily and cached until
     ``Grid.release_factors`` drops it; a backward-Euler step factor depends
-    on the absorption field, so ``step_lu`` builds a fresh one, in a
-    symmetric ordering unless the reference march asks for the default
-    one, and callers keep what they reuse.
+    on the absorption field, so ``step_lu`` builds a fresh one, in the
+    step ordering unless the reference march asks for the default one, and
+    callers keep what they reuse.  The step ordering (``step_order``) reads
+    only the pattern, which every step matrix shares, so it is computed
+    once, at one factorization, and kept for the operators' lifetime.
     """
 
     def __init__(self, grid: Grid, beta: float):
@@ -239,6 +241,7 @@ class _GridOperators:
         self.load_weights = np.zeros(grid.node_count)
         self.load_weights[grid.boundary_mask] = 1.0 / (beta * h)
         self._lu_laplacian = None
+        self._step_order = None
 
     def lu_laplacian(self):
         if self._lu_laplacian is None:
@@ -253,21 +256,50 @@ class _GridOperators:
         """S' v = W L^-1 v, for a vector or for the columns of an array."""
         return _per_node(self.grid.weights, v) * self.lu_laplacian().solve(v)
 
+    def step_matrix(self, tau: float, absorption: np.ndarray) -> sp.csc_matrix:
+        """One backward-Euler step, W/tau + L + W diag(absorption): a symmetric
+        M-matrix with the pattern of L for every tau and absorption."""
+        w = self.grid.weights
+        return (sp.diags(w / tau) + self.laplacian + sp.diags(w * absorption)).tocsc()
+
+    def step_order(self) -> np.ndarray:
+        """The minimum-degree ordering of the step pattern, as the permutation
+        ``order`` that ``step_lu`` factors A[order][:, order] in.
+
+        SuperLU's ``MMD_AT_PLUS_A`` ordering, postordered by its elimination
+        tree, reads only the pattern of A + A', so any step matrix gives it;
+        SuperLU applies its ``perm_c`` to columns (A Pc = A[:, argsort(perm_c)]),
+        whence the argsort.  Taking ``perm_c`` itself instead puts 5.9M
+        entries in L and U at grid 100 in place of 386,976.
+        """
+        if self._step_order is None:
+            lu = spla.splu(self.step_matrix(1.0, np.zeros(self.grid.node_count)),
+                           permc_spec="MMD_AT_PLUS_A")
+            self._step_order = np.argsort(lu.perm_c)
+        return self._step_order
+
     def step_lu(self, tau: float, absorption: np.ndarray, reference_order: bool = False):
         """Factorization of one backward-Euler step, W/tau + L + W diag(absorption).
 
-        The matrix is symmetric, so its columns are ordered by minimum degree
-        on its own pattern (``MMD_AT_PLUS_A``): 386,976 entries in L and U at
-        grid 100 against 659,092 under SuperLU's default COLAMD.  Not cached:
-        the absorption changes with the source being solved for.
+        By default the factor is of the matrix in the step ordering,
+        B = A[order][:, order] with ``order = step_order()``, factored in
+        natural order: B (x[order]) = b[order], so its solves read and
+        return vectors in those coordinates and scatter nothing.  386,976
+        entries in L and U at grid 100, against 659,092 under SuperLU's
+        default COLAMD on A; the panel of 2 columns is the fastest measured
+        for this ordering.  Not cached: the absorption changes with the
+        source being solved for.
         """
-        # reference_order keeps COLAMD for the reference march, whose bits the
-        # benchmark reference values of rates-source were recorded on (the
-        # fit's CG amplifies a roundoff change of the truth); the keyword goes
-        # when ROADMAP item 2 regenerates that reference
-        w = self.grid.weights
-        A = (sp.diags(w / tau) + self.laplacian + sp.diags(w * absorption)).tocsc()
-        return spla.splu(A, permc_spec="COLAMD" if reference_order else "MMD_AT_PLUS_A")
+        # reference_order keeps COLAMD, on A in its own coordinates, for the
+        # reference march, whose bits the benchmark reference values of
+        # rates-source were recorded on (the fit's CG amplifies a roundoff
+        # change of the truth); the keyword goes when ROADMAP item 2
+        # regenerates that reference
+        A = self.step_matrix(tau, absorption)
+        if reference_order:
+            return spla.splu(A, permc_spec="COLAMD")
+        order = self.step_order()
+        return spla.splu(A[order][:, order], permc_spec="NATURAL", panel_size=2)
 
     def pointwise_laplacian(self, values: np.ndarray) -> np.ndarray:
         """Apply the negative Laplacian nodewise: -Delta_h u = W^-1 (L u).

@@ -54,23 +54,32 @@ def ex2_32():
 
 @pytest.fixture
 def lu_counts(monkeypatch):
-    """Counts of sparse factorizations and solves made from here on; of the
+    """Counts of sparse factorizations, solved columns (``solves``: a
+    k-column solve adds k) and solve calls made from here on; of the
     factors made from here on, ``live`` counts those alive now and
-    ``peak_live`` the most alive at once."""
+    ``peak_live`` the most alive at once.  ``reset()`` zeroes the counts."""
     import scipy.sparse.linalg as spla
 
     class Counts(dict):
         live = peak_live = 0
 
-    counts = Counts(factorizations=0, solves=0)
+        def reset(self):
+            self.update(factorizations=0, solves=0, solve_calls=0)
+
+    counts = Counts()
+    counts.reset()
     splu = spla.splu
 
     class CountedFactor:
         def __init__(self, lu):
             self._lu = lu
 
+        def __getattr__(self, name):    # perm_c, shape, L, U, ...
+            return getattr(self._lu, name)
+
         def solve(self, rhs):
-            counts["solves"] += 1
+            counts["solves"] += 1 if rhs.ndim == 1 else rhs.shape[1]
+            counts["solve_calls"] += 1
             return self._lu.solve(rhs)
 
     def released():

@@ -133,23 +133,40 @@ def test_fitted_p2_maps_run_beside_their_own_step_factor_only(tmp_path, monkeypa
     # p2 releases the grid's Laplacian and H1 factors once its fit has
     # returned, so every terminal_excitation call holds its step factor
     # alone; the count is the truth's two step factors, the fit's Laplacian
-    # and H1 factors, the q = 0 levels, one per map application (8) and H1
-    # once more for err4 at s = 1
-    live = []
-    add_levels = forward._add_component_levels
+    # and H1 factors, the step ordering and the q = 0 levels, one per map
+    # application (8) and H1 once more for err4 at s = 1.  Each application
+    # solves fewer columns than the 51 of an exact one, since the clamped
+    # iteration loosens the Lanczos tolerance while its residual is large,
+    # and the two time components' processes run in lockstep, so a step of
+    # both is one two-column solve
+    live, applications = [], []
 
-    def recorded(*args):
-        live.append(lu_counts.live)
-        add_levels(*args)
+    class Recorded(forward._LanczosProcess):
+        def __init__(self, *args):
+            live.append(lu_counts.live)
+            super().__init__(*args)
 
-    monkeypatch.setattr(forward, "_add_component_levels", recorded)
+    traced = inverse.terminal_excitation
+
+    def counted(*args):
+        before = dict(lu_counts)
+        levels = traced(*args)
+        applications.append({key: lu_counts[key] - before[key] for key in before})
+        return levels
+
+    monkeypatch.setattr(forward, "_LanczosProcess", Recorded)
+    monkeypatch.setattr(inverse, "terminal_excitation", counted)
     cfg = write_cfg(tmp_path, "c.json", {"grid": 16})
     out = tmp_path / "o"
     assert main(["p2", "--preset", "example2-smooth", "--config", cfg, "--out", str(out)]) == 0
     _, rows = read_csv(out / "iteration_trace.csv")
-    assert len(rows) == 8
+    assert len(rows) == len(applications) == 8
     assert len(live) == 2 * (1 + 8) and set(live) == {1}
-    assert lu_counts["factorizations"] == 2 + 2 + 1 + 8 + 1
+    assert lu_counts["factorizations"] == 2 + 2 + 1 + 1 + 8 + 1
+    assert all(cost["factorizations"] == 1 for cost in applications)
+    columns = [cost["solves"] for cost in applications]
+    assert all(c < 51 for c in columns) and sum(columns) <= 260
+    assert all(0 <= 2 * cost["solve_calls"] - cost["solves"] <= 2 for cost in applications)
 
 
 def test_p1_lambda_ladder_row_count(tmp_path):
@@ -304,13 +321,14 @@ def test_spectral_command_and_caps(tmp_path, monkeypatch):
 
 def test_verify_default_passes(tmp_path, lu_counts):
     # the stability inequality reads u_m(T) on the map's path, one step
-    # factor per source, not a coupled march with two
+    # factor per source, not a coupled march with two; the map's step
+    # ordering costs one factorization per Robin parameter (two)
     out = tmp_path / "o"
     assert main(["verify", "--preset", "verify-default", "--out", str(out)]) == 0
     _, rows = read_csv(out / "verify_report.csv")
     assert len(rows) == len(BATTERY_CHECKS)
     assert all(r[1] == "1" for r in rows)
-    assert lu_counts["factorizations"] <= 117
+    assert lu_counts["factorizations"] <= 119
 
 
 def test_verify_violated_fails(tmp_path, capsys):
@@ -772,10 +790,12 @@ def test_readme_lists_the_config_table():
                    for line in section.splitlines()), (command, key, value)
 
 
-# About as much noise as signal, a single sensor, or no noise at all: the
-# self-consistent weight grows until the penalty norm underflows, on grid 8
-# and on grid 4 (the ids ending in "representer" and "cg").  p1 and p2 keep
-# the weights of the passes made.
+# About as much noise as signal, a single sensor, few sensors, or no noise at
+# all: the self-consistent weight grows past 2^52 times the data operator's
+# largest Ritz value, where the loop names the divergence, before the penalty
+# norm underflows (at pass 16 of "p2-one-sensor" and 14 of "p1-few-sensors"
+# before), on grid 8 and on grids 4 and 16.  p1 and p2 keep the weights of
+# the passes made.
 SC = {"mode": "self-consistent"}
 DIVERGING = {"grid": 8, "truth": "example1", "n": 5, "sigma": 0.01, "s": 0, "lambda": SC}
 
@@ -785,12 +805,13 @@ DIVERGING = {"grid": 8, "truth": "example1", "n": 5, "sigma": 0.01, "s": 0, "lam
     ("p1", {**DIVERGING, "n": 1}, "pass "),
     ("p1", {**DIVERGING, "noise": "zero"}, "pass "),
     ("p1", {**DIVERGING, "grid": 4}, "pass "),
+    ("p1", {**DIVERGING, "grid": 16, "n": 200, "s": 1}, "pass "),
     ("p2", {"grid": 8, "tau": 0.25, "truth": "example2-smooth", "n": 1,
             "relative_sigma": 0.01, "s": 0, "lambda": SC}, "pass "),
     ("rates", {**{k: v for k, v in DIVERGING.items() if k != "n"},
                "ladder": [5, 6, 7], "trials": 2}, "n=5, trial 0"),
-], ids=["p1-representer", "p1-one-sensor", "p1-zero-noise", "p1-cg", "p2-one-sensor",
-        "rates-representer"])
+], ids=["p1-representer", "p1-one-sensor", "p1-zero-noise", "p1-cg", "p1-few-sensors",
+        "p2-one-sensor", "rates-representer"])
 def test_failing_weight_loop_exits_3_naming_the_pass(tmp_path, capsys, command, payload,
                                                      where):
     cfg = write_cfg(tmp_path, "c.json", payload)
@@ -798,7 +819,9 @@ def test_failing_weight_loop_exits_3_naming_the_pass(tmp_path, capsys, command, 
     assert main([command, "--config", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "weight loop, pass" in err[0] and where in err[0]
+    assert "the weight diverges" in err[0]
     passes = int(re.search(r"pass (\d+)", err[0]).group(1))
+    assert passes <= 11
     files = [f["name"] for f in json.loads((out / "manifest.json").read_text())["files"]]
     if command == "rates":
         assert files == []

@@ -5,10 +5,14 @@ roundoff on every grid: nonnegative fields, the comparison principle for
 the excitation field, excitation plus emission equal to the excitation at
 q = 0, and a monotone fixed-point map on clean data.  The map's Krylov
 path, ``terminal_excitation``, reads the march's last two excitation levels
-to roundoff on random problems, at its step cap and at breakdowns too; the
-weight loop's Krylov path, ``fit._ShiftedLanczos``, reads the fits of a
-dense solve of the normal equations at weights over six decades.
+to roundoff on random problems, at its step cap and at breakdowns too, and
+to a small multiple of a looser Lanczos tolerance, which only the clamped
+fixed-point iteration asks for; the weight loop's Krylov path,
+``fit._ShiftedLanczos``, reads the fits of a dense solve of the normal
+equations at weights over six decades.
 """
+
+import json
 
 import numpy as np
 from hypothesis import given
@@ -16,15 +20,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import fluoinv as fv
-from fluoinv import fit
+from fluoinv import fit, forward
+from fluoinv.cli import main
 from fluoinv.fit import _FitWorkspace, _ShiftedLanczos
 from fluoinv.forward import _last_two, terminal_excitation, terminal_fields
+from fluoinv.inverse import FORCING_TERM
 from fluoinv.presets import example2_problem
 
 from conftest import stacked_levels
 
 M = 5.0
 TOL = 1e-10
+EXACT = forward.LANCZOS_TOL   # read once: a run must not change it
 
 
 @st.composite
@@ -116,6 +123,51 @@ def test_krylov_levels_match_the_march(data):
     (march_N, _), (march_prev, _) = _last_two(fv.coupled_levels(problem, q), (zero, zero))
     for level, march in zip(terminal_excitation(problem, q), (march_N, march_prev)):
         assert np.abs(level - march).max() <= 1e-12 * np.abs(march).max()
+
+
+@given(st.data(), st.floats(-10.0, -4.0))
+def test_krylov_levels_meet_a_loose_tolerance(data, exponent):
+    # the error estimate the processes stop on tracks the true error: at a
+    # tolerance tol from 1e-10 to 1e-4 both levels lie within 20 tol of the
+    # march, relative to its largest entry (at most 5.5 tol in 2,100 random
+    # draws)
+    tol = 10.0**exponent
+    problem = data.draw(krylov_problems())
+    q = sources(data.draw, problem.grid)
+    zero = np.zeros(problem.grid.node_count)
+    (march_N, _), (march_prev, _) = _last_two(fv.coupled_levels(problem, q), (zero, zero))
+    for level, march in zip(terminal_excitation(problem, q, tol), (march_N, march_prev)):
+        assert np.abs(level - march).max() <= 20 * tol * np.abs(march).max()
+
+
+def test_only_the_clamped_iteration_loosens_the_lanczos_tolerance(tmp_path, monkeypatch):
+    # the fitted p2 runs first, so a tolerance its clamped iteration left
+    # behind would show in the runs after it: the clean p2 and the battery,
+    # whose monotonicity checks need the exact map, pass LANCZOS_TOL only
+    def config(payload):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    tols = []
+    step = forward._LanczosProcess.step
+
+    def recorded(self, wq, v, tau, tol):
+        tols.append(tol)
+        return step(self, wq, v, tau, tol)
+
+    monkeypatch.setattr(forward._LanczosProcess, "step", recorded)
+    fitted = config({"grid": 16})
+    assert main(["p2", "--preset", "example2-smooth", "--config", fitted,
+                 "--out", str(tmp_path / "fitted")]) == 0
+    assert max(tols) == FORCING_TERM and min(tols) == EXACT
+    tols.clear()
+    clean = config({"grid": 16, "clean": True})
+    assert main(["p2", "--preset", "example2-smooth", "--config", clean,
+                 "--out", str(tmp_path / "clean")]) == 0
+    assert main(["verify", "--preset", "verify-default", "--out", str(tmp_path / "battery")]) == 0
+    assert tols and set(tols) == {EXACT}
+    assert forward.LANCZOS_TOL == EXACT
 
 
 @st.composite
