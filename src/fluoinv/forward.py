@@ -39,11 +39,6 @@ times tol.  The cost grows with the rank of the boundary data in time: 2
 for example2's (x+y)^2 t + 5, 1 for constant data, 0 for zero data, which
 needs no solve.
 
-The processes of all components run in lockstep on one factor, so a step
-of k running processes is one k-column solve.  Its columns equalled k
-single solves bit for bit at k <= 3 in every case measured, not at k = 4
-or 8 on grids 50 and 100, and at 1, 2 and 4 BLAS threads alike.  The
-shares are added in component order.
 The factor is of the step matrix in the grid's step ordering,
 A[order][:, order] in natural order (``fluoinv.grid``), and the processes
 run in those coordinates, so no solve permutes; the levels are put back
@@ -53,17 +48,16 @@ Memory model: no pass holds a history, and no step factor outlives its
 call.  ``coupled_levels`` holds two factors, the excitation and the
 emission step, for as long as its march runs, and two levels per field;
 ``terminal_fields`` keeps the last two pairs.  ``terminal_excitation``
-holds one factor per call, the Lanczos bases of all components at once,
-m vectors each, sized to the steps taken (about 2 x 25 vectors for
-example2 at N = 100, 4 MB at grid 100), and its two result levels.  The
-grid keeps the step ordering, one index per node.  The map forms the
-emission levels as
-u_m = v - u_e from the q = 0 excitation v, whose last two levels
-``ProblemData`` caches.  No pass here reads the two factors the grid
-caches, the Laplacian's and the H1 Gram matrix's: the fit and the dual-H1
-errors do (``fluoinv.grid``).  The ``p2`` command releases both once its
-fit has returned, so each map application runs beside its own step factor
-only, and its err4 factors H1 again at s = 1.
+holds one factor per call, a Lanczos basis of m rows for one component at
+a time, sized to the steps taken and released before the next component,
+and its two result levels.  The grid keeps the step ordering, one index
+per node.  The map forms the emission levels as u_m = v - u_e from the
+q = 0 excitation v, whose last two levels ``ProblemData`` caches.  No
+pass here reads the two factors the grid caches, the Laplacian's and the
+H1 Gram matrix's: the fit and the dual-H1 errors do (``fluoinv.grid``).
+The ``p2`` command releases both once its fit has returned, so each map
+application runs beside its own step factor only, and its err4 factors
+H1 again at s = 1.
 """
 
 from __future__ import annotations
@@ -258,8 +252,8 @@ def coupled_levels(data: ProblemData, q: GridFunction):
     """
     _check_source(data, q)
     ops = data.grid.operators(data.beta)
-    lu_e = ops.step_lu(data.tau, data.p.values + q.values, reference_order=True)
-    lu_m = ops.step_lu(data.tau, data.p.values, reference_order=True)
+    lu_e = ops.step_lu(data.tau, data.p.values + q.values)
+    lu_m = ops.step_lu(data.tau, data.p.values)
     w = data.grid.weights
 
     def lockstep():
@@ -316,75 +310,68 @@ def _polynomial_coordinates(alphas: list, betas: list, a: np.ndarray):
     return y_N, y
 
 
-class _LanczosProcess:
-    """One time component's Lanczos process on P = A^-1 W / tau in the W
-    inner product, from A^-1 load, without reorthogonalization (see the
-    module docstring); ``terminal_excitation`` runs it in the step ordering
-    and gives it the solves, so that the processes of all components run
-    in lockstep.
+def _add_component_levels(data: ProblemData, lu, order: np.ndarray, a: np.ndarray,
+                          x: np.ndarray, tol: float, u_N: np.ndarray, u_prev: np.ndarray) -> None:
+    """Add one time component's share of u^N and u^(N-1) to u_N and u_prev,
+    all in the coordinates of ``lu``, the step factor in the ordering
+    ``order`` (``_GridOperators.ordered_step_lu``).
 
-    The error estimate is read only at a step where it could have met the
-    tolerance: it fell by about a decade per step at most in the runs
-    measured, so a reading that misses by a factor rho puts the next
-    log10(rho) / 2 steps on, and at least one.  The coordinates are read
-    for the time weights a scaled by the power of two that brings their
-    largest entry into [1/2, 1), so the estimate's squares do not underflow
-    for data as small as 1e-200; the scaling is exact, and beta_0 takes it
-    back.
+    The component's load is x on the boundary nodes times the Robin load
+    weights.  The Lanczos process on P = A^-1 W / tau in the W inner
+    product, from A^-1 load, runs without reorthogonalization (see the
+    module docstring) and stops once its error estimate is below tol.  The
+    estimate is read only at a step where it could have met tol: it fell by
+    about a decade per step at most in the runs measured, so a reading that
+    misses by a factor rho puts the next log10(rho) / 2 steps on, and at
+    least one.  The coordinates are read for a scaled by the power of two
+    that brings its largest entry into [1/2, 1), so the estimate's squares
+    do not underflow for data as small as 1e-200; the scaling is exact, and
+    beta_0 takes it back.
     """
-
-    def __init__(self, a: np.ndarray, start: np.ndarray, w: np.ndarray):
-        self.w = w      # the weights W in the process's coordinates
-        self.scale = math.frexp(np.abs(a).max())[1]
-        self.a = np.ldexp(a, -self.scale)
-        self.beta_0 = math.sqrt(_dot(start, w * start))
-        start /= self.beta_0
-        self.basis, self.alphas, self.betas = [start], [], []
-        self.read_at = 1
-        self.coordinates = None     # (y_N, y_prev) as last read
-
-    def step(self, wq: np.ndarray, v: np.ndarray, tau: float, tol: float) -> bool:
-        """Take step m from wq = W q_m and its solve v = A^-1 wq, and say
-        whether the process stopped: on the estimate beta_m |e_m' y| below
-        tol |y| for both levels' coordinates y, or at a breakdown beta_m = 0,
-        where the coordinates are exact.  Overwrites both arrays; v becomes
-        q_(m+1) unless the process stopped."""
-        basis, alphas, betas = self.basis, self.alphas, self.betas
+    grid, tau, N = data.grid, data.tau, data.n_steps
+    scale = math.frexp(np.abs(a).max())[1]
+    a = np.ldexp(a, -scale)
+    w = grid.weights[order]
+    r = np.zeros(grid.node_count)
+    r[grid.boundary_indices] = x
+    r = lu.solve((r * grid.operators(data.beta).load_weights)[order])
+    beta_0 = math.sqrt(_dot(r, w * r))
+    r /= beta_0
+    basis, alphas, betas = [r], [], []
+    read_at = 1
+    while len(basis) < N:
+        q = basis[-1]
+        wq = w * q
+        v = lu.solve(wq)
         v /= tau
         alpha = _dot(wq, v)
-        v -= alpha * basis[-1]
+        v -= alpha * q
         if len(basis) > 1:
             v -= betas[-1] * basis[-2]
-        np.multiply(self.w, v, out=wq)
+        np.multiply(w, v, out=wq)
         beta = math.sqrt(_dot(v, wq))
         alphas.append(alpha)
         betas.append(beta)
         m = len(alphas)
-        if m == self.read_at or not beta > 0.0:
-            self.coordinates = _polynomial_coordinates(alphas, betas, self.a)
-            rho = max(beta * abs(y[-1]) / (tol * math.sqrt(_dot(y, y))) if y.any() else 0.0
-                      for y in self.coordinates)
+        if m == read_at or not beta > 0.0:
+            y_N, y_prev = _polynomial_coordinates(alphas, betas, a)
+            # the estimate beta_m |e_m' y| against tol |y|, for both levels
+            rho = max(beta * abs(y[-1]) / (tol * math.sqrt(_dot(y, y))) if y.any()
+                      else 0.0 for y in (y_N, y_prev))
             if not rho > 1.0 or not beta > 0.0:
-                return True
-            self.read_at = m + max(1, int(math.log10(rho) / 2))
+                break
+            read_at = m + max(1, int(math.log10(rho) / 2))
         v /= beta
         basis.append(v)
-        return False
-
-    def cap(self) -> None:
-        """Stop at m = N - 1 steps: q_N is in the basis, and T_N's last
-        diagonal entry, which one more solve would give, is never read by a
-        polynomial of degree N - 1 in T_N; at N = 1 no step is taken and
-        u^1 = a_1 A^-1 x."""
-        self.coordinates = _polynomial_coordinates(self.alphas + [0.0], self.betas + [0.0],
-                                                   self.a)
-
-    def add_levels(self, u_N: np.ndarray, u_prev: np.ndarray) -> None:
-        """Add the component's share of u^N and u^(N-1) to u_N and u_prev."""
-        beta_0 = math.ldexp(self.beta_0, self.scale)
-        for c_N, c_prev, q in zip(*self.coordinates, self.basis):
-            u_N += (beta_0 * c_N) * q
-            u_prev += (beta_0 * c_prev) * q
+    else:
+        # the cap: q_N is in the basis, and T_N's last diagonal entry, which
+        # one more solve would give, is never read by a polynomial of degree
+        # N - 1 in T_N; at N = 1 no step is taken and u^1 = a_1 A^-1 x
+        y_N, y_prev = _polynomial_coordinates(alphas + [0.0], betas + [0.0], a)
+    beta_0 = math.ldexp(beta_0, scale)
+    for c_N, c_prev, q in zip(y_N, y_prev, basis):
+        u_N += (beta_0 * c_N) * q
+        u_prev += (beta_0 * c_prev) * q
 
 
 def terminal_excitation(data: ProblemData, q: GridFunction,
@@ -394,40 +381,21 @@ def terminal_excitation(data: ProblemData, q: GridFunction,
     Read off one Lanczos process per time component of the Robin load (see
     the module docstring), each stopped once its error estimate is below
     ``tol`` relative to the coordinates it reads.  One factorization, in
-    the grid's step ordering; the processes run in lockstep, so a step of
-    k running processes is one k-column solve, and the start vectors
-    A^-1 x are one more.  Zero boundary data give zeros with no
-    factorization.  At the default tolerance the levels agree with those
-    of ``coupled_levels`` to roundoff; a looser one stops the processes
-    sooner.  q is checked as there.
+    the grid's step ordering, and per component one solve for A^-1 x plus
+    one per step; zero boundary data give zeros with none.  At the default
+    tolerance the levels agree with those of ``coupled_levels`` to
+    roundoff; a looser one stops the processes sooner.  q is checked as
+    there.
     """
     _check_source(data, q)
-    grid = data.grid
-    n = grid.node_count
-    if not data._load_components:
-        return np.zeros(n), np.zeros(n)
-    ops = grid.operators(data.beta)
-    lu = ops.step_lu(data.tau, data.p.values + q.values)
-    order = ops.step_order()
-    w = grid.weights[order]
-    loads = np.zeros((n, len(data._load_components)))
-    loads[grid.boundary_indices] = np.column_stack([x for _, x in data._load_components])
-    starts = lu.solve((loads * ops.load_weights[:, None])[order])
-    processes = [_LanczosProcess(a, start, w)
-                 for (a, _), start in zip(data._load_components, starts.T)]
-    running = processes
-    while running and len(running[0].basis) < data.n_steps:
-        wq = np.empty((n, len(running)), order="F")
-        for p, column in zip(running, wq.T):
-            np.multiply(w, p.basis[-1], out=column)
-        v = lu.solve(wq)
-        running = [p for p, wq_p, v_p in zip(running, wq.T, v.T)
-                   if not p.step(wq_p, v_p, data.tau, tol)]
-    for p in running:
-        p.cap()
+    n = data.grid.node_count
     u_N, u_prev = np.zeros(n), np.zeros(n)
-    for p in processes:
-        p.add_levels(u_N, u_prev)
+    if not data._load_components:
+        return u_N, u_prev
+    lu, order = data.grid.operators(data.beta).ordered_step_lu(data.tau,
+                                                               data.p.values + q.values)
+    for a, x in data._load_components:
+        _add_component_levels(data, lu, order, a, x, tol, u_N, u_prev)
     ue_N, ue_prev = np.empty(n), np.empty(n)
     ue_N[order], ue_prev[order] = u_N, u_prev
     return ue_N, ue_prev

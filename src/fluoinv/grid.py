@@ -222,11 +222,12 @@ class _GridOperators:
 
     The Laplacian factor is built lazily and cached until
     ``Grid.release_factors`` drops it; a backward-Euler step factor depends
-    on the absorption field, so ``step_lu`` builds a fresh one, in the
-    step ordering unless the reference march asks for the default one, and
-    callers keep what they reuse.  The step ordering (``step_order``) reads
-    only the pattern, which every step matrix shares, so it is computed
-    once, at one factorization, and kept for the operators' lifetime.
+    on the absorption field, so ``step_lu`` (the march's, in grid
+    coordinates) and ``ordered_step_lu`` (the map's, in the step ordering)
+    build a fresh one, and callers keep what they reuse.  The step ordering
+    (``step_order``) reads only the pattern, which every step matrix
+    shares, so it is computed once, at one factorization, and kept for the
+    operators' lifetime.
     """
 
     def __init__(self, grid: Grid, beta: float):
@@ -263,8 +264,8 @@ class _GridOperators:
         return (sp.diags(w / tau) + self.laplacian + sp.diags(w * absorption)).tocsc()
 
     def step_order(self) -> np.ndarray:
-        """The minimum-degree ordering of the step pattern, as the permutation
-        ``order`` that ``step_lu`` factors A[order][:, order] in.
+        """The minimum-degree ordering of the step pattern, the permutation
+        ``order`` of ``ordered_step_lu``.
 
         SuperLU's ``MMD_AT_PLUS_A`` ordering, postordered by its elimination
         tree, reads only the pattern of A + A', so any step matrix gives it;
@@ -278,28 +279,30 @@ class _GridOperators:
             self._step_order = np.argsort(lu.perm_c)
         return self._step_order
 
-    def step_lu(self, tau: float, absorption: np.ndarray, reference_order: bool = False):
-        """Factorization of one backward-Euler step, W/tau + L + W diag(absorption).
-
-        By default the factor is of the matrix in the step ordering,
-        B = A[order][:, order] with ``order = step_order()``, factored in
-        natural order: B (x[order]) = b[order], so its solves read and
-        return vectors in those coordinates and scatter nothing.  386,976
-        entries in L and U at grid 100, against 659,092 under SuperLU's
-        default COLAMD on A; the panel of 2 columns is the fastest measured
-        for this ordering.  Not cached: the absorption changes with the
-        source being solved for.
+    def step_lu(self, tau: float, absorption: np.ndarray):
+        """Factorization of one backward-Euler step, W/tau + L + W diag(absorption),
+        in grid coordinates: the reference march's.  Not cached: the
+        absorption changes with the source being solved for.
         """
-        # reference_order keeps COLAMD, on A in its own coordinates, for the
-        # reference march, whose bits the benchmark reference values of
-        # rates-source were recorded on (the fit's CG amplifies a roundoff
-        # change of the truth); the keyword goes when ROADMAP item 2
-        # regenerates that reference
-        A = self.step_matrix(tau, absorption)
-        if reference_order:
-            return spla.splu(A, permc_spec="COLAMD")
+        # SuperLU's default COLAMD, on whose bits the benchmark reference
+        # values of rates-source were recorded (the fit's CG amplifies a
+        # roundoff change of the truth); ROADMAP item 2 moves the march to the
+        # step ordering when it regenerates that reference
+        return spla.splu(self.step_matrix(tau, absorption), permc_spec="COLAMD")
+
+    def ordered_step_lu(self, tau: float, absorption: np.ndarray):
+        """The same step matrix A factored in the step ordering: ``(lu, order)``.
+
+        lu factors B = A[order][:, order] with ``order = step_order()`` in
+        natural order, so it works in permuted coordinates: A x = b is
+        B x[order] = b[order], and a caller permutes its loads by ``order``
+        and scatters its results back, ``x[order] = y``.  386,976 entries in
+        L and U at grid 100, against 659,092 under COLAMD on A; the panel of
+        2 columns is the fastest measured for this ordering.  Not cached.
+        """
         order = self.step_order()
-        return spla.splu(A[order][:, order], permc_spec="NATURAL", panel_size=2)
+        B = self.step_matrix(tau, absorption)[order][:, order]
+        return spla.splu(B, permc_spec="NATURAL", panel_size=2), order
 
     def pointwise_laplacian(self, values: np.ndarray) -> np.ndarray:
         """Apply the negative Laplacian nodewise: -Delta_h u = W^-1 (L u).

@@ -29,14 +29,13 @@ u_m(T) = v^N - u_e^N and dt u_m(T) = (u_m^N - u_m^(N-1)) / tau, with the
 last two levels of v cached on the problem.  ``terminal_excitation`` reads
 u_e^N and u_e^(N-1) off one Lanczos process per time component of the
 Robin load instead of marching (see ``fluoinv.forward``).  The cost of
-one application is one factorization and, per component, one solved
-column plus one per Lanczos step, the components' processes in lockstep,
-so that one solve call serves all of them: on the example2 problems at
-T/tau = 100 and LANCZOS_TOL, two components of 22-26 steps, 46-53
-columns in about half as many calls, against a march's 100 solves.  No
-history is held.  v comes from the same path at q = 0, so the emission
-fields are exactly zero there.  The triple agrees with the coupled march
-of ``terminal_fields`` to roundoff: u_e(T) to about 1e-14 relative.
+one application is one factorization and, per component, one solve plus
+one per Lanczos step: on the example2 problems at T/tau = 100 and
+LANCZOS_TOL, two components of 22-26 steps, 46-53 solves against a
+march's 100.  No history is held.  v comes from the same path at q = 0,
+so the emission fields are exactly zero there.  The triple agrees with
+the coupled march of ``terminal_fields`` to roundoff: u_e(T) to about
+1e-14 relative.
 
 Unclamped (clean data), the iteration is the plain monotone one,
 q_(j+1) = F(q_j).  Clamped to [0, M] (fitted data), its rate is linear and
@@ -63,10 +62,10 @@ stops its Lanczos processes at the tolerance
 L2 norms, and at FORCING_TERM = 1e-4 at the first.  The map then errs by
 a few times tol_j relative, far below the residual it perturbs, and the
 last applications run at nearly LANCZOS_TOL.  On ``p2 --preset
-example2-smooth`` the 8 applications take 266 solved columns (in 139
-calls) instead of 417, and the returned q moves by about 1e-11 relative.
-The unclamped iteration passes LANCZOS_TOL throughout, so the
-monotonicity of its iterates stays observable.
+example2-smooth`` the 8 applications take 266 solves instead of 417,
+and the returned q moves by about 1e-11 relative.  The unclamped
+iteration passes LANCZOS_TOL throughout, so the monotonicity of its
+iterates stays observable.
 """
 
 from __future__ import annotations

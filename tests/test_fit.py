@@ -318,9 +318,9 @@ def test_weight_loop_cost(lu_counts, s):
 
 @pytest.mark.parametrize("cells", [4, 8], ids=["grid4", "grid8"])
 def test_diverging_weight_loop_names_the_pass(cells):
-    # about as much noise as signal, on grids 4 and 8: the weight grows until
-    # the penalty norm underflows to zero, and the loop says at which pass and
-    # keeps the weights of the passes before it
+    # about as much noise as signal, on grids 4 and 8: the weight grows past
+    # 2^52 times the data operator's largest Ritz value, and the loop names
+    # the divergence and the pass and keeps the weights of the passes so far
     grid = fv.Grid(2, cells)
     sf_true = fv.elliptic_solve(grid, 1.0, trig_forcing(grid))
     meas = observe(sf_true, sensors(grid, 5, 0), NoiseModel("gaussian", 1.0, 0))
@@ -329,6 +329,19 @@ def test_diverging_weight_loop_names_the_pass(cells):
         fv.self_consistent_lambda(1.0, meas, 0)
     passes = int(re.search(r"pass (\d+)", str(info.value)).group(1))
     assert len(info.value.trace.lams) == passes
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_zero_readings_have_no_weight_update(s):
+    # zero readings give b = 0: the process takes no step, so no Ritz value
+    # bounds the weight, and the fit at the first weight is zero; the loop
+    # names the zero penalty norm at pass 1 and keeps the starting weight
+    grid = fv.Grid(2, 8)
+    meas = fv.MeasurementSet(sensors(grid, 5, 0), np.zeros(5))
+    with pytest.raises(fv.ConvergenceError, match=r"weight loop, pass 1 .*penalty norm 0, "
+                                                  r"the weight update is undefined") as info:
+        fv.self_consistent_lambda(1.0, meas, s)
+    assert len(info.value.trace.lams) == 1
 
 
 @pytest.mark.parametrize("s", [0, 1])

@@ -150,13 +150,13 @@ def test_only_the_clamped_iteration_loosens_the_lanczos_tolerance(tmp_path, monk
         return str(path)
 
     tols = []
-    step = forward._LanczosProcess.step
+    add_levels = forward._add_component_levels
 
-    def recorded(self, wq, v, tau, tol):
+    def recorded(data, lu, order, a, x, tol, *levels):
         tols.append(tol)
-        return step(self, wq, v, tau, tol)
+        add_levels(data, lu, order, a, x, tol, *levels)
 
-    monkeypatch.setattr(forward._LanczosProcess, "step", recorded)
+    monkeypatch.setattr(forward, "_add_component_levels", recorded)
     fitted = config({"grid": 16})
     assert main(["p2", "--preset", "example2-smooth", "--config", fitted,
                  "--out", str(tmp_path / "fitted")]) == 0
