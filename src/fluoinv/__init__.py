@@ -32,10 +32,9 @@ from .inverse import (
     PositivityError,
     fixed_point_map,
     fixed_point_solve,
-    initial_guess,
     stability_constants,
 )
-from .metrics import ErrorBundle, dual_h1_norm, empirical_norm, error_bundle, h1_norm, l2_norm
+from .metrics import ErrorBundle, dual_h1_norm, empirical_norm, error_bundle, hs_norm, l2_norm
 from .spectral import SpectrumReport, empirical_smoothing_spectrum, laplacian_spectrum
 from .stochastic import (
     ExperimentRecord,

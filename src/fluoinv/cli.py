@@ -37,7 +37,7 @@ from .forward import terminal_fields
 from .grid import ConvergenceError, Grid
 from .inverse import IterationTrace, PositivityError, fixed_point_solve
 from .io import Manifest, write_csv, write_field_csv
-from .metrics import ERRORS, error_bundle, hs_norm
+from .metrics import ERRORS, error_bundle, hs_norm, l2_norm
 from .presets import PRESETS, SOURCES, TRUTHS, build_source, build_truth, example2_problem
 from .spectral import PENCIL_POINT_CAP, empirical_smoothing_spectrum, laplacian_spectrum
 from .stochastic import (
@@ -319,10 +319,20 @@ def _report_violations(data) -> None:
 
 
 def _truth(cfg: dict, grid: Grid):
-    """(f_true, sf_true, data, q_true) of the configured truth."""
+    """(f_true, sf_true, data, q_true) of the configured truth.  A fit
+    divides by norms of the observed field and its forcing, so one whose
+    squared L2 norm underflows to 0 is a configuration error, except in a
+    clean p2, which reads neither."""
     truth = _problem(cfg, build_truth, cfg["truth"], grid)
-    if truth[2] is not None:
-        _report_violations(truth[2])
+    f_true, sf_true, data, _ = truth
+    if data is not None:
+        _report_violations(data)
+    if not cfg.get("clean"):
+        for name, field in (("observed field", sf_true), ("forcing", f_true)):
+            if not l2_norm(field) > 0.0:
+                raise ConfigError(f"config error at 'truth': the {cfg['truth']} {name} is "
+                                  f"too small on this problem, its squared L2 norm underflows "
+                                  f"to 0, and a fit divides by it")
     return truth
 
 

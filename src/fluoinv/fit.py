@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import ConvergenceError, Grid, GridFunction
-from .metrics import _dot, empirical_norm
+from .metrics import _dot, empirical_norm, hs_norm
 
 __all__ = [
     "MeasurementSet",
@@ -172,9 +172,6 @@ class _FitWorkspace:
         """(ES)' y / n, the right-hand side of the normal equations."""
         return self.ops.smooth_adjoint(self.sensors.matrix.T @ y) / self.sensors.n
 
-    def penalty_norm(self, s: int, f_values: np.ndarray) -> float:
-        return float(np.sqrt(max(_dot(f_values, self.grid.gram_apply(s, f_values)), 0.0)))
-
 
 def _pcg(matvec, b, *, tol, max_iter, precond):
     """Preconditioned conjugate gradients; returns (x, SolveReport), or raises
@@ -253,9 +250,9 @@ def solve_data_fit(beta: float, meas: MeasurementSet, s: int, lam: float) -> Fit
 def _fit_result(ws: _FitWorkspace, meas: MeasurementSet, s: int, x: np.ndarray,
                 report: SolveReport) -> FitResult:
     """The fit of forcing ``x``: its field Sf (one solve), misfit and penalty norm."""
-    sf = GridFunction(ws.grid, ws.ops.smooth(x))
+    f, sf = GridFunction(ws.grid, x), GridFunction(ws.grid, ws.ops.smooth(x))
     misfit = empirical_norm(ws.sensors.apply(sf) - meas.values)
-    return FitResult(GridFunction(ws.grid, x), sf, misfit, ws.penalty_norm(s, x), report)
+    return FitResult(f, sf, misfit, hs_norm(f, s), report)
 
 
 def _lambda_exponent(s: int) -> float:

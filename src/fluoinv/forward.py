@@ -233,7 +233,7 @@ def _check_source(data: ProblemData, q: GridFunction) -> None:
     admissible set is [0, M]."""
     if q.grid is not data.grid:
         raise ValueError("source q must live on the problem grid")
-    if q.values.min() < 0:
+    if not q.values.min() >= 0:  # NaN too
         raise ValueError(f"source must be nonnegative; min q = {q.values.min():g}")
 
 
@@ -325,8 +325,10 @@ def _add_component_levels(data: ProblemData, lu, order: np.ndarray, a: np.ndarra
     misses by a factor rho puts the next log10(rho) / 2 steps on, and at
     least one.  The coordinates are read for a scaled by the power of two
     that brings its largest entry into [1/2, 1), so the estimate's squares
-    do not underflow for data as small as 1e-200; the scaling is exact, and
-    beta_0 takes it back.
+    do not underflow for data as small as 1e-200, and so is the start
+    A^-1 load before its W norm beta_0, whose square underflows where the
+    load 1/(beta h) or the step's inverse is tiny (beta from about 1e150,
+    tau near 1e-300); both scalings are exact, and beta_0 takes them back.
     """
     grid, tau, N = data.grid, data.tau, data.n_steps
     scale = math.frexp(np.abs(a).max())[1]
@@ -335,6 +337,9 @@ def _add_component_levels(data: ProblemData, lu, order: np.ndarray, a: np.ndarra
     r = np.zeros(grid.node_count)
     r[grid.boundary_indices] = x
     r = lu.solve((r * grid.operators(data.beta).load_weights)[order])
+    e = math.frexp(np.abs(r).max())[1]
+    r = np.ldexp(r, -e)
+    scale += e
     beta_0 = math.sqrt(_dot(r, w * r))
     r /= beta_0
     basis, alphas, betas = [r], [], []

@@ -16,6 +16,8 @@ solve in the package goes through a sparse LU factorization built here.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -61,8 +63,10 @@ class Grid:
     fractions W (``weights``: 1 inside, 1/2 on a face, 1/4 at a corner), the
     lumped mass M = h^dim W (``mass_diag``, summing to 1), the natural
     stiffness A (``stiffness_natural``; ``u^T A u`` approximates the squared
-    gradient seminorm) and the Gram matrices R_0 = M, R_1 = M + A of the
-    penalties and norms, whose one H1 factor ``lu_h1`` is cached.
+    gradient seminorm), the Gram matrices R_0 = M, R_1 = M + A of the
+    penalties and norms, whose one H1 factor ``lu_h1`` is cached, and the
+    ordering of every map step factor (``step_order``), read off R_1's
+    pattern.
 
     The cached factors, ``lu_h1`` and each ``operators(beta)``'s Laplacian
     factor, serve the fit, the dual-H1 errors and the Poisson solves, not
@@ -118,6 +122,7 @@ class Grid:
 
         self._op_cache: dict[float, "_GridOperators"] = {}
         self._lu_h1 = None
+        self._step_order = None
 
     # x (and y) coordinate views, handy for building coefficient fields
     @property
@@ -142,8 +147,11 @@ class Grid:
     def lu_h1(self):
         """Cached factorization of the H1 Gram matrix M + A."""
         if self._lu_h1 is None:
-            self._lu_h1 = spla.splu((sp.diags(self.mass_diag) + self.stiffness_natural).tocsc())
+            self._lu_h1 = spla.splu(self._gram_h1())
         return self._lu_h1
+
+    def _gram_h1(self) -> sp.csc_matrix:
+        return (sp.diags(self.mass_diag) + self.stiffness_natural).tocsc()
 
     def gram_apply(self, s: int, v: np.ndarray) -> np.ndarray:
         """R_s v: M v for s = 0, (M + A) v for s = 1."""
@@ -156,6 +164,25 @@ class Grid:
         if s == 0:
             return v / _per_node(self.mass_diag, v)
         return self.lu_h1().solve(v)
+
+    def step_order(self) -> np.ndarray:
+        """The minimum-degree ordering of the step pattern, the permutation
+        ``order`` of ``_GridOperators.ordered_step_lu`` at every beta.
+
+        SuperLU's ``MMD_AT_PLUS_A`` ordering, postordered by its elimination
+        tree, reads only the pattern of A + A'.  Every step matrix
+        W/tau + L + W diag(r) has the pattern of the H1 Gram matrix M + A,
+        the natural stiffness's with its diagonal, so that matrix gives the
+        ordering, at one factorization per grid, kept for its lifetime.
+        SuperLU applies its ``perm_c`` to columns
+        (A Pc = A[:, argsort(perm_c)]), whence the argsort.  Taking
+        ``perm_c`` itself instead puts 5.9M entries in L and U at grid 100
+        in place of 386,976.
+        """
+        if self._step_order is None:
+            lu = spla.splu(self._gram_h1(), permc_spec="MMD_AT_PLUS_A")
+            self._step_order = np.argsort(lu.perm_c)
+        return self._step_order
 
     def release_factors(self) -> None:
         """Drop the cached H1 factor and the Laplacian factor of every cached
@@ -223,17 +250,16 @@ class _GridOperators:
     The Laplacian factor is built lazily and cached until
     ``Grid.release_factors`` drops it; a backward-Euler step factor depends
     on the absorption field, so ``step_lu`` (the march's, in grid
-    coordinates) and ``ordered_step_lu`` (the map's, in the step ordering)
-    build a fresh one, and callers keep what they reuse.  The step ordering
-    (``step_order``) reads only the pattern, which every step matrix
-    shares, so it is computed once, at one factorization, and kept for the
-    operators' lifetime.
+    coordinates) and ``ordered_step_lu`` (the map's, in the grid's
+    ``step_order``) build a fresh one, and callers keep what they reuse.
+    They reach their grid by a weak reference, so a dropped grid frees its
+    cached factors at once, not at the next cyclic garbage collection.
     """
 
     def __init__(self, grid: Grid, beta: float):
         if beta <= 0:
             raise ValueError(f"Robin parameter beta must be positive, got {beta}")
-        self.grid = grid
+        self.grid = weakref.proxy(grid)  # the grid caches its operators
         self.beta = beta
         h = grid.h
         robin = np.zeros(grid.node_count)
@@ -242,7 +268,6 @@ class _GridOperators:
         self.load_weights = np.zeros(grid.node_count)
         self.load_weights[grid.boundary_mask] = 1.0 / (beta * h)
         self._lu_laplacian = None
-        self._step_order = None
 
     def lu_laplacian(self):
         if self._lu_laplacian is None:
@@ -263,22 +288,6 @@ class _GridOperators:
         w = self.grid.weights
         return (sp.diags(w / tau) + self.laplacian + sp.diags(w * absorption)).tocsc()
 
-    def step_order(self) -> np.ndarray:
-        """The minimum-degree ordering of the step pattern, the permutation
-        ``order`` of ``ordered_step_lu``.
-
-        SuperLU's ``MMD_AT_PLUS_A`` ordering, postordered by its elimination
-        tree, reads only the pattern of A + A', so any step matrix gives it;
-        SuperLU applies its ``perm_c`` to columns (A Pc = A[:, argsort(perm_c)]),
-        whence the argsort.  Taking ``perm_c`` itself instead puts 5.9M
-        entries in L and U at grid 100 in place of 386,976.
-        """
-        if self._step_order is None:
-            lu = spla.splu(self.step_matrix(1.0, np.zeros(self.grid.node_count)),
-                           permc_spec="MMD_AT_PLUS_A")
-            self._step_order = np.argsort(lu.perm_c)
-        return self._step_order
-
     def step_lu(self, tau: float, absorption: np.ndarray):
         """Factorization of one backward-Euler step, W/tau + L + W diag(absorption),
         in grid coordinates: the reference march's.  Not cached: the
@@ -293,14 +302,14 @@ class _GridOperators:
     def ordered_step_lu(self, tau: float, absorption: np.ndarray):
         """The same step matrix A factored in the step ordering: ``(lu, order)``.
 
-        lu factors B = A[order][:, order] with ``order = step_order()`` in
+        lu factors B = A[order][:, order] with ``order = grid.step_order()`` in
         natural order, so it works in permuted coordinates: A x = b is
         B x[order] = b[order], and a caller permutes its loads by ``order``
         and scatters its results back, ``x[order] = y``.  386,976 entries in
         L and U at grid 100, against 659,092 under COLAMD on A; the panel of
         2 columns is the fastest measured for this ordering.  Not cached.
         """
-        order = self.step_order()
+        order = self.grid.step_order()
         B = self.step_matrix(tau, absorption)[order][:, order]
         return spla.splu(B, permc_spec="NATURAL", panel_size=2), order
 

@@ -8,10 +8,10 @@ emission field by the terminal excitation field:
 The only data it reads is the terminal emission field g: the clean
 observation u_m(., T), or the smoothed field Sf a scattered-data fit
 returns when only noisy point samples are available.  The forcing
--Delta_h g + p g is formed here, once for the initial guess and once for
-the iteration.  On data produced by the same discrete forward solver the
-true source is an exact fixed point, and the iteration from the natural
-initial guess increases monotonically toward it.
+-Delta_h g + p g is formed here, once per call.  On data produced by the
+same discrete forward solver the true source is an exact fixed point, and
+the iteration from the natural initial guess F(0) increases monotonically
+toward it.
 
 One application of the map reads the excitation only.  With the step
 matrix A_r = W/tau + L + W diag(r), the backward-Euler steps are
@@ -33,9 +33,9 @@ one application is one factorization and, per component, one solve plus
 one per Lanczos step: on the example2 problems at T/tau = 100 and
 LANCZOS_TOL, two components of 22-26 steps, 46-53 solves against a
 march's 100.  No history is held.  v comes from the same path at q = 0,
-so the emission fields are exactly zero there.  The triple agrees with
-the coupled march of ``terminal_fields`` to roundoff: u_e(T) to about
-1e-14 relative.
+so the emission fields are exactly zero there, and F(0) reads the cached
+levels alone.  u_e(T), dt u_m(T) and u_m(T) agree with the coupled march
+of ``terminal_fields`` to roundoff: u_e(T) to about 1e-14 relative.
 
 Unclamped (clean data), the iteration is the plain monotone one,
 q_(j+1) = F(q_j).  Clamped to [0, M] (fitted data), its rate is linear and
@@ -83,7 +83,6 @@ __all__ = [
     "PositivityError",
     "StabilityConstants",
     "fixed_point_map",
-    "initial_guess",
     "fixed_point_solve",
     "stability_constants",
 ]
@@ -130,7 +129,7 @@ class IterationTrace:
 
 
 def _guarded_divide(numer: np.ndarray, ue_T: np.ndarray, grid) -> GridFunction:
-    if ue_T.min() <= 0.0:
+    if not ue_T.min() > 0.0:  # NaN too
         raise PositivityError(
             f"terminal excitation field has nonpositive values (min {ue_T.min():g}); "
             "the fixed-point map is undefined for this data"
@@ -145,39 +144,21 @@ def _forcing(data: ProblemData, g: GridFunction) -> np.ndarray:
     return ops.pointwise_laplacian(g.values) + data.p.values * g.values
 
 
-def _terminal_triple(data: ProblemData, q: GridFunction, tol: float = LANCZOS_TOL):
-    """u_e(T), dt u_m(T) and u_m(T) at q from one ``terminal_excitation`` at
-    the Lanczos tolerance ``tol``, u_m = v - u_e."""
+def _apply_map(data: ProblemData, q: GridFunction, forcing: np.ndarray,
+               tol: float = LANCZOS_TOL) -> tuple[GridFunction, GridFunction]:
+    """(F(q), u_m(T; q)) for the terminal field whose forcing is given, from
+    one ``terminal_excitation`` at the Lanczos tolerance ``tol``, u_m = v - u_e."""
     ue_N, ue_prev = terminal_excitation(data, q, tol)
     v_N, v_prev = data.zero_source_levels()
     um_N = v_N - ue_N
-    um_prev = v_prev - ue_prev
-    return (GridFunction(data.grid, ue_N),
-            GridFunction(data.grid, (um_N - um_prev) / data.tau),
+    dtum_N = (um_N - (v_prev - ue_prev)) / data.tau
+    return (_guarded_divide(dtum_N + forcing, ue_N, data.grid),
             GridFunction(data.grid, um_N))
 
 
 def fixed_point_map(data: ProblemData, q: GridFunction, g: GridFunction) -> GridFunction:
     """Apply the fixed-point map at q for the terminal field g."""
-    ue_T, dtum_T, _ = _terminal_triple(data, q)
-    return _guarded_divide(dtum_T.values + _forcing(data, g), ue_T.values, data.grid)
-
-
-def initial_guess(data: ProblemData, g: GridFunction) -> GridFunction:
-    """Starting iterate from the terminal excitation field at zero source
-    (computed once per problem and cached on it)."""
-    return _guarded_divide(_forcing(data, g), data.zero_source_levels()[0], data.grid)
-
-
-def _traced_map(data: ProblemData, q: GridFunction, g: GridFunction, forcing: np.ndarray,
-                trace: IterationTrace, tol: float) -> GridFunction:
-    """The map at q for g, whose forcing is given, at the Lanczos tolerance
-    ``tol``, after appending the misfit of u_m(T; q) against g to the trace;
-    the triple dies with the call, so the next application does not run
-    beside it."""
-    ue_T, dtum_T, um_T = _terminal_triple(data, q, tol)
-    trace.misfits.append(l2_norm(um_T - g))
-    return _guarded_divide(dtum_T.values + forcing, ue_T.values, data.grid)
+    return _apply_map(data, q, _forcing(data, g))[0]
 
 
 def _secant_step(F: np.ndarray, r: np.ndarray, F_prev: np.ndarray, r_prev: np.ndarray,
@@ -208,7 +189,7 @@ def fixed_point_solve(data: ProblemData, g: GridFunction, clamp: bool = True):
     """Iterate the map for the terminal field g from the natural initial guess.
 
     g is the clean terminal observation or the fitted field Sf; the
-    iteration starts from ``initial_guess`` and forms its forcing once.
+    iteration forms its forcing once and starts from F(0).
     Per-step misfits in the trace compare the terminal emission field of
     the current iterate against g.  With ``clamp`` (the default, for
     fitted data) the map is projected onto [0, M], since noise can push
@@ -224,7 +205,8 @@ def fixed_point_solve(data: ProblemData, g: GridFunction, clamp: bool = True):
     forcing = _forcing(data, g)
     trace = IterationTrace()
     try:
-        q = initial_guess(data, g)
+        # F(0), which reads the cached q = 0 levels alone: u_m(T; 0) = 0
+        q = _guarded_divide(forcing, data.zero_source_levels()[0], data.grid)
         if clamp:
             q = GridFunction(data.grid, np.clip(q.values, 0.0, data.M))
         F_prev = r_prev = None
@@ -235,7 +217,8 @@ def fixed_point_solve(data: ProblemData, g: GridFunction, clamp: bool = True):
                     "the data violate the sign hypotheses of the unclamped iteration"
                 )
             tol = _clamped_tolerance(trace, q) if clamp else LANCZOS_TOL
-            F = _traced_map(data, q, g, forcing, trace, tol)
+            F, um_T = _apply_map(data, q, forcing, tol)
+            trace.misfits.append(l2_norm(um_T - g))
             if clamp:
                 F = GridFunction(data.grid, np.clip(F.values, 0.0, data.M))
             r = F - q

@@ -1,7 +1,8 @@
 """Discrete norms and the relative-error bundle of the experiments.
 
-The L2 and H1 norms use the grid's lumped mass and natural-boundary
-stiffness, which do not depend on the Robin parameter; the dual H1 norm is
+The H^s norm (``hs_norm``; L2 at s = 0, H1 at s = 1) reads the grid's Gram
+matrix R_s of the lumped mass and natural-boundary stiffness, which do not
+depend on the Robin parameter, and sums pairwise; the dual H1 norm is
 realized through the Riesz map of the full H1 inner product, i.e. one solve
 with the grid's cached factor of ``mass + stiffness``.  The
 empirical norm is the root mean square over a sensor set.
@@ -15,8 +16,8 @@ import numpy as np
 
 from .grid import Grid, GridFunction
 
-__all__ = ["empirical_norm", "l2_norm", "h1_norm", "hs_norm", "dual_h1_norm", "ErrorBundle",
-           "ERRORS", "error_bundle"]
+__all__ = ["empirical_norm", "l2_norm", "hs_norm", "dual_h1_norm", "ErrorBundle", "ERRORS",
+           "error_bundle"]
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -33,23 +34,18 @@ def empirical_norm(values) -> float:
     return float(np.sqrt(np.mean(values**2)))
 
 
-def l2_norm(u: GridFunction) -> float:
-    """sqrt(u' M u) with the lumped mass matrix."""
-    return float(np.sqrt(_dot(u.values, u.grid.mass_diag * u.values)))
-
-
-def h1_norm(u: GridFunction) -> float:
-    """Full H1 norm sqrt(u' (M + A) u), natural boundary stiffness A."""
-    grid, v = u.grid, u.values
-    # BLAS dots until ROADMAP item 1: via hs_norm this sets the H1 prior weight
-    return float(np.sqrt(v @ (grid.mass_diag * v) + v @ (grid.stiffness_natural @ v)))
-
-
 def hs_norm(u: GridFunction, s: int) -> float:
-    """Norm of penalty order s: L2 for s = 0, H1 for s = 1."""
+    """Norm of penalty order s, sqrt(u' R_s u): L2 (R_0 = M) for s = 0, full
+    H1 (R_1 = M + A) for s = 1."""
     if s not in (0, 1):
         raise ValueError(f"penalty order s must be 0 or 1, got {s}")
-    return l2_norm(u) if s == 0 else h1_norm(u)
+    v = u.values
+    return float(np.sqrt(max(_dot(v, u.grid.gram_apply(s, v)), 0.0)))
+
+
+def l2_norm(u: GridFunction) -> float:
+    """sqrt(u' M u) with the lumped mass matrix: ``hs_norm`` at s = 0."""
+    return hs_norm(u, 0)
 
 
 def dual_h1_norm(v: GridFunction) -> float:

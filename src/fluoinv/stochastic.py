@@ -210,7 +210,7 @@ class _TrialRunner:
     and builds each rung's sensor map (with the E'E of its fits) once,
     factorizes the two matrices the trials share (the Robin Laplacian at
     beta and the grid's H1 Gram matrix) and computes the last two levels
-    of the zero-source excitation that every map and initial guess read,
+    of the zero-source excitation that every map and first iterate read,
     so forked workers inherit them instead of redoing them.  Every trial's
     fit and errors read both factors, so they stay cached on the grid for
     the whole experiment, also beside each map's step factor; unlike
@@ -230,7 +230,7 @@ class _TrialRunner:
         pipeline.grid.operators(pipeline.beta).lu_laplacian()  # every fit's S and S'
         pipeline.grid.lu_h1()   # the dual-H1 errors of every trial, and the H1 fits' R_1
         if pipeline.recovers_source:
-            pipeline.data.zero_source_levels()  # every map and initial guess
+            pipeline.data.zero_source_levels()  # every map and first iterate
 
     def __call__(self, task: tuple[int, int]) -> TrialOutcome:
         i, t = task

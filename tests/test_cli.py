@@ -321,13 +321,14 @@ def test_spectral_command_and_caps(tmp_path, monkeypatch):
 def test_verify_default_passes(tmp_path, lu_counts):
     # the stability inequality reads u_m(T) on the map's path, one step
     # factor per source, not a coupled march with two; the map's step
-    # ordering costs one factorization per Robin parameter (two)
+    # ordering costs one factorization per grid, shared by both Robin
+    # parameters
     out = tmp_path / "o"
     assert main(["verify", "--preset", "verify-default", "--out", str(out)]) == 0
     _, rows = read_csv(out / "verify_report.csv")
     assert len(rows) == len(BATTERY_CHECKS)
     assert all(r[1] == "1" for r in rows)
-    assert lu_counts["factorizations"] <= 119
+    assert lu_counts["factorizations"] <= 118
 
 
 def test_verify_violated_fails(tmp_path, capsys):
@@ -503,6 +504,38 @@ def test_violated_hypotheses_are_one_line_under_a_strict_warning_filter(tmp_path
                         "(min rate -4); boundary data has no positive value; terminal "
                         "boundary data is not strictly positive (min -9)")
     assert [ln.split(" ", 1)[0] for ln in lines[1:]] == ["error:"] * (code != 0), lines
+
+
+_UNDERFLOW = {"grid": 8, "truth": "example2-smooth"}
+_FITTED = {**_UNDERFLOW, "sigma": 1e-3, "s": 1}
+
+
+@pytest.mark.parametrize("command, payload, code", [
+    ("p2", {**_UNDERFLOW, "clean": True, "beta": 1e160}, 0),
+    ("p2", {**_UNDERFLOW, "clean": True, "beta": 1e300}, 0),
+    ("p2", {**_UNDERFLOW, "clean": True, "T": 1e-300, "tau": 1e-300}, 3),
+    ("p2", {**_FITTED, "n": 50, "beta": 1e300}, 2),
+    ("p1", {**_FITTED, "truth": "example2-discontinuous", "n": 50, "beta": 1e300}, 2),
+    ("rates", {**_FITTED, "ladder": [20, 40], "trials": 1, "beta": 1e300,
+               "lambda": {"mode": "fixed", "value": 1e-3}}, 2),
+], ids=["p2-clean-1e160", "p2-clean-1e300", "p2-clean-tiny-tau", "p2-fitted", "p1", "rates"])
+def test_underflowing_problems_end_in_one_line(tmp_path, command, payload, code):
+    # a Robin load 1/(beta h) or a step inverse near 1e-300 would underflow the
+    # square of the map's Lanczos start, unscaled, to 0 (a NaN map, then a
+    # singular factor); a clean p2 recovers the source all the same, or stops
+    # on a vanishing excitation.  At beta = 1e300 the truth's fields underflow
+    # too, which a fit divides by: a configuration error at 'truth'
+    cfg = write_cfg(tmp_path, "c.json", payload)
+    out = tmp_path / "o"
+    run = run_cli([command, "--config", cfg, "--out", str(out)], PYTHONWARNINGS="error")
+    assert run.returncode == code, run.stderr
+    lines = run.stderr.splitlines()
+    assert [ln.split(" ", 1)[0] for ln in lines] == ["error:"] * (code != 0), lines
+    if code == 0:
+        header, (row,) = read_csv(out / "source_errors.csv")
+        assert float(row[header.index("err5")]) < 1e-10
+    if code == 2:
+        assert lines[0].startswith("error: config error at 'truth': "), lines
 
 
 RATES = {"grid": 16, "truth": "example1", "s": 0, "sigma": 0.002,
@@ -887,6 +920,7 @@ def test_dirichlet_spectrum_does_not_depend_on_blas_threads(tmp_path):
 
 _STEPS_AND_TAU = st.tuples(st.integers(1, 4), st.sampled_from([0.01, 0.1, 0.25, 1.0, 3.0]))
 _NOISE_LEVEL = st.sampled_from([0.0, 1e-300, 1e-8, 0.001, 0.05, 1.0, 1e300])
+_BETA = st.sampled_from([1.0, 1e160, 1e300])
 _P_CONFIGS = st.fixed_dictionaries({
     "grid": st.integers(4, 8),
     "truth": st.sampled_from(["example1", "example2-smooth", "example2-discontinuous"]),
@@ -898,6 +932,9 @@ _P_CONFIGS = st.fixed_dictionaries({
                                {"mode": "fixed", "value": 1e6}]),
     "M": st.sampled_from([0.5, 5.0, 50.0]),
     "flip_boundary": st.booleans(),
+    # at 1e160 the square of the map's Lanczos start underflows unscaled,
+    # and at 1e300 the squares of a truth's fields do
+    "beta": _BETA,
 })
 _NOISE_KEY = st.sampled_from(["sigma", "relative_sigma"])
 COUPLED_KEYS = ("T", "tau", "M", "flip_boundary")  # the example1 truth reads none of them
@@ -970,7 +1007,8 @@ def test_valid_rates_configurations_end_in_an_exit_code(cfg, steps_tau, noise, r
 @given(cfg=st.fixed_dictionaries({
            "grid": st.integers(4, 8),
            "source": st.sampled_from(["example2-smooth", "example2-discontinuous", "zero"]),
-           "flip_boundary": st.booleans()}),
+           "flip_boundary": st.booleans(),
+           "beta": _BETA}),
        steps_tau=_STEPS_AND_TAU, seed=st.integers(0, 3))
 def test_valid_forward_configurations_end_in_an_exit_code(cfg, steps_tau, seed):
     steps, tau = steps_tau

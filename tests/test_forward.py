@@ -6,7 +6,7 @@ import pytest
 import fluoinv as fv
 from fluoinv import forward, inverse
 from fluoinv.forward import _last_two, terminal_excitation, terminal_fields
-from fluoinv.inverse import _terminal_triple
+from fluoinv.inverse import _apply_map, _forcing
 from fluoinv.presets import (build_source, build_truth, example2_absorption, example2_problem,
                              smooth_source, stability_problem)
 
@@ -212,19 +212,20 @@ def test_fixed_point_map_cost(lu_counts):
     assert lu_counts["solves"] <= 55
 
 
-def test_initial_guess_caches_the_zero_source_levels(lu_counts):
-    # the q = 0 levels are terminal_excitation at q = 0, computed once per
-    # problem: one factorization and about half a march's solves, then
-    # nothing; being the grid's first map factor, it first orders the step
-    # pattern, at one factorization more
+def test_zero_source_levels_are_cached(lu_counts):
+    # the q = 0 levels, which every map application and the iteration's
+    # first iterate F(0) read, are terminal_excitation at q = 0, computed
+    # once per problem: one factorization and about half a march's solves,
+    # then nothing; being the grid's first map factor, it first orders the
+    # step pattern, at one factorization more
     grid = fv.Grid(2, 16)
     _, g, data, _ = build_truth("example2-smooth", grid)
     lu_counts.reset()
-    fv.initial_guess(data, g)
+    data.zero_source_levels()
     assert lu_counts["factorizations"] == 2
     assert lu_counts["solves"] <= 55
     lu_counts.reset()
-    fv.initial_guess(data, g)
+    data.zero_source_levels()
     assert lu_counts == {"factorizations": 0, "solves": 0, "solve_calls": 0}
 
 
@@ -272,19 +273,24 @@ def test_terminal_fields_match_the_histories():
 
 @pytest.mark.parametrize("source", ["example2-smooth", "example2-discontinuous"])
 def test_map_fields_match_the_forward_observation(source):
-    # u_m = v - u_e, v the cached q = 0 excitation, gives the two-march
-    # triple of terminal_fields: u_e(T) to 1e-13, the emission fields to
-    # roundoff, and at q = 0 the emission fields exactly zero in both
+    # u_m = v - u_e, v the cached q = 0 excitation, gives the emission field
+    # of terminal_fields' two marches to roundoff, and the map built on the
+    # map's own fields that built on the march's: at the true source, where
+    # the map's numerator reads dt u_m, to the emission fields' roundoff; at
+    # q = 0, where both emission fields are exactly zero, to u_e(T)'s 1e-13
     grid = fv.Grid(2, 24)
-    _, _, data, q = build_truth(source, grid, tau=0.05)
-    triple, forward = _terminal_triple(data, q), terminal_fields(data, q)
-    assert close(triple[0].values, forward[0].values)
-    for a, b in zip(triple[1:], forward[1:]):
-        assert np.abs(a.values - b.values).max() <= 1e-9 * np.abs(b.values).max()
-    triple, forward = _terminal_triple(data, grid.zeros()), terminal_fields(data, grid.zeros())
-    assert close(triple[0].values, forward[0].values)
-    for a, b in zip(triple[1:], forward[1:]):
-        assert np.array_equal(a.values, b.values) and not b.values.any()
+    _, g, data, q = build_truth(source, grid, tau=0.05)
+    forcing = _forcing(data, g)
+    for source_q, rtol in ((q, 1e-9), (grid.zeros(), 1e-13)):
+        F, um_T = _apply_map(data, source_q, forcing)
+        ue_T, dtum_T, um_march = terminal_fields(data, source_q)
+        F_march = (dtum_T.values + forcing) / ue_T.values
+        assert close(F.values, F_march, rtol)
+        if source_q is q:
+            assert np.abs(um_T.values - um_march.values).max() \
+                <= 1e-9 * np.abs(um_march.values).max()
+        else:
+            assert np.array_equal(um_T.values, um_march.values) and not um_march.values.any()
 
 
 def with_source(data, source):
@@ -326,7 +332,7 @@ def test_lanczos_levels_match_the_march(build, lu_counts):
     data, q = build()
     zero = np.zeros(data.grid.node_count)
     (ue_N, _), (ue_prev, _) = _last_two(fv.coupled_levels(data, q), (zero, zero))
-    data.grid.operators(data.beta).step_order()
+    data.grid.step_order()
     lu_counts.reset()
     levels = terminal_excitation(data, q)
     assert close(levels[0], ue_N)
@@ -389,23 +395,26 @@ def test_step_factor_fill():
     # fill pins, machine-independent: the map's factor is of the step matrix
     # permuted by the grid's minimum-degree ordering of the symmetric
     # pattern (applying SuperLU's perm_c instead of its inverse gives 5.9M
-    # entries at grid 100); the ordering reads the pattern only, so two
-    # absorptions and time steps give it, and no call history can change
-    # it.  The reference march keeps SuperLU's default COLAMD, on whose bits
-    # the benchmark reference values of rates-source rest until ROADMAP
-    # item 2 regenerates them
+    # entries at grid 100); the ordering reads the pattern only, the H1 Gram
+    # matrix's, so the operators at two Robin parameters factor in the one
+    # ordering, two absorptions and time steps give it, and no call history
+    # can change it.  The reference march keeps SuperLU's default COLAMD, on
+    # whose bits the benchmark reference values of rates-source rest until
+    # ROADMAP item 2 regenerates them
     import scipy.sparse.linalg as spla
 
     for cells, entries in ((50, 73_494), (100, 386_976)):
         grid = fv.Grid(2, cells)
-        ops = grid.operators(1.0)
         absorption = example2_absorption(grid).values
-        lu, order = ops.ordered_step_lu(0.01, absorption)
-        assert fill(lu) == entries and order is ops.step_order()
-        for tau, field in ((0.01, absorption), (0.25, np.linspace(0.0, 7.0, grid.node_count))):
-            lu = spla.splu(ops.step_matrix(tau, field), permc_spec="MMD_AT_PLUS_A")
-            assert np.array_equal(np.argsort(lu.perm_c), ops.step_order())
-    assert fill(ops.step_lu(0.01, absorption)) == 659_092
+        for beta in (1.0, 1e-3):
+            ops = grid.operators(beta)
+            lu, order = ops.ordered_step_lu(0.01, absorption)
+            assert fill(lu) == entries and order is grid.step_order()
+            for tau, field in ((0.01, absorption),
+                               (0.25, np.linspace(0.0, 7.0, grid.node_count))):
+                lu = spla.splu(ops.step_matrix(tau, field), permc_spec="MMD_AT_PLUS_A")
+                assert np.array_equal(np.argsort(lu.perm_c), order)
+    assert fill(grid.operators(1.0).step_lu(0.01, absorption)) == 659_092
 
 
 def test_forward_pass_keeps_one_history(monkeypatch):

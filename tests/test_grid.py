@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -124,6 +126,20 @@ def test_released_factors_are_rebuilt_with_the_same_bits(lu_counts):
     assert all(np.array_equal(a, b) for a, b in zip(solves(), before))
     assert grid.operators(0.5) is ops
     assert lu_counts["factorizations"] == 6
+
+
+def test_a_dropped_grid_frees_its_factors_at_once(lu_counts):
+    # the operators reach their grid weakly, so no reference cycle keeps a
+    # dropped grid, and its cached factors, alive until a garbage collection
+    gc.disable()
+    try:
+        grid = fv.Grid(2, 16)
+        grid.gram_solve(1, grid.operators(0.5).smooth(np.ones(grid.node_count)))
+        assert lu_counts.live == 2
+        del grid
+        assert lu_counts.live == 0
+    finally:
+        gc.enable()
 
 
 def test_smooth_adjoint_is_the_transpose(grid16):

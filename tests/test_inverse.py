@@ -10,7 +10,6 @@ from fluoinv.stochastic import NoiseModel, observe, sample_points
 def test_zero_data_fixed_point(ex2_32):
     data, grid = ex2_32["data"], ex2_32["grid"]
     g0 = grid.zeros()
-    assert np.abs(fv.initial_guess(data, g0).values).max() == 0.0
     assert np.abs(fv.fixed_point_map(data, grid.zeros(), g0).values).max() == 0.0
     q, trace = fv.fixed_point_solve(data, g0, clamp=False)
     assert trace.iterations == 1
@@ -40,9 +39,14 @@ def test_map_lipschitz_ratio_reported(ex2_32):
     print(f"\nempirical map Lipschitz ratio over 20 pairs: {worst:.4f}")
 
 
+def initial_guess(data, g):
+    """The iteration's first iterate, the map at q = 0."""
+    return fv.fixed_point_map(data, data.grid.zeros(), g)
+
+
 def test_initial_guess_bounds(ex2_32):
     data, g, q_true = ex2_32["data"], ex2_32["g"], ex2_32["q_true"]
-    q0 = fv.initial_guess(data, g)
+    q0 = initial_guess(data, g)
     assert (q0.values - q_true.values).max() <= 1e-8
     assert q0.values.min() >= -1e-10
 
@@ -66,7 +70,7 @@ def test_clamped_iterates_stay_admissible(ex2_32):
     data, g = ex2_32["data"], ex2_32["g"]
     # inflate the field: its initial guess is about 20 q_0 > M
     g_big = data.grid.function(20.0 * g.values)
-    assert fv.initial_guess(data, g_big).values.max() > data.M
+    assert initial_guess(data, g_big).values.max() > data.M
     q, trace = fv.fixed_point_solve(data, g_big)
     assert q.values.min() >= 0.0
     assert q.values.max() <= data.M
@@ -86,7 +90,7 @@ def test_positivity_error_carries_the_trace(ex2_32):
 def test_initial_guess_lies_in_the_domain(ex2_32):
     # on clean data the initial guess lies in (-1, M] at every node
     data, g = ex2_32["data"], ex2_32["g"]
-    q0 = fv.initial_guess(data, g).values
+    q0 = initial_guess(data, g).values
     assert (q0 > -1.0).all()
     assert (q0 <= data.M).all()
 
@@ -95,7 +99,7 @@ def test_clean_recovery_discontinuous_source_with_clamp():
     # hypothesis-violating data (the jump makes the raw initial guess dip
     # slightly negative) still recover exactly once iterates are projected
     _, g, data, q_true = build_truth("example2-discontinuous", fv.Grid(2, 40), tau=0.05)
-    assert fv.initial_guess(data, g).values.min() < 0  # raw guess leaves [0, M]
+    assert initial_guess(data, g).values.min() < 0  # raw guess leaves [0, M]
     with pytest.raises(fv.PositivityError) as failed:
         fv.fixed_point_solve(data, g, clamp=False)  # the unclamped iteration rejects it
     assert failed.value.trace.iterations == 0
@@ -109,7 +113,7 @@ def test_fixed_point_at_its_cap_raises(ex2_32, monkeypatch, lu_counts):
     # at N = 4 each of the load's two time components runs its Lanczos
     # process to the cap m = N - 1, one solve for the start and one per step
     data, g = ex2_32["data"], ex2_32["g"]
-    fv.initial_guess(data, g)  # the cached q = 0 levels
+    data.zero_source_levels()  # cached before the count
     monkeypatch.setattr(inverse, "FIXED_POINT_MAX_ITER", 3)
     monkeypatch.setattr(inverse, "FIXED_POINT_TOL", 1e-300)
     lu_counts.reset()
@@ -147,23 +151,24 @@ def test_clamped_iteration_is_secant_mixed(fitted_40, monkeypatch, lu_counts):
     def clamped(u):
         return fv.GridFunction(data.grid, np.clip(u.values, 0.0, data.M))
 
-    picard = clamped(fv.initial_guess(data, g))  # the plain clamped iteration
+    start = picard = clamped(initial_guess(data, g))  # the plain clamped iteration
     for applications in range(1, inverse.FIXED_POINT_MAX_ITER + 1):
         previous, picard = picard, clamped(fv.fixed_point_map(data, picard, g))
         if fv.l2_norm(picard - previous) < inverse.FIXED_POINT_TOL:
             break
     assert applications == 12
 
-    triple, iterates = inverse._terminal_triple, []
+    apply_map, iterates = inverse._apply_map, []
 
-    def recorded(data, q, tol):
+    def recorded(data, q, forcing, tol):
         iterates.append(q.values)
-        return triple(data, q, tol)
+        return apply_map(data, q, forcing, tol)
 
-    monkeypatch.setattr(inverse, "_terminal_triple", recorded)
+    monkeypatch.setattr(inverse, "_apply_map", recorded)
     lu_counts.reset()
     q, trace = fv.fixed_point_solve(data, g)
     assert trace.iterations == len(iterates) == 8
+    assert np.array_equal(iterates[0], start.values)  # F(0), the map at q = 0, bit for bit
     assert lu_counts["factorizations"] == 8
     assert lu_counts["solves"] <= 8 * 55
     assert all(0.0 <= v.min() and v.max() <= data.M for v in [*iterates, q.values])
@@ -171,8 +176,7 @@ def test_clamped_iteration_is_secant_mixed(fitted_40, monkeypatch, lu_counts):
 
 
 @pytest.mark.parametrize("call, match", [
-    pytest.param(lambda data, g: fv.initial_guess(data, g), "problem grid",
-                 id="guess-g-off-grid"),
+    pytest.param(initial_guess, "problem grid", id="guess-g-off-grid"),
     pytest.param(lambda data, g: fv.fixed_point_solve(data, g), "problem grid",
                  id="solve-g-off-grid"),
 ])
@@ -186,7 +190,13 @@ def test_division_guard_on_violated_data(grid16):
     data = example2_problem(grid16, tau=0.25, flip_boundary=True)
     g = grid16.function(np.ones(grid16.node_count))
     with pytest.raises(fv.PositivityError):
-        fv.initial_guess(data, g)
+        initial_guess(data, g)
+    # NaN fails every comparison: a NaN excitation or source is rejected too
+    nan = np.full(grid16.node_count, np.nan)
+    with pytest.raises(fv.PositivityError, match="min nan"):
+        inverse._guarded_divide(g.values, nan, grid16)
+    with pytest.raises(ValueError, match="min q = nan"):
+        fv.fixed_point_map(data, grid16.function(nan), g)
 
 
 def _noisy_recovery(cells, level, s, seed=2024, tau=0.01):
@@ -204,9 +214,10 @@ def test_fitted_recovery_holds_three_factors_at_most(lu_counts):
     # the truth's march frees its two step factors; the fit caches the
     # Laplacian's and the H1 factor on the grid, and the library never
     # releases them (the p2 command does, see test_cli), so here each map
-    # application runs its own step factor beside those two
+    # application runs its own step factor beside those two; they go with
+    # the grid, which the recovery drops when it returns
     _noisy_recovery(16, 0.01, s=1)
-    assert lu_counts.live == 2
+    assert lu_counts.live == 0
     assert lu_counts.peak_live == 3
 
 

@@ -12,13 +12,40 @@ def test_l2_norm_values(grid16, grid100):
     assert fv.l2_norm(trig) == pytest.approx(0.5, abs=1e-3)
 
 
+def h1_norm(u):
+    return fv.hs_norm(u, 1)
+
+
 def test_h1_norm_values(grid16):
     ones = grid16.function(np.ones(grid16.node_count))
-    assert fv.h1_norm(ones) == pytest.approx(1.0)
-    assert fv.h1_norm(grid16.zeros()) == 0.0
+    assert h1_norm(ones) == pytest.approx(1.0)
+    assert h1_norm(grid16.zeros()) == 0.0
     line = fv.Grid(1, 100)
     u = line.function(lambda x: x)
-    assert fv.h1_norm(u) == pytest.approx(np.sqrt(1.0 / 3.0 + 1.0), abs=1e-3)
+    assert h1_norm(u) == pytest.approx(np.sqrt(1.0 / 3.0 + 1.0), abs=1e-3)
+
+
+@pytest.mark.parametrize("dim, cells", [(1, 30), (2, 8)])
+def test_hs_norm_is_the_gram_form_and_the_penalty_norm(dim, cells):
+    # sqrt(v' R_s v) against the dense Gram matrices R_0 = M and R_1 = M + A;
+    # l2_norm is its s = 0 case, and a fit reports |f|_{H^s} by it, bit for bit
+    from fluoinv.stochastic import NoiseModel, observe, sample_points
+
+    grid = fv.Grid(dim, cells)
+    v = grid.function(np.random.default_rng(5).standard_normal(grid.node_count))
+    mass = np.diag(grid.mass_diag)
+    for s, gram in ((0, mass), (1, mass + grid.stiffness_natural.toarray())):
+        assert fv.hs_norm(v, s) == pytest.approx(np.sqrt(v.values @ gram @ v.values),
+                                                 rel=1e-13)
+    assert fv.l2_norm(v) == fv.hs_norm(v, 0)
+    with pytest.raises(ValueError, match="penalty order"):
+        fv.hs_norm(v, 2)
+    sf = grid.function(np.cos(np.pi * grid.x))
+    meas = observe(sf, fv.PointEvaluation(grid, sample_points(dim, 20, seed=1)),
+                   NoiseModel("gaussian", 1e-3, np.random.SeedSequence(2)))
+    for s in (0, 1):
+        fit = fv.solve_data_fit(1.0, meas, s, 1e-4)
+        assert fit.penalty_norm == fv.hs_norm(fit.f, s)
 
 
 def test_dual_norm_values(grid16):
@@ -31,7 +58,7 @@ def test_norm_ordering_and_riesz_identity(grid16):
     rng = np.random.default_rng(0)
     for _ in range(20):
         v = grid16.function(rng.standard_normal(grid16.node_count))
-        dual, l2, h1 = fv.dual_h1_norm(v), fv.l2_norm(v), fv.h1_norm(v)
+        dual, l2, h1 = fv.dual_h1_norm(v), fv.l2_norm(v), h1_norm(v)
         assert dual <= l2 + 1e-10
         assert l2 <= h1 + 1e-10
         w = grid16.lu_h1().solve(grid16.mass_diag * v.values)
@@ -40,7 +67,7 @@ def test_norm_ordering_and_riesz_identity(grid16):
 
 def test_norm_axioms(grid16):
     rng = np.random.default_rng(1)
-    for norm in (fv.l2_norm, fv.h1_norm, fv.dual_h1_norm):
+    for norm in (fv.l2_norm, h1_norm, fv.dual_h1_norm):
         for _ in range(10):
             a = grid16.function(rng.standard_normal(grid16.node_count))
             b = grid16.function(rng.standard_normal(grid16.node_count))
