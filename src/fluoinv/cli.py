@@ -329,7 +329,7 @@ def _truth(cfg: dict, grid: Grid):
         _report_violations(data)
     if not cfg.get("clean"):
         for name, field in (("observed field", sf_true), ("forcing", f_true)):
-            if not l2_norm(field) > 0.0:
+            if not (norm := l2_norm(field)) * norm > 0.0:
                 raise ConfigError(f"config error at 'truth': the {cfg['truth']} {name} is "
                                   f"too small on this problem, its squared L2 norm underflows "
                                   f"to 0, and a fit divides by it")

@@ -15,8 +15,11 @@ the multilinear point-evaluation map of the sensor set.  A measurement set
 carries its map (``PointEvaluation``), which folds the n measurement
 couplings into a sparse E'E once, so each fit takes only the measurements
 and reads its grid off them.  CG preconditioned by R_s solves the normal
-equations; a product costs two elliptic solves on the grid's cached
-factorization of the Laplacian.
+equations at a given weight; a product costs two elliptic solves.  That CG
+alone reads the grid's COLAMD pair (``Grid.cg_lu``: the Laplacian, and R_1
+at s = 1), not the cached factors in the step ordering that every other
+solve reads: it amplifies a roundoff change into a move of the benchmark
+reference values of rates-source, which were recorded on the COLAMD bits.
 
 The self-consistent weight loop refits the same data at moving weights,
 whose systems differ only by a shift of R_s^-1 (ES)'(ES)/n: all its passes
@@ -155,22 +158,39 @@ class FitResult:
 
 class _FitWorkspace:
     """The operators of the fits on one sensor set: its map and E'E, the grid
-    (whose Gram matrices R_s weigh the penalty) and the grid's operators at
-    beta (S and S')."""
+    (whose Gram matrices R_s weigh the penalty), the grid's operators at
+    beta, and the solves S = L^-1 W, S' = W L^-1 and R_s^-1 on the grid's
+    cached factors in the step ordering, or with ``cg`` on the given-weight
+    CG's COLAMD pair (``Grid.cg_lu``)."""
 
-    def __init__(self, sensors: PointEvaluation, beta: float):
+    def __init__(self, sensors: PointEvaluation, beta: float, cg: bool = False):
         self.sensors = sensors
         self.grid = sensors.grid
         self.ops = self.grid.operators(beta)
+        self.cg = cg
+
+    def _lu_laplacian(self):
+        return self.grid.cg_lu(self.ops.beta) if self.cg else self.ops.lu_laplacian()
+
+    def smooth(self, v: np.ndarray) -> np.ndarray:
+        return self._lu_laplacian().solve(self.grid.weights * v)
+
+    def smooth_adjoint(self, v: np.ndarray) -> np.ndarray:
+        return self.grid.weights * self._lu_laplacian().solve(v)
+
+    def gram_solve(self, s: int, v: np.ndarray) -> np.ndarray:
+        if self.cg and s == 1:
+            return self.grid.cg_lu(None).solve(v)
+        return self.grid.gram_solve(s, v)
 
     def data_apply(self, f_values: np.ndarray) -> np.ndarray:
         """(ES)'(ES) f / n, the data term of the normal equations."""
-        t = self.sensors.ete @ self.ops.smooth(f_values)
-        return self.ops.smooth_adjoint(t) / self.sensors.n
+        t = self.sensors.ete @ self.smooth(f_values)
+        return self.smooth_adjoint(t) / self.sensors.n
 
     def rhs(self, y: np.ndarray) -> np.ndarray:
         """(ES)' y / n, the right-hand side of the normal equations."""
-        return self.ops.smooth_adjoint(self.sensors.matrix.T @ y) / self.sensors.n
+        return self.smooth_adjoint(self.sensors.matrix.T @ y) / self.sensors.n
 
 
 def _pcg(matvec, b, *, tol, max_iter, precond):
@@ -223,6 +243,11 @@ def solve_data_fit(beta: float, meas: MeasurementSet, s: int, lam: float) -> Fit
     """Solve the penalized least-squares problem of order ``s`` at weight
     ``lam`` for the nodal forcing on the grid of ``meas.sensors``.
 
+    Its solves, Sf included, read the grid's COLAMD pair (``Grid.cg_lu``),
+    on whose bits the benchmark reference values of rates-source were
+    recorded: the CG turns the roundoff change of another ordering into a
+    move of those values.  ROADMAP item 1 deletes the pair with this CG.
+
     Raises ValueError if s is not 0 or 1 or lam is not positive, and
     ConvergenceError if the outer CG does not reach its tolerance.
     """
@@ -230,7 +255,7 @@ def solve_data_fit(beta: float, meas: MeasurementSet, s: int, lam: float) -> Fit
         raise ValueError(f"penalty order s must be 0 or 1, got {s}")
     if lam <= 0:
         raise ValueError(f"regularization weight must be positive, got {lam}")
-    ws = _FitWorkspace(meas.sensors, beta)
+    ws = _FitWorkspace(meas.sensors, beta, cg=True)
 
     def matvec(f):
         return lam * ws.grid.gram_apply(s, f) + ws.data_apply(f)
@@ -242,7 +267,7 @@ def solve_data_fit(beta: float, meas: MeasurementSet, s: int, lam: float) -> Fit
             ws.rhs(meas.values),
             tol=SOLVER_TOL,
             max_iter=CG_MAX_ITER,
-            precond=lambda r: ws.grid.gram_solve(s, r),
+            precond=lambda r: ws.gram_solve(s, r),
         )
     return _fit_result(ws, meas, s, x, report)
 
@@ -250,7 +275,7 @@ def solve_data_fit(beta: float, meas: MeasurementSet, s: int, lam: float) -> Fit
 def _fit_result(ws: _FitWorkspace, meas: MeasurementSet, s: int, x: np.ndarray,
                 report: SolveReport) -> FitResult:
     """The fit of forcing ``x``: its field Sf (one solve), misfit and penalty norm."""
-    f, sf = GridFunction(ws.grid, x), GridFunction(ws.grid, ws.ops.smooth(x))
+    f, sf = GridFunction(ws.grid, x), GridFunction(ws.grid, ws.smooth(x))
     misfit = empirical_norm(ws.sensors.apply(sf) - meas.values)
     return FitResult(f, sf, misfit, hs_norm(f, s), report)
 
@@ -323,7 +348,7 @@ class _ShiftedLanczos:
         self.cap = min(CG_MAX_ITER, b.size)
         self.basis: list[np.ndarray] = []          # q_1..q_k, rows of blocks of _BLOCK
         self.alphas: list[float] = []
-        self._w, self._z = b, ws.grid.gram_solve(s, b)  # w_k and R_s^-1 w_k
+        self._w, self._z = b, ws.gram_solve(s, b)  # w_k and R_s^-1 w_k
         self.betas = [float(np.sqrt(_dot(b, self._z)))]  # beta_0, then beta_j after step j
         self._wnorm = self.bnorm                    # |w_k|
         self._v = np.zeros_like(b)                  # R_s q_k
@@ -345,7 +370,7 @@ class _ShiftedLanczos:
         for qi in self.basis:
             projection += _dot(qi, w) * qi
         w -= self.ws.grid.gram_apply(self.s, projection)
-        z = self.ws.grid.gram_solve(self.s, w)
+        z = self.ws.gram_solve(self.s, w)
         beta = float(np.sqrt(_dot(w, z)))
         if not (np.isfinite(alpha) and np.isfinite(beta)):
             raise ConvergenceError(f"Lanczos step {len(self.alphas) + 1} has a non-finite "

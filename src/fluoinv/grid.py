@@ -69,12 +69,16 @@ class Grid:
     pattern.
 
     The cached factors, ``lu_h1`` and each ``operators(beta)``'s Laplacian
-    factor, serve the fit, the dual-H1 errors and the Poisson solves, not
-    the marches or the fixed-point map.  They live until
-    ``release_factors`` drops them, and each is rebuilt lazily, with the
-    same bits, on its next use; the library never releases them, a command
-    does (``p2`` once its fit has returned, so the fixed point runs beside
-    its own step factor only).
+    factor, serve the self-consistent fit, the dual-H1 errors and the
+    Poisson solves, not the marches or the fixed-point map.  The Laplacian
+    and R_1 share one pattern, so both factor in SuperLU's minimum-degree
+    ordering of it, the step ordering: 386,976 entries in L and U at grid
+    100 against 659,092 under the default COLAMD.  The given-weight CG of
+    :mod:`fluoinv.fit` alone reads its own pair in COLAMD (``cg_lu``).
+    All of them live until ``release_factors`` drops them, and each is
+    rebuilt lazily, with the same bits, on its next use; the library never
+    releases them, a command does (``p2`` once its fit has returned, so the
+    fixed point runs beside its own step factor only).
 
     Parameters
     ----------
@@ -123,6 +127,7 @@ class Grid:
         self._op_cache: dict[float, "_GridOperators"] = {}
         self._lu_h1 = None
         self._step_order = None
+        self._cg_factors: dict[float | None, object] = {}
 
     # x (and y) coordinate views, handy for building coefficient fields
     @property
@@ -145,10 +150,32 @@ class Grid:
         return GridFunction(self, np.zeros(self.node_count))
 
     def lu_h1(self):
-        """Cached factorization of the H1 Gram matrix M + A."""
+        """Cached factorization of the H1 Gram matrix M + A, in the step
+        ordering (``step_order``, which it also fixes)."""
         if self._lu_h1 is None:
-            self._lu_h1 = spla.splu(self._gram_h1())
+            self._lu_h1 = self._factor_h1()
         return self._lu_h1
+
+    def _factor_h1(self):
+        """A new factor of R_1 in the step ordering, which it fixes if unset."""
+        lu = spla.splu(self._gram_h1(), permc_spec="MMD_AT_PLUS_A")
+        if self._step_order is None:
+            self._step_order = np.argsort(lu.perm_c)
+        return lu
+
+    def cg_lu(self, beta: float | None):
+        """SuperLU's default COLAMD factor of the Robin Laplacian at ``beta``,
+        or of R_1 for None: the pair of the given-weight CG
+        (``fluoinv.fit.solve_data_fit``) and nothing else.  The benchmark
+        reference values of rates-source were recorded on its bits, which
+        that CG amplifies; ROADMAP item 1 deletes the pair with the CG.
+        Cached until ``release_factors``.
+        """
+        key = None if beta is None else float(beta)
+        if key not in self._cg_factors:
+            A = self._gram_h1() if key is None else self.operators(key).laplacian.tocsc()
+            self._cg_factors[key] = spla.splu(A, permc_spec="COLAMD")
+        return self._cg_factors[key]
 
     def _gram_h1(self) -> sp.csc_matrix:
         return (sp.diags(self.mass_diag) + self.stiffness_natural).tocsc()
@@ -172,23 +199,25 @@ class Grid:
         SuperLU's ``MMD_AT_PLUS_A`` ordering, postordered by its elimination
         tree, reads only the pattern of A + A'.  Every step matrix
         W/tau + L + W diag(r) has the pattern of the H1 Gram matrix M + A,
-        the natural stiffness's with its diagonal, so that matrix gives the
-        ordering, at one factorization per grid, kept for its lifetime.
+        the natural stiffness's with its diagonal, so that matrix's factor
+        gives the ordering, kept for the grid's lifetime: ``lu_h1``'s,
+        whenever it is built, else a factor made for it alone and dropped.
         SuperLU applies its ``perm_c`` to columns
         (A Pc = A[:, argsort(perm_c)]), whence the argsort.  Taking
         ``perm_c`` itself instead puts 5.9M entries in L and U at grid 100
         in place of 386,976.
         """
         if self._step_order is None:
-            lu = spla.splu(self._gram_h1(), permc_spec="MMD_AT_PLUS_A")
-            self._step_order = np.argsort(lu.perm_c)
+            self._factor_h1()
         return self._step_order
 
     def release_factors(self) -> None:
-        """Drop the cached H1 factor and the Laplacian factor of every cached
-        ``operators(beta)``; each is rebuilt on its next use.  SuperLU gives
-        the same factor for the same matrix, so no result changes."""
+        """Drop the cached H1 factor, the Laplacian factor of every cached
+        ``operators(beta)`` and the CG's pair (``cg_lu``); each is rebuilt on
+        its next use.  SuperLU gives the same factor for the same matrix, so
+        no result changes."""
         self._lu_h1 = None
+        self._cg_factors.clear()
         for ops in self._op_cache.values():
             ops._lu_laplacian = None
 
@@ -247,7 +276,8 @@ class _GridOperators:
     - ``smooth``: the Poisson solve S = L^-1 W; ``smooth_adjoint``: its
       transpose S' = W L^-1, L being symmetric.
 
-    The Laplacian factor is built lazily and cached until
+    The Laplacian factor, in the grid's ``step_order`` (the Laplacian has
+    the pattern of R_1), is built lazily and cached until
     ``Grid.release_factors`` drops it; a backward-Euler step factor depends
     on the absorption field, so ``step_lu`` (the march's, in grid
     coordinates) and ``ordered_step_lu`` (the map's, in the grid's
@@ -271,7 +301,7 @@ class _GridOperators:
 
     def lu_laplacian(self):
         if self._lu_laplacian is None:
-            self._lu_laplacian = spla.splu(self.laplacian.tocsc())
+            self._lu_laplacian = spla.splu(self.laplacian.tocsc(), permc_spec="MMD_AT_PLUS_A")
         return self._lu_laplacian
 
     def smooth(self, v: np.ndarray) -> np.ndarray:
@@ -293,10 +323,11 @@ class _GridOperators:
         in grid coordinates: the reference march's.  Not cached: the
         absorption changes with the source being solved for.
         """
-        # SuperLU's default COLAMD, on whose bits the benchmark reference
-        # values of rates-source were recorded (the fit's CG amplifies a
-        # roundoff change of the truth); ROADMAP item 2 moves the march to the
-        # step ordering when it regenerates that reference
+        # SuperLU's default COLAMD, unlike every cached factor but the CG's
+        # pair: the benchmark reference values of rates-source were recorded
+        # on the truth it marches (the given-weight CG amplifies a roundoff
+        # change of the truth); ROADMAP item 2 moves the march to the step
+        # ordering when item 1 regenerates that reference
         return spla.splu(self.step_matrix(tau, absorption), permc_spec="COLAMD")
 
     def ordered_step_lu(self, tau: float, absorption: np.ndarray):

@@ -5,11 +5,16 @@ matrix R_s of the lumped mass and natural-boundary stiffness, which do not
 depend on the Robin parameter, and sums pairwise; the dual H1 norm is
 realized through the Riesz map of the full H1 inner product, i.e. one solve
 with the grid's cached factor of ``mass + stiffness``.  The
-empirical norm is the root mean square over a sensor set.
+empirical norm is the root mean square over a sensor set.  Each norm
+squares its argument scaled by the power of two that brings its largest
+entry into [1/2, 1) and scales the root back, so squares as small as the
+subnormals lose no digits; the scaling is exact, and the norm is the
+unscaled one wherever the unscaled squares stay normal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,12 +31,20 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.add.reduce(x * y))
 
 
+def _scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(v 2^-e, e) with the largest |v 2^-e| in [1/2, 1); e = 0 for zero or
+    non-finite v."""
+    e = math.frexp(float(np.abs(v).max()))[1]
+    return np.ldexp(v, -e), e
+
+
 def empirical_norm(values) -> float:
     """Root mean square over the sensors: ||v||_n = sqrt(sum v_i^2 / n)."""
     values = np.asarray(values, dtype=float)
     if values.size < 1:
         raise ValueError("empirical norm needs at least one value")
-    return float(np.sqrt(np.mean(values**2)))
+    v, e = _scaled(values)
+    return float(np.ldexp(np.sqrt(np.mean(v**2)), e))
 
 
 def hs_norm(u: GridFunction, s: int) -> float:
@@ -39,8 +52,8 @@ def hs_norm(u: GridFunction, s: int) -> float:
     H1 (R_1 = M + A) for s = 1."""
     if s not in (0, 1):
         raise ValueError(f"penalty order s must be 0 or 1, got {s}")
-    v = u.values
-    return float(np.sqrt(max(_dot(v, u.grid.gram_apply(s, v)), 0.0)))
+    v, e = _scaled(u.values)
+    return float(np.ldexp(np.sqrt(max(_dot(v, u.grid.gram_apply(s, v)), 0.0)), e))
 
 
 def l2_norm(u: GridFunction) -> float:
@@ -55,9 +68,9 @@ def dual_h1_norm(v: GridFunction) -> float:
     the value never exceeds the L2 norm.
     """
     grid = v.grid
-    w = grid.gram_solve(1, grid.mass_diag * v.values)
-    val = _dot(v.values, grid.mass_diag * w)
-    return float(np.sqrt(max(val, 0.0)))
+    x, e = _scaled(v.values)
+    w = grid.gram_solve(1, grid.mass_diag * x)
+    return float(np.ldexp(np.sqrt(max(_dot(x, grid.mass_diag * w), 0.0)), e))
 
 
 @dataclass

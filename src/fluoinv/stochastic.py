@@ -208,13 +208,15 @@ class _TrialRunner:
 
     Built in the calling process: it draws the sensor points of every rung
     and builds each rung's sensor map (with the E'E of its fits) once,
-    factorizes the two matrices the trials share (the Robin Laplacian at
-    beta and the grid's H1 Gram matrix) and computes the last two levels
-    of the zero-source excitation that every map and first iterate read,
-    so forked workers inherit them instead of redoing them.  Every trial's
-    fit and errors read both factors, so they stay cached on the grid for
-    the whole experiment, also beside each map's step factor; unlike
-    ``p2``, ``rates`` never releases them.
+    factorizes what the trials share and computes the last two levels of
+    the zero-source excitation that every map and first iterate read, so
+    forked workers inherit them instead of redoing them.  The factors are
+    the grid's H1 factor (every trial's dual-H1 errors, and the step
+    ordering), the Robin Laplacian at beta when a rung estimates its weight
+    (with R_1 at s = 1, that loop's factors), and the given-weight CG's
+    COLAMD pair when a rung has a given weight (``Grid.cg_lu``).  They stay
+    cached on the grid for the whole experiment, also beside each map's
+    step factor; unlike ``p2``, ``rates`` never releases them.
     """
 
     def __init__(self, pipeline: InversionPipeline, ladder: list[LadderPoint], base_seed: int):
@@ -227,8 +229,14 @@ class _TrialRunner:
                                                  spawn_key=(i,)).generate_state(1)[0])
             points = sample_points(pipeline.grid.dim, point.n, seed=pt_seed)
             self.sensors.append(PointEvaluation(pipeline.grid, points))
-        pipeline.grid.operators(pipeline.beta).lu_laplacian()  # every fit's S and S'
-        pipeline.grid.lu_h1()   # the dual-H1 errors of every trial, and the H1 fits' R_1
+        grid, beta = pipeline.grid, pipeline.beta
+        grid.lu_h1()
+        if any(point.lam is None for point in ladder):
+            grid.operators(beta).lu_laplacian()
+        if any(point.lam is not None for point in ladder):
+            grid.cg_lu(beta)
+            if pipeline.s:
+                grid.cg_lu(None)
         if pipeline.recovers_source:
             pipeline.data.zero_source_levels()  # every map and first iterate
 

@@ -57,7 +57,9 @@ def lu_counts(monkeypatch):
     """Counts of sparse factorizations, solved columns (``solves``: a
     k-column solve adds k) and solve calls made from here on; of the
     factors made from here on, ``live`` counts those alive now and
-    ``peak_live`` the most alive at once.  ``reset()`` zeroes the counts."""
+    ``peak_live`` the most alive at once, and ``factored`` lists the
+    ``(permc_spec, matrix)`` of each in order.  ``reset()`` zeroes the
+    counts."""
     import scipy.sparse.linalg as spla
 
     class Counts(dict):
@@ -68,6 +70,7 @@ def lu_counts(monkeypatch):
 
     counts = Counts()
     counts.reset()
+    counts.factored = []
     splu = spla.splu
 
     class CountedFactor:
@@ -87,6 +90,7 @@ def lu_counts(monkeypatch):
 
     def counted_splu(*args, **kwargs):
         counts["factorizations"] += 1
+        counts.factored.append((kwargs.get("permc_spec", "COLAMD"), args[0]))
         factor = CountedFactor(splu(*args, **kwargs))
         counts.live += 1
         counts.peak_live = max(counts.peak_live, counts.live)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import fluoinv as fv
 from fluoinv import cli, forward, inverse, stochastic
 from fluoinv.cli import main
 from fluoinv.presets import PRESETS
@@ -117,15 +118,36 @@ def test_p1_small_run_and_rerun_identical(tmp_path):
                       "err1", "err2", "err3", "err4", "err5"]
 
 
+def orderings(lu_counts, grid_cells):
+    """The SuperLU ordering of each factorization so far, in order, marked
+    "(R_1)" where the matrix is the H1 Gram matrix of a 2D grid of that size."""
+    gram = fv.Grid(2, grid_cells)._gram_h1()
+    return [spec + " (R_1)" if A.shape == gram.shape and (A != gram).nnz == 0 else spec
+            for spec, A in lu_counts.factored]
+
+
 def test_p1_away_from_unit_beta_factorizes_h1_once(tmp_path, lu_counts):
-    # the truth's two step factors, the Laplacian at beta = 2, and one H1
-    # factor for the grid, shared by the fit's preconditioner and the
-    # dual-H1 errors, which do not read beta
+    # the truth's two step factors, then the given-weight CG's COLAMD pair,
+    # the Laplacian at beta = 2 and R_1, and the dual-H1 errors' R_1 in the
+    # step ordering: one factorization of each kind of H1 factor, neither
+    # refactored per beta
     cfg = write_cfg(tmp_path, "c.json", {"grid": 16, "tau": 0.25, "beta": 2,
                                          "truth": "example2-smooth", "n": 100,
                                          "relative_sigma": 0.01, "s": 1})
     assert main(["p1", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert lu_counts["factorizations"] == 4
+    assert lu_counts["factorizations"] == 5
+    assert orderings(lu_counts, 16) == ["COLAMD"] * 3 + ["COLAMD (R_1)", "MMD_AT_PLUS_A (R_1)"]
+
+
+def test_self_consistent_p1_factors_in_the_step_ordering(tmp_path, lu_counts):
+    # the only COLAMD factors are the truth march's two step factors: the
+    # weight loop and the errors read the Laplacian and R_1 in the step
+    # ordering, the errors the loop's R_1
+    cfg = write_cfg(tmp_path, "c.json", {"grid": 16, "tau": 0.25, "truth": "example2-smooth",
+                                         "n": 100, "relative_sigma": 0.01, "s": 1,
+                                         "lambda": {"mode": "self-consistent"}})
+    assert main(["p1", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert orderings(lu_counts, 16) == ["COLAMD"] * 2 + ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A (R_1)"]
 
 
 def test_fitted_p2_maps_run_beside_their_own_step_factor_only(tmp_path, monkeypatch,
@@ -133,8 +155,9 @@ def test_fitted_p2_maps_run_beside_their_own_step_factor_only(tmp_path, monkeypa
     # p2 releases the grid's Laplacian and H1 factors once its fit has
     # returned, so every terminal_excitation call holds its step factor
     # alone; the count is the truth's two step factors, the fit's Laplacian
-    # and H1 factors, the step ordering and the q = 0 levels, one per map
-    # application (8) and H1 once more for err4 at s = 1.  Each application
+    # and H1 factors (the H1 factor also gives the step ordering), the q = 0
+    # levels, one per map application (8) and H1 once more for err4 at
+    # s = 1.  The only COLAMD factors are the truth's.  Each application
     # solves fewer than the 51 vectors of an exact one, since the clamped
     # iteration loosens the Lanczos tolerance while its residual is large,
     # one vector to a solve
@@ -161,7 +184,9 @@ def test_fitted_p2_maps_run_beside_their_own_step_factor_only(tmp_path, monkeypa
     _, rows = read_csv(out / "iteration_trace.csv")
     assert len(rows) == len(applications) == 8
     assert len(live) == 2 * (1 + 8) and set(live) == {1}
-    assert lu_counts["factorizations"] == 2 + 2 + 1 + 1 + 8 + 1
+    assert lu_counts["factorizations"] == 2 + 2 + 1 + 8 + 1
+    assert orderings(lu_counts, 16) == (["COLAMD"] * 2 + ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A (R_1)"]
+                                        + ["NATURAL"] * 9 + ["MMD_AT_PLUS_A (R_1)"])
     assert all(cost["factorizations"] == 1 for cost in applications)
     solves = [cost["solves"] for cost in applications]
     assert all(s < 51 for s in solves) and sum(solves) <= 260

@@ -128,6 +128,44 @@ def test_released_factors_are_rebuilt_with_the_same_bits(lu_counts):
     assert lu_counts["factorizations"] == 6
 
 
+@pytest.mark.parametrize("cells, ordered, colamd", [(50, 73_494, 122_914),
+                                                    (100, 386_976, 659_092)])
+def test_cached_factors_fill_in_their_orderings(cells, ordered, colamd, lu_counts):
+    # fill pins, machine-independent: the Laplacian and R_1 share the step
+    # pattern and factor in its minimum-degree ordering, whose factor of R_1
+    # gives the step ordering with no factorization of its own; the given-
+    # weight CG's pair keeps SuperLU's default COLAMD, and release_factors
+    # drops all four
+    grid = fv.Grid(2, cells)
+    lu = grid.lu_h1()
+    assert fill(lu) == fill(grid.operators(1.0).lu_laplacian()) == ordered
+    assert lu_counts["factorizations"] == 2
+    assert np.array_equal(grid.step_order(), np.argsort(lu.perm_c))
+    assert lu_counts["factorizations"] == 2
+    assert fill(grid.cg_lu(1.0)) == fill(grid.cg_lu(None)) == colamd
+    assert [spec for spec, _ in lu_counts.factored] == ["MMD_AT_PLUS_A"] * 2 + ["COLAMD"] * 2
+    assert grid.cg_lu(1.0) is grid.cg_lu(1.0) and lu_counts["factorizations"] == 4
+    del lu
+    grid.release_factors()
+    assert lu_counts.live == 0
+
+
+def test_step_order_without_a_cached_h1_factor_keeps_none(lu_counts):
+    # with no H1 factor cached, the ordering costs one factorization, which
+    # it drops; the H1 factor built later gives the same ordering, and a
+    # released one is not rebuilt for it
+    grid = fv.Grid(2, 16)
+    order = grid.step_order()
+    assert lu_counts["factorizations"] == 1 and lu_counts.live == 0
+    assert np.array_equal(np.argsort(grid.lu_h1().perm_c), order)
+    grid.release_factors()
+    assert grid.step_order() is order and lu_counts["factorizations"] == 2
+
+
+def fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
 def test_a_dropped_grid_frees_its_factors_at_once(lu_counts):
     # the operators reach their grid weakly, so no reference cycle keeps a
     # dropped grid, and its cached factors, alive until a garbage collection

@@ -54,6 +54,31 @@ def test_dual_norm_values(grid16):
     assert fv.dual_h1_norm(grid16.zeros()) == 0.0
 
 
+def test_norms_keep_their_digits_when_squares_are_subnormal():
+    # the example2-smooth truth on Grid(2, 8) at beta = 1e160 has fields near
+    # 1e-160, whose squares are subnormal: unscaled, the dual-H1 norm of the
+    # forcing was 3.9 % off the same norm of the forcing scaled by 2^530 (then
+    # divided back), the L2 norm of the observed field 0.28 %.  Each norm
+    # scales by a power of two, exactly, so the two agree bit for bit, and a
+    # field of normal squares keeps the unscaled norm bit for bit
+    from fluoinv.metrics import _dot
+    from fluoinv.presets import build_truth
+
+    grid = fv.Grid(2, 8)
+    f, g, _, _ = build_truth("example2-smooth", grid, beta=1e160)
+    big = 2.0**530
+    norms = (fv.dual_h1_norm, fv.l2_norm, h1_norm, lambda u: fv.empirical_norm(u.values))
+    for norm in norms:
+        for u in (f, g):
+            assert norm(u) == norm(grid.function(u.values * big)) / big
+    v = np.random.default_rng(6).standard_normal(grid.node_count)
+    w = grid.lu_h1().solve(grid.mass_diag * v)
+    assert fv.dual_h1_norm(grid.function(v)) == np.sqrt(_dot(v, grid.mass_diag * w))
+    for s in (0, 1):
+        assert fv.hs_norm(grid.function(v), s) == np.sqrt(_dot(v, grid.gram_apply(s, v)))
+    assert fv.empirical_norm(v) == np.sqrt(np.mean(v**2))
+
+
 def test_norm_ordering_and_riesz_identity(grid16):
     rng = np.random.default_rng(0)
     for _ in range(20):
