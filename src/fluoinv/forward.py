@@ -25,11 +25,15 @@ sum_k a_j[k] t^(N-k).  One Lanczos process on P in the W inner product,
 started from A^-1 x_j, reads it off its tridiagonal T_m as
 |A^-1 x_j|_W Q_m p_j(T_m) e_1 (polynomial Krylov evaluation of a matrix
 function: Saad, SIAM J. Numer. Anal. 29 (1992) 209-228), and u^(N-1) off
-the same process.  Each step is one solve.  The process stops once the
-tridiagonal's error estimate beta_m |e_m' y| falls below tol |y| for both
-levels' coordinates y (tol is LANCZOS_TOL unless the caller asks for a
-looser one), or at a breakdown beta_m = 0, where the space is invariant
-and the evaluation exact, or at m = N - 1 steps.  At that cap q_N
+the same process.  The coordinates are read off the eigendecomposition
+T_m = V diag(theta) V' as p_j(T_m) e_1 = V (p_j(theta) o V'e_1), by
+LAPACK's tridiagonal solver and pairwise sums, neither of which runs a
+BLAS-threaded kernel.  Each step is one solve, and a start or step whose
+coefficients are not finite raises ConvergenceError.  The process stops
+once the tridiagonal's error estimate beta_m |e_m' y| falls below tol |y|
+for both levels' coordinates y (tol is LANCZOS_TOL unless the caller asks
+for a looser one), or at a breakdown beta_m = 0, where the space is
+invariant and the evaluation exact, or at m = N - 1 steps.  At that cap q_N
 completes the basis, and the coordinates on T_N are exact (p_j has degree
 N - 1) without a last step: its solve would give only T_N's last diagonal
 entry alpha_N, which no polynomial of degree N - 1 in T_N reads, so the
@@ -65,9 +69,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-from .grid import Grid, GridFunction
-from .metrics import _dot
+from .grid import ConvergenceError, Grid, GridFunction
+from .metrics import _dot, _scaled
 
 __all__ = [
     "ProblemData",
@@ -205,8 +210,7 @@ def _time_components(rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     the split is the one the unscaled sums give wherever those do not
     underflow.
     """
-    exponents = [math.frexp(np.abs(row).max())[1] for row in rows]
-    scaled = [np.ldexp(row, -e) for row, e in zip(rows, exponents)]
+    scaled, exponents = zip(*map(_scaled, rows))
     scale = max(math.ldexp(math.sqrt(_dot(x, x)), e) for x, e in zip(scaled, exponents))
     basis = []
     for x, e in zip(scaled, exponents):
@@ -270,44 +274,37 @@ def coupled_levels(data: ProblemData, q: GridFunction):
     return lockstep()
 
 
-def _tridiagonal_apply(alphas: np.ndarray, betas: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """T y for the symmetric tridiagonal T with diagonal alphas and
-    off-diagonal betas; y a vector or the columns of an array."""
-    if y.ndim == 2:
-        alphas, betas = alphas[:, None], betas[:, None]
-    z = alphas * y
-    z[1:] += betas * y[:-1]
-    z[:-1] += betas * y[1:]
-    return z
-
-
 def _polynomial_coordinates(alphas: list, betas: list, a: np.ndarray):
     """y_N = sum_(k=1..N) a_k T^(N-k) e_1 and y_(N-1) = sum_(k<N) a_k T^(N-1-k) e_1.
 
     T is the tridiagonal of the Lanczos steps taken (alphas, and the betas
-    but the last).  y_(N-1) comes by Horner's rule s = isqrt(N - 1) powers
-    of T at a time: with the columns T^r e_1 (r < s) and the dense T^s, a
-    block of s coefficients is one product with each, so about 2 sqrt(N)
-    numpy operations replace Horner's N.  Then y_N = T y_(N-1) + a_N e_1;
+    but the last).  With T = V diag(theta) V', a level is V (p(theta) o V'e_1)
+    for its polynomial p: p_(N-1)(theta) by Horner's rule on the scalars
+    theta, s = isqrt(N - 1) powers at a time, so about 2 sqrt(N) numpy
+    operations replace Horner's N, and p_N = theta p_(N-1) + a_N;
     y_(N-1) = 0 when N = 1.
     """
-    alphas, betas = np.array(alphas), np.array(betas[:-1])
+    theta, V = eigh_tridiagonal(np.array(alphas), np.array(betas[:-1]))
     n = a.size - 1
-    y = np.zeros(alphas.size)
+    p = np.zeros(theta.size)
     if n:
         s = math.isqrt(n)
         blocks = -(-n // s)
         coefs = np.concatenate([np.zeros(blocks * s - n), a[:-1]]).reshape(blocks, s)
-        power = np.eye(alphas.size)
-        krylov = np.empty((alphas.size, s))    # column r holds T^(s-1-r) e_1
-        for r in range(s - 1, -1, -1):
-            krylov[:, r] = power[:, 0]
-            power = _tridiagonal_apply(alphas, betas, power)
-        for row in coefs:                      # power is T^s
-            y = np.add.reduce(power * y, axis=1) + np.add.reduce(krylov * row, axis=1)
-    y_N = _tridiagonal_apply(alphas, betas, y)
-    y_N[0] += a[-1]
-    return y_N, y
+        powers = theta ** np.arange(s, -1, -1)[:, None]    # row r holds theta^(s-r)
+        for row in coefs:
+            p = powers[0] * p + np.add.reduce(row[:, None] * powers[1:])
+    return (np.add.reduce(V * ((theta * p + a[-1]) * V[0]), axis=1),
+            np.add.reduce(V * (p * V[0]), axis=1))
+
+
+def _finite(value: float, name: str, step: int) -> float:
+    """value, a coefficient of Lanczos step ``step`` (0: the start); raises
+    ConvergenceError naming the step if it is not finite."""
+    if not math.isfinite(value):
+        raise ConvergenceError(f"Lanczos {f'step {step}' if step else 'start'} has a "
+                               f"non-finite coefficient ({name}={value:g})")
+    return value
 
 
 def _add_component_levels(data: ProblemData, lu, order: np.ndarray, a: np.ndarray,
@@ -323,24 +320,25 @@ def _add_component_levels(data: ProblemData, lu, order: np.ndarray, a: np.ndarra
     estimate is read only at a step where it could have met tol: it fell by
     about a decade per step at most in the runs measured, so a reading that
     misses by a factor rho puts the next log10(rho) / 2 steps on, and at
-    least one.  The coordinates are read for a scaled by the power of two
-    that brings its largest entry into [1/2, 1), so the estimate's squares
-    do not underflow for data as small as 1e-200, and so is the start
-    A^-1 load before its W norm beta_0, whose square underflows where the
-    load 1/(beta h) or the step's inverse is tiny (beta from about 1e150,
-    tau near 1e-300); both scalings are exact, and beta_0 takes them back.
+    least one.  A start whose norm, or a step whose alpha or beta, is not
+    finite, from a solve that overflowed or failed, raises ConvergenceError
+    naming the step, before any arithmetic on it can warn.  The coordinates
+    are read for a scaled by the power of two that brings its largest entry
+    into [1/2, 1) (``metrics._scaled``), so the estimate's squares do not
+    underflow for data as small as 1e-200, and so is the start A^-1 load
+    before its W norm beta_0, whose square underflows where the load
+    1/(beta h) or the step's inverse is tiny (beta from about 1e150, tau
+    near 1e-300); both scalings are exact, and beta_0 takes them back.
     """
     grid, tau, N = data.grid, data.tau, data.n_steps
-    scale = math.frexp(np.abs(a).max())[1]
-    a = np.ldexp(a, -scale)
+    a, scale = _scaled(a)
     w = grid.weights[order]
     r = np.zeros(grid.node_count)
     r[grid.boundary_indices] = x
     r = lu.solve((r * grid.operators(data.beta).load_weights)[order])
-    e = math.frexp(np.abs(r).max())[1]
-    r = np.ldexp(r, -e)
+    r, e = _scaled(r)
     scale += e
-    beta_0 = math.sqrt(_dot(r, w * r))
+    beta_0 = _finite(math.sqrt(_dot(r, w * r)), "beta_0", 0)
     r /= beta_0
     basis, alphas, betas = [r], [], []
     read_at = 1
@@ -349,12 +347,12 @@ def _add_component_levels(data: ProblemData, lu, order: np.ndarray, a: np.ndarra
         wq = w * q
         v = lu.solve(wq)
         v /= tau
-        alpha = _dot(wq, v)
+        alpha = _finite(_dot(wq, v), "alpha", len(basis))
         v -= alpha * q
         if len(basis) > 1:
             v -= betas[-1] * basis[-2]
         np.multiply(w, v, out=wq)
-        beta = math.sqrt(_dot(v, wq))
+        beta = _finite(math.sqrt(_dot(v, wq)), "beta", len(basis))
         alphas.append(alpha)
         betas.append(beta)
         m = len(alphas)

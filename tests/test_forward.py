@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import fluoinv as fv
 from fluoinv import forward, inverse
+from fluoinv import grid as grid_module
 from fluoinv.forward import _last_two, terminal_excitation, terminal_fields
 from fluoinv.inverse import _apply_map, _forcing
 from fluoinv.presets import (build_source, build_truth, example2_absorption, example2_problem,
@@ -198,20 +200,95 @@ def test_grid_mismatch_rejected(ex2_32, grid16):
 
 
 def test_fixed_point_map_cost(lu_counts):
-    # the cost model of one map application: the excitation step matrix
-    # depends on q and is factorized anew, and the two levels are read off a
-    # Lanczos process per time component of the load (2 for example2), about
-    # half the 100 solves of a march; the emission levels come from the
+    # the cost model of one exact map application: the excitation step
+    # matrix depends on q and is factorized anew, and the two levels are
+    # read off a Lanczos process per time component of the load (2 for
+    # example2), 46 solves against a march's 100 at T/tau = 100 and 95
+    # against 1,000 at T/tau = 1,000; the emission levels come from the
     # cached q = 0 levels
     grid = fv.Grid(2, 16)
-    _, g, data, _ = build_truth("example2-smooth", grid)
-    assert data.n_steps == 100
-    q = grid.function(np.full(grid.node_count, 1.0))
-    fv.fixed_point_map(data, q, g)  # the q = 0 levels are cached by now
-    lu_counts.reset()
-    fv.fixed_point_map(data, q, g)
-    assert lu_counts["factorizations"] == 1
-    assert lu_counts["solves"] <= 55
+    for tau, solves in ((0.01, 46), (0.001, 95)):
+        _, g, data, q = build_truth("example2-smooth", grid, tau=tau)
+        fv.fixed_point_map(data, q, g)  # the q = 0 levels are cached by now
+        lu_counts.reset()
+        fv.fixed_point_map(data, q, g)
+        assert lu_counts["factorizations"] == 1
+        assert lu_counts["solves"] == solves
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.001])
+def test_reading_schedule_lengthens_no_process(tau, monkeypatch):
+    # the error estimate is read at a schedule, not at every step, yet each
+    # exact process stops at the first step where a reading would have met
+    # LANCZOS_TOL: read off its own tridiagonal's leading blocks
+    grid = fv.Grid(2, 16)
+    _, _, data, q = build_truth("example2-smooth", grid, tau=tau)
+    last = {}
+    coordinates = forward._polynomial_coordinates
+
+    def recorded(alphas, betas, a):
+        last[id(a)] = (list(alphas), list(betas), a)
+        return coordinates(alphas, betas, a)
+
+    monkeypatch.setattr(forward, "_polynomial_coordinates", recorded)
+    terminal_excitation(data, q)
+    assert len(last) == 2
+    for alphas, betas, a in last.values():
+        met = []
+        for m in range(1, len(alphas) + 1):
+            levels = coordinates(alphas[:m], betas[:m], a)
+            met.append(all(betas[m - 1] * abs(y[-1]) <= forward.LANCZOS_TOL * np.sqrt(y @ y)
+                           for y in levels))
+        assert met.index(True) == len(alphas) - 1
+
+
+def corrupt_solve(monkeypatch, factor, solve):
+    """From here on, the ``solve``-th solve with the ``factor``-th map factor
+    made returns an inf in its first entry."""
+    made = []
+    ordered_step_lu = grid_module._GridOperators.ordered_step_lu
+
+    class Corrupted:
+        def __init__(self, lu):
+            self._lu, self._solves = lu, 0
+
+        def solve(self, rhs):
+            x = self._lu.solve(rhs)
+            self._solves += 1
+            if self._solves == solve:
+                x[0] = np.inf
+            return x
+
+    def corrupting(ops, tau, absorption):
+        lu, order = ordered_step_lu(ops, tau, absorption)
+        made.append(lu)
+        return (Corrupted(lu) if len(made) == factor else lu), order
+
+    monkeypatch.setattr(grid_module._GridOperators, "ordered_step_lu", corrupting)
+
+
+@pytest.mark.parametrize("factor, solve, run, message", [
+    (1, 3, lambda data, q, g: terminal_excitation(data, q), "Lanczos step 2 has a non-finite"),
+    (2, 3, lambda data, q, g: fv.fixed_point_solve(data, g), "Lanczos step 2 has a non-finite"),
+    (1, 1, lambda data, q, g: terminal_excitation(data, q), "Lanczos start has a non-finite"),
+], ids=["terminal_excitation", "fixed_point_solve", "start"])
+def test_a_non_finite_lanczos_coefficient_names_its_step(factor, solve, run, message,
+                                                         monkeypatch):
+    # an inf in a map factor's third solve, the second step of its first
+    # Lanczos process, or in its first, the start, ends in a
+    # ConvergenceError naming the step before any arithmetic on it warns;
+    # the fixed-point iteration raises it from its second application, with
+    # the first in its trace
+    grid = fv.Grid(2, 16)
+    _, g, data, q = build_truth("example2-smooth", grid)
+    data.zero_source_levels()
+    corrupt_solve(monkeypatch, factor, solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fv.ConvergenceError, match=message) as caught:
+            run(data, q, g)
+    trace = caught.value.trace
+    assert trace is None if factor == 1 else trace.iterations == 1
 
 
 def test_zero_source_levels_are_cached(lu_counts):
